@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,9 +26,8 @@ from .errors import (
     RegimeViolation,
 )
 from .killed_walk import (
-    FirstPassageLaw,
+    _fft_stepper,
     default_window,
-    first_passage,
     halfline_entrance,
     k_estimate,
     ladder_renewals,
@@ -254,41 +254,43 @@ def rhs_finite_set(
 
 
 # ---------------------------------------------------------------------------
-# cached DP helpers
+# memoised DP slices
 # ---------------------------------------------------------------------------
 
 
-def _fp_cached(law: WalkLaw, B, x: int, n: int, mult: float = 8.0) -> FirstPassageLaw:
-    key = cache.content_key(law.law_hash(), "first_passage", B=str(B), x=x, n=n, mult=mult)
-    hit = cache.load(key)
-    if hit is not None:
-        return FirstPassageLaw(
-            x=x,
-            killing=B,
-            f=hit["f"],
-            cumulative=np.cumsum(hit["f"]),
-            truncation_tail=float(hit["tail"][0]),
-            escaped=float(hit["tail"][1]),
-        )
-    W = default_window(law, n, mult)
-    fp = first_passage(law, B, x, n, window=W)
-    cache.store(key, f=fp.f, tail=np.array([fp.truncation_tail, fp.escaped]))
-    return fp
+class DPSlice(NamedTuple):
+    """One-start DP to step n: p^n_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass."""
+
+    slice: np.ndarray
+    window: int
+    f: np.ndarray
+    escaped: float
 
 
-def _kernel_slice_cached(law: WalkLaw, B, x: int, n: int, mult: float = 8.0):
-    """(slice over [-W, W] at step n, W, per-step f array)."""
-    key = cache.content_key(law.law_hash(), "kernel_slice", B=str(B), x=x, n=n, mult=mult)
-    hit = cache.load(key)
-    if hit is not None:
-        sl = hit["slice"]
-        return sl, (len(sl) - 1) // 2, hit["f"]
+# (law hash, killing set, x, n, W) -> DPSlice, in front of the artifact cache
+_DP_MEMO: dict = {}
+
+
+def _dp_slice(law: WalkLaw, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
+    """run_kernel(law, B, [x], n, keep=[n]) at W = default_window(law, n, mult).
+
+    Runs once per process for each resolved W (mult values that resolve to
+    the same window share a run) and hands out read-only arrays.
+    """
     W = default_window(law, n, mult)
-    table = run_kernel(law, B, [x], n, window=W, keep=[n])
-    sl = table.values[n][0]
-    f = table.step_killed[0]
-    cache.store(key, slice=sl, f=f)
-    return sl, W, f
+    law_hash = law.law_hash()
+    memo_key = (law_hash, str(B), x, n, W)
+    if memo_key not in _DP_MEMO:
+        key = cache.content_key(law_hash, "dp_slice", B=str(B), x=x, n=n, W=W)
+        arrays = cache.load(key)
+        if arrays is None:
+            table = run_kernel(law, B, [x], n, window=W, keep=[n])
+            arrays = {"slice": table.values[n][0], "f": table.step_killed[0], "escaped": table.escaped[0, n:]}
+            cache.store(key, **arrays)
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        _DP_MEMO[memo_key] = DPSlice(arrays["slice"], W, arrays["f"], float(arrays["escaped"][0]))
+    return _DP_MEMO[memo_key]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +306,7 @@ def verify_thm1(
     """n^{2-1/alpha} f^0(n) against kappa c^{1/alpha}."""
     ctx = LawContext.build(law)
     n_max = max(n_values)
-    fp = _fp_cached(law, ("set", (0,)), 0, n_max)
+    fp = _dp_slice(law, ("set", (0,)), 0, n_max)
     rep = VerificationReport(theorem_id="thm1")
     for n in n_values:
         rhs = rhs_theorem1(n, ctx.params, ctx.consts)
@@ -327,7 +329,7 @@ def verify_thm2_bulk(
     rep = VerificationReport(theorem_id="thm2_bulk")
     for n in n_values:
         x = max(1, int(math.floor(xi * n ** (1.0 / ctx.params.alpha))))
-        fp = _fp_cached(law, ("set", (0,)), x, n)
+        fp = _dp_slice(law, ("set", (0,)), x, n)
         rhs = rhs_theorem2_3(ctx, x, n, "bulk")
         ratio = float(fp.f[n]) / rhs
         rep.rows.append({"n": n, "x": x, "exact": float(fp.f[n]), "rhs": rhs, "ratio": ratio, "regime": "bulk"})
@@ -345,7 +347,7 @@ def verify_thm2_small(
     ctx = LawContext.build(law)
     rep = VerificationReport(theorem_id="thm2_small")
     n_max = max(n_values)
-    fp = _fp_cached(law, ("set", (0,)), x_fixed, n_max)
+    fp = _dp_slice(law, ("set", (0,)), x_fixed, n_max)
     for n in n_values:
         rhs = rhs_theorem2_3(ctx, x_fixed, n, "x_small")
         ratio = float(fp.f[n]) / rhs
@@ -380,7 +382,7 @@ def verify_crossover(
     track_worst = 0.0
     n_max = max(n_grid)
     for x in x_values:
-        fp = _fp_cached(law, ("set", (0,)), int(x), n_max)
+        fp = _dp_slice(law, ("set", (0,)), int(x), n_max)
         gaps = []
         two_term = {}
         for n in n_grid:
@@ -443,7 +445,7 @@ def verify_thm4_y_small(
     inv_a = 1.0 / ctx.params.alpha
     for n in n_values:
         x = max(1, int(math.floor(xi * n ** inv_a)))
-        sl, W, f = _kernel_slice_cached(law, ("set", (0,)), x, n)
+        sl, W, f, _ = _dp_slice(law, ("set", (0,)), x, n)
         exact = float(sl[y_fixed + W])
         rhs = rhs_theorem4_5(ctx, x, y_fixed, n, "y_small", f_x=float(f[n]))
         ratio = exact / rhs
@@ -472,9 +474,9 @@ def verify_thm5_x_small(
     for n in n_values:
         y = max(1, int(math.floor(eta * n ** inv_a)))
         yn = y * float(n) ** -inv_a
-        sl, W, _ = _kernel_slice_cached(law, ("set", (0,)), x_fixed, n)
+        sl, W, _, _ = _dp_slice(law, ("set", (0,)), x_fixed, n)
         exact = float(sl[y + W])
-        fy = float(_fp_cached(law, ("set", (0,)), -y, n).f[n])
+        fy = float(_dp_slice(law, ("set", (0,)), -y, n).f[n])
         K_val, spread = k_estimate(law, yn, n)
         rhs = rhs_theorem4_5(ctx, x_fixed, y, n, "x_small", f_minus_y=fy, K_val=K_val)
         ratio = exact / rhs
@@ -504,7 +506,7 @@ def verify_bulk_scaling(
     for n in n_values:
         x = max(1, int(round(xi * n ** inv_a)))
         y = max(1, int(round(eta * n ** inv_a)))
-        sl, W, _ = _kernel_slice_cached(law, killing, x, n)
+        sl, W, _, _ = _dp_slice(law, killing, x, n)
         scaled = float(n) ** inv_a * float(sl[y + W])
         vals.append(scaled)
         rep.rows.append({"n": n, "x": x, "y": y, "exact": scaled, "rhs": math.nan, "ratio": math.nan, "regime": "bulk"})
@@ -529,7 +531,7 @@ def verify_thm6(
     for n in n_values:
         x = max(1, int(math.floor(0.5 * n ** inv_a)))
         y = -x
-        sl, W, _ = _kernel_slice_cached(law, ("set", (0,)), x, n, mult=10.0)
+        sl, W, _, _ = _dp_slice(law, ("set", (0,)), x, n, mult=10.0)
         exact = float(sl[y + W])
         rhs = rhs_theorem6(ctx, x, y, n, "ii", cp)
         ratio = exact / rhs
@@ -552,7 +554,7 @@ def tunneling_check(law: WalkLaw, R_values, n: int, x: int, y: int) -> Verificat
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
     rev = law.reversed()
     dual = run_kernel(rev, ("set", (0,)), [-y], n, window=W)
-    sl0, W0, _ = _kernel_slice_cached(law, ("set", (0,)), x, n)
+    sl0, W0, _, _ = _dp_slice(law, ("set", (0,)), x, n)
     denom = float(sl0[y + W0])
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")
@@ -590,11 +592,11 @@ def verify_comp(
     ctx = LawContext.build(law)
     rep = VerificationReport(theorem_id="comp")
     inv_a = 1.0 / ctx.params.alpha
-    f0 = _fp_cached(law, ("set", (0,)), 0, max(n_values))
+    f0 = _dp_slice(law, ("set", (0,)), 0, max(n_values))
     for n in n_values:
         x = y = max(1, int(math.floor(xi * n ** inv_a)))
-        sl0, W, _ = _kernel_slice_cached(law, ("set", (0,)), x, n)
-        slh, Wh, _ = _kernel_slice_cached(law, ("le", -1), x, n)
+        sl0, W, _, _ = _dp_slice(law, ("set", (0,)), x, n)
+        slh, Wh, _, _ = _dp_slice(law, ("le", -1), x, n)
         exact = float(sl0[y + W])
         rhs = float(slh[y + Wh]) + ctx.pot.a_dagger(x) * float(f0.f[n]) * ctx.pot.a(-y)
         ratio = exact / rhs
@@ -637,7 +639,7 @@ def verify_finite_set(
     n_max = max(n_values)
     W = default_window(law, n_max)
     table = run_kernel(law, ("set", tuple(A)), A, n_max, window=W, keep=[])
-    f0 = _fp_cached(law, ("set", (0,)), 0, n_max)
+    f0 = _dp_slice(law, ("set", (0,)), 0, n_max)
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in n_values:
         tot = float(table.step_killed[:, n].sum())
@@ -668,17 +670,12 @@ def verify_cor3(
     fsp_neg = FiniteSetPotential(ctx.pot, [-z for z in A])
     weights = {y: fsp_neg.u(-y) for y in A}
     wsum = sum(weights.values())
-    pw = law.pmf_window(W)
+    step, _, _ = _fft_stepper(law, W)
     rep = VerificationReport(theorem_id="cor3")
     y_probe = max(A)
     for n in n_values:
-        sl = table.values[n - 1][0]
         # P[sigma = n, S_n = y] = sum_z p^{n-1}_A(x, z) p(y - z)
-        nfft = 1
-        while nfft < 4 * W + 1:
-            nfft *= 2
-        conv = np.fft.irfft(np.fft.rfft(sl, nfft) * np.fft.rfft(pw, nfft), nfft)[: 4 * W + 1]
-        exact = float(conv[y_probe + 2 * W])
+        exact = float(step(table.values[n - 1])[0][0, y_probe + W])
         fA_n = float(table.step_killed[0, n])
         rhs = fA_n * weights[y_probe]
         ratio = exact / rhs
@@ -707,7 +704,7 @@ def diagnostics_prop21(law: WalkLaw, n_values=(64, 256), refine: int = 2) -> Ver
                 xn = x * float(n) ** -inv_a
                 if xn > 8.0:
                     break
-                fp = _fp_cached(law, ("set", (0,)), x, n, mult=10.0)
+                fp = _dp_slice(law, ("set", (0,)), x, n, mult=10.0)
                 bound = min(xn ** (ctx.params.alpha - 1.0), xn ** -ctx.params.alpha)
                 sup = max(sup, float(fp.f[n]) * n / bound)
         sups.append(sup)
@@ -737,7 +734,7 @@ def diagnostics_prop23(law: WalkLaw, n: int = 256) -> VerificationReport:
     for xs, ys in grids:
         sup = 0.0
         for x in xs:
-            sl, W, _ = _kernel_slice_cached(law, ("set", (0,)), int(x), n)
+            sl, W, _, _ = _dp_slice(law, ("set", (0,)), int(x), n)
             xn = x * float(n) ** -inv_a
             for y in ys:
                 bound = min(
@@ -809,7 +806,7 @@ def verify_cor2(
     for n in n_values:
         y = -max(1, int(math.floor(eta * n ** inv_a)))
         yn = y * float(n) ** -inv_a
-        sl, W, _ = _kernel_slice_cached(law, ("set", (0,)), x_fixed, n)
+        sl, W, _, _ = _dp_slice(law, ("set", (0,)), x_fixed, n)
         exact = float(sl[y + W])
         rhs = ctx.pot.a_dagger(x_fixed) * (
             f0_asymptote(n, ctx.params, ctx.consts) * ctx.pot.a(-y)

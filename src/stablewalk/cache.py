@@ -1,17 +1,22 @@
 """Hash-addressed on-disk cache for kernel artifacts.
 
-Keys are content hashes of (law hash, operation, parameters); values are
-npz archives.  Reruns with equal keys return byte-identical arrays, which is
-what makes report regeneration reproducible.
+Keys are content hashes of (DP numerics version, law hash, operation,
+parameters); values are npz archives.  Reruns with equal keys return
+byte-identical arrays, which is what makes report regeneration reproducible,
+and bumping `killed_walk.DP_VERSION` retires every artifact of older numerics.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+import uuid
+import warnings
 from pathlib import Path
 
 import numpy as np
+
+from . import killed_walk
 
 _ENV = "STABLEWALK_CACHE"
 
@@ -26,26 +31,37 @@ def cache_dir() -> Path | None:
 
 
 def content_key(law_hash: str, op: str, **params) -> str:
-    payload = json.dumps({"law": law_hash, "op": op, "params": params}, sort_keys=True)
+    payload = json.dumps(
+        {"dp_version": killed_walk.DP_VERSION, "law": law_hash, "op": op, "params": params},
+        sort_keys=True,
+    )
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
 def load(key: str) -> dict | None:
+    """The arrays stored under key, or None on a miss (absent or unreadable file)."""
     root = cache_dir()
     if root is None:
         return None
     path = root / f"{key}.npz"
     if not path.exists():
         return None
-    with np.load(path, allow_pickle=False) as z:
-        return {k: z[k] for k in z.files}
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            return {k: z[k] for k in z.files}
+    except Exception as exc:  # a damaged npz fails in many different ways; each means recompute
+        warnings.warn(f"unreadable cache artifact {path.name} treated as a miss: {exc!r}", stacklevel=2)
+        return None
 
 
 def store(key: str, **arrays) -> None:
     root = cache_dir()
     if root is None:
         return
-    path = root / f"{key}.npz"
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(tmp, **arrays)
-    os.replace(tmp, path)
+    # each writer gets its own tmp file; the rename makes the entry appear whole
+    tmp = root / f"{key}.{uuid.uuid4().hex}.tmp.npz"
+    try:
+        np.savez_compressed(tmp, **arrays)
+        os.replace(tmp, root / f"{key}.npz")
+    finally:
+        tmp.unlink(missing_ok=True)

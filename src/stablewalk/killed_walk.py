@@ -1,9 +1,11 @@
 """Exact finite-n kernels for free, point-killed and half-line-killed walks.
 
-The state lives on the window [-W, W]; one step is a linear convolution with
-the windowed increment pmf (FFT, zero-padded against wrap-around).  Mass that
-leaves the window, or jumps past it, goes to an explicit escaped/killed
-ledger, so
+The state lives on the window [-W, W]; one step convolves it with the
+windowed increment pmf by a circular FFT of length next_fast_len(3W + 1),
+whose wrap-around misses the kept window.  The mass pushed below or above
+the window is a dot product with weights built once from the pmf's
+cumulative sums.  Mass that leaves the window, or jumps past it, goes to an
+explicit escaped/killed ledger, so
 
     in-window + killed + escaped = 1
 
@@ -18,10 +20,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
 from .special import GK_NODES, GK_WEIGHTS
 from .walk_model import WalkLaw
+
+# Part of every artifact-cache key: bump it whenever the DP's round-off moves.
+DP_VERSION = 2
 
 # ---------------------------------------------------------------------------
 # killing-set descriptors
@@ -91,9 +97,6 @@ class KernelTable:
     entrance_depth: int = 0
     entrance_lump: np.ndarray | None = None
 
-    def slice(self, n: int, x: int) -> np.ndarray:
-        return self.values[n][self.starts.index(x)]
-
     def value(self, n: int, x: int, y: int) -> float:
         W = self.window
         if abs(y) > W:
@@ -116,18 +119,26 @@ class KernelTable:
 
 
 def _fft_stepper(law: WalkLaw, W: int):
+    """(step, P[X > W], P[X < -W]) for the DP on [-W, W].
+
+    step maps a (n_starts, 2W+1) batch to (in-window states one step later,
+    mass pushed below the window, mass pushed above it) for jumps |X| <= W.
+    """
     p = law.pmf_window(W)
     esc_p, esc_m = law.escaped_split(W)
-    nfft = 1
-    while nfft < 4 * W + 1:
-        nfft *= 2
-    pf = np.fft.rfft(p, nfft)
+    nfft = sfft.next_fast_len(3 * W + 1, real=True)
+    pf = sfft.rfft(p, nfft)
+    # from state index i, mass p[j] lands below the window iff i + j < W and
+    # above it iff i + j > 3W
+    zeros = np.zeros(W + 1)
+    w_below = np.concatenate([np.cumsum(p[:W])[::-1], zeros])
+    w_above = np.concatenate([zeros, np.cumsum(p[::-1][:W])])
 
-    def step(states: np.ndarray) -> np.ndarray:
-        """Full linear convolution on [-2W, 2W] for a (n_starts, 2W+1) batch."""
-        sf = np.fft.rfft(states, nfft, axis=1)
-        full = np.fft.irfft(sf * pf[None, :], nfft, axis=1)[:, : 4 * W + 1]
-        return full
+    def step(states: np.ndarray):
+        spec = sfft.rfft(states, nfft, axis=1)
+        spec *= pf
+        full = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)
+        return full[:, W : 3 * W + 1], states @ w_below, states @ w_above
 
     return step, esc_p, esc_m
 
@@ -188,12 +199,9 @@ def run_kernel(
     escaped_cum = np.zeros(ns)
     for n in range(1, n_max + 1):
         alive = states.sum(axis=1)
-        full = step(states)
-        below = full[:, :W].sum(axis=1)
-        above = full[:, 3 * W + 1 :].sum(axis=1)
+        states, below, above = step(states)
         jump_up = alive * esc_p
         jump_dn = alive * esc_m
-        states = full[:, W : 3 * W + 1].copy()
         if B is None:
             kill_now = np.zeros(ns)
             escaped_cum += below + above + jump_up + jump_dn
@@ -379,11 +387,6 @@ def halfline_entrance(
     )
 
 
-def entrance_rows(table: KernelTable, start_idx: int = 0) -> np.ndarray:
-    """h(n, y) array indexed [n, d] with y = b - d (b the half-line boundary)."""
-    return table.entrance[start_idx]
-
-
 # ---------------------------------------------------------------------------
 # ladder structure
 # ---------------------------------------------------------------------------
@@ -427,14 +430,13 @@ def _greens_from_dp(law, init_vec, W, n_steps, alpha):
     m >> site^alpha, so the remainder beyond n_steps is estimated from the
     last half-window: tail = late / (2^{1/alpha} - 1).
     """
-    step, esc_p, esc_m = _fft_stepper(law, W)
-    states = init_vec.copy()[None, :]
-    green = states[0].copy()
+    step, _, _ = _fft_stepper(law, W)
+    states = init_vec[None, :]
+    green = init_vec.copy()
     late = np.zeros(2 * W + 1)
     half = n_steps // 2
     for m in range(1, n_steps + 1):
-        full = step(states)
-        states = full[:, W : 3 * W + 1].copy()
+        states, _, _ = step(states)
         states[0, : W + 1] = 0.0  # kill on (-inf, 0]
         green += states[0]
         if m > half:

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical laws per family and a session-scoped DP cache."""
 import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -7,10 +9,13 @@ from stablewalk import Family, TailSpec, build_walk_law
 
 
 def pytest_configure(config):
-    # session-local artifact cache so repeated DP runs are shared across tests
-    if "STABLEWALK_CACHE" not in os.environ:
-        cache = config.cache.mkdir("stablewalk_dp")
-        os.environ["STABLEWALK_CACHE"] = str(cache)
+    # a fresh artifact cache per session: DP runs are shared across the tests
+    # of one session, and every session runs the DP of the code under test
+    os.environ["STABLEWALK_CACHE"] = tempfile.mkdtemp(prefix="stablewalk_dp_")
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(os.environ.pop("STABLEWALK_CACHE"), ignore_errors=True)
 
 
 _LAW_DEFS = {

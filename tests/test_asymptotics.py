@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from stablewalk import asymptotics
 from stablewalk.asymptotics import (
     LawContext,
     TrendCriterion,
     VerificationReport,
+    _dp_slice,
     f0_asymptote,
     rhs_finite_set,
     rhs_theorem1,
@@ -154,3 +156,34 @@ def test_report_exact_column_reproducible(sym15):
     r2 = verify_thm1(sym15, n_values=(64, 256))
     assert [row["exact"] for row in r1.rows] == [row["exact"] for row in r2.rows]
     assert r1.to_csv() == r2.to_csv()
+
+
+def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
+    """Repeats, and mult 8 vs 10 at the same W, share one run_kernel call."""
+    monkeypatch.setattr(asymptotics, "_DP_MEMO", {})
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    real = asymptotics.run_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "run_kernel", counted)
+    first = _dp_slice(sym15, ("set", (0,)), 3, 256)
+    assert first.window == 512
+    assert _dp_slice(sym15, ("set", (0,)), 3, 256) is first
+    assert _dp_slice(sym15, ("set", (0,)), 3, 256, mult=10.0) is first
+    assert len(calls) == 1
+    table = real(sym15, ("set", (0,)), [3], 256, window=512, keep=[256])
+    assert np.array_equal(first.slice, table.values[256][0])
+    assert np.array_equal(first.f, table.step_killed[0])
+    assert first.escaped == table.escaped[0, 256]
+    # a new process reads the artifact cache instead of rerunning the DP
+    monkeypatch.setattr(asymptotics, "_DP_MEMO", {})
+    loaded = _dp_slice(sym15, ("set", (0,)), 3, 256)
+    assert len(calls) == 1
+    assert np.array_equal(loaded.slice, first.slice) and loaded.escaped == first.escaped
+    for hit in (first, loaded):
+        assert not hit.slice.flags.writeable
+        assert not hit.f.flags.writeable

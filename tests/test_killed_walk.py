@@ -9,6 +9,7 @@ from stablewalk.errors import WindowTooSmall
 from stablewalk.killed_walk import (
     HALF_GE_0,
     HALF_LE_0,
+    _fft_stepper,
     default_window,
     first_passage,
     fourier_first_passage,
@@ -32,6 +33,30 @@ def test_conservation_every_step(sym15):
     tab = killed_kernel(sym15, [0], 512, [3, -7], window=700)
     for n in (1, 64, 511, 512):
         assert tab.conservation_defect(n).max() < 1e-12
+
+
+@pytest.mark.parametrize("W", [512, 812, 1015, 2047])
+def test_stepper_matches_linear_convolution(asym15, W):
+    """Circular step (next_fast_len(3W+1) is no power of two here) vs np.convolve."""
+    step, _, _ = _fft_stepper(asym15, W)
+    p = asym15.pmf_window(W)
+    rng = np.random.default_rng(W)
+    states = rng.random((4, 2 * W + 1))
+    states /= states.sum(axis=1, keepdims=True)
+    inside, below, above = step(states)
+    full = np.array([np.convolve(s, p) for s in states])
+    assert np.abs(inside - full[:, W : 3 * W + 1]).max() <= 1e-13 * np.abs(full).max()
+    assert np.abs(below - full[:, :W].sum(axis=1)).max() <= 1e-14
+    assert np.abs(above - full[:, 3 * W + 1 :].sum(axis=1)).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "B, start, depth",
+    [([0], 3, 0), ([-1, 0, 2], 5, 0), (HALF_LE_0, 4, 16), (HALF_GE_0, -4, 16)],
+)
+def test_conservation_long_run(asym15, B, start, depth):
+    tab = run_kernel(asym15, B, [start], 2048, window=512, keep=[2048], entrance_depth=depth)
+    assert tab.conservation_defect(2048).max() <= 1e-10
 
 
 def test_killed_rows_vanish_on_set(sym15):

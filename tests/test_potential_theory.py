@@ -131,8 +131,7 @@ def test_green_origin_vs_dp_partial_sums(sym15, pot15):
     partial = []
     N_checks = (1000, 3000)
     for n in range(1, max(N_checks) + 1):
-        full = step(states)
-        states = full[:, W : 3 * W + 1].copy()
+        states, _, _ = step(states)
         states[0, 0 + W] = 0.0
         green += states[0]
         if n in N_checks:
@@ -186,8 +185,7 @@ def test_finite_set_vs_dp(sym15, pot15):
     green = states[0].copy()
     checks = {}
     for n in range(1, 4001):
-        full = step(states)
-        states = full[:, W : 3 * W + 1].copy()
+        states, _, _ = step(states)
         for z in A:
             states[0, z + W] = 0.0
         green += states[0]
@@ -287,8 +285,7 @@ def test_hit_before_vs_dp(sym15, pot15):
         seq = []
         closed = hit_before(pot15, x, y)
         for n in range(1, 16_001):
-            full = step(states)
-            states = full[:, W : 3 * W + 1].copy()
+            states, _, _ = step(states)
             hit_y += states[0, y + W]
             hit_0 += states[0, 0 + W]
             states[0, y + W] = 0.0
