@@ -9,6 +9,12 @@ The paper's statements are asymptotic with no rates, so the pass criterion
 is a trend: |ratio - 1| must be non-increasing across the grid (deviations
 already below a small floor may reorder freely - they are numerically
 converged) and the final deviation must beat a per-theorem cap.
+
+A run builds one LawContext for its law and hands it to every driver.  The
+context owns all per-law state: the stable parameters and named constants,
+one PotentialTable that every theorem reads and fills, and the memo of DP
+slices, so each distinct DP runs once per run.  Only the on-disk artifact
+cache (STABLEWALK_CACHE) spans runs.
 """
 from __future__ import annotations
 
@@ -80,6 +86,12 @@ class VerificationReport:
     passed: bool = False
     notes: dict = field(default_factory=dict)
 
+    def add_row(self, exact: float, rhs: float, **keys) -> None:
+        """Append the row keys + (exact, rhs, ratio = exact/rhs) and its |ratio - 1|."""
+        ratio = exact / rhs
+        self.rows.append({**keys, "exact": exact, "rhs": rhs, "ratio": ratio})
+        self.deviations.append(abs(ratio - 1.0))
+
     def finalize(self, crit: TrendCriterion) -> "VerificationReport":
         self.monotone, final_ok = crit.check(self.deviations)
         self.final_dev = float(self.deviations[-1])
@@ -111,23 +123,50 @@ class VerificationReport:
         return json.dumps(self.summary(), indent=2, sort_keys=True)
 
 
+class DPSlice(NamedTuple):
+    """One-start DP to step n: p^n_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass."""
+
+    slice: np.ndarray
+    window: int
+    f: np.ndarray
+    escaped: float
+
+
 @dataclass
 class LawContext:
-    """Bundles the per-law derived objects the evaluators need."""
+    """The per-law state of one run, shared by every theorem driver."""
 
     law: WalkLaw
     params: StableParams
     consts: ConstantsTable
     pot: PotentialTable
+    # (killing set, x, n, W) -> DPSlice, in front of the artifact cache
+    memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, law: WalkLaw) -> "LawContext":
         params = stable_params_of(law)
         return cls(law=law, params=params, consts=constants(params), pot=PotentialTable(law))
 
-    @property
-    def spectrally_positive(self) -> bool:
-        return abs(self.params.gamma - (2.0 - self.params.alpha)) < 1e-12
+    def dp_slice(self, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
+        """run_kernel(law, B, [x], n, keep=[n]) at W = default_window(law, n, mult).
+
+        Runs once per context for each resolved W (mult values that resolve to
+        the same window share a run) and hands out read-only arrays.
+        """
+        W = default_window(self.law, n, mult)
+        memo_key = (str(B), x, n, W)
+        if memo_key not in self.memo:
+            key = cache.content_key(self.law.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W)
+            arrays = cache.load(key, shapes={"slice": (2 * W + 1,), "f": (n + 1,), "escaped": (1,)})
+            if arrays is None:
+                table = run_kernel(self.law, B, [x], n, window=W, keep=[n])
+                arrays = {"slice": table.values[n][0], "f": table.step_killed[0], "escaped": table.escaped[0, n:]}
+                cache.store(key, **arrays)
+            for arr in arrays.values():
+                arr.flags.writeable = False
+            self.memo[memo_key] = DPSlice(arrays["slice"], W, arrays["f"], float(arrays["escaped"][0]))
+        return self.memo[memo_key]
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +181,23 @@ def f0_asymptote(n: int, params: StableParams, consts: ConstantsTable) -> float:
     )
 
 
-def rhs_theorem1(n: int, params: StableParams, consts: ConstantsTable) -> float:
-    return f0_asymptote(n, params, consts)
-
-
 def _p_ccirc(ctx: LawContext, xi: float) -> float:
     vals, _ = density_grid_smart(ctx.params.c_circ, np.array([xi]), ctx.params)
     return float(vals[0])
 
 
-def rhs_theorem2_3(ctx: LawContext, x: int, n: int, regime: str) -> float:
-    """Hitting-time rhs: 'x_small' or 'bulk' regime of the first-passage law."""
+def rhs_theorem2_3(ctx: LawContext, x: int, n: int, regime: str, prefactor: float | None = None) -> float:
+    """Hitting-time rhs: 'x_small' or 'bulk' regime of the first-passage law.
+
+    prefactor is the potential factor of the x_small form: a_dagger(x) for
+    the origin (the default), u_A(x) for a finite killing set A.
+    """
     params, consts = ctx.params, ctx.consts
     xn = x / n ** (1.0 / params.alpha)
     if regime == "x_small":
-        val = ctx.pot.a_dagger(x) * f0_asymptote(n, params, consts)
-        if abs(abs(params.gamma) - (2.0 - params.alpha)) < 1e-12 and params.gamma * x > 0:
+        pref = ctx.pot.a_dagger(x) if prefactor is None else prefactor
+        val = pref * f0_asymptote(n, params, consts)
+        if params.skew_sign * x > 0:
             val += abs(xn) * _p_ccirc(ctx, -xn) / n
         return val
     if regime == "bulk":
@@ -191,7 +231,7 @@ def rhs_theorem4_5(
     if regime == "x_small":
         fy = f_minus_y if f_minus_y is not None else rhs_theorem2_3(ctx, -y, n, "x_small")
         val = ctx.pot.a_dagger(x) * fy
-        if ctx.spectrally_positive and xn > 0:
+        if ctx.params.skew_sign > 0 and xn > 0:
             if K_val is None:
                 raise RegimeViolation("gamma = 2 - alpha x_small regime needs a K value")
             val += max(xn, 0.0) * K_val / n ** inv_a
@@ -233,131 +273,57 @@ def rhs_theorem6_hitting_form(ctx: LawContext, x: int, y: int, n: int, c_plus_va
     )
 
 
-def rhs_finite_set(
-    ctx: LawContext,
-    fsp: FiniteSetPotential,
-    x: int,
-    n: int,
-    regime: str = "x_small",
-) -> float:
-    """f_A rhs: Theorem 2/3 forms with u_A replacing a_dagger."""
-    params, consts = ctx.params, ctx.consts
-    xn = x / n ** (1.0 / params.alpha)
-    if regime == "x_small":
-        val = fsp.u(x) * f0_asymptote(n, params, consts)
-        if abs(abs(params.gamma) - (2.0 - params.alpha)) < 1e-12 and params.gamma * x > 0:
-            val += abs(xn) * _p_ccirc(ctx, -xn) / n
-        return val
-    if regime == "bulk":
-        return params.c_circ * hitting_density(params.c_circ, xn, params) / n
-    raise RegimeViolation(f"unknown regime {regime!r}")
-
-
-# ---------------------------------------------------------------------------
-# memoised DP slices
-# ---------------------------------------------------------------------------
-
-
-class DPSlice(NamedTuple):
-    """One-start DP to step n: p^n_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass."""
-
-    slice: np.ndarray
-    window: int
-    f: np.ndarray
-    escaped: float
-
-
-# (law hash, killing set, x, n, W) -> DPSlice, in front of the artifact cache
-_DP_MEMO: dict = {}
-
-
-def _dp_slice(law: WalkLaw, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
-    """run_kernel(law, B, [x], n, keep=[n]) at W = default_window(law, n, mult).
-
-    Runs once per process for each resolved W (mult values that resolve to
-    the same window share a run) and hands out read-only arrays.
-    """
-    W = default_window(law, n, mult)
-    law_hash = law.law_hash()
-    memo_key = (law_hash, str(B), x, n, W)
-    if memo_key not in _DP_MEMO:
-        key = cache.content_key(law_hash, "dp_slice", B=str(B), x=x, n=n, W=W)
-        arrays = cache.load(key)
-        if arrays is None:
-            table = run_kernel(law, B, [x], n, window=W, keep=[n])
-            arrays = {"slice": table.values[n][0], "f": table.step_killed[0], "escaped": table.escaped[0, n:]}
-            cache.store(key, **arrays)
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        _DP_MEMO[memo_key] = DPSlice(arrays["slice"], W, arrays["f"], float(arrays["escaped"][0]))
-    return _DP_MEMO[memo_key]
-
-
 # ---------------------------------------------------------------------------
 # verification drivers
 # ---------------------------------------------------------------------------
 
 
 def verify_thm1(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     crit: TrendCriterion = TrendCriterion(final_cap=0.15),
 ) -> VerificationReport:
     """n^{2-1/alpha} f^0(n) against kappa c^{1/alpha}."""
-    ctx = LawContext.build(law)
-    n_max = max(n_values)
-    fp = _dp_slice(law, ("set", (0,)), 0, n_max)
+    fp = ctx.dp_slice(("set", (0,)), 0, max(n_values))
     rep = VerificationReport(theorem_id="thm1")
     for n in n_values:
-        rhs = rhs_theorem1(n, ctx.params, ctx.consts)
-        exact = float(fp.f[n])
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": 0, "exact": exact, "rhs": rhs, "ratio": ratio})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(fp.f[n]), f0_asymptote(n, ctx.params, ctx.consts), n=n, x=0)
     rep.notes["escaped"] = fp.escaped
     return rep.finalize(crit)
 
 
 def verify_thm2_bulk(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     xi: float = 1.0,
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """f^x(n) ~ c f^{x_n}(c)/n uniformly for x_n of order one."""
-    ctx = LawContext.build(law)
     rep = VerificationReport(theorem_id="thm2_bulk")
     for n in n_values:
         x = max(1, int(math.floor(xi * n ** (1.0 / ctx.params.alpha))))
-        fp = _dp_slice(law, ("set", (0,)), x, n)
-        rhs = rhs_theorem2_3(ctx, x, n, "bulk")
-        ratio = float(fp.f[n]) / rhs
-        rep.rows.append({"n": n, "x": x, "exact": float(fp.f[n]), "rhs": rhs, "ratio": ratio, "regime": "bulk"})
-        rep.deviations.append(abs(ratio - 1.0))
+        fp = ctx.dp_slice(("set", (0,)), x, n)
+        rep.add_row(float(fp.f[n]), rhs_theorem2_3(ctx, x, n, "bulk"), n=n, x=x, regime="bulk")
     return rep.finalize(crit)
 
 
 def verify_thm2_small(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     x_fixed: int = 4,
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """f^x(n) ~ a_dagger(x) f^0(n) (+ spectral term when gamma x > 0)."""
-    ctx = LawContext.build(law)
     rep = VerificationReport(theorem_id="thm2_small")
-    n_max = max(n_values)
-    fp = _dp_slice(law, ("set", (0,)), x_fixed, n_max)
+    fp = ctx.dp_slice(("set", (0,)), x_fixed, max(n_values))
     for n in n_values:
         rhs = rhs_theorem2_3(ctx, x_fixed, n, "x_small")
-        ratio = float(fp.f[n]) / rhs
-        rep.rows.append({"n": n, "x": x_fixed, "exact": float(fp.f[n]), "rhs": rhs, "ratio": ratio, "regime": "x_small"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(fp.f[n]), rhs, n=n, x=x_fixed, regime="x_small")
     return rep.finalize(crit)
 
 
 def verify_crossover(
-    law: WalkLaw,
+    ctx: LawContext,
     x_values=(1, 2),
     n_grid=(16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
     factor_cap: float = 4.0,
@@ -372,8 +338,7 @@ def verify_crossover(
     n-hat^{1 - 2/alpha}.  The two-term sum must also track the exact values
     through the transition (Theorem 3's combined form).
     """
-    ctx = LawContext.build(law)
-    if not ctx.spectrally_positive:
+    if ctx.params.skew_sign <= 0:
         raise RegimeViolation("crossover scan needs gamma = 2 - alpha")
     params, consts = ctx.params, ctx.consts
     inv_a = 1.0 / params.alpha
@@ -382,7 +347,7 @@ def verify_crossover(
     track_worst = 0.0
     n_max = max(n_grid)
     for x in x_values:
-        fp = _dp_slice(law, ("set", (0,)), int(x), n_max)
+        fp = ctx.dp_slice(("set", (0,)), int(x), n_max)
         gaps = []
         two_term = {}
         for n in n_grid:
@@ -393,10 +358,8 @@ def verify_crossover(
             d1 = abs(exact / t1 - 1.0)
             d2 = abs(exact / t2 - 1.0)
             gaps.append((n, d1 - d2))
-            two_term[n] = abs(exact / (t1 + t2) - 1.0)
-            rep.rows.append(
-                {"n": n, "x": x, "exact": exact, "rhs": t1 + t2, "ratio": exact / (t1 + t2), "regime": "crossover"}
-            )
+            rep.add_row(exact, t1 + t2, n=n, x=x, regime="crossover")
+            two_term[n] = rep.deviations[-1]
         # d1 - d2 starts positive (density term rules) and turns negative;
         # interpolate the sign change in log n
         n_hat = None
@@ -433,29 +396,25 @@ def verify_crossover(
 
 
 def verify_thm4_y_small(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     y_fixed: int = 3,
     xi: float = 0.5,
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """p^n_0(x, y) ~ f^x(n) a(-y) with y fixed and x in the bulk."""
-    ctx = LawContext.build(law)
     rep = VerificationReport(theorem_id="thm4_y_small")
     inv_a = 1.0 / ctx.params.alpha
     for n in n_values:
         x = max(1, int(math.floor(xi * n ** inv_a)))
-        sl, W, f, _ = _dp_slice(law, ("set", (0,)), x, n)
-        exact = float(sl[y_fixed + W])
+        sl, W, f, _ = ctx.dp_slice(("set", (0,)), x, n)
         rhs = rhs_theorem4_5(ctx, x, y_fixed, n, "y_small", f_x=float(f[n]))
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": x, "y": y_fixed, "exact": exact, "rhs": rhs, "ratio": ratio, "regime": "y_small"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(sl[y_fixed + W]), rhs, n=n, x=x, y=y_fixed, regime="y_small")
     return rep.finalize(crit)
 
 
 def verify_thm5_x_small(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     x_fixed: int = 3,
     eta: float = 1.0,
@@ -466,28 +425,24 @@ def verify_thm5_x_small(
     The rhs embeds the kernel-estimated K value, whose own resolution is a
     few percent, so the monotonicity floor sits at 0.03 for this check.
     """
-    ctx = LawContext.build(law)
-    if not ctx.spectrally_positive:
+    if ctx.params.skew_sign <= 0:
         raise RegimeViolation("Theorem 5 x_small term needs gamma = 2 - alpha")
     rep = VerificationReport(theorem_id="thm5_x_small")
     inv_a = 1.0 / ctx.params.alpha
     for n in n_values:
         y = max(1, int(math.floor(eta * n ** inv_a)))
         yn = y * float(n) ** -inv_a
-        sl, W, _, _ = _dp_slice(law, ("set", (0,)), x_fixed, n)
-        exact = float(sl[y + W])
-        fy = float(_dp_slice(law, ("set", (0,)), -y, n).f[n])
-        K_val, spread = k_estimate(law, yn, n)
+        sl, W, _, _ = ctx.dp_slice(("set", (0,)), x_fixed, n)
+        fy = float(ctx.dp_slice(("set", (0,)), -y, n).f[n])
+        K_val, spread = k_estimate(ctx.law, yn, n)
         rhs = rhs_theorem4_5(ctx, x_fixed, y, n, "x_small", f_minus_y=fy, K_val=K_val)
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": x_fixed, "y": y, "exact": exact, "rhs": rhs, "ratio": ratio, "regime": "x_small"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(sl[y + W]), rhs, n=n, x=x_fixed, y=y, regime="x_small")
         rep.notes.setdefault("k_spread", []).append(spread)
     return rep.finalize(crit)
 
 
 def verify_bulk_scaling(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     xi: float = 0.7,
     eta: float = 0.7,
@@ -499,14 +454,13 @@ def verify_bulk_scaling(
     The stable killed density has no closed form; successive resolutions act
     as each other's reference, which is exactly the scaling-limit claim.
     """
-    ctx = LawContext.build(law)
     inv_a = 1.0 / ctx.params.alpha
     vals = []
     rep = VerificationReport(theorem_id="bulk_scaling")
     for n in n_values:
         x = max(1, int(round(xi * n ** inv_a)))
         y = max(1, int(round(eta * n ** inv_a)))
-        sl, W, _, _ = _dp_slice(law, killing, x, n)
+        sl, W, _, _ = ctx.dp_slice(killing, x, n)
         scaled = float(n) ** inv_a * float(sl[y + W])
         vals.append(scaled)
         rep.rows.append({"n": n, "x": x, "y": y, "exact": scaled, "rhs": math.nan, "ratio": math.nan, "regime": "bulk"})
@@ -517,31 +471,26 @@ def verify_bulk_scaling(
 
 
 def verify_thm6(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """Regime (ii): p^n_0(x, y) ~ C+ (x_n - y_n) p_c(y_n - x_n)/n at x = -y."""
-    ctx = LawContext.build(law)
-    if not has_bounded_potential(law):
+    if not has_bounded_potential(ctx.law):
         raise InfiniteCPlus("Theorem 6 needs the bounded-potential family")
-    cp = c_plus(law, ctx.pot)
+    cp = c_plus(ctx.law, ctx.pot)
     rep = VerificationReport(theorem_id="thm6_ii")
     inv_a = 1.0 / ctx.params.alpha
     for n in n_values:
         x = max(1, int(math.floor(0.5 * n ** inv_a)))
         y = -x
-        sl, W, _, _ = _dp_slice(law, ("set", (0,)), x, n, mult=10.0)
-        exact = float(sl[y + W])
-        rhs = rhs_theorem6(ctx, x, y, n, "ii", cp)
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": x, "y": y, "exact": exact, "rhs": rhs, "ratio": ratio, "regime": "ii"})
-        rep.deviations.append(abs(ratio - 1.0))
+        sl, W, _, _ = ctx.dp_slice(("set", (0,)), x, n, mult=10.0)
+        rep.add_row(float(sl[y + W]), rhs_theorem6(ctx, x, y, n, "ii", cp), n=n, x=x, y=y, regime="ii")
     rep.notes["c_plus"] = cp
     return rep.finalize(crit)
 
 
-def tunneling_check(law: WalkLaw, R_values, n: int, x: int, y: int) -> VerificationReport:
+def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> VerificationReport:
     """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y], exactly.
 
     Decomposes along the first entry into (-inf, 0]: entrance law from x times
@@ -549,12 +498,13 @@ def tunneling_check(law: WalkLaw, R_values, n: int, x: int, y: int) -> Verificat
     """
     if not (x > 0 > y):
         raise RegimeViolation("need x > 0 > y")
+    law = ctx.law
     W = default_window(law, n)
     ent = halfline_entrance(law, x, n, window=W, depth=W)
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
     rev = law.reversed()
     dual = run_kernel(rev, ("set", (0,)), [-y], n, window=W)
-    sl0, W0, _, _ = _dp_slice(law, ("set", (0,)), x, n)
+    sl0, W0, _, _ = ctx.dp_slice(("set", (0,)), x, n)
     denom = float(sl0[y + W0])
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")
@@ -583,43 +533,38 @@ def tunneling_check(law: WalkLaw, R_values, n: int, x: int, y: int) -> Verificat
 
 
 def verify_comp(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     xi: float = 0.5,
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """Comparison identity p^n_0 ~ p^n_{(-inf,0)} + a_dag(x) f^0(n) a(-y), x, y > 0."""
-    ctx = LawContext.build(law)
     rep = VerificationReport(theorem_id="comp")
     inv_a = 1.0 / ctx.params.alpha
-    f0 = _dp_slice(law, ("set", (0,)), 0, max(n_values))
+    f0 = ctx.dp_slice(("set", (0,)), 0, max(n_values))
     for n in n_values:
         x = y = max(1, int(math.floor(xi * n ** inv_a)))
-        sl0, W, _, _ = _dp_slice(law, ("set", (0,)), x, n)
-        slh, Wh, _, _ = _dp_slice(law, ("le", -1), x, n)
-        exact = float(sl0[y + W])
+        sl0, W, _, _ = ctx.dp_slice(("set", (0,)), x, n)
+        slh, Wh, _, _ = ctx.dp_slice(("le", -1), x, n)
         rhs = float(slh[y + Wh]) + ctx.pot.a_dagger(x) * float(f0.f[n]) * ctx.pot.a(-y)
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": x, "y": y, "exact": exact, "rhs": rhs, "ratio": ratio, "regime": "comp"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(sl0[y + W]), rhs, n=n, x=x, y=y, regime="comp")
     return rep.finalize(crit)
 
 
 def verify_k_small_eta(
-    law: WalkLaw,
+    ctx: LawContext,
     n: int = 4096,
     etas=(1.0, 0.5, 0.25),
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """K_c(eta) c Gamma(alpha) / (p_c(0) eta^{alpha-1}) -> 1 as eta -> 0."""
-    ctx = LawContext.build(law)
-    if not ctx.spectrally_positive:
+    if ctx.params.skew_sign <= 0:
         raise RegimeViolation("K estimates need gamma = 2 - alpha")
     params = ctx.params
     p0 = density_at_zero(params.c_circ, params)
     rep = VerificationReport(theorem_id="k_small_eta")
     for eta in etas:
-        K_val, spread = k_estimate(law, eta, n)
+        K_val, spread = k_estimate(ctx.law, eta, n)
         scaled = K_val * params.c_circ * gamma_fn(params.alpha) / (p0 * eta ** (params.alpha - 1.0))
         rep.rows.append({"n": n, "x": 0, "y": eta, "exact": K_val, "rhs": math.nan, "ratio": scaled, "regime": "eta"})
         rep.deviations.append(abs(scaled - 1.0))
@@ -628,29 +573,25 @@ def verify_k_small_eta(
 
 
 def verify_finite_set(
-    law: WalkLaw,
+    ctx: LawContext,
     A=(-1, 0, 2),
     n_values=(256, 1024, 4096),
     crit: TrendCriterion = TrendCriterion(final_cap=0.1),
 ) -> VerificationReport:
     """sum_z in A f_A^z(n) / f^0(n) -> 1."""
-    ctx = LawContext.build(law)
     A = sorted(int(z) for z in A)
     n_max = max(n_values)
-    W = default_window(law, n_max)
-    table = run_kernel(law, ("set", tuple(A)), A, n_max, window=W, keep=[])
-    f0 = _dp_slice(law, ("set", (0,)), 0, n_max)
+    W = default_window(ctx.law, n_max)
+    table = run_kernel(ctx.law, ("set", tuple(A)), A, n_max, window=W, keep=[])
+    f0 = ctx.dp_slice(("set", (0,)), 0, n_max)
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in n_values:
-        tot = float(table.step_killed[:, n].sum())
-        ratio = tot / float(f0.f[n])
-        rep.rows.append({"n": n, "x": 0, "exact": tot, "rhs": float(f0.f[n]), "ratio": ratio, "regime": "sum_fA"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(table.step_killed[:, n].sum()), float(f0.f[n]), n=n, x=0, regime="sum_fA")
     return rep.finalize(crit)
 
 
 def verify_cor3(
-    law: WalkLaw,
+    ctx: LawContext,
     A=(-1, 0, 2),
     n_values=(256, 1024, 4096),
     x_fixed: int = 5,
@@ -661,37 +602,32 @@ def verify_cor3(
     w_A(y) = u_{-A}(-y): the u-function of the reflected set -A (same law),
     which is the limiting entrance distribution; the weights sum to one.
     """
-    ctx = LawContext.build(law)
     A = sorted(int(z) for z in A)
     n_max = max(n_values)
-    W = default_window(law, n_max)
+    W = default_window(ctx.law, n_max)
     keep = sorted({n - 1 for n in n_values})
-    table = run_kernel(law, ("set", tuple(A)), [x_fixed], n_max, window=W, keep=keep)
+    table = run_kernel(ctx.law, ("set", tuple(A)), [x_fixed], n_max, window=W, keep=keep)
     fsp_neg = FiniteSetPotential(ctx.pot, [-z for z in A])
     weights = {y: fsp_neg.u(-y) for y in A}
     wsum = sum(weights.values())
-    step, _, _ = _fft_stepper(law, W)
+    step, _, _ = _fft_stepper(ctx.law, W)
     rep = VerificationReport(theorem_id="cor3")
     y_probe = max(A)
     for n in n_values:
         # P[sigma = n, S_n = y] = sum_z p^{n-1}_A(x, z) p(y - z)
         exact = float(step(table.values[n - 1])[0][0, y_probe + W])
         fA_n = float(table.step_killed[0, n])
-        rhs = fA_n * weights[y_probe]
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": x_fixed, "y": y_probe, "exact": exact, "rhs": rhs, "ratio": ratio, "regime": "cor3"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(exact, fA_n * weights[y_probe], n=n, x=x_fixed, y=y_probe, regime="cor3")
     rep.notes["weight_sum"] = wsum
     return rep.finalize(crit)
 
 
-def diagnostics_prop21(law: WalkLaw, n_values=(64, 256), refine: int = 2) -> VerificationReport:
+def diagnostics_prop21(ctx: LawContext, n_values=(64, 256), refine: int = 2) -> VerificationReport:
     """sup of f^x(n) n / (|x_n|^{a-1} ^ |x_n|^{-a}), stable under x-grid refinement.
 
     The paper's constant is unspecified, so the assertion is boundedness:
     the supremum must not move materially when the x grid is refined/widened.
     """
-    ctx = LawContext.build(law)
     inv_a = 1.0 / ctx.params.alpha
     rep = VerificationReport(theorem_id="prop21")
     sups = []
@@ -704,7 +640,7 @@ def diagnostics_prop21(law: WalkLaw, n_values=(64, 256), refine: int = 2) -> Ver
                 xn = x * float(n) ** -inv_a
                 if xn > 8.0:
                     break
-                fp = _dp_slice(law, ("set", (0,)), x, n, mult=10.0)
+                fp = ctx.dp_slice(("set", (0,)), x, n, mult=10.0)
                 bound = min(xn ** (ctx.params.alpha - 1.0), xn ** -ctx.params.alpha)
                 sup = max(sup, float(fp.f[n]) * n / bound)
         sups.append(sup)
@@ -717,12 +653,11 @@ def diagnostics_prop21(law: WalkLaw, n_values=(64, 256), refine: int = 2) -> Ver
     return rep
 
 
-def diagnostics_prop23(law: WalkLaw, n: int = 256) -> VerificationReport:
+def diagnostics_prop23(ctx: LawContext, n: int = 256) -> VerificationReport:
     """Prop 2.3(i) scaled ratio: sup stable under (x, y)-grid refinement.
 
     Boundedness diagnostic only - the paper's C_M is unspecified.
     """
-    ctx = LawContext.build(law)
     inv_a = 1.0 / ctx.params.alpha
     rep = VerificationReport(theorem_id="prop23")
     sups = []
@@ -734,7 +669,7 @@ def diagnostics_prop23(law: WalkLaw, n: int = 256) -> VerificationReport:
     for xs, ys in grids:
         sup = 0.0
         for x in xs:
-            sl, W, _, _ = _dp_slice(law, ("set", (0,)), int(x), n)
+            sl, W, _, _ = ctx.dp_slice(("set", (0,)), int(x), n)
             xn = x * float(n) ** -inv_a
             for y in ys:
                 bound = min(
@@ -754,12 +689,11 @@ def diagnostics_prop23(law: WalkLaw, n: int = 256) -> VerificationReport:
     return rep
 
 
-def lemma76_diagnostic(law: WalkLaw, n: int = 512) -> float:
+def lemma76_diagnostic(ctx: LawContext, n: int = 512) -> float:
     """sup_x p^n(x) n^{1/a} / (1 ^ |x_n|^{-a}) over the window (recorded, not asserted)."""
-    ctx = LawContext.build(law)
     inv_a = 1.0 / ctx.params.alpha
-    W = default_window(law, n)
-    table = run_kernel(law, None, [0], n, window=W, keep=[n])
+    W = default_window(ctx.law, n)
+    table = run_kernel(ctx.law, None, [0], n, window=W, keep=[n])
     sl = table.values[n][0]
     xs = np.arange(-W, W + 1, dtype=float)
     xn = np.abs(xs) * float(n) ** -inv_a
@@ -775,29 +709,26 @@ def verify_cor1(
     crit: TrendCriterion = TrendCriterion(final_cap=0.15),
 ) -> VerificationReport:
     """t^{2-1/alpha} f^1(t) -> kappa_f for gamma < 2 - alpha (pure stable side)."""
-    if abs(params.gamma - (2.0 - params.alpha)) < 1e-12:
+    if params.skew_sign > 0:
         raise RegimeViolation("Corollary 1 power branch needs gamma < 2 - alpha")
     consts = constants(params)
     rep = VerificationReport(theorem_id="cor1")
     for t in t_values:
         val = hitting_density(t, 1.0, params, method="integral")
         scaled = t ** (2.0 - 1.0 / params.alpha) * val
-        ratio = scaled / consts.kappa_f
-        rep.rows.append({"n": int(t), "x": 1, "exact": scaled, "rhs": consts.kappa_f, "ratio": ratio, "regime": "t"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(scaled, consts.kappa_f, n=int(t), x=1, regime="t")
     return rep.finalize(crit)
 
 
 def verify_cor2(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(256, 1024, 4096),
     x_fixed: int = -3,
     eta: float = 0.7,
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> VerificationReport:
     """gamma = 2-alpha, x <= 0, y < 0: p^n_0 ~ a_dag(x)[f^0(n)a(-y) + |y_n| p_c(y_n)/n]."""
-    ctx = LawContext.build(law)
-    if not ctx.spectrally_positive:
+    if ctx.params.skew_sign <= 0:
         raise RegimeViolation("Corollary 2 branch needs gamma = 2 - alpha")
     if x_fixed > 0:
         raise RegimeViolation("x must be <= 0 in this branch")
@@ -806,30 +737,26 @@ def verify_cor2(
     for n in n_values:
         y = -max(1, int(math.floor(eta * n ** inv_a)))
         yn = y * float(n) ** -inv_a
-        sl, W, _, _ = _dp_slice(law, ("set", (0,)), x_fixed, n)
-        exact = float(sl[y + W])
+        sl, W, _, _ = ctx.dp_slice(("set", (0,)), x_fixed, n)
         rhs = ctx.pot.a_dagger(x_fixed) * (
             f0_asymptote(n, ctx.params, ctx.consts) * ctx.pot.a(-y)
             + abs(yn) * _p_ccirc(ctx, yn) / n
         )
-        ratio = exact / rhs
-        rep.rows.append({"n": n, "x": x_fixed, "y": y, "exact": exact, "rhs": rhs, "ratio": ratio, "regime": "cor2"})
-        rep.deviations.append(abs(ratio - 1.0))
+        rep.add_row(float(sl[y + W]), rhs, n=n, x=x_fixed, y=y, regime="cor2")
     return rep.finalize(crit)
 
 
 def verify_llt(
-    law: WalkLaw,
+    ctx: LawContext,
     n_values=(64, 256, 1024),
     crit: TrendCriterion = TrendCriterion(final_cap=0.05, mono_floor=0.002),
 ) -> VerificationReport:
     """sup_x |n^{1/a} p^n(x) - p_c(x n^{-1/a})| decreasing along the n grid."""
-    ctx = LawContext.build(law)
     inv_a = 1.0 / ctx.params.alpha
     rep = VerificationReport(theorem_id="llt")
     n_max = max(n_values)
-    W = default_window(law, n_max)
-    table = run_kernel(law, None, [0], n_max, window=W, keep=list(n_values))
+    W = default_window(ctx.law, n_max)
+    table = run_kernel(ctx.law, None, [0], n_max, window=W, keep=list(n_values))
     for n in n_values:
         sl = table.values[n][0]
         scale = float(n) ** inv_a
@@ -845,7 +772,7 @@ def verify_llt(
 
 
 def verify_ladder(
-    law: WalkLaw,
+    ctx: LawContext,
     x_values=(16, 64, 256),
     crit: TrendCriterion = TrendCriterion(final_cap=0.2),
 ) -> tuple[VerificationReport, VerificationReport]:
@@ -854,10 +781,9 @@ def verify_ladder(
     The V_as normalisation carries the 1/L = E|Z| factor of the renewal
     identity; both trends require gamma = 2 - alpha with E|Z| < inf.
     """
-    ctx = LawContext.build(law)
-    if not ctx.spectrally_positive:
+    if ctx.params.skew_sign <= 0:
         raise RegimeViolation("ladder trends need gamma = 2 - alpha")
-    lt = ladder_renewals(law, x_max=max(x_values))
+    lt = ladder_renewals(ctx.law, x_max=max(x_values))
     ez = lt.mean_descending()
     a, c = ctx.params.alpha, ctx.params.c_circ
     rep_u = VerificationReport(theorem_id="ladder_U")

@@ -38,8 +38,12 @@ def content_key(law_hash: str, op: str, **params) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def load(key: str) -> dict | None:
-    """The arrays stored under key, or None on a miss (absent or unreadable file)."""
+def load(key: str, shapes: dict | None = None) -> dict | None:
+    """The arrays stored under key, or None on a miss.
+
+    A miss is an absent or unreadable file or, where shapes (array name ->
+    shape) is given, an array that is absent, of another shape or not finite.
+    """
     root = cache_dir()
     if root is None:
         return None
@@ -48,10 +52,16 @@ def load(key: str) -> dict | None:
         return None
     try:
         with np.load(path, allow_pickle=False) as z:
-            return {k: z[k] for k in z.files}
+            arrays = {k: z[k] for k in z.files}
     except Exception as exc:  # a damaged npz fails in many different ways; each means recompute
         warnings.warn(f"unreadable cache artifact {path.name} treated as a miss: {exc!r}", stacklevel=2)
         return None
+    bad = [k for k, shape in (shapes or {}).items()
+           if k not in arrays or arrays[k].shape != shape or not np.isfinite(arrays[k]).all()]
+    if bad:
+        warnings.warn(f"cache artifact {path.name} with malformed {bad} treated as a miss", stacklevel=2)
+        return None
+    return arrays
 
 
 def store(key: str, **arrays) -> None:

@@ -46,7 +46,6 @@ class RunManifest:
             "schema_version": 1,
             "subcommand": subcommand,
             "config": getattr(args, "config", None),
-            "seed": getattr(args, "seed", None),
             "parameters": {
                 k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
             },
@@ -184,57 +183,53 @@ def _grid(quick: bool, full=(256, 1024, 4096), small=(64, 256, 1024)):
     return small if quick else full
 
 
-def _registry(law: WalkLaw, quick: bool):
-    """theorem_id -> zero-arg callables returning VerificationReport(s)."""
-    ctx_params = None
+def _registry(ctx: asy.LawContext, quick: bool):
+    """theorem_id -> zero-arg callables returning VerificationReport(s), all on one context."""
     g = _grid(quick)
 
     def cor1():
-        from .walk_model import stable_params_of
-
-        params = stable_params_of(law)
-        if abs(params.gamma - (2.0 - params.alpha)) < 1e-12:
+        if ctx.params.skew_sign > 0:
             raise ConfigError("cor1 power branch needs a two-sided law")
         ts = (10.0, 100.0, 1000.0) if quick else (10.0, 100.0, 1000.0, 10000.0)
-        return [asy.verify_cor1(params, t_values=ts)]
+        return [asy.verify_cor1(ctx.params, t_values=ts)]
 
     reg = {
-        "thm1": lambda: [asy.verify_thm1(law, n_values=g)],
+        "thm1": lambda: [asy.verify_thm1(ctx, n_values=g)],
         "thm2": lambda: [
-            asy.verify_thm2_small(law, n_values=g),
-            asy.verify_thm2_bulk(law, n_values=g),
+            asy.verify_thm2_small(ctx, n_values=g),
+            asy.verify_thm2_bulk(ctx, n_values=g),
         ],
         "thm3": lambda: [
-            asy.verify_thm2_small(law, n_values=g),
-            asy.verify_crossover(law),
+            asy.verify_thm2_small(ctx, n_values=g),
+            asy.verify_crossover(ctx),
         ],
         "thm4": lambda: [
-            asy.verify_thm4_y_small(law, n_values=g),
-            asy.verify_bulk_scaling(law, n_values=g),
+            asy.verify_thm4_y_small(ctx, n_values=g),
+            asy.verify_bulk_scaling(ctx, n_values=g),
         ],
-        "thm5": lambda: [asy.verify_thm5_x_small(law, n_values=g)],
-        "thm6": lambda: [asy.verify_thm6(law, n_values=g)],
+        "thm5": lambda: [asy.verify_thm5_x_small(ctx, n_values=g)],
+        "thm6": lambda: [asy.verify_thm6(ctx, n_values=g)],
         "cor1": cor1,
-        "cor2": lambda: [asy.verify_cor2(law, n_values=g)],
-        "cor3": lambda: [asy.verify_cor3(law, n_values=g)],
+        "cor2": lambda: [asy.verify_cor2(ctx, n_values=g)],
+        "cor3": lambda: [asy.verify_cor3(ctx, n_values=g)],
         "finite": lambda: [
             asy.verify_finite_set(
-                law,
+                ctx,
                 n_values=g,
                 crit=asy.TrendCriterion(final_cap=0.2 if quick else 0.1),
             )
         ],
-        "comp": lambda: [asy.verify_comp(law, n_values=g)],
+        "comp": lambda: [asy.verify_comp(ctx, n_values=g)],
         "ladder": lambda: list(
-            asy.verify_ladder(law, x_values=(8, 32, 128) if quick else (16, 64, 256))
+            asy.verify_ladder(ctx, x_values=(8, 32, 128) if quick else (16, 64, 256))
         ),
-        "kest": lambda: [asy.verify_k_small_eta(law, n=1024 if quick else 4096)],
-        "llt": lambda: [asy.verify_llt(law, n_values=g)],
-        "prop21": lambda: [asy.diagnostics_prop21(law)],
+        "kest": lambda: [asy.verify_k_small_eta(ctx, n=1024 if quick else 4096)],
+        "llt": lambda: [asy.verify_llt(ctx, n_values=g)],
+        "prop21": lambda: [asy.diagnostics_prop21(ctx)],
         "prop22": lambda: [
-            asy.tunneling_check(law, (4, 16, 64), 128 if quick else 256, 8, -8)
+            asy.tunneling_check(ctx, (4, 16, 64), 128 if quick else 256, 8, -8)
         ],
-        "prop23": lambda: [asy.diagnostics_prop23(law)],
+        "prop23": lambda: [asy.diagnostics_prop23(ctx)],
     }
     return reg
 
@@ -247,7 +242,7 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     law = _load_law(args)
     manifest.data["law_hash"] = law.law_hash()
-    reg = _registry(law, args.quick)
+    reg = _registry(asy.LawContext.build(law), args.quick)
     if args.theorem == "all":
         names = _QUICK_ALL if args.quick else tuple(reg)
     else:
@@ -312,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("law", help="build a law from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_law)
 
     p = sub.add_parser("table", help="materialise kernel/potential/ladder tables")
@@ -330,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-max", type=int, default=64, dest="x_max")
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="run a per-theorem verification suite")
@@ -339,14 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out", default=".")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("report", help="aggregate verification summaries")
     p.add_argument("--dir", default=".")
     p.add_argument("--out", default=".")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_report)
     return ap
 

@@ -203,11 +203,6 @@ class FiniteSetPotential:
             val += sol[j] * self.pot.a(z - y)
         return float(val)
 
-    def c_plus_A(self, k_lo: int = 6, k_hi: int = 13) -> float:
-        """lim_{x -> +inf} u_A(x) by Aitken extrapolation along x = 2^k."""
-        seq = [self.u(2 ** k) for k in range(k_lo, k_hi + 1)]
-        return _aitken_limit(seq)
-
     def to_json(self) -> str:
         import json
 
@@ -222,10 +217,6 @@ class FiniteSetPotential:
 def u_A(pot: PotentialTable, A, x: int) -> float:
     """Harmonic function of the killed walk at x."""
     return FiniteSetPotential(pot, A).u(x)
-
-
-def green_finite(pot: PotentialTable, A, x: int, y: int) -> float:
-    return FiniteSetPotential(pot, A).green(x, y)
 
 
 def _aitken_limit(seq) -> float:
@@ -250,14 +241,12 @@ def _aitken_limit(seq) -> float:
 
 
 def has_bounded_potential(law: WalkLaw) -> bool:
-    """Structural (a_bdd) check: light negative tail + mass at or below -2."""
-    spec = law.spec
-    if spec.family is Family.LEFT_CONTINUOUS:
-        return False
-    if spec.family is Family.TWO_SIDED_PARETO:
-        return False
-    beta = spec.beta_neg
-    if beta is None or beta <= 2.0 * spec.alpha - 1.0:
+    """Structural (a_bdd) check: light negative tail + mass at or below -2.
+
+    Read off the law's own negative side, so a reversed one-sided law (whose
+    negative side carries the alpha tail) is not bounded.
+    """
+    if law.rm <= 2.0 * law.spec.alpha - 1.0:  # a heavy side (rm = alpha) or a too heavy light one
         return False
     return float(law.pmf(np.array([-2]))[0]) > 0.0 or law.sm > 0.0
 

@@ -268,10 +268,6 @@ def abs_moment(t: float, params: StableParams, method: str = "closed") -> float:
 # ---------------------------------------------------------------------------
 
 
-def _is_spectrally_positive(params: StableParams) -> bool:
-    return abs(params.gamma - (2.0 - params.alpha)) < 1e-12
-
-
 def _f1_integral(t: float, params: StableParams) -> float:
     """f^1(t) by the first-passage time-convolution representation.
 
@@ -315,9 +311,9 @@ def hitting_density(t: float, x: float, params: StableParams, method: str = "aut
         )
         return hitting_density(t, -x, flipped, method=method)
     if method == "auto":
-        method = "identity" if _is_spectrally_positive(params) else "integral"
+        method = "identity" if params.skew_sign > 0 else "integral"
     if method == "identity":
-        if not _is_spectrally_positive(params):
+        if params.skew_sign <= 0:
             raise WrongSkew("identity path needs gamma = 2 - alpha")
         val, err = density_grid(t, np.array([-x]), params)
         if err[0] > 1e-8:
@@ -372,7 +368,7 @@ def constants(params: StableParams) -> ConstantsTable:
     kappa_a_minus = -gamma_fn(1.0 - a) / math.pi * math.sin(math.pi * (a - g) / 2.0)
     b_plus = -gamma_fn(1.0 - a) / math.pi * math.sin(math.pi * (a - g) / 2.0)
     b_minus = -gamma_fn(1.0 - a) / math.pi * math.sin(math.pi * (a + g) / 2.0)
-    if _is_spectrally_positive(params):
+    if params.skew_sign > 0:
         b_ladder = 1.0 / (c ** (1.0 / a) * gamma_fn(1.0 - 1.0 / a))
         kappa_v = 1.0 / (c * gamma_fn(a))
     else:
@@ -415,7 +411,7 @@ def meander_density(t: float, eta: float, params: StableParams, K: float | None 
     kernel estimator.  The dual density has the closed form
     Q_hat_t'(eta) = t^{-1/alpha} Gamma(1/alpha) p_t(-eta) eta.
     """
-    if not _is_spectrally_positive(params):
+    if params.skew_sign <= 0:
         raise WrongSkew("meander densities implemented for gamma = 2 - alpha only")
     if eta <= 0 or t <= 0:
         raise ValueError("t, eta must be positive")

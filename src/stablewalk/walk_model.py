@@ -115,6 +115,13 @@ class StableParams:
         if abs(self.gamma) > 2.0 - self.alpha + 1e-12:
             raise ConfigError(f"|gamma|={abs(self.gamma)} exceeds 2-alpha")
 
+    @property
+    def skew_sign(self) -> int:
+        """+1 at gamma = 2 - alpha (spectrally positive), -1 at gamma = -(2 - alpha), else 0."""
+        if abs(abs(self.gamma) - (2.0 - self.alpha)) < 1e-12:
+            return 1 if self.gamma > 0 else -1
+        return 0
+
 
 def _wgt(y: np.ndarray, r: float) -> np.ndarray:
     return y ** (-r) - (y + 1.0) ** (-r)
@@ -208,16 +215,6 @@ class WalkLaw:
             out[neg] += np.where(x[neg] == -1, self.u_minus, 0.0)
         out[x == 0] = self.p0
         return out
-
-    def tail_plus(self, x) -> np.ndarray:
-        """P[X > x] for lattice x >= CALIBRATED_BEYOND (exact analytic tail)."""
-        x = np.asarray(x, dtype=float)
-        return self.sp * np.floor(x + 1.0) ** (-self.rp)
-
-    def tail_minus(self, x) -> np.ndarray:
-        """P[X < -x] for lattice x >= CALIBRATED_BEYOND."""
-        x = np.asarray(x, dtype=float)
-        return self.sm * np.floor(x + 1.0) ** (-self.rm)
 
     def cumulative_plus(self, y: int) -> float:
         """P[X >= y] exactly, any y >= 1."""
@@ -357,7 +354,9 @@ class WalkLaw:
         if fam is Family.TWO_SIDED_PARETO:
             rspec = replace(self.spec, q_plus=self.spec.q_minus, q_minus=self.spec.q_plus)
         else:
-            rspec = self.spec  # one-sided families: reversal leaves the spec marker
+            # one-sided families keep the spec marker; skew and boundedness
+            # are read off the swapped sides, not off the family
+            rspec = self.spec
         return WalkLaw(
             spec=rspec,
             sp=self.sm,
@@ -448,7 +447,9 @@ def stable_params_of(law: WalkLaw) -> StableParams:
                 (qp - qm) * (-math.tan(alpha * math.pi / 2.0))
             )
     else:
-        gamma = 2.0 - alpha
+        # one-sided families: the side carrying the alpha tail (the negative
+        # one after reversed()) sets the sign of the extremal skew
+        gamma = 2.0 - alpha if law.rp == alpha and law.sp > 0.0 else alpha - 2.0
     c_circ = (
         law.spec.B
         * gamma_fn(1.0 - alpha)

@@ -1,4 +1,4 @@
-"""Shared fixtures: canonical laws per family and a session-scoped DP cache."""
+"""Shared fixtures: canonical laws per family, their contexts, a session-scoped DP cache."""
 import os
 import shutil
 import tempfile
@@ -6,6 +6,7 @@ import tempfile
 import pytest
 
 from stablewalk import Family, TailSpec, build_walk_law
+from stablewalk.asymptotics import LawContext
 
 
 def pytest_configure(config):
@@ -42,6 +43,16 @@ def get_law(name: str):
             TailSpec(alpha=alpha, family=Family(fam), B=B, **extra)
         )
     return _BUILT[name]
+
+
+_CONTEXTS = {}
+
+
+def get_ctx(name: str) -> LawContext:
+    """One LawContext per canonical law for the session: its a(x) table and DP memo are shared."""
+    if name not in _CONTEXTS:
+        _CONTEXTS[name] = LawContext.build(get_law(name))
+    return _CONTEXTS[name]
 
 
 @pytest.fixture(scope="session")

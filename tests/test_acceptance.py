@@ -11,14 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import get_law
+from conftest import get_ctx, get_law
 from stablewalk.asymptotics import (
-    LawContext,
     TrendCriterion,
     diagnostics_prop21,
     diagnostics_prop23,
     lemma76_diagnostic,
-    rhs_finite_set,
     rhs_theorem2_3,
     tunneling_check,
     verify_cor1,
@@ -197,8 +195,7 @@ def test_criterion_3_stable_numerics():
 def test_criterion_4_theorem1_trend(name):
     """n^{2-1/a} f^0(n)/(kappa c^{1/a}): non-increasing, final < 0.15."""
     t0 = time.time()
-    law = get_law(name)
-    rep = verify_thm1(law, n_values=(256, 1024, 4096), crit=TrendCriterion(final_cap=0.15))
+    rep = verify_thm1(get_ctx(name), n_values=(256, 1024, 4096), crit=TrendCriterion(final_cap=0.15))
     ok = rep.passed and (time.time() - t0) < 300
     _announce(4, f"theorem 1 [{name}]", ok, f"devs {['%.4f' % d for d in rep.deviations]}", t0)
 
@@ -207,7 +204,7 @@ def test_criterion_4_theorem1_trend(name):
 def test_criterion_5_theorems_2_to_5():
     """Per-regime trends for Theorems 2-5 and Corollaries 1-2 + crossover scan."""
     t0 = time.time()
-    sym, sp = get_law("sym15"), get_law("sp15")
+    sym, sp = get_ctx("sym15"), get_ctx("sp15")
     crit = TrendCriterion(final_cap=0.2)
     reports = {
         "thm2_small": verify_thm2_small(sym, crit=crit),
@@ -221,7 +218,7 @@ def test_criterion_5_theorems_2_to_5():
         ),
         "cor2": verify_cor2(sp, crit=crit),
     }
-    cross = verify_crossover(get_law("spx15"))
+    cross = verify_crossover(get_ctx("spx15"))
     details = []
     ok = cross.passed and (time.time() - t0) < 1200
     for key, rep in reports.items():
@@ -235,7 +232,7 @@ def test_criterion_5_theorems_2_to_5():
 def test_criterion_6_theorem6_tunneling():
     """Theorem 6(ii) trend on the bounded-potential family + Prop 2.2 orderings."""
     t0 = time.time()
-    bp, sym = get_law("bp15"), get_law("sym15")
+    bp, sym = get_ctx("bp15"), get_ctx("sym15")
     rep6 = verify_thm6(bp, n_values=(256, 1024, 4096), crit=TrendCriterion(final_cap=0.2))
     tun = tunneling_check(bp, (4, 16, 64), 256, 10, -10)
     probs = tun.notes["probs"]
@@ -257,10 +254,9 @@ def test_criterion_6_theorem6_tunneling():
 def test_criterion_7_finite_set():
     """A = {-1, 0, 2}: mass identity, Corollary 3, singleton rhs reduction."""
     t0 = time.time()
-    sp = get_law("sp15")
-    rep_sum = verify_finite_set(sp, A=(-1, 0, 2), crit=TrendCriterion(final_cap=0.1))
-    rep_c3 = verify_cor3(sp, A=(-1, 0, 2), crit=TrendCriterion(final_cap=0.2))
-    ctx = LawContext.build(sp)
+    ctx = get_ctx("sp15")
+    rep_sum = verify_finite_set(ctx, A=(-1, 0, 2), crit=TrendCriterion(final_cap=0.1))
+    rep_c3 = verify_cor3(ctx, A=(-1, 0, 2), crit=TrendCriterion(final_cap=0.2))
     fsp = FiniteSetPotential(ctx.pot, [0])
     worst = 0.0
     for n in (64, 1024):
@@ -268,7 +264,7 @@ def test_criterion_7_finite_set():
             worst = max(
                 worst,
                 abs(
-                    rhs_finite_set(ctx, fsp, x, n, "x_small")
+                    rhs_theorem2_3(ctx, x, n, "x_small", prefactor=fsp.u(x))
                     - rhs_theorem2_3(ctx, x, n, "x_small")
                 ),
             )
@@ -287,7 +283,7 @@ def test_criterion_7_finite_set():
 def test_criterion_8_ladder_chain():
     """U_ds / V_as renewal trends and the small-eta K estimate (gamma = 2-alpha)."""
     t0 = time.time()
-    sp = get_law("sp15")
+    sp = get_ctx("sp15")
     rep_u, rep_v = verify_ladder(sp, x_values=(16, 64, 256), crit=TrendCriterion(final_cap=0.2))
     rep_k = verify_k_small_eta(sp, n=4096, etas=(1.0, 0.5, 0.25), crit=TrendCriterion(final_cap=0.2))
     ok = rep_u.passed and rep_v.passed and rep_k.passed and (time.time() - t0) < 900
@@ -306,7 +302,7 @@ def test_criterion_8_ladder_chain():
 def test_criterion_9_diagnostics():
     """Prop 2.1 / 2.3 suprema finite and two-grid stable; Lemma 7.6 bounded."""
     t0 = time.time()
-    sym = get_law("sym15")
+    sym = get_ctx("sym15")
     rep21 = diagnostics_prop21(sym, n_values=(64, 256))
     rep23 = diagnostics_prop23(sym, n=256)
     l76 = lemma76_diagnostic(sym, n=256)

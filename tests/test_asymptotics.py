@@ -4,15 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from stablewalk import asymptotics
+from conftest import get_ctx
+from stablewalk import asymptotics, cache
 from stablewalk.asymptotics import (
     LawContext,
     TrendCriterion,
     VerificationReport,
-    _dp_slice,
     f0_asymptote,
-    rhs_finite_set,
-    rhs_theorem1,
     rhs_theorem2_3,
     rhs_theorem4_5,
     rhs_theorem6,
@@ -33,8 +31,8 @@ from stablewalk.special import gamma_fn
 
 def test_rhs_theorem1_power_law(sym15):
     ctx = LawContext.build(sym15)
-    r1 = rhs_theorem1(100, ctx.params, ctx.consts)
-    r2 = rhs_theorem1(200, ctx.params, ctx.consts)
+    r1 = f0_asymptote(100, ctx.params, ctx.consts)
+    r2 = f0_asymptote(200, ctx.params, ctx.consts)
     assert r2 / r1 == pytest.approx(2.0 ** (1 / 1.5 - 2.0), rel=1e-12)
 
 
@@ -43,7 +41,7 @@ def test_rhs_extremal_kappa(sp15):
     alpha = ctx.params.alpha
     kappa = (alpha - 1.0) / gamma_fn(1.0 / alpha)
     expect = kappa * ctx.params.c_circ ** (1 / alpha) * 64.0 ** (1 / alpha - 2.0)
-    assert rhs_theorem1(64, ctx.params, ctx.consts) == pytest.approx(expect, rel=1e-12)
+    assert f0_asymptote(64, ctx.params, ctx.consts) == pytest.approx(expect, rel=1e-12)
 
 
 def test_theorem_pair_consistency_extremal(sp15):
@@ -79,7 +77,7 @@ def test_rhs_finite_set_singleton_reduction(sym15):
     fsp = FiniteSetPotential(ctx.pot, [0])
     for n in (64, 256):
         for x in (3, -7, 12):
-            a = rhs_finite_set(ctx, fsp, x, n, "x_small")
+            a = rhs_theorem2_3(ctx, x, n, "x_small", prefactor=fsp.u(x))
             b = rhs_theorem2_3(ctx, x, n, "x_small")
             assert abs(a - b) < 1e-10
 
@@ -111,29 +109,32 @@ def test_trend_criterion_monotone_floor():
     assert not mono
 
 
-def test_report_serialisation(sym15):
-    rep = verify_thm1(sym15, n_values=(64, 256))
+def test_report_serialisation():
+    rep = verify_thm1(get_ctx("sym15"), n_values=(64, 256))
     csv = rep.to_csv()
     assert csv.splitlines()[0].startswith("schema_version")
     summ = rep.summary()
     assert set(summ) >= {"theorem_id", "passed", "final_dev", "deviations"}
 
 
-def test_quick_trends_two_sided(sym15):
+def test_quick_trends_two_sided():
+    sym15 = get_ctx("sym15")
     assert verify_thm1(sym15, n_values=(64, 256, 1024)).passed
     assert verify_thm2_bulk(sym15, n_values=(64, 256, 1024)).passed
     assert verify_thm4_y_small(sym15, n_values=(64, 256, 1024)).passed
     assert verify_llt(sym15, n_values=(64, 256, 1024)).passed
 
 
-def test_quick_trends_spectral(sp15):
+def test_quick_trends_spectral():
+    sp15 = get_ctx("sp15")
     assert verify_comp(sp15, n_values=(64, 256, 1024)).passed
     assert verify_cor2(sp15, n_values=(64, 256, 1024)).passed
     assert verify_finite_set(sp15, n_values=(64, 256, 1024)).passed
 
 
-def test_tunneling_families(bp15, sym15):
+def test_tunneling_families():
     """Bounded potential: decreasing in R; two-sided: increasing with x = -y."""
+    bp15, sym15 = get_ctx("bp15"), get_ctx("sym15")
     rep = tunneling_check(bp15, (4, 16, 64), 128, 8, -8)
     probs = rep.notes["probs"]
     assert probs[0] > probs[1] > probs[2]
@@ -145,23 +146,21 @@ def test_tunneling_families(bp15, sym15):
     assert vals[2] > 0.8
 
 
-def test_tunneling_validates_orientation(bp15):
+def test_tunneling_validates_orientation():
     with pytest.raises(RegimeViolation):
-        tunneling_check(bp15, (4,), 64, -8, 8)
+        tunneling_check(get_ctx("bp15"), (4,), 64, -8, 8)
 
 
 def test_report_exact_column_reproducible(sym15):
     """With the artifact cache active the exact column reproduces bit-identically."""
-    r1 = verify_thm1(sym15, n_values=(64, 256))
-    r2 = verify_thm1(sym15, n_values=(64, 256))
+    r1 = verify_thm1(LawContext.build(sym15), n_values=(64, 256))
+    r2 = verify_thm1(LawContext.build(sym15), n_values=(64, 256))
     assert [row["exact"] for row in r1.rows] == [row["exact"] for row in r2.rows]
     assert r1.to_csv() == r2.to_csv()
 
 
-def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
-    """Repeats, and mult 8 vs 10 at the same W, share one run_kernel call."""
-    monkeypatch.setattr(asymptotics, "_DP_MEMO", {})
-    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+def _count_run_kernel(monkeypatch):
+    """Route asymptotics.run_kernel through a counter; returns (real run_kernel, calls)."""
     real = asymptotics.run_kernel
     calls = []
 
@@ -170,20 +169,55 @@ def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "run_kernel", counted)
-    first = _dp_slice(sym15, ("set", (0,)), 3, 256)
+    return real, calls
+
+
+def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
+    """Repeats, and mult 8 vs 10 at the same W, share one run_kernel call."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    real, calls = _count_run_kernel(monkeypatch)
+    ctx = LawContext.build(sym15)
+    first = ctx.dp_slice(("set", (0,)), 3, 256)
     assert first.window == 512
-    assert _dp_slice(sym15, ("set", (0,)), 3, 256) is first
-    assert _dp_slice(sym15, ("set", (0,)), 3, 256, mult=10.0) is first
+    assert ctx.dp_slice(("set", (0,)), 3, 256) is first
+    assert ctx.dp_slice(("set", (0,)), 3, 256, mult=10.0) is first
     assert len(calls) == 1
     table = real(sym15, ("set", (0,)), [3], 256, window=512, keep=[256])
     assert np.array_equal(first.slice, table.values[256][0])
     assert np.array_equal(first.f, table.step_killed[0])
     assert first.escaped == table.escaped[0, 256]
-    # a new process reads the artifact cache instead of rerunning the DP
-    monkeypatch.setattr(asymptotics, "_DP_MEMO", {})
-    loaded = _dp_slice(sym15, ("set", (0,)), 3, 256)
+    # the next run's context reads the artifact cache instead of rerunning the DP
+    loaded = LawContext.build(sym15).dp_slice(("set", (0,)), 3, 256)
     assert len(calls) == 1
     assert np.array_equal(loaded.slice, first.slice) and loaded.escaped == first.escaped
     for hit in (first, loaded):
         assert not hit.slice.flags.writeable
         assert not hit.f.flags.writeable
+
+
+@pytest.mark.parametrize("flaw", ["short slice", "short f", "nan in f", "no escaped"])
+def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, flaw):
+    """A wrong-shape or non-finite artifact under the right key is a warned miss."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    B, x, n, W = ("set", (0,)), 3, 256, 512
+    planted = {"slice": np.zeros(2 * W + 1), "f": np.zeros(n + 1), "escaped": np.zeros(1)}
+    if flaw == "short slice":
+        planted["slice"] = planted["slice"][:-1]
+    elif flaw == "short f":
+        planted["f"] = planted["f"][:-1]
+    elif flaw == "nan in f":
+        planted["f"][7] = np.nan
+    else:
+        del planted["escaped"]
+    cache.store(cache.content_key(sym15.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W), **planted)
+    real, calls = _count_run_kernel(monkeypatch)
+    with pytest.warns(UserWarning, match="treated as a miss"):
+        got = LawContext.build(sym15).dp_slice(B, x, n)
+    assert len(calls) == 1
+    table = real(sym15, B, [x], n, window=W, keep=[n])
+    assert np.array_equal(got.slice, table.values[n][0])
+    assert np.array_equal(got.f, table.step_killed[0])
+    # the recomputed artifact replaced the planted one
+    again = LawContext.build(sym15).dp_slice(B, x, n)
+    assert len(calls) == 1
+    assert np.array_equal(again.f, got.f)

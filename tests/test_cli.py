@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from stablewalk import asymptotics
 from stablewalk.cli import main
 
 
@@ -116,13 +117,29 @@ def test_verify_thm6_on_two_sided_fails_fast(built_law, tmp_path, capsys):
     assert "InfiniteCPlus" in capsys.readouterr().err
 
 
-def test_verify_all_quick_writes_summary(built_law, tmp_path):
+def test_verify_all_quick_writes_summary(built_law, tmp_path, monkeypatch):
+    builds = []
+    real_build = asymptotics.LawContext.build
+
+    def build(law):
+        builds.append(law)
+        return real_build(law)
+
+    monkeypatch.setattr(asymptotics.LawContext, "build", build)
     out = tmp_path / "vall"
     code = main(["verify", "all", "--quick", "--law", str(built_law), "--out", str(out)])
     assert code == 0
+    assert len(builds) == 1  # one context shared by every theorem of the run
     summary = json.loads((out / "summary.json").read_text())
     ids = {s["theorem_id"] for s in summary}
     assert {"thm1", "llt"} <= ids
     assert all(s.get("passed") in (True, None) for s in summary)
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(out / "summary.json") in manifest["outputs"]
+    # a second run, with its own context, writes the same bytes
+    out2 = tmp_path / "vall2"
+    assert main(["verify", "all", "--quick", "--law", str(built_law), "--out", str(out2)]) == 0
+    written = sorted(out.glob("*.csv")) + [out / "summary.json"]
+    assert len(written) > 1
+    for path in written:
+        assert (out2 / path.name).read_bytes() == path.read_bytes()

@@ -220,8 +220,8 @@ def test_k_estimate_two_resolutions(sp15):
 
 
 def test_lemma76_ratio_bounded(sym15):
-    from stablewalk.asymptotics import lemma76_diagnostic
+    from stablewalk.asymptotics import LawContext, lemma76_diagnostic
 
-    val = lemma76_diagnostic(sym15, n=256)
+    val = lemma76_diagnostic(LawContext.build(sym15), n=256)
     assert math.isfinite(val)
     assert val < 50.0

@@ -100,10 +100,10 @@ def test_ci_calibration(sym15):
 
 
 def test_conditional_escape_against_dp(sym15):
-    from stablewalk.asymptotics import tunneling_check
+    from stablewalk.asymptotics import LawContext, tunneling_check
 
     cfg = SimConfig(trials=400_000, n_horizon=64, seed=31)
-    rep = tunneling_check(sym15, (4,), 64, 6, -6)
+    rep = tunneling_check(LawContext.build(sym15), (4,), 64, 6, -6)
     dp_val = rep.notes["probs"][0]
     est = estimate_conditional_escape(sym15, 6, -6, 64, 4.0, cfg)
     assert est.trials_effective >= 50

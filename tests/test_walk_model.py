@@ -6,6 +6,7 @@ import pytest
 
 from stablewalk import Family, TailSpec, WalkLaw, build_walk_law, stable_params_of
 from stablewalk.errors import AlphaOutOfRange, ConfigError
+from stablewalk.potential_theory import has_bounded_potential
 from stablewalk.special import gamma_fn
 from stablewalk.walk_model import parse_law_config, validate_tails
 from conftest import get_law, _LAW_DEFS
@@ -140,6 +141,20 @@ def test_reversed_law_swaps_sides(asym15):
     rev = asym15.reversed()
     xs = np.arange(-50, 51)
     assert np.abs(rev.pmf(xs) - asym15.pmf(-xs)).max() == 0.0
+
+
+def test_reversed_law_flips_skew_and_boundedness(sp15, bp15, asym15):
+    """Skew and boundedness come from the law's own sides, also after reversed()."""
+    for law in (sp15, bp15, asym15):
+        p, r = stable_params_of(law), stable_params_of(law.reversed())
+        assert r.gamma == pytest.approx(-p.gamma, abs=1e-15)
+        assert r.skew_sign == -p.skew_sign
+        assert r.c_circ == pytest.approx(p.c_circ, rel=1e-14)
+        assert r.rho == pytest.approx(1.0 - p.rho, abs=1e-15)
+        assert not has_bounded_potential(law.reversed())
+    assert stable_params_of(sp15.reversed()).gamma == pytest.approx(-0.5, abs=1e-15)
+    assert (stable_params_of(sp15).skew_sign, stable_params_of(asym15).skew_sign) == (1, 0)
+    assert has_bounded_potential(bp15)
 
 
 def test_left_continuous_support(lc15):
