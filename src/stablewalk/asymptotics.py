@@ -32,7 +32,6 @@ from .errors import (
     RegimeViolation,
 )
 from .killed_walk import (
-    _fft_stepper,
     default_window,
     halfline_entrance,
     k_estimate,
@@ -434,10 +433,10 @@ def verify_thm5_x_small(
         yn = y * float(n) ** -inv_a
         sl, W, _, _ = ctx.dp_slice(("set", (0,)), x_fixed, n)
         fy = float(ctx.dp_slice(("set", (0,)), -y, n).f[n])
-        K_val, spread = k_estimate(ctx.law, yn, n)
-        rhs = rhs_theorem4_5(ctx, x_fixed, y, n, "x_small", f_minus_y=fy, K_val=K_val)
+        K_vals, spreads = k_estimate(ctx.law, [yn], n)
+        rhs = rhs_theorem4_5(ctx, x_fixed, y, n, "x_small", f_minus_y=fy, K_val=float(K_vals[0]))
         rep.add_row(float(sl[y + W]), rhs, n=n, x=x_fixed, y=y, regime="x_small")
-        rep.notes.setdefault("k_spread", []).append(spread)
+        rep.notes.setdefault("k_spread", []).append(float(spreads[0]))
     return rep.finalize(crit)
 
 
@@ -563,8 +562,8 @@ def verify_k_small_eta(
     params = ctx.params
     p0 = density_at_zero(params.c_circ, params)
     rep = VerificationReport(theorem_id="k_small_eta")
-    for eta in etas:
-        K_val, spread = k_estimate(ctx.law, eta, n)
+    K_vals, spreads = k_estimate(ctx.law, etas, n)
+    for eta, K_val, spread in zip(etas, K_vals.tolist(), spreads.tolist()):
         scaled = K_val * params.c_circ * gamma_fn(params.alpha) / (p0 * eta ** (params.alpha - 1.0))
         rep.rows.append({"n": n, "x": 0, "y": eta, "exact": K_val, "rhs": math.nan, "ratio": scaled, "regime": "eta"})
         rep.deviations.append(abs(scaled - 1.0))
@@ -605,17 +604,15 @@ def verify_cor3(
     A = sorted(int(z) for z in A)
     n_max = max(n_values)
     W = default_window(ctx.law, n_max)
-    keep = sorted({n - 1 for n in n_values})
-    table = run_kernel(ctx.law, ("set", tuple(A)), [x_fixed], n_max, window=W, keep=keep)
+    table = run_kernel(ctx.law, ("set", tuple(A)), [x_fixed], n_max, window=W, keep=[])
     fsp_neg = FiniteSetPotential(ctx.pot, [-z for z in A])
     weights = {y: fsp_neg.u(-y) for y in A}
     wsum = sum(weights.values())
-    step, _, _ = _fft_stepper(ctx.law, W)
     rep = VerificationReport(theorem_id="cor3")
     y_probe = max(A)
     for n in n_values:
-        # P[sigma = n, S_n = y] = sum_z p^{n-1}_A(x, z) p(y - z)
-        exact = float(step(table.values[n - 1])[0][0, y_probe + W])
+        # P[sigma = n, S_n = y]: the entrance law at y, A being inside the window
+        exact = float(table.entrance[0, n, A.index(y_probe)])
         fA_n = float(table.step_killed[0, n])
         rep.add_row(exact, fA_n * weights[y_probe], n=n, x=x_fixed, y=y_probe, regime="cor3")
     rep.notes["weight_sum"] = wsum

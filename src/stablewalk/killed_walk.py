@@ -13,6 +13,12 @@ holds to float accumulation error at every step.  For half-line killing the
 below-window overflow is provably inside the killing set and is charged to
 the killed ledger, which keeps first-passage mass exact up to the escape on
 the open side only.
+
+Every run also records the Green sums (the occupation measure up to each
+kept step) and, for finite-set killing, the entrance law into each site of
+the set.  run_kernel is the only DP loop: the ladder renewal functions are
+the Green sums of two half-line runs, and the space-time hitting law of a
+finite set is its entrance law.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
-from .special import GK_NODES, GK_WEIGHTS
+from .special import gk_panels
 from .walk_model import WalkLaw
 
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
@@ -34,35 +40,16 @@ DP_VERSION = 2
 # ---------------------------------------------------------------------------
 
 HALF_LE_0 = ("le", 0)     # (-inf, 0]
-HALF_LT_0 = ("le", -1)    # (-inf, 0)
-HALF_GE_0 = ("ge", 0)     # [0, +inf)
 
 
 def _normalize_killing(B):
     if B is None:
         return None
-    if isinstance(B, tuple) and len(B) == 2 and B[0] in ("le", "ge"):
-        return (B[0], int(B[1]))
+    if isinstance(B, tuple) and len(B) == 2 and B[0] == "le":
+        return ("le", int(B[1]))
     if isinstance(B, tuple) and len(B) == 2 and B[0] == "set":
         return B
     return ("set", tuple(sorted(int(z) for z in B)))
-
-
-def killing_mask(B, W: int) -> np.ndarray | None:
-    """Boolean mask over [-W, W] of the in-window killing region."""
-    B = _normalize_killing(B)
-    if B is None:
-        return None
-    xs = np.arange(-W, W + 1)
-    if B[0] == "le":
-        return xs <= B[1]
-    if B[0] == "ge":
-        return xs >= B[1]
-    mask = np.zeros(2 * W + 1, dtype=bool)
-    for z in B[1]:
-        if abs(z) <= W:
-            mask[z + W] = True
-    return mask
 
 
 def default_window(law: WalkLaw, n_max: int, mult: float = 8.0) -> int:
@@ -79,9 +66,14 @@ def default_window(law: WalkLaw, n_max: int, mult: float = 8.0) -> int:
 class KernelTable:
     """Killed/free n-step kernel slices with a conservation ledger.
 
-    values[n] is an array (n_starts, 2W+1); killed/escaped are cumulative
-    per-start ledgers indexed by step; step_killed is the per-step kill mass
-    (the first-passage mass into B at that step).
+    values[n] is an array (n_starts, 2W+1) and green[n] the sum of the
+    states of steps 0..n (after killing), both for each kept n; killed and
+    escaped are cumulative per-start ledgers indexed by step; step_killed is
+    the per-step kill mass (the first-passage mass into B at that step).
+    entrance[:, n, j] is the mass entering B at step n at its j-th sorted
+    in-window site for finite-set killing, or at depth j below the boundary
+    for half-line killing with entrance_depth (entrance_lump holding the
+    deeper rest).
     """
 
     law_hash: str
@@ -90,6 +82,7 @@ class KernelTable:
     n_max: int
     starts: list
     values: dict = field(default_factory=dict)
+    green: dict = field(default_factory=dict)
     step_killed: np.ndarray | None = None
     killed: np.ndarray | None = None
     escaped: np.ndarray | None = None
@@ -155,9 +148,11 @@ def run_kernel(
 ) -> KernelTable:
     """Dynamic programming for p^n_B(x, .) from each start, with ledgers.
 
-    keep: list of n to store (default: all n <= n_max).
+    keep: list of n to store values and Green sums for (default: all
+    n <= n_max).
     entrance_depth: for half-line 'le' killing, store the entrance law
-    h(n, y) for landing points within depth of the boundary.
+    h(n, y) for landing points within depth of the boundary.  Finite-set
+    killing always stores the entrance law into each in-window site.
     """
     starts = [int(x) for x in starts]
     W = window or default_window(law, n_max)
@@ -165,7 +160,6 @@ def run_kernel(
         if abs(x) > W:
             raise WindowTooSmall(f"start {x} outside window {W}")
     B = _normalize_killing(B)
-    mask = killing_mask(B, W)
     keep_set = set(keep) if keep is not None else set(range(n_max + 1))
     step, esc_p, esc_m = _fft_stepper(law, W)
 
@@ -185,15 +179,20 @@ def run_kernel(
     table.killed = np.zeros((ns, n_max + 1))
     table.escaped = np.zeros((ns, n_max + 1))
     half_le = B is not None and B[0] == "le"
-    half_ge = B is not None and B[0] == "ge"
     if entrance_depth:
-        if not (half_le or half_ge):
+        if not half_le:
             raise ValueError("entrance collection needs half-line killing")
         table.entrance_depth = entrance_depth
         table.entrance = np.zeros((ns, n_max + 1, entrance_depth + 1))
         table.entrance_lump = np.zeros((ns, n_max + 1))
+    elif B is not None and not half_le:
+        # the in-window sites of B, sorted
+        sites = np.array(sorted({z + W for z in B[1] if abs(z) <= W}), dtype=np.int64)
+        table.entrance = np.zeros((ns, n_max + 1, len(sites)))
+    green = states.copy()
     if 0 in keep_set:
         table.values[0] = states.copy()
+        table.green[0] = green.copy()
 
     killed_cum = np.zeros(ns)
     escaped_cum = np.zeros(ns)
@@ -217,27 +216,20 @@ def run_kernel(
                 table.entrance_lump[:, n] = kill_now - strip.sum(axis=1)
             states[:, :cut] = 0.0
             escaped_cum += above + jump_up
-        elif half_ge:
-            b = B[1]
-            cut = b + W  # indices [cut, end] are killed states
-            kill_now = states[:, cut:].sum(axis=1) + above + jump_up
-            if entrance_depth:
-                hi = min(cut + entrance_depth + 1, 2 * W + 1)
-                strip = states[:, cut:hi]  # d = 0 <-> landing at b
-                table.entrance[:, n, : strip.shape[1]] = strip
-                table.entrance_lump[:, n] = kill_now - strip.sum(axis=1)
-            states[:, cut:] = 0.0
-            escaped_cum += below + jump_dn
         else:
-            kill_now = states[:, mask].sum(axis=1)
-            states[:, mask] = 0.0
+            hits = states[:, sites]
+            table.entrance[:, n] = hits
+            kill_now = hits.sum(axis=1)
+            states[:, sites] = 0.0
             escaped_cum += below + above + jump_up + jump_dn
+        green += states
         killed_cum += kill_now
         table.step_killed[:, n] = kill_now
         table.killed[:, n] = killed_cum
         table.escaped[:, n] = escaped_cum
         if n in keep_set:
             table.values[n] = states.copy()
+            table.green[n] = green.copy()
     if escape_budget is not None and escaped_cum.max() > escape_budget:
         raise WindowTooSmall(
             f"escaped mass {escaped_cum.max():.3e} above budget {escape_budget:.1e} at W={W}"
@@ -306,11 +298,7 @@ def _theta_nodes_for_pi(law: WalkLaw, tau_min: float):
     t0 = max(min(tau_min ** (1.0 / law.spec.alpha) / 8.0, 0.05), 1e-7)
     n_up = int(math.ceil(math.log2(math.pi / t0))) + 1
     brk = np.unique(np.concatenate([[0.0], t0 * 2.0 ** np.arange(0, n_up), [math.pi]]))
-    brk = brk[brk <= math.pi]
-    a, b = brk[:-1], brk[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    w = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
+    nodes, w, _, _ = gk_panels(brk[brk <= math.pi])
     return nodes, w
 
 
@@ -333,10 +321,7 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     # |tau|^{1-1/alpha} cusp of 1/pi_0 at the origin
     cusp = math.pi / max(n, 1) * 2.0 ** -np.arange(1, 34, dtype=float)
     brk = np.unique(np.concatenate([np.linspace(0.0, math.pi, max(2, n + 1)), cusp]))
-    a, b = brk[:-1], brk[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    tau = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    wtau = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
+    tau, wtau, _, _ = gk_panels(brk)
 
     th, wth = _theta_nodes_for_pi(law, tau.min())
     omc = law.one_minus_char(th)           # 1 - phi(theta), theta > 0
@@ -396,12 +381,17 @@ def halfline_entrance(
 class LadderTables:
     """Ladder-height pmfs and renewal functions.
 
-    The renewal mass functions come from the Green-measure identities
-        nu_as(y) = g_{(-inf,0]}(1, 1+y),
-        u_ds(y)  = sum_m [mu Phat^m_{(-inf,0]}](y),  mu(z) = p(-z),
-    accumulated by half-line DP with a power-tail extrapolation of the step
-    truncation; the pmf-convolution renewal recursion is kept alongside as a
-    cross-check route (its truncation defect compounds with x).
+    Two half-line runs of run_kernel, both killed on (-inf, 0], give all of
+    them.  The law from 1 enters (-inf, 0] at its first strict descending
+    ladder height, and its Green sums are the renewal measure
+        nu_as(y) = g_{(-inf,0]}(1, 1+y).
+    The reversed law from 0 enters (-inf, 0] at the mirror image of the
+    first weak ascending ladder height, and after its first step it holds
+    mu(z) = p(-z), z >= 1, so its Green sums are
+        u_ds(y) = sum_m [mu Phat^m_{(-inf,0]}](y).
+    Both Green sums get a power-tail extrapolation of the step truncation;
+    the pmf-convolution renewal recursion is kept alongside as a cross-check
+    route (its truncation defect compounds with x).
     """
 
     x_max: int
@@ -423,26 +413,26 @@ class LadderTables:
         return float((ys * self.q_ds).sum() / max(self.q_ds.sum(), 1e-300))
 
 
-def _greens_from_dp(law, init_vec, W, n_steps, alpha):
-    """Green measure sum_m [init P^m_{(-inf,0]}] with power-tail extrapolation.
+def _ladder_pmf(table: KernelTable, n: int) -> tuple[np.ndarray, float]:
+    """Entrance law into (-inf, 0] by depth over steps <= n, and its missing mass."""
+    q = table.entrance[0, : n + 1].sum(axis=0)
+    tail = table.values[n][0].sum() + table.escaped[0, n] + table.entrance_lump[0, : n + 1].sum()
+    return q, float(tail)
+
+
+def _green_sites(table: KernelTable, n_late: int, n: int, n_sites: int, alpha: float):
+    """Green sums at sites 1..n_sites over steps <= n, with power-tail extrapolation.
 
     Step contributions at a fixed site fall off like m^{-1-1/alpha} once
-    m >> site^alpha, so the remainder beyond n_steps is estimated from the
-    last half-window: tail = late / (2^{1/alpha} - 1).
+    m >> site^alpha, so the remainder beyond n is estimated from the steps
+    after n_late = n/2: tail = late / (2^{1/alpha} - 1).
     """
-    step, _, _ = _fft_stepper(law, W)
-    states = init_vec[None, :]
-    green = init_vec.copy()
-    late = np.zeros(2 * W + 1)
-    half = n_steps // 2
-    for m in range(1, n_steps + 1):
-        states, _, _ = step(states)
-        states[0, : W + 1] = 0.0  # kill on (-inf, 0]
-        green += states[0]
-        if m > half:
-            late += states[0]
-    tail = late / (2.0 ** (1.0 / alpha) - 1.0)
-    return green + tail, tail
+    W = table.window
+    sl = slice(W + 1, W + 1 + n_sites)
+    green = table.green[n][0, sl]
+    tail = (green - table.green[n_late][0, sl]) / (2.0 ** (1.0 / alpha) - 1.0)
+    total = green + tail
+    return total, float(tail.sum() / max(total.sum(), 1e-300))
 
 
 def ladder_renewals(
@@ -451,51 +441,34 @@ def ladder_renewals(
     n_truncate: int | None = None,
     tail_budget: float = 0.2,
 ) -> LadderTables:
-    """Ladder-height pmfs (truncated DP) and renewal functions (Green route).
+    """Ladder-height pmfs and renewal functions from two half-line DPs.
 
-    The Green accumulation at level y needs of order y^alpha steps before its
-    tail enters the m^{-1-1/alpha} regime, so n_truncate defaults to
+    The Green sum at level y needs of order y^alpha steps before its tail
+    enters the m^{-1-1/alpha} regime, so n_truncate defaults to
     4 * x_max^alpha (at least 8192).
     """
     alpha = law.spec.alpha
     if n_truncate is None:
         n_truncate = max(8192, int(4.0 * x_max ** alpha))
-    W = default_window(law, n_truncate)
+    N, half = n_truncate, n_truncate // 2
+    W = default_window(law, N)
 
-    # strictly descending: kill on entering (-inf, 0) = {..., -1}; from 0
-    t_ds = run_kernel(
-        law, ("le", -1), [0], n_truncate, window=W, keep=[n_truncate], entrance_depth=x_max
+    # law from 1: entering (-inf, 0] at depth d is a strict descent |Z| = d + 1
+    down = run_kernel(law, HALF_LE_0, [1], N, window=W, keep=[half, N], entrance_depth=x_max)
+    # reversed law from 0: entering at depth d is a weak ascent Z = d; its
+    # state after step m + 1 is mu Phat^m, hence N + 1 steps for m <= N
+    up = run_kernel(
+        law.reversed(), HALF_LE_0, [0], N + 1, window=W, keep=[half + 1, N, N + 1], entrance_depth=x_max
     )
-    q_ds = t_ds.entrance[0].sum(axis=0)  # index i <-> landing at -1 - i, |Z| = i + 1
-    q_ds_tail = float(t_ds.values[n_truncate][0].sum() + t_ds.escaped[0, -1] + t_ds.entrance_lump[0].sum())
-
-    # weakly ascending: kill on entering [0, inf); from 0
-    t_as = run_kernel(
-        law, HALF_GE_0, [0], n_truncate, window=W, keep=[n_truncate], entrance_depth=x_max
-    )
-    q_as = t_as.entrance[0].sum(axis=0)  # landing at 0, 1, 2, ...
-    q_as_tail = float(t_as.values[n_truncate][0].sum() + t_as.escaped[0, -1] + t_as.entrance_lump[0].sum())
+    q_ds, q_ds_tail = _ladder_pmf(down, N)
+    q_as, q_as_tail = _ladder_pmf(up, N)
     if max(q_ds_tail, q_as_tail) > tail_budget:
         raise TruncationTooCoarse(
             f"ladder pmf truncation tails ({q_ds_tail:.3f}, {q_as_tail:.3f}) above {tail_budget}"
         )
 
-    # Green-measure renewal functions
-    # nu_as(y) = g_{(-inf,0]}(1, 1+y): DP from 1 for the original law
-    init = np.zeros(2 * W + 1)
-    init[1 + W] = 1.0
-    g1, tail1 = _greens_from_dp(law, init, W, n_truncate, alpha)
-    nu_as = g1[W + 1 : W + x_max + 2]
-    rel1 = float(tail1[W + 1 : W + x_max + 2].sum() / max(nu_as.sum(), 1e-300))
-    # u_ds(y) = [mu Phat^m] green at y, mu(z) = p(-z), z >= 1
-    rev = law.reversed()
-    mu = np.zeros(2 * W + 1)
-    zpos = np.arange(1, W + 1)
-    mu[W + 1 :] = law.pmf(-zpos)
-    g2, tail2 = _greens_from_dp(rev, mu, W, n_truncate, alpha)
-    u_ds = g2[W + 1 : W + x_max + 1]
-    rel2 = float(tail2[W + 1 : W + x_max + 1].sum() / max(u_ds.sum(), 1e-300))
-
+    nu_as, rel1 = _green_sites(down, half, N, x_max + 1, alpha)
+    u_ds, rel2 = _green_sites(up, half + 1, N + 1, x_max, alpha)
     V_as = np.cumsum(nu_as)
     U_ds = 1.0 + np.concatenate([[0.0], np.cumsum(u_ds)])
 
@@ -552,27 +525,25 @@ def _strict_renewal_recursion(q_ds: np.ndarray, x_max: int) -> np.ndarray:
 
 def k_estimate(
     law: WalkLaw,
-    eta: float,
+    etas,
     n: int,
     window: int | None = None,
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """K_{c_circ}(eta) ~ n^{1/alpha} p^n_{(-inf,0]}(x, floor(eta n^{1/alpha})) / x_n.
 
-    Averaged over two small starts; returns (estimate, spread between them).
+    One DP from two small starts serves every eta; returns the estimates
+    (averaged over the two starts) and their relative spreads between them.
     """
     alpha = law.spec.alpha
     scale = n ** (1.0 / alpha)
-    y = int(math.floor(eta * scale))
-    if y < 1:
-        raise ResolutionTooCoarse(f"eta n^(1/alpha) = {eta * scale:.2f} < 1")
+    ys = np.floor(np.asarray(etas, dtype=float) * scale).astype(int)
+    if ys.min() < 1:
+        raise ResolutionTooCoarse(f"eta n^(1/alpha) = {min(etas) * scale:.2f} < 1")
     x1 = max(1, int(round(scale / 32.0)))
     x2 = 2 * x1
     table = run_kernel(law, HALF_LE_0, [x1, x2], n, window=window, keep=[n])
-    W = table.window
-    vals = []
-    for i, x in enumerate((x1, x2)):
-        xn = x / scale
-        vals.append(scale * table.values[n][i][y + W] / xn)
+    xn = np.array([[x1], [x2]]) / scale
+    vals = scale * table.values[n][:, ys + table.window] / xn
     est = 0.5 * (vals[0] + vals[1])
-    spread = abs(vals[0] - vals[1]) / max(abs(est), 1e-300)
+    spread = np.abs(vals[0] - vals[1]) / np.maximum(np.abs(est), 1e-300)
     return est, spread

@@ -20,8 +20,8 @@ from .errors import (
     ExtrapolationUnstable,
     SingularSystem,
 )
-from .special import GK_NODES, GK_WEIGHTS, omexp
-from .walk_model import Family, WalkLaw
+from .special import gk_panels, omexp
+from .walk_model import WalkLaw
 
 def _a_breaks_sub(alpha: float, split: float) -> np.ndarray:
     """Panels in the substituted variable u = theta^{2-alpha} on [0, split]."""
@@ -45,11 +45,7 @@ def potential_a_grid(law: WalkLaw, xs) -> np.ndarray:
     split = min(0.5, 25.0 / max(x_max, 1))
 
     # segment 1: cusp region via theta = u^{1/(2-alpha)}
-    brk = _a_breaks_sub(alpha, split)
-    a_, b_ = brk[:-1], brk[1:]
-    mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-    u_nodes = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    wk = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
+    u_nodes, wk, _, _ = gk_panels(_a_breaks_sub(alpha, split))
     p = 2.0 - alpha
     theta1 = u_nodes ** (1.0 / p)
     jac = u_nodes ** (1.0 / p - 1.0) / p
@@ -57,11 +53,7 @@ def potential_a_grid(law: WalkLaw, xs) -> np.ndarray:
 
     # segment 2: [split, pi], half-period panels for the largest |x|
     n_osc = max(48, int(2 * x_max * (math.pi - split) / math.pi) + 1)
-    brk2 = np.linspace(split, math.pi, min(n_osc, 400_000))
-    a2, b2 = brk2[:-1], brk2[1:]
-    mid2, half2 = 0.5 * (a2 + b2), 0.5 * (b2 - a2)
-    theta2 = (mid2[:, None] + half2[:, None] * GK_NODES[None, :]).ravel()
-    wk2 = (half2[:, None] * GK_WEIGHTS[None, :]).ravel()
+    theta2, wk2, _, _ = gk_panels(np.linspace(split, math.pi, min(n_osc, 400_000)))
     d2 = 1.0 / law.one_minus_char(theta2)
 
     for j, x in enumerate(xs):
@@ -252,8 +244,12 @@ def has_bounded_potential(law: WalkLaw) -> bool:
 
 
 def c_plus(law: WalkLaw, pot: PotentialTable | None = None, k_hi: int = 12) -> float:
-    """C+ = lim_{x -> +inf} a(x): finite value, 0, or +inf per the tail criterion."""
-    if law.spec.family is Family.LEFT_CONTINUOUS:
+    """C+ = lim_{x -> +inf} a(x): finite value, 0, or +inf per the tail criterion.
+
+    Left-continuity (no mass below -1, so a(x) = 0 for x > 0) is read off the
+    law's negative side, so a reversed left-continuous law is not.
+    """
+    if law.sm == 0.0:
         return 0.0
     if not has_bounded_potential(law):
         return math.inf

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureNonConvergence, WrongSkew
-from .special import (
-    GK_NODES,
-    GK_WEIGHTS,
-    G7_WEIGHTS,
-    gamma_fn,
-    integrate_panels,
-)
+from .special import gamma_fn, gk_panels, integrate_panels
 from .walk_model import StableParams
 
 _CUT = 44.0  # exp(-44) ~ 8e-20: below double noise for O(1) integrands
@@ -67,13 +61,7 @@ def density_grid(
         raise ValueError("t must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     breaks = _theta_breaks(t, params, float(np.abs(xs).max()) if len(xs) else 1.0)
-    a, b = breaks[:-1], breaks[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    wk = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
-    wg_panel = np.zeros((len(a), 15))
-    wg_panel[:, 1::2] = half[:, None] * G7_WEIGHTS[None, :]
-    wg = wg_panel.ravel()
+    nodes, wk, wg, _ = gk_panels(breaks)
     g = np.exp(-t * psi(nodes, params))
     if deriv:
         g = g * (-1j * nodes) ** deriv
@@ -224,11 +212,7 @@ def normalization_check(t: float, params: StableParams) -> tuple[float, float]:
     """(integral of p_t over R, error bound): pointwise quadrature + tail series."""
     a = params.alpha
     X = max(32.0, (gamma_fn(4 * a + 1.0) / (24.0 * 4 * a) * t ** 4 / 1e-8) ** (1.0 / (4 * a)))
-    brk = _x_breaks(t, X)
-    ab, bb = brk[:-1], brk[1:]
-    mid, half = 0.5 * (ab + bb), 0.5 * (bb - ab)
-    nodes = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    wk = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
+    nodes, wk, _, _ = gk_panels(_x_breaks(t, X))
     vals, errs = density_grid_smart(t, nodes, params)
     mass = float(vals @ wk)
     err = float(errs @ np.abs(wk))
@@ -251,11 +235,7 @@ def abs_moment(t: float, params: StableParams, method: str = "closed") -> float:
     if method != "quadrature":
         raise ValueError(method)
     X = max(100.0, 8.0 * t ** (1.0 / a))
-    brk = _x_breaks(t, X)
-    ab, bb = brk[:-1], brk[1:]
-    mid, half = 0.5 * (ab + bb), 0.5 * (bb - ab)
-    nodes = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    wk = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
+    nodes, wk, _, _ = gk_panels(_x_breaks(t, X))
     vals, errs = density_grid_smart(t, nodes, params)
     mom = float((vals * np.abs(nodes)) @ wk)
     tp, _ = tail_absmoment_series(X, t, params, +1)
@@ -278,11 +258,7 @@ def _f1_integral(t: float, params: StableParams) -> float:
     p10 = density_at_zero(1.0, params)
     pref = math.sin(math.pi / a) / (math.pi * p10) / (a * t ** (1.0 + 1.0 / a)) * a
 
-    v_breaks = np.linspace(0.0, 1.0, 65)
-    av, bv = v_breaks[:-1], v_breaks[1:]
-    mid, half = 0.5 * (av + bv), 0.5 * (bv - av)
-    v_nodes = (mid[:, None] + half[:, None] * GK_NODES[None, :]).ravel()
-    wk = (half[:, None] * GK_WEIGHTS[None, :]).ravel()
+    v_nodes, wk, _, _ = gk_panels(np.linspace(0.0, 1.0, 65))
     u = 1.0 - v_nodes ** a
     u = np.clip(u, 1e-140, 1.0)
     args = -((t * u) ** (-1.0 / a))

@@ -46,6 +46,7 @@ from .special import (
 BLOCK1 = (1, 4)
 BLOCK2 = (5, 64)
 CALIBRATED_BEYOND = BLOCK2[1]  # pure telescoped tail from here on
+_ATOM_ROWS = 2048  # theta rows per block of the atom sum in cf_excess
 
 
 class Family(str, Enum):
@@ -297,9 +298,12 @@ class WalkLaw:
             v = v - self.sm * (-1j * theta) * np.conj(Sm)
         pts, ms = self._atoms_for_fourier()
         if len(pts):
-            arg = np.outer(theta, pts)
-            v = v + (ms[None, :] * (2.0 * np.sin(arg / 2.0) ** 2)).sum(axis=1)
-            v = v + 1j * (ms[None, :] * x_minus_sin(arg)).sum(axis=1)
+            # in blocks of theta rows, to bound the (rows, atoms) temporaries
+            for lo in range(0, len(theta), _ATOM_ROWS):
+                rows = slice(lo, lo + _ATOM_ROWS)
+                arg = np.outer(theta[rows], pts)
+                v[rows] = v[rows] + (ms[None, :] * (2.0 * np.sin(arg / 2.0) ** 2)).sum(axis=1)
+                v[rows] = v[rows] + 1j * (ms[None, :] * x_minus_sin(arg)).sum(axis=1)
         # float-residual of the exact-zero mean, restored on its sin carrier
         v = v - 1j * sin_t * self.mean()
         return v

@@ -7,7 +7,6 @@ import pytest
 from stablewalk import stable_params_of
 from stablewalk.errors import WindowTooSmall
 from stablewalk.killed_walk import (
-    HALF_GE_0,
     HALF_LE_0,
     _fft_stepper,
     default_window,
@@ -52,11 +51,28 @@ def test_stepper_matches_linear_convolution(asym15, W):
 
 @pytest.mark.parametrize(
     "B, start, depth",
-    [([0], 3, 0), ([-1, 0, 2], 5, 0), (HALF_LE_0, 4, 16), (HALF_GE_0, -4, 16)],
+    [([0], 3, 0), ([-1, 0, 2], 5, 0), (HALF_LE_0, 4, 16)],
 )
 def test_conservation_long_run(asym15, B, start, depth):
     tab = run_kernel(asym15, B, [start], 2048, window=512, keep=[2048], entrance_depth=depth)
     assert tab.conservation_defect(2048).max() <= 1e-10
+
+
+@pytest.mark.parametrize("B", [None, [0], [-1, 0, 2], HALF_LE_0])
+def test_green_is_running_sum_of_states(asym15, B):
+    tab = run_kernel(asym15, B, [3, -5], 256, window=512)
+    running = np.cumsum([tab.values[n] for n in range(257)], axis=0)
+    for n in (0, 1, 17, 256):
+        assert np.abs(tab.green[n] - running[n]).max() <= 1e-13
+
+
+def test_set_entrance_sums_to_step_killed(asym15):
+    A = [-1, 0, 2]
+    tab = run_kernel(asym15, A, [5, -4, 0], 512, window=512, keep=[])
+    assert tab.entrance.shape == (3, 513, 3)
+    np.testing.assert_array_equal(tab.entrance.sum(axis=2), tab.step_killed)
+    # step 1 from 5 enters A at z with probability p(z - 5)
+    assert np.abs(tab.entrance[0, 1] - asym15.pmf(np.array(A) - 5)).max() < 1e-16
 
 
 def test_killed_rows_vanish_on_set(sym15):
@@ -212,8 +228,8 @@ def test_ladder_tables(sp15):
 
 
 def test_k_estimate_two_resolutions(sp15):
-    k1, s1 = k_estimate(sp15, 1.0, 256)
-    k2, s2 = k_estimate(sp15, 1.0, 1024)
+    (k1,), (s1,) = k_estimate(sp15, [1.0], 256)
+    (k2,), (s2,) = k_estimate(sp15, [1.0], 1024)
     assert k1 > 0 and k2 > 0
     assert abs(k1 / k2 - 1.0) < 0.05
     assert s2 < 0.1
@@ -225,3 +241,11 @@ def test_lemma76_ratio_bounded(sym15):
     val = lemma76_diagnostic(LawContext.build(sym15), n=256)
     assert math.isfinite(val)
     assert val < 50.0
+
+
+def test_k_estimate_one_run_for_all_etas(sp15):
+    etas = [1.0, 0.5, 0.25]
+    est, spread = k_estimate(sp15, etas, 256)
+    for i, eta in enumerate(etas):
+        (k,), (s,) = k_estimate(sp15, [eta], 256)
+        assert (est[i], spread[i]) == (k, s)

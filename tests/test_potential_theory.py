@@ -120,22 +120,12 @@ def test_green_origin_vs_dp_partial_sums(sym15, pot15):
     the hitting-time-asymptote tail bound
         sum_{n > N} p^n_0(x, y) <~ a_dag(x) a(-y) kappa c^{1/a} N^{1/a-1}/(1-1/a).
     """
-    from stablewalk.killed_walk import _fft_stepper
     from stablewalk.stable_numerics import constants as _constants
 
     W = 1024
-    step, _, _ = _fft_stepper(sym15, W)
-    states = np.zeros((1, 2 * W + 1))
-    states[0, 3 + W] = 1.0
-    green = states[0].copy()
-    partial = []
     N_checks = (1000, 3000)
-    for n in range(1, max(N_checks) + 1):
-        states, _, _ = step(states)
-        states[0, 0 + W] = 0.0
-        green += states[0]
-        if n in N_checks:
-            partial.append({y: green[y + W] for y in (-5, 2, 7)})
+    tab = run_kernel(sym15, [0], [3], max(N_checks), window=W, keep=list(N_checks))
+    partial = [{y: tab.green[N][0, y + W] for y in (-5, 2, 7)} for N in N_checks]
     p = stable_params_of(sym15)
     ct = _constants(p)
     inv_a = 1.0 / p.alpha
@@ -177,20 +167,8 @@ def test_finite_set_vs_dp(sym15, pot15):
     A = (-1, 2)
     fsp = FiniteSetPotential(pot15, A)
     W = 1024
-    from stablewalk.killed_walk import _fft_stepper
-
-    step, _, _ = _fft_stepper(sym15, W)
-    states = np.zeros((1, 2 * W + 1))
-    states[0, 4 + W] = 1.0
-    green = states[0].copy()
-    checks = {}
-    for n in range(1, 4001):
-        states, _, _ = step(states)
-        for z in A:
-            states[0, z + W] = 0.0
-        green += states[0]
-        if n in (1000, 2000, 4000):
-            checks[n] = green.copy()
+    tab = run_kernel(sym15, A, [4], 4000, window=W, keep=[1000, 2000, 4000])
+    checks = {n: tab.green[n][0] for n in (1000, 2000, 4000)}
     for y in (-4, 0, 6):
         seq = [checks[n][y + W] for n in (1000, 2000, 4000)]
         closed = fsp.green(4, y)
@@ -240,6 +218,8 @@ def test_u_A_tracks_a_at_infinity(sym15, pot15):
 def test_c_plus_families(sym15, bp15, lc15):
     assert c_plus(sym15) == math.inf
     assert c_plus(lc15) == 0.0
+    # the reversed law has mass below -1 and the alpha tail on its negative side
+    assert c_plus(lc15.reversed()) == math.inf
     val = c_plus(bp15)
     assert 0.0 < val < math.inf
     # stability across depths (1%)
@@ -274,26 +254,30 @@ def test_hit_before_vs_dp(sym15, pot15):
     """
     y = 3
     W = 2048
-    from stablewalk.killed_walk import _fft_stepper
-
-    step, _, _ = _fft_stepper(sym15, W)
     for x in (2, -3):
-        states = np.zeros((1, 2 * W + 1))
-        states[0, x + W] = 1.0
-        hit_y = 0.0
-        hit_0 = 0.0
+        tab = run_kernel(sym15, [0, y], [x], 16_000, window=W, keep=[])
+        # running hit masses of 0 and y (the set's sorted sites)
+        hit_0, hit_y = np.cumsum(tab.entrance[0], axis=0).T
         seq = []
         closed = hit_before(pot15, x, y)
-        for n in range(1, 16_001):
-            states, _, _ = step(states)
-            hit_y += states[0, y + W]
-            hit_0 += states[0, 0 + W]
-            states[0, y + W] = 0.0
-            states[0, 0 + W] = 0.0
-            if n in (4000, 8000, 16000):
-                seq.append(hit_y)
-                undecided = 1.0 - hit_y - hit_0
-                assert hit_y - 1e-12 <= closed <= hit_y + undecided + 1e-12
+        for n in (4000, 8000, 16000):
+            seq.append(hit_y[n])
+            undecided = 1.0 - hit_y[n] - hit_0[n]
+            assert hit_y[n] - 1e-12 <= closed <= hit_y[n] + undecided + 1e-12
         d1, d2 = seq[1] - seq[0], seq[2] - seq[1]
         accel = seq[2] - d2 * d2 / (d2 - d1)
         assert closed == pytest.approx(accel, abs=5e-3)
+
+
+def test_one_minus_char_memory_is_bounded(sp15):
+    """The atom sum of cf_excess runs in blocks: no (nodes, atoms) temporaries."""
+    import tracemalloc
+
+    theta = np.linspace(1e-6, math.pi, 100_000)
+    tracemalloc.start()
+    try:
+        sp15.one_minus_char(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
