@@ -7,7 +7,6 @@ from .walk_model import (
     TailSpec,
     WalkLaw,
     build_walk_law,
-    char_fn,
     stable_params_of,
     validate_tails,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "TailSpec",
     "WalkLaw",
     "build_walk_law",
-    "char_fn",
     "stable_params_of",
     "validate_tails",
     "__version__",

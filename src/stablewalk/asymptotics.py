@@ -32,8 +32,8 @@ from .errors import (
     RegimeViolation,
 )
 from .killed_walk import (
+    HALF_LE_0,
     default_window,
-    halfline_entrance,
     k_estimate,
     ladder_renewals,
     run_kernel,
@@ -499,7 +499,7 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
         raise RegimeViolation("need x > 0 > y")
     law = ctx.law
     W = default_window(law, n)
-    ent = halfline_entrance(law, x, n, window=W, depth=W)
+    ent = run_kernel(law, HALF_LE_0, [x], n, window=W, keep=[n], entrance_depth=W)
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
     rev = law.reversed()
     dual = run_kernel(rev, ("set", (0,)), [-y], n, window=W)
@@ -754,15 +754,14 @@ def verify_llt(
     n_max = max(n_values)
     W = default_window(ctx.law, n_max)
     table = run_kernel(ctx.law, None, [0], n_max, window=W, keep=list(n_values))
+    xs = np.arange(-W, W + 1, dtype=float)
     for n in n_values:
-        sl = table.values[n][0]
         scale = float(n) ** inv_a
-        xs = np.arange(-W, W + 1, dtype=float)
-        dens, _ = density_grid_smart(ctx.params.c_circ, xs / scale, ctx.params)
         # window-edge bias is a DP artifact, not an LLT failure: restrict the
         # sup to the bulk |x| <= 6 n^{1/alpha}
         mask = np.abs(xs) <= 6.0 * scale
-        sup = float(np.abs(scale * sl - dens)[mask].max())
+        dens, _ = density_grid_smart(ctx.params.c_circ, xs[mask] / scale, ctx.params)
+        sup = float(np.abs(scale * table.values[n][0][mask] - dens).max())
         rep.rows.append({"n": n, "x": 0, "exact": sup, "rhs": 0.0, "ratio": sup, "regime": "llt"})
         rep.deviations.append(sup)
     return rep.finalize(crit)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -24,9 +25,10 @@ from .errors import (
     TruncationTooCoarse,
     WindowTooSmall,
 )
-from .killed_walk import ladder_renewals, marginal_kernel, run_kernel
+from .killed_walk import first_passage, ladder_renewals, run_kernel
 from .potential_theory import PotentialTable
-from .walk_model import WalkLaw, build_walk_law, parse_law_config, validate_tails
+from .stable_numerics import constants, density_grid_smart
+from .walk_model import WalkLaw, build_walk_law, parse_law_config, stable_params_of, validate_tails
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -110,7 +112,7 @@ def cmd_table(args) -> int:
     manifest.data["law_hash"] = law.law_hash()
     kind = args.kind
     if kind == "kernel":
-        table = marginal_kernel(law, args.n, window=args.window, keep=[args.n])
+        table = run_kernel(law, None, [0], args.n, window=args.window, keep=[args.n])
         path = out / f"kernel_n{args.n}.csv"
         path.write_text(table.to_csv(args.n))
     elif kind == "killed":
@@ -124,8 +126,6 @@ def cmd_table(args) -> int:
         path.write_text(pot.to_csv(args.x_max))
     elif kind == "fp":
         killing = ("set", tuple(int(z) for z in args.set.split(",")))
-        from .killed_walk import first_passage
-
         fp = first_passage(law, killing, args.x, args.n, window=args.window)
         lines = ["schema_version,n,f"]
         for n in range(1, args.n + 1):
@@ -133,29 +133,18 @@ def cmd_table(args) -> int:
         path = out / f"fp_x{args.x}_n{args.n}.csv"
         path.write_text("\n".join(lines) + "\n")
     elif kind == "constants":
-        import json as _json
-
-        from .stable_numerics import constants as _constants
-        from .walk_model import stable_params_of as _spo
-
-        import math as _math
-
-        params = _spo(law)
-        table = _constants(params)
+        params = stable_params_of(law)
         clean = {
-            k: (v if isinstance(v, str) or _math.isfinite(v) else None)
-            for k, v in table.as_dict().items()
+            k: (v if isinstance(v, str) or math.isfinite(v) else None)
+            for k, v in constants(params).as_dict().items()
         }
         payload = {f"({params.alpha!r},{params.gamma!r})": clean}
         path = out / "constants.json"
-        path.write_text(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif kind == "density":
-        from .stable_numerics import density_grid_smart as _dg
-        from .walk_model import stable_params_of as _spo
-
-        params = _spo(law)
+        params = stable_params_of(law)
         xs = [float(v) for v in args.set.split(",")]
-        vals, errs = _dg(args.t, xs, params)
+        vals, errs = density_grid_smart(args.t, xs, params)
         lines = ["schema_version,t,x,value,abs_error_estimate"]
         for x, v, e in zip(xs, vals, errs):
             lines.append(f"1,{args.t:.17g},{x:.17g},{v:.17g},{e:.17g}")
@@ -179,13 +168,9 @@ def cmd_table(args) -> int:
     return EXIT_PASS
 
 
-def _grid(quick: bool, full=(256, 1024, 4096), small=(64, 256, 1024)):
-    return small if quick else full
-
-
 def _registry(ctx: asy.LawContext, quick: bool):
     """theorem_id -> zero-arg callables returning VerificationReport(s), all on one context."""
-    g = _grid(quick)
+    g = (64, 256, 1024) if quick else (256, 1024, 4096)
 
     def cor1():
         if ctx.params.skew_sign > 0:
@@ -199,10 +184,8 @@ def _registry(ctx: asy.LawContext, quick: bool):
             asy.verify_thm2_small(ctx, n_values=g),
             asy.verify_thm2_bulk(ctx, n_values=g),
         ],
-        "thm3": lambda: [
-            asy.verify_thm2_small(ctx, n_values=g),
-            asy.verify_crossover(ctx),
-        ],
+        # thm2 writes the thm2_small report; thm3 adds the crossover scan
+        "thm3": lambda: [asy.verify_crossover(ctx)],
         "thm4": lambda: [
             asy.verify_thm4_y_small(ctx, n_values=g),
             asy.verify_bulk_scaling(ctx, n_values=g),

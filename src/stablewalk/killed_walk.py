@@ -34,6 +34,7 @@ from .walk_model import WalkLaw
 
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
 DP_VERSION = 2
+_TAU_ROWS = 1024  # tau rows per block of the Fourier oracle's theta integral
 
 # ---------------------------------------------------------------------------
 # killing-set descriptors
@@ -67,9 +68,10 @@ class KernelTable:
     """Killed/free n-step kernel slices with a conservation ledger.
 
     values[n] is an array (n_starts, 2W+1) and green[n] the sum of the
-    states of steps 0..n (after killing), both for each kept n; killed and
-    escaped are cumulative per-start ledgers indexed by step; step_killed is
-    the per-step kill mass (the first-passage mass into B at that step).
+    states of steps 0..n (after killing), both for each kept n; step_killed
+    is the per-step kill mass (the first-passage mass into B at that step),
+    and escaped and killed (derived from step_killed) are the cumulative
+    per-start ledgers indexed by step.
     entrance[:, n, j] is the mass entering B at step n at its j-th sorted
     in-window site for finite-set killing, or at depth j below the boundary
     for half-line killing with entrance_depth (entrance_lump holding the
@@ -84,11 +86,14 @@ class KernelTable:
     values: dict = field(default_factory=dict)
     green: dict = field(default_factory=dict)
     step_killed: np.ndarray | None = None
-    killed: np.ndarray | None = None
     escaped: np.ndarray | None = None
     entrance: np.ndarray | None = None
     entrance_depth: int = 0
     entrance_lump: np.ndarray | None = None
+
+    @property
+    def killed(self) -> np.ndarray:
+        return np.cumsum(self.step_killed, axis=1)
 
     def value(self, n: int, x: int, y: int) -> float:
         W = self.window
@@ -176,7 +181,6 @@ def run_kernel(
         starts=starts,
     )
     table.step_killed = np.zeros((ns, n_max + 1))
-    table.killed = np.zeros((ns, n_max + 1))
     table.escaped = np.zeros((ns, n_max + 1))
     half_le = B is not None and B[0] == "le"
     if entrance_depth:
@@ -194,7 +198,6 @@ def run_kernel(
         table.values[0] = states.copy()
         table.green[0] = green.copy()
 
-    killed_cum = np.zeros(ns)
     escaped_cum = np.zeros(ns)
     for n in range(1, n_max + 1):
         alive = states.sum(axis=1)
@@ -223,9 +226,7 @@ def run_kernel(
             states[:, sites] = 0.0
             escaped_cum += below + above + jump_up + jump_dn
         green += states
-        killed_cum += kill_now
         table.step_killed[:, n] = kill_now
-        table.killed[:, n] = killed_cum
         table.escaped[:, n] = escaped_cum
         if n in keep_set:
             table.values[n] = states.copy()
@@ -235,20 +236,6 @@ def run_kernel(
             f"escaped mass {escaped_cum.max():.3e} above budget {escape_budget:.1e} at W={W}"
         )
     return table
-
-
-def marginal_kernel(
-    law: WalkLaw, n_max: int, window: int | None = None, keep=None
-) -> KernelTable:
-    """Free kernel p^n(x) from the origin."""
-    return run_kernel(law, None, [0], n_max, window=window, keep=keep)
-
-
-def killed_kernel(
-    law: WalkLaw, B, n_max: int, starts, window: int | None = None, keep=None
-) -> KernelTable:
-    """Killed kernel p^n_B(x, .) for the given starts."""
-    return run_kernel(law, B, starts, n_max, window=window, keep=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +289,13 @@ def _theta_nodes_for_pi(law: WalkLaw, tau_min: float):
     return nodes, w
 
 
-def fourier_first_passage(law: WalkLaw, x: int, n: int, xs_extra=()) -> float:
-    """f^x(n) by double Fourier inversion (independent of the DP path)."""
-    vals = fourier_first_passage_batch(law, [x] + list(xs_extra), n)
-    return vals[0]
-
-
 def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     """f^x(n) for several x at one n.
 
     The outer tau integral uses half-period panels of cos(n tau); the inner
-    theta integral shares phi(theta) across the whole tau grid.
+    theta integral shares phi(theta) across the whole tau grid.  pi_y(tau) is
+    formed for y = 0 and every -x at once, in blocks of _TAU_ROWS tau rows,
+    so no (tau nodes, theta nodes) matrix is ever held whole.
     """
     xs = [int(x) for x in xs]
     if n < 1:
@@ -325,51 +308,31 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
 
     th, wth = _theta_nodes_for_pi(law, tau.min())
     omc = law.one_minus_char(th)           # 1 - phi(theta), theta > 0
-    phi_p = 1.0 - omc
-    phi_m = np.conj(phi_p)                 # phi(-theta)
+    omc_m = np.conj(omc)                   # 1 - phi(-theta)
 
-    # D(tau, theta) = (1 - e^{i tau}) + e^{i tau} (1 - phi(theta))
+    # D(tau, theta) = (1 - e^{i tau}) + e^{i tau} (1 - phi(theta)), and
+    # pi_y(tau) = (1/2pi) int e^{-iy theta}/D dtheta  (split +-theta)
     eit = np.exp(1j * tau)
     om_t = 2.0 * np.sin(tau / 2.0) ** 2 - 1j * np.sin(tau)  # 1 - e^{i tau}
-    Dp = om_t[:, None] + eit[:, None] * omc[None, :]
-    Dm = om_t[:, None] + eit[:, None] * np.conj(omc)[None, :]
-    inv_p = 1.0 / Dp
-    inv_m = 1.0 / Dm
+    ys = np.array([0] + [-x for x in xs], dtype=float)
+    ph = np.exp(-1j * np.outer(th, ys)) * wth[:, None]     # e^{-iy theta} w
+    ph_m = np.conj(ph)                                      # e^{+iy theta} w
+    pi = np.empty((len(tau), len(ys)), dtype=complex)
+    for lo in range(0, len(tau), _TAU_ROWS):
+        rows = slice(lo, lo + _TAU_ROWS)
+        inv_p = 1.0 / (om_t[rows, None] + eit[rows, None] * omc[None, :])
+        inv_m = 1.0 / (om_t[rows, None] + eit[rows, None] * omc_m[None, :])
+        pi[rows] = (inv_p @ ph + inv_m @ ph_m) / (2.0 * math.pi)
 
-    out = np.empty(len(xs))
-    # pi_y(tau) = (1/2pi) int e^{-iy theta}/D dtheta  (split +-theta)
-    def pi_y(y: int) -> np.ndarray:
-        ph = np.exp(-1j * y * th)
-        return ((inv_p * ph[None, :]) @ wth + (inv_m * np.conj(ph)[None, :]) @ wth) / (2.0 * math.pi)
-
-    pi0 = pi_y(0)
+    pi0 = pi[:, 0]
     cos_n = np.cos(n * tau)
+    out = np.empty(len(xs))
     for j, x in enumerate(xs):
-        f_hat = pi_y(-x) / pi0
+        f_hat = pi[:, j + 1] / pi0
         if x == 0:
             f_hat = f_hat - 1.0 / pi0
         out[j] = float((f_hat.real * cos_n) @ wtau) * 2.0 / math.pi
     return out
-
-
-# ---------------------------------------------------------------------------
-# half-line entrance law
-# ---------------------------------------------------------------------------
-
-
-def halfline_entrance(
-    law: WalkLaw,
-    x: int,
-    n_max: int,
-    window: int | None = None,
-    depth: int = 256,
-) -> KernelTable:
-    """Entrance law h^x(n, y) of (-inf, 0], resolved for -depth <= y <= 0."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    return run_kernel(
-        law, HALF_LE_0, [x], n_max, window=window, keep=[n_max], entrance_depth=depth
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +437,8 @@ def ladder_renewals(
 
     # recursion route (defective pmf; cross-check for small x)
     V_rec = _weak_renewal_recursion(q_as, x_max)
-    U_rec = _strict_renewal_recursion(q_ds, x_max)
+    # a strict descent has no zero height: the weak recursion with q(0) = 0
+    U_rec = _weak_renewal_recursion(np.concatenate([[0.0], q_ds]), x_max)
 
     return LadderTables(
         x_max=x_max,
@@ -504,18 +468,6 @@ def _weak_renewal_recursion(q_as: np.ndarray, x_max: int) -> np.ndarray:
             acc += q_as[j] * V[x - j]
         V[x] = acc / (1.0 - q0)
     return V
-
-
-def _strict_renewal_recursion(q_ds: np.ndarray, x_max: int) -> np.ndarray:
-    """U(x) = 1 + sum_{j <= x} q(|Z|=j) U(x - j)."""
-    U = np.zeros(x_max + 1)
-    for x in range(x_max + 1):
-        acc = 1.0
-        jmax = min(x, len(q_ds))
-        for j in range(1, jmax + 1):
-            acc += q_ds[j - 1] * U[x - j]
-        U[x] = acc
-    return U
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,8 @@ class IncrementSampler:
         self.core = core
         xs = np.arange(-core, core + 1, dtype=np.int64)
         probs = law.pmf(xs)
-        self.tail_p = float(law.sp) * float(core + 1) ** (-law.rp)  # P[X >= core+1]
-        self.tail_m = float(law.sm) * float(core + 1) ** (-law.rm)  # P[X <= -core-1]
+        # (P[X >= core+1], P[X <= -core-1])
+        self.tail_p, self.tail_m = law.escaped_split(core)
         self.core_mass = float(probs.sum())
         # mass bookkeeping is exact by construction: core + tails = 1
         self._xs = xs
@@ -118,18 +118,14 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def sample_increment(law: WalkLaw, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-    """Draw n increments exactly from the law."""
-    return IncrementSampler(law).sample(rng, n)
-
-
-def _split_trials(cfg: SimConfig):
-    base = cfg.trials // cfg.stream_count
-    rem = cfg.trials % cfg.stream_count
-    for s in range(cfg.stream_count):
-        t = base + (1 if s < rem else 0)
-        if t:
-            yield s, t
+def _chunks(cfg: SimConfig, chunk: int):
+    """(generator, trials) per chunk: cfg.trials split over the streams, each stream in chunks."""
+    base, rem = divmod(cfg.trials, cfg.stream_count)
+    for stream in range(cfg.stream_count):
+        trials = base + (1 if stream < rem else 0)
+        rng = stream_rng(cfg.seed, stream)
+        for done in range(0, trials, chunk):
+            yield rng, min(chunk, trials - done)
 
 
 def estimate_first_passage(
@@ -144,29 +140,22 @@ def estimate_first_passage(
     sampler = IncrementSampler(law)
     hit_at = np.zeros(horizon + 1)
     alive_at = {n: 0.0 for n in n_grid}
-    total = 0
-    for stream, trials in _split_trials(cfg):
-        rng = stream_rng(cfg.seed, stream)
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            pos = np.full(m, int(x), dtype=np.int64)
-            alive = np.ones(m, dtype=bool)
-            for n in range(1, horizon + 1):
-                idx = np.nonzero(alive)[0]
-                if len(idx) == 0:
-                    break
-                pos[idx] += sampler.sample(rng, len(idx))
-                hit = idx[pos[idx] == 0]
-                if len(hit):
-                    hit_at[n] += len(hit)
-                    alive[hit] = False
-                if n in alive_at:
-                    alive_at[n] += int(alive.sum())
-            done += m
-        total += trials
-    out_f = {n: _binom_ci(hit_at[n], total) for n in n_grid}
-    out_s = {n: _binom_ci(alive_at[n], total) for n in n_grid}
+    for rng, m in _chunks(cfg, chunk):
+        pos = np.full(m, int(x), dtype=np.int64)
+        alive = np.ones(m, dtype=bool)
+        for n in range(1, horizon + 1):
+            idx = np.nonzero(alive)[0]
+            if len(idx) == 0:
+                break
+            pos[idx] += sampler.sample(rng, len(idx))
+            hit = idx[pos[idx] == 0]
+            if len(hit):
+                hit_at[n] += len(hit)
+                alive[hit] = False
+            if n in alive_at:
+                alive_at[n] += int(alive.sum())
+    out_f = {n: _binom_ci(hit_at[n], cfg.trials) for n in n_grid}
+    out_s = {n: _binom_ci(alive_at[n], cfg.trials) for n in n_grid}
     return {"f": out_f, "survival": out_s}
 
 
@@ -186,29 +175,24 @@ def estimate_conditional_escape(
     sampler = IncrementSampler(law)
     accept = 0
     deep = 0
-    for stream, trials in _split_trials(cfg):
-        rng = stream_rng(cfg.seed, stream)
-        done = 0
-        while done < trials:
-            m = min(chunk, trials - done)
-            pos = np.full(m, int(x), dtype=np.int64)
-            ok = np.ones(m, dtype=bool)          # sigma_0 > current step
-            entered = np.zeros(m, dtype=bool)
-            entry_val = np.zeros(m, dtype=np.int64)
-            for _ in range(n):
-                idx = np.nonzero(ok)[0]
-                if len(idx) == 0:
-                    break
-                pos[idx] += sampler.sample(rng, len(idx))
-                sub = pos[idx]
-                ok[idx[sub == 0]] = False
-                new_entry = idx[(sub < 0) & (~entered[idx])]
-                entered[new_entry] = True
-                entry_val[new_entry] = pos[new_entry]
-            sel = ok & (pos == y)
-            accept += int(sel.sum())
-            deep += int((entry_val[sel] < -R).sum())
-            done += m
+    for rng, m in _chunks(cfg, chunk):
+        pos = np.full(m, int(x), dtype=np.int64)
+        ok = np.ones(m, dtype=bool)          # sigma_0 > current step
+        entered = np.zeros(m, dtype=bool)
+        entry_val = np.zeros(m, dtype=np.int64)
+        for _ in range(n):
+            idx = np.nonzero(ok)[0]
+            if len(idx) == 0:
+                break
+            pos[idx] += sampler.sample(rng, len(idx))
+            sub = pos[idx]
+            ok[idx[sub == 0]] = False
+            new_entry = idx[(sub < 0) & (~entered[idx])]
+            entered[new_entry] = True
+            entry_val[new_entry] = pos[new_entry]
+        sel = ok & (pos == y)
+        accept += int(sel.sum())
+        deep += int((entry_val[sel] < -R).sum())
     if accept < min_effective:
         raise ConditioningTooRare(
             f"only {accept} paths satisfied the conditioning (floor {min_effective})"

@@ -65,20 +65,12 @@ def potential_a_grid(law: WalkLaw, xs) -> np.ndarray:
     return out
 
 
-def potential_a(law: WalkLaw, x: int) -> float:
-    """Potential kernel a(x) = sum_n [p^n(0) - p^n(-x)]."""
-    if x == 0:
-        return 0.0
-    return float(potential_a_grid(law, [x])[0])
-
-
 @dataclass
 class PotentialTable:
-    """Cached a(x) values for one law."""
+    """Cached a(x) = sum_n [p^n(0) - p^n(-x)] values for one law."""
 
     law: WalkLaw
     values: dict = field(default_factory=dict)
-    abs_error: float = 1e-11
 
     def a(self, x: int) -> float:
         x = int(x)
@@ -97,12 +89,6 @@ class PotentialTable:
             return
         vals = potential_a_grid(self.law, missing)
         self.values.update(zip(missing, vals))
-
-    @classmethod
-    def build(cls, law: WalkLaw, window: int) -> "PotentialTable":
-        table = cls(law=law)
-        table.fill(range(-window, window + 1))
-        return table
 
     def to_csv(self, window: int) -> str:
         self.fill(range(-window, window + 1))
@@ -157,7 +143,6 @@ class FiniteSetPotential:
             raise SingularSystem(str(exc)) from exc
         if not np.isfinite(cond) or cond > 1e13:
             raise SingularSystem(f"hitting system condition number {cond:.2e}")
-        self._mat = mat
         self._lu = np.linalg.inv(mat)
 
     def _solve(self, x: int) -> np.ndarray:
@@ -194,21 +179,6 @@ class FiniteSetPotential:
         for j, z in enumerate(self.A):
             val += sol[j] * self.pot.a(z - y)
         return float(val)
-
-    def to_json(self) -> str:
-        import json
-
-        payload = {
-            "schema_version": 1,
-            "A": self.A,
-            "law_hash": self.pot.law.law_hash(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def u_A(pot: PotentialTable, A, x: int) -> float:
-    """Harmonic function of the killed walk at x."""
-    return FiniteSetPotential(pot, A).u(x)
 
 
 def _aitken_limit(seq) -> float:

@@ -258,20 +258,25 @@ def gk_panels(breaks: np.ndarray):
     return nodes, wk, wg.ravel(), np.repeat(np.arange(len(a)), 15)
 
 
+def _panel_sums(f, breaks):
+    """Per-panel (GK15, G7) sums of callable f (vectorised, complex ok)."""
+    nodes, wk, wg, idx = gk_panels(breaks)
+    vals = f(nodes)
+
+    def per_panel(w):
+        v = vals * w
+        return np.bincount(idx, weights=v.real) + 1j * np.bincount(idx, weights=v.imag)
+
+    return per_panel(wk), per_panel(wg)
+
+
 def integrate_panels(f, breaks):
     """Integrate callable f (vectorised, complex ok) over fixed panels.
 
     Returns (value, error_estimate); the estimate is the summed |GK15 - G7|
     panel difference.
     """
-    nodes, wk, wg, idx = gk_panels(np.asarray(breaks, dtype=float))
-    vals = f(nodes)
-    per_k = np.bincount(idx, weights=(vals * wk).real) + 1j * np.bincount(
-        idx, weights=(vals * wk).imag
-    )
-    per_g = np.bincount(idx, weights=(vals * wg).real) + 1j * np.bincount(
-        idx, weights=(vals * wg).imag
-    )
+    per_k, per_g = _panel_sums(f, np.asarray(breaks, dtype=float))
     return per_k.sum(), float(np.abs(per_k - per_g).sum())
 
 
@@ -279,14 +284,7 @@ def integrate_adaptive(f, a, b, abs_tol=1e-12, max_splits=14, initial=33):
     """Adaptive panel-splitting GK15 on [a, b] for vectorised complex f."""
     breaks = np.linspace(a, b, initial)
     for _ in range(max_splits):
-        nodes, wk, wg, idx = gk_panels(breaks)
-        vals = f(nodes)
-        per_k = np.bincount(idx, weights=(vals * wk).real) + 1j * np.bincount(
-            idx, weights=(vals * wk).imag
-        )
-        per_g = np.bincount(idx, weights=(vals * wg).real) + 1j * np.bincount(
-            idx, weights=(vals * wg).imag
-        )
+        per_k, per_g = _panel_sums(f, breaks)
         err = np.abs(per_k - per_g)
         if err.sum() <= abs_tol:
             return per_k.sum(), float(err.sum())

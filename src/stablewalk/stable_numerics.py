@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureNonConvergence, WrongSkew
-from .special import gamma_fn, gk_panels, integrate_panels
+from .special import gamma_fn, gk_panels
 from .walk_model import StableParams
 
 _CUT = 44.0  # exp(-44) ~ 8e-20: below double noise for O(1) integrands
@@ -82,22 +82,12 @@ def density_series_far(t: float, xs: np.ndarray, params: StableParams, deriv: in
     """p_t(x) (or d/dx p_t) by the far-tail series; |x| >> t^{1/alpha} only."""
     xs = np.asarray(xs, dtype=float)
     a = params.alpha
-    out = np.zeros(xs.shape)
-    err = np.zeros(xs.shape)
-    z = np.abs(xs)
     side = np.where(xs >= 0, 1, -1)
-    for k in range(1, terms + 1):
-        coef = (-1.0) ** (k - 1) * gamma_fn(k * a + 1.0) / math.factorial(k) / math.pi
-        sin_k = np.where(side > 0, _tail_sin(params, k, +1), _tail_sin(params, k, -1))
-        if deriv == 0:
-            out += coef * sin_k * t ** k * z ** (-k * a - 1.0)
-        else:
-            # d/dx p_t(x): for x<0 the chain rule flips the sign
-            out += side * (-(k * a + 1.0)) * coef * sin_k * t ** k * z ** (-k * a - 2.0)
-    k = terms + 1
-    mag = gamma_fn(k * a + 1.0) / math.factorial(k) / math.pi * t ** k
-    err = mag * z ** (-k * a - 1.0 - deriv)
-    return out, err
+    if deriv == 0:
+        return _far_series(t, np.abs(xs), params, side, terms, lambda k: 1.0, -1.0)
+    out, err = _far_series(t, np.abs(xs), params, side, terms, lambda k: -(k * a + 1.0), -2.0)
+    # d/dx p_t(x): for x<0 the chain rule flips the sign
+    return side * out, err
 
 
 _SERIES_SWITCH = 35.0  # |x| / t^{1/alpha} beyond which the far series is used
@@ -151,48 +141,38 @@ def _tail_sin(params: StableParams, k: int, side: int) -> float:
     return math.sin(k * math.pi * arg / 2.0)
 
 
-def tail_mass_series(X: float, t: float, params: StableParams, side: int, terms: int = 3):
-    """(P[Y_t > X] or P[Y_t < -X], error bound) by the asymptotic series."""
+def _far_series(t: float, z, params: StableParams, side, terms: int, weight, shift: float):
+    """(sum_{k <= terms} c_k weight(k) z^{shift - k alpha}, first omitted term's size).
+
+    c_k = (-1)^{k-1} Gamma(k alpha + 1)/k! sin(k pi (alpha -+ gamma)/2) t^k / pi
+    is the k-th coefficient of p_t(+-z) in powers of z^{-alpha}; its tail
+    integrals and derivative differ only in weight(k) and shift.  The error
+    bound is the (terms + 1)-th term without its sine.  side (+1 / -1) may be
+    an array matching z.
+    """
     a = params.alpha
     total = 0.0
     for k in range(1, terms + 1):
-        total += (
-            (-1.0) ** (k - 1)
-            * gamma_fn(k * a + 1.0)
-            / (math.factorial(k) * k * a)
-            * _tail_sin(params, k, side)
-            * t ** k
-            * X ** (-k * a)
-        ) / math.pi
+        c_k = (-1.0) ** (k - 1) * gamma_fn(k * a + 1.0) / math.factorial(k) * t ** k / math.pi
+        sin_k = np.where(side > 0, _tail_sin(params, k, +1), _tail_sin(params, k, -1))
+        total = total + c_k * sin_k * weight(k) * z ** (shift - k * a)
     k = terms + 1
-    bound = (
-        gamma_fn(k * a + 1.0) / (math.factorial(k) * k * a) * t ** k * X ** (-k * a) / math.pi
-    )
-    return total, bound
+    mag = gamma_fn(k * a + 1.0) / math.factorial(k) * t ** k / math.pi
+    return total, mag * abs(weight(k)) * z ** (shift - k * a)
+
+
+def tail_mass_series(X: float, t: float, params: StableParams, side: int, terms: int = 3):
+    """(P[Y_t > X] or P[Y_t < -X], error bound) by the asymptotic series."""
+    a = params.alpha
+    total, bound = _far_series(t, X, params, side, terms, lambda k: 1.0 / (k * a), 0.0)
+    return float(total), bound
 
 
 def tail_absmoment_series(X: float, t: float, params: StableParams, side: int, terms: int = 3):
     """(int_X^inf x p_t(+-x) dx, error bound) by the asymptotic series."""
     a = params.alpha
-    total = 0.0
-    for k in range(1, terms + 1):
-        total += (
-            (-1.0) ** (k - 1)
-            * gamma_fn(k * a + 1.0)
-            / (math.factorial(k) * (k * a - 1.0))
-            * _tail_sin(params, k, side)
-            * t ** k
-            * X ** (1.0 - k * a)
-        ) / math.pi
-    k = terms + 1
-    bound = (
-        gamma_fn(k * a + 1.0)
-        / (math.factorial(k) * (k * a - 1.0))
-        * t ** k
-        * X ** (1.0 - k * a)
-        / math.pi
-    )
-    return total, bound
+    total, bound = _far_series(t, X, params, side, terms, lambda k: 1.0 / (k * a - 1.0), 1.0)
+    return float(total), bound
 
 
 def _x_breaks(t: float, X: float) -> np.ndarray:

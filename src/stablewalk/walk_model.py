@@ -464,11 +464,6 @@ def stable_params_of(law: WalkLaw) -> StableParams:
     return StableParams(alpha=alpha, gamma=gamma, c_circ=c_circ, rho=rho)
 
 
-def char_fn(law: WalkLaw, theta) -> complex | np.ndarray:
-    res = law.char_fn(theta)
-    return complex(res[0]) if np.isscalar(theta) else res
-
-
 # ---------------------------------------------------------------------------
 # builder
 # ---------------------------------------------------------------------------

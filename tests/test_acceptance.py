@@ -37,7 +37,7 @@ from stablewalk.asymptotics import (
 from stablewalk.killed_walk import (
     first_passage,
     fourier_first_passage_batch,
-    killed_kernel,
+    run_kernel,
 )
 from stablewalk.montecarlo import SimConfig, estimate_first_passage
 from stablewalk.potential_theory import (
@@ -78,7 +78,7 @@ def test_criterion_1_exact_identities():
 
     # conservation + duality on |x|,|y| <= 20, n <= 128
     starts = list(range(-20, 21))
-    tab = killed_kernel(law, [0], 128, starts, window=W, keep=[32, 128])
+    tab = run_kernel(law, [0], starts, 128, window=W, keep=[32, 128])
     for n in (32, 128):
         worst = max(worst, float(tab.conservation_defect(n).max()))
     for n in (32, 128):
@@ -91,7 +91,7 @@ def test_criterion_1_exact_identities():
                 rhs = M[starts.index(-y)][-x + W]
                 worst = max(worst, abs(lhs - rhs))
     rev = law.reversed()
-    tab_r = killed_kernel(rev, [0], 128, starts, window=W, keep=[128])
+    tab_r = run_kernel(rev, [0], starts, 128, window=W, keep=[128])
     for x in (-17, 3, 20):
         for y in (-20, -1, 5):
             lhs = tab.values[128][starts.index(x)][y + W]
@@ -100,8 +100,8 @@ def test_criterion_1_exact_identities():
 
     # Chapman-Kolmogorov (m, n) = (16, 16) over the full window
     zs = list(range(-W, W + 1))
-    t16 = killed_kernel(law, [0], 16, zs, window=W, keep=[16])
-    t32 = killed_kernel(law, [0], 32, [3], window=W, keep=[32])
+    t16 = run_kernel(law, [0], zs, 16, window=W, keep=[16])
+    t32 = run_kernel(law, [0], [3], 32, window=W, keep=[32])
     comp = t16.values[16][zs.index(3)] @ t16.values[16]
     ck_err = float(np.abs(comp - t32.values[32][0]).max())
     ledger = float(t16.escaped[zs.index(3), 16])

@@ -1,14 +1,17 @@
-"""The package names the benchmark tracer (perfbench/tracer.py) wraps must exist.
+"""The package names the benchmark (perfbench/) wraps and calls must exist.
 
-A rename then fails here instead of crashing a traced benchmark run.  The
-tracer module is only loaded, never installed.
+A rename then fails here instead of crashing a benchmark run.  The tracer
+module is only loaded, never installed; the workload module is only parsed.
 """
+import ast
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOAD = PERFBENCH / "workload.py"
 
 # hooks the tracer patches besides its SPANS table
 EXTRA_HOOKS = (
@@ -16,6 +19,14 @@ EXTRA_HOOKS = (
     ("killed_walk", "KernelTable.__init__"),
     ("montecarlo", "IncrementSampler.sample"),
     ("cli", "_registry"),
+)
+
+# attributes the workload body reads off the objects it gets back
+WORKLOAD_ATTRS = (
+    ("killed_walk", "KernelTable", "killed"),
+    ("killed_walk", "KernelTable", "conservation_defect"),
+    ("potential_theory", "PotentialTable", "to_csv"),
+    ("potential_theory", "FiniteSetPotential", "u"),
 )
 
 
@@ -39,6 +50,29 @@ def _resolves(module: str, attr: str) -> bool:
 def test_tracer_hooks_resolve():
     hooks = list(_tracer_spans()) + list(EXTRA_HOOKS)
     missing = [f"{m}.{a}" for m, a in hooks if not _resolves(m, a)]
+    assert not missing
+
+
+def test_workload_imports_resolve():
+    """Every `from stablewalk... import name` and `stablewalk.name` in the workload exists."""
+    tree = ast.parse(WORKLOAD.read_text())
+    wanted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "stablewalk":
+            wanted += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "stablewalk":
+            wanted.append(("stablewalk", node.attr))
+    assert len(wanted) > 5
+    missing = [f"{m}.{a}" for m, a in wanted if not hasattr(importlib.import_module(m), a)]
+    assert not missing
+
+
+def test_workload_attributes_exist():
+    missing = [
+        f"{m}.{c}.{a}"
+        for m, c, a in WORKLOAD_ATTRS
+        if not hasattr(getattr(importlib.import_module(f"stablewalk.{m}"), c), a)
+    ]
     assert not missing
 
 

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from conftest import get_ctx
 from stablewalk import asymptotics
-from stablewalk.cli import main
+from stablewalk.cli import _registry, main
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +144,9 @@ def test_verify_all_quick_writes_summary(built_law, tmp_path, monkeypatch):
     assert len(written) > 1
     for path in written:
         assert (out2 / path.name).read_bytes() == path.read_bytes()
+
+
+def test_thm3_runs_only_the_crossover_scan():
+    """thm2 writes thm2_small; thm3 must not write it a second time."""
+    reports = _registry(get_ctx("spx15"), True)["thm3"]()
+    assert [r.theorem_id for r in reports] == ["crossover"]

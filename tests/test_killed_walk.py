@@ -11,12 +11,9 @@ from stablewalk.killed_walk import (
     _fft_stepper,
     default_window,
     first_passage,
-    fourier_first_passage,
-    halfline_entrance,
+    fourier_first_passage_batch,
     k_estimate,
-    killed_kernel,
     ladder_renewals,
-    marginal_kernel,
     run_kernel,
 )
 from stablewalk.special import gamma_fn
@@ -24,12 +21,12 @@ from stablewalk.stable_numerics import density_grid_smart
 
 
 def test_one_step_is_pmf(sym15):
-    tab = marginal_kernel(sym15, 4, window=512, keep=[1])
+    tab = run_kernel(sym15, None, [0], 4, window=512, keep=[1])
     assert np.abs(tab.values[1][0] - sym15.pmf_window(512)).max() < 1e-16
 
 
 def test_conservation_every_step(sym15):
-    tab = killed_kernel(sym15, [0], 512, [3, -7], window=700)
+    tab = run_kernel(sym15, [0], [3, -7], 512, window=700)
     for n in (1, 64, 511, 512):
         assert tab.conservation_defect(n).max() < 1e-12
 
@@ -76,7 +73,7 @@ def test_set_entrance_sums_to_step_killed(asym15):
 
 
 def test_killed_rows_vanish_on_set(sym15):
-    tab = killed_kernel(sym15, [0, 5], 64, [-3], window=512, keep=[16, 64])
+    tab = run_kernel(sym15, [0, 5], [-3], 64, window=512, keep=[16, 64])
     for n in (16, 64):
         assert tab.value(n, -3, 0) == 0.0
         assert tab.value(n, -3, 5) == 0.0
@@ -86,10 +83,10 @@ def test_duality_relation(sym15, asym15):
     """Same-law reversal p^n_0(x, y) = p^n_0(-y, -x) and the reversed-law
     form p^n_0(x, y) = p-hat^n_0(y, x), both exact."""
     for law in (sym15, asym15):
-        t1 = killed_kernel(law, [0], 64, [3], window=512, keep=[64])
-        t2 = killed_kernel(law, [0], 64, [5], window=512, keep=[64])
+        t1 = run_kernel(law, [0], [3], 64, window=512, keep=[64])
+        t2 = run_kernel(law, [0], [5], 64, window=512, keep=[64])
         assert t1.value(64, 3, -5) == pytest.approx(t2.value(64, 5, -3), abs=1e-15)
-        t3 = killed_kernel(law.reversed(), [0], 64, [-5], window=512, keep=[64])
+        t3 = run_kernel(law.reversed(), [0], [-5], 64, window=512, keep=[64])
         assert t1.value(64, 3, -5) == pytest.approx(t3.value(64, -5, 3), abs=1e-15)
 
 
@@ -98,8 +95,8 @@ def test_chapman_kolmogorov(sym15):
     W = 512
     m = n = 16
     zs = list(range(-W, W + 1))
-    t_all = killed_kernel(sym15, [0], m, zs, window=W, keep=[m])
-    big = killed_kernel(sym15, [0], m + n, [3], window=W, keep=[m + n])
+    t_all = run_kernel(sym15, [0], zs, m, window=W, keep=[m])
+    big = run_kernel(sym15, [0], [3], m + n, window=W, keep=[m + n])
     row3 = t_all.values[m][zs.index(3)]
     comp = row3 @ t_all.values[m]
     direct = big.values[m + n][0]
@@ -109,8 +106,8 @@ def test_chapman_kolmogorov(sym15):
 
 
 def test_monotone_domination_larger_killing_set(sym15):
-    t_small = killed_kernel(sym15, [0], 32, [4], window=512, keep=[32])
-    t_big = killed_kernel(sym15, HALF_LE_0, 32, [4], window=512, keep=[32])
+    t_small = run_kernel(sym15, [0], [4], 32, window=512, keep=[32])
+    t_big = run_kernel(sym15, HALF_LE_0, [4], 32, window=512, keep=[32])
     assert np.all(t_big.values[32][0] <= t_small.values[32][0] + 1e-15)
 
 
@@ -136,19 +133,32 @@ def test_window_too_small_raised(sym15):
 @pytest.mark.parametrize("x,n", [(0, 8), (3, 32), (-3, 32), (8, 128), (0, 128)])
 def test_fourier_oracle_vs_dp(sym15, x, n):
     fdp = float(first_passage(sym15, [0], x, n, window=1024).f[n])
-    ffo = fourier_first_passage(sym15, x, n)
+    ffo = fourier_first_passage_batch(sym15, [x], n)[0]
     assert abs(fdp - ffo) < 1e-4
     # declared oracle accuracy is much tighter at this scale
     assert abs(fdp - ffo) < 2e-5
 
 
 def test_fourier_oracle_first_coefficient(sym15):
-    assert fourier_first_passage(sym15, 0, 1) == pytest.approx(sym15.p0, abs=1e-6)
+    assert fourier_first_passage_batch(sym15, [0], 1)[0] == pytest.approx(sym15.p0, abs=1e-6)
 
 
 def test_fourier_oracle_asymmetric(asym15):
     fdp = float(first_passage(asym15, [0], 3, 64, window=1024).f[64])
-    assert fourier_first_passage(asym15, 3, 64) == pytest.approx(fdp, abs=1e-5)
+    assert fourier_first_passage_batch(asym15, [3], 64)[0] == pytest.approx(fdp, abs=1e-5)
+
+
+def test_fourier_oracle_memory_is_blocked(sym15):
+    """The theta integral runs in blocks of tau rows, never on whole (tau, theta) matrices."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fourier_first_passage_batch(sym15, [-20, -3, 0, 5, 17], 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_llt_sup_shrinks(sym15):
@@ -168,13 +178,13 @@ def test_llt_sup_shrinks(sym15):
 
 
 def test_halfline_entrance_one_step(sp15):
-    he = halfline_entrance(sp15, 4, 16, window=512, depth=64)
+    he = run_kernel(sp15, HALF_LE_0, [4], 16, window=512, keep=[16], entrance_depth=64)
     ys = -np.arange(0, 65)
     assert np.abs(he.entrance[0][1] - sp15.pmf(ys - 4)).max() < 1e-16
 
 
 def test_halfline_entrance_conservation(sp15):
-    he = halfline_entrance(sp15, 4, 64, window=512, depth=128)
+    he = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=128)
     total = (
         he.entrance[0].sum()
         + he.entrance_lump[0].sum()

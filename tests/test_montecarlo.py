@@ -10,16 +10,16 @@ from stablewalk.montecarlo import (
     SimConfig,
     estimate_conditional_escape,
     estimate_first_passage,
-    sample_increment,
     stream_rng,
 )
 
 
 def test_stream_determinism(sym15):
-    a = sample_increment(sym15, stream_rng(11, 2), 5000)
-    b = sample_increment(sym15, stream_rng(11, 2), 5000)
+    sampler = IncrementSampler(sym15)
+    a = sampler.sample(stream_rng(11, 2), 5000)
+    b = sampler.sample(stream_rng(11, 2), 5000)
     assert np.array_equal(a, b)
-    c = sample_increment(sym15, stream_rng(11, 3), 5000)
+    c = sampler.sample(stream_rng(11, 3), 5000)
     assert not np.array_equal(a, c)
 
 

@@ -13,7 +13,7 @@ from stablewalk.potential_theory import (
     c_plus,
     green_origin,
     hit_before,
-    potential_a,
+    potential_a_grid,
 )
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import constants
@@ -21,11 +21,13 @@ from stablewalk.stable_numerics import constants
 
 @pytest.fixture(scope="module")
 def pot15(sym15):
-    return PotentialTable.build(sym15, 64)
+    pot = PotentialTable(sym15)
+    pot.fill(range(-64, 65))
+    return pot
 
 
 def test_a_zero(sym15):
-    assert potential_a(sym15, 0) == 0.0
+    assert potential_a_grid(sym15, [0])[0] == 0.0
 
 
 def test_a_positive_two_sided(pot15):

@@ -194,10 +194,10 @@ def test_strong_aperiodicity_dp(sym15, lc15):
     """p^n(x) > 0 for all |x| <= 10 once n is moderately large."""
     import numpy as np
 
-    from stablewalk.killed_walk import marginal_kernel
+    from stablewalk.killed_walk import run_kernel
 
     for law in (sym15, lc15):
-        tab = marginal_kernel(law, 24, window=512, keep=[24])
+        tab = run_kernel(law, None, [0], 24, window=512, keep=[24])
         sl = tab.values[24][0]
         xs = np.arange(-10, 11)
         assert np.all(sl[xs + 512] > 0)
