@@ -15,10 +15,15 @@ context owns all per-law state: the stable parameters and named constants,
 one PotentialTable that every theorem reads and fills, and the memo of DP
 slices, so each distinct DP runs once per run.  Only the on-disk artifact
 cache (STABLEWALK_CACHE) spans runs.
+
+Every f^x(n) is f^x_W(n) = p~^n_{0}(0, x), read at site x of the reversed
+law's {0}-killed run from 0 (LawContext.dual_slice): thm1, thm2_small, comp
+and finite share one at W(n_max), crossover has its own, thm2_bulk, thm4 and
+thm5 share one per n, prop21 has one per n.  Forward {0}-killed runs give
+only kernel slices p^n_0(x, .); prop23 reads p^n_0(x, y) = p~^n_0(y, x).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -118,17 +123,17 @@ class VerificationReport:
             "notes": self.notes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2, sort_keys=True)
-
 
 class DPSlice(NamedTuple):
-    """One-start DP to step n: p^n_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass."""
+    """One-start DP at kept step m: p^m_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass at m."""
 
     slice: np.ndarray
     window: int
     f: np.ndarray
     escaped: float
+
+    def at(self, y: int) -> float:
+        return float(self.slice[y + self.window])
 
 
 @dataclass
@@ -139,7 +144,7 @@ class LawContext:
     params: StableParams
     consts: ConstantsTable
     pot: PotentialTable
-    # (killing set, x, n, W) -> DPSlice, in front of the artifact cache
+    # (law hash, killing set, x, n, W) -> {kept m: DPSlice}, in front of the artifact cache
     memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -148,24 +153,45 @@ class LawContext:
         return cls(law=law, params=params, consts=constants(params), pot=PotentialTable(law))
 
     def dp_slice(self, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
-        """run_kernel(law, B, [x], n, keep=[n]) at W = default_window(law, n, mult).
+        """run_kernel(law, B, [x], n, keep=[n]) at W = default_window(law, n, mult)."""
+        return self._run(self.law, B, x, n, default_window(self.law, n, mult), [n])[n]
 
-        Runs once per context for each resolved W (mult values that resolve to
-        the same window share a run) and hands out read-only arrays.
+    def dual_slice(self, ns, mult: float = 8.0) -> dict:
+        """{m: DPSlice} for m in ns of the reversed law's {0}-killed run from 0 to max(ns).
+
+        On W = default_window(law, max(ns), mult) site x of the slice at m is
+        f^x_W(m) exactly (the windowed reversed step matrix is the transpose
+        of the forward one), and the kill ledger .f is f^0_W.
         """
-        W = default_window(self.law, n, mult)
-        memo_key = (str(B), x, n, W)
-        if memo_key not in self.memo:
-            key = cache.content_key(self.law.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W)
-            arrays = cache.load(key, shapes={"slice": (2 * W + 1,), "f": (n + 1,), "escaped": (1,)})
-            if arrays is None:
-                table = run_kernel(self.law, B, [x], n, window=W, keep=[n])
-                arrays = {"slice": table.values[n][0], "f": table.step_killed[0], "escaped": table.escaped[0, n:]}
-                cache.store(key, **arrays)
-            for arr in arrays.values():
-                arr.flags.writeable = False
-            self.memo[memo_key] = DPSlice(arrays["slice"], W, arrays["f"], float(arrays["escaped"][0]))
-        return self.memo[memo_key]
+        n = max(ns)
+        return self._run(self.law.reversed(), ("set", (0,)), 0, n, default_window(self.law, n, mult), ns)
+
+    def _run(self, law: WalkLaw, B, x: int, n: int, W: int, keep) -> dict:
+        """{m: DPSlice} for m in keep of run_kernel(law, B, [x], n, window=W), read-only.
+
+        One run per (law, B, x, n, W) and context; asking for a step it did not
+        keep reruns it kept at both requests (keep does not change the floats).
+        """
+        base = (law.law_hash(), str(B), x, n, W)
+        runs = self.memo.get(base, {})
+        if set(keep) <= runs.keys():
+            return runs
+        keep = sorted(set(keep) | runs.keys())
+        # kept at its last step only: the key and 1-D layout of a plain dp_slice artifact
+        shape = (2 * W + 1,) if len(keep) == 1 else (len(keep), 2 * W + 1)
+        extra = {} if len(keep) == 1 else {"keep": keep}
+        key = cache.content_key(base[0], "dp_slice", B=str(B), x=x, n=n, W=W, **extra)
+        arrays = cache.load(key, shapes={"slice": shape, "f": (n + 1,), "escaped": (len(keep),)})
+        if arrays is None:
+            table = run_kernel(law, B, [x], n, window=W, keep=keep)
+            arrays = {"slice": np.stack([table.values[m][0] for m in keep]).reshape(shape),
+                      "f": table.step_killed[0], "escaped": table.escaped[0, keep]}
+            cache.store(key, **arrays)
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        slices = arrays["slice"].reshape(len(keep), 2 * W + 1)
+        self.memo[base] = {m: DPSlice(sl, W, arrays["f"], float(esc)) for m, sl, esc in zip(keep, slices, arrays["escaped"])}
+        return self.memo[base]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +244,11 @@ def rhs_theorem4_5(
 ) -> float:
     """Killed-kernel rhs per Theorem 4 (|gamma| < 2-alpha) / Theorem 5 (= 2-alpha).
 
-    f_x / f_minus_y are exact first-passage values when supplied; otherwise
-    the theorem-1 asymptote with the potential prefactor is substituted.
+    f_x / f_minus_y default to the theorem-1 asymptote with the potential
+    prefactor.  The bulk regime has no closed form: see verify_bulk_scaling.
     """
-    params, consts = ctx.params, ctx.consts
-    inv_a = 1.0 / params.alpha
-    xn, yn = x / n ** inv_a, y / n ** inv_a
+    inv_a = 1.0 / ctx.params.alpha
+    xn = x / n ** inv_a
     if regime == "y_small":
         fx = f_x if f_x is not None else rhs_theorem2_3(ctx, x, n, "x_small")
         return fx * ctx.pot.a(-y)
@@ -235,10 +260,6 @@ def rhs_theorem4_5(
                 raise RegimeViolation("gamma = 2 - alpha x_small regime needs a K value")
             val += max(xn, 0.0) * K_val / n ** inv_a
         return val
-    if regime == "bulk":
-        # the stable killed density has no closed form; the bulk regime is
-        # checked by scaled-DP self-consistency in verify_bulk_scaling
-        raise RegimeViolation("bulk regime is handled by verify_bulk_scaling")
     raise RegimeViolation(f"unknown regime {regime!r}")
 
 
@@ -283,7 +304,7 @@ def verify_thm1(
     crit: TrendCriterion = TrendCriterion(final_cap=0.15),
 ) -> VerificationReport:
     """n^{2-1/alpha} f^0(n) against kappa c^{1/alpha}."""
-    fp = ctx.dp_slice(("set", (0,)), 0, max(n_values))
+    fp = ctx.dual_slice(n_values)[max(n_values)]
     rep = VerificationReport(theorem_id="thm1")
     for n in n_values:
         rep.add_row(float(fp.f[n]), f0_asymptote(n, ctx.params, ctx.consts), n=n, x=0)
@@ -301,8 +322,7 @@ def verify_thm2_bulk(
     rep = VerificationReport(theorem_id="thm2_bulk")
     for n in n_values:
         x = max(1, int(math.floor(xi * n ** (1.0 / ctx.params.alpha))))
-        fp = ctx.dp_slice(("set", (0,)), x, n)
-        rep.add_row(float(fp.f[n]), rhs_theorem2_3(ctx, x, n, "bulk"), n=n, x=x, regime="bulk")
+        rep.add_row(ctx.dual_slice([n])[n].at(x), rhs_theorem2_3(ctx, x, n, "bulk"), n=n, x=x, regime="bulk")
     return rep.finalize(crit)
 
 
@@ -314,10 +334,10 @@ def verify_thm2_small(
 ) -> VerificationReport:
     """f^x(n) ~ a_dagger(x) f^0(n) (+ spectral term when gamma x > 0)."""
     rep = VerificationReport(theorem_id="thm2_small")
-    fp = ctx.dp_slice(("set", (0,)), x_fixed, max(n_values))
+    dual = ctx.dual_slice(n_values)
     for n in n_values:
         rhs = rhs_theorem2_3(ctx, x_fixed, n, "x_small")
-        rep.add_row(float(fp.f[n]), rhs, n=n, x=x_fixed, regime="x_small")
+        rep.add_row(dual[n].at(x_fixed), rhs, n=n, x=x_fixed, regime="x_small")
     return rep.finalize(crit)
 
 
@@ -344,16 +364,15 @@ def verify_crossover(
     rep = VerificationReport(theorem_id="crossover")
     factors = []
     track_worst = 0.0
-    n_max = max(n_grid)
+    dual = ctx.dual_slice(n_grid)
     for x in x_values:
-        fp = ctx.dp_slice(("set", (0,)), int(x), n_max)
         gaps = []
         two_term = {}
         for n in n_grid:
             xn = x * float(n) ** -inv_a
             t1 = ctx.pot.a_dagger(x) * f0_asymptote(n, params, consts)
             t2 = xn * _p_ccirc(ctx, -xn) / n
-            exact = float(fp.f[n])
+            exact = dual[n].at(x)
             d1 = abs(exact / t1 - 1.0)
             d2 = abs(exact / t2 - 1.0)
             gaps.append((n, d1 - d2))
@@ -385,10 +404,7 @@ def verify_crossover(
     rep.monotone = True
     rep.deviations = [track_worst]
     rep.final_dev = track_worst
-    rep.passed = (
-        all(1.0 / factor_cap <= r <= factor_cap for r in factors)
-        and track_worst < two_term_cap
-    )
+    rep.passed = all(1.0 / factor_cap <= r <= factor_cap for r in factors) and track_worst < two_term_cap
     rep.notes["factors"] = factors
     rep.notes["two_term_worst"] = track_worst
     return rep
@@ -406,9 +422,8 @@ def verify_thm4_y_small(
     inv_a = 1.0 / ctx.params.alpha
     for n in n_values:
         x = max(1, int(math.floor(xi * n ** inv_a)))
-        sl, W, f, _ = ctx.dp_slice(("set", (0,)), x, n)
-        rhs = rhs_theorem4_5(ctx, x, y_fixed, n, "y_small", f_x=float(f[n]))
-        rep.add_row(float(sl[y_fixed + W]), rhs, n=n, x=x, y=y_fixed, regime="y_small")
+        rhs = rhs_theorem4_5(ctx, x, y_fixed, n, "y_small", f_x=ctx.dual_slice([n])[n].at(x))
+        rep.add_row(ctx.dp_slice(("set", (0,)), x, n).at(y_fixed), rhs, n=n, x=x, y=y_fixed, regime="y_small")
     return rep.finalize(crit)
 
 
@@ -430,12 +445,10 @@ def verify_thm5_x_small(
     inv_a = 1.0 / ctx.params.alpha
     for n in n_values:
         y = max(1, int(math.floor(eta * n ** inv_a)))
-        yn = y * float(n) ** -inv_a
-        sl, W, _, _ = ctx.dp_slice(("set", (0,)), x_fixed, n)
-        fy = float(ctx.dp_slice(("set", (0,)), -y, n).f[n])
-        K_vals, spreads = k_estimate(ctx.law, [yn], n)
+        fy = ctx.dual_slice([n])[n].at(-y)
+        K_vals, spreads = k_estimate(ctx, [y], n)
         rhs = rhs_theorem4_5(ctx, x_fixed, y, n, "x_small", f_minus_y=fy, K_val=float(K_vals[0]))
-        rep.add_row(float(sl[y + W]), rhs, n=n, x=x_fixed, y=y, regime="x_small")
+        rep.add_row(ctx.dp_slice(("set", (0,)), x_fixed, n).at(y), rhs, n=n, x=x_fixed, y=y, regime="x_small")
         rep.notes.setdefault("k_spread", []).append(float(spreads[0]))
     return rep.finalize(crit)
 
@@ -459,8 +472,7 @@ def verify_bulk_scaling(
     for n in n_values:
         x = max(1, int(round(xi * n ** inv_a)))
         y = max(1, int(round(eta * n ** inv_a)))
-        sl, W, _, _ = ctx.dp_slice(killing, x, n)
-        scaled = float(n) ** inv_a * float(sl[y + W])
+        scaled = float(n) ** inv_a * ctx.dp_slice(killing, x, n).at(y)
         vals.append(scaled)
         rep.rows.append({"n": n, "x": x, "y": y, "exact": scaled, "rhs": math.nan, "ratio": math.nan, "regime": "bulk"})
     for i in range(len(vals) - 1):
@@ -483,8 +495,8 @@ def verify_thm6(
     for n in n_values:
         x = max(1, int(math.floor(0.5 * n ** inv_a)))
         y = -x
-        sl, W, _, _ = ctx.dp_slice(("set", (0,)), x, n, mult=10.0)
-        rep.add_row(float(sl[y + W]), rhs_theorem6(ctx, x, y, n, "ii", cp), n=n, x=x, y=y, regime="ii")
+        exact = ctx.dp_slice(("set", (0,)), x, n, mult=10.0).at(y)
+        rep.add_row(exact, rhs_theorem6(ctx, x, y, n, "ii", cp), n=n, x=x, y=y, regime="ii")
     rep.notes["c_plus"] = cp
     return rep.finalize(crit)
 
@@ -501,8 +513,7 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     W = default_window(law, n)
     ent = run_kernel(law, HALF_LE_0, [x], n, window=W, keep=[n], entrance_depth=W)
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
-    rev = law.reversed()
-    dual = run_kernel(rev, ("set", (0,)), [-y], n, window=W)
+    dual = run_kernel(law.reversed(), ("set", (0,)), [-y], n, window=W)
     sl0, W0, _, _ = ctx.dp_slice(("set", (0,)), x, n)
     denom = float(sl0[y + W0])
     if denom <= 1e-300:
@@ -540,13 +551,11 @@ def verify_comp(
     """Comparison identity p^n_0 ~ p^n_{(-inf,0)} + a_dag(x) f^0(n) a(-y), x, y > 0."""
     rep = VerificationReport(theorem_id="comp")
     inv_a = 1.0 / ctx.params.alpha
-    f0 = ctx.dp_slice(("set", (0,)), 0, max(n_values))
+    f0 = ctx.dual_slice(n_values)[max(n_values)].f
     for n in n_values:
         x = y = max(1, int(math.floor(xi * n ** inv_a)))
-        sl0, W, _, _ = ctx.dp_slice(("set", (0,)), x, n)
-        slh, Wh, _, _ = ctx.dp_slice(("le", -1), x, n)
-        rhs = float(slh[y + Wh]) + ctx.pot.a_dagger(x) * float(f0.f[n]) * ctx.pot.a(-y)
-        rep.add_row(float(sl0[y + W]), rhs, n=n, x=x, y=y, regime="comp")
+        rhs = ctx.dp_slice(("le", -1), x, n).at(y) + ctx.pot.a_dagger(x) * float(f0[n]) * ctx.pot.a(-y)
+        rep.add_row(ctx.dp_slice(("set", (0,)), x, n).at(y), rhs, n=n, x=x, y=y, regime="comp")
     return rep.finalize(crit)
 
 
@@ -562,7 +571,7 @@ def verify_k_small_eta(
     params = ctx.params
     p0 = density_at_zero(params.c_circ, params)
     rep = VerificationReport(theorem_id="k_small_eta")
-    K_vals, spreads = k_estimate(ctx.law, etas, n)
+    K_vals, spreads = k_estimate(ctx, [int(math.floor(eta * n ** (1.0 / params.alpha))) for eta in etas], n)
     for eta, K_val, spread in zip(etas, K_vals.tolist(), spreads.tolist()):
         scaled = K_val * params.c_circ * gamma_fn(params.alpha) / (p0 * eta ** (params.alpha - 1.0))
         rep.rows.append({"n": n, "x": 0, "y": eta, "exact": K_val, "rhs": math.nan, "ratio": scaled, "regime": "eta"})
@@ -582,7 +591,7 @@ def verify_finite_set(
     n_max = max(n_values)
     W = default_window(ctx.law, n_max)
     table = run_kernel(ctx.law, ("set", tuple(A)), A, n_max, window=W, keep=[])
-    f0 = ctx.dp_slice(("set", (0,)), 0, n_max)
+    f0 = ctx.dual_slice(n_values)[n_max]
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in n_values:
         rep.add_row(float(table.step_killed[:, n].sum()), float(f0.f[n]), n=n, x=0, regime="sum_fA")
@@ -633,13 +642,13 @@ def diagnostics_prop21(ctx: LawContext, n_values=(64, 256), refine: int = 2) -> 
         sup = 0.0
         xs = sorted({max(1, int(round(2.0 ** (j / step)))) for j in range(14 * step)})
         for n in n_values:
+            fn = ctx.dual_slice([n], mult=10.0)[n]
             for x in xs:
                 xn = x * float(n) ** -inv_a
                 if xn > 8.0:
                     break
-                fp = ctx.dp_slice(("set", (0,)), x, n, mult=10.0)
                 bound = min(xn ** (ctx.params.alpha - 1.0), xn ** -ctx.params.alpha)
-                sup = max(sup, float(fp.f[n]) * n / bound)
+                sup = max(sup, fn.at(x) * n / bound)
         sups.append(sup)
         rep.rows.append({"n": 0, "x": level, "exact": sup, "rhs": math.nan, "ratio": math.nan, "regime": "sup"})
     rep.deviations = [abs(sups[i + 1] / sups[i] - 1.0) for i in range(len(sups) - 1)]
@@ -655,7 +664,7 @@ def diagnostics_prop23(ctx: LawContext, n: int = 256) -> VerificationReport:
 
     Boundedness diagnostic only - the paper's C_M is unspecified.
     """
-    inv_a = 1.0 / ctx.params.alpha
+    a, inv_a = ctx.params.alpha, 1.0 / ctx.params.alpha
     rep = VerificationReport(theorem_id="prop23")
     sups = []
     # same extents, refined interior: stability means no blowup between nodes
@@ -663,17 +672,16 @@ def diagnostics_prop23(ctx: LawContext, n: int = 256) -> VerificationReport:
         ((-40, -12, -3, 3, 12, 40), (1, 4, 16)),
         ((-40, -24, -12, -6, -3, -1, 1, 3, 6, 12, 24, 40), (1, 2, 4, 8, 16)),
     )
+    # p^n_0(x, y) is site x of the reversed law's {0}-killed run from y, on the same window
+    W, rev = default_window(ctx.law, n), ctx.law.reversed()
+    col = {y: ctx._run(rev, ("set", (0,)), y, n, W, [n])[n] for y in grids[-1][1]}
     for xs, ys in grids:
         sup = 0.0
         for x in xs:
-            sl, W, _, _ = ctx.dp_slice(("set", (0,)), int(x), n)
             xn = x * float(n) ** -inv_a
             for y in ys:
-                bound = min(
-                    max(abs(xn), 1.0) ** (ctx.params.alpha - 1.0), abs(xn) ** -ctx.params.alpha
-                )
-                bound *= abs(y) ** (ctx.params.alpha - 1.0)
-                val = float(sl[int(y) + W]) / bound
+                bound = min(max(abs(xn), 1.0) ** (a - 1.0), abs(xn) ** -a) * abs(y) ** (a - 1.0)
+                val = col[y].at(int(x)) / bound
                 sup = max(sup, val)
                 rep.rows.append({"n": n, "x": x, "y": y, "exact": val, "rhs": math.nan, "ratio": math.nan, "regime": "p23"})
         sups.append(sup)
@@ -734,12 +742,9 @@ def verify_cor2(
     for n in n_values:
         y = -max(1, int(math.floor(eta * n ** inv_a)))
         yn = y * float(n) ** -inv_a
-        sl, W, _, _ = ctx.dp_slice(("set", (0,)), x_fixed, n)
-        rhs = ctx.pot.a_dagger(x_fixed) * (
-            f0_asymptote(n, ctx.params, ctx.consts) * ctx.pot.a(-y)
-            + abs(yn) * _p_ccirc(ctx, yn) / n
-        )
-        rep.add_row(float(sl[y + W]), rhs, n=n, x=x_fixed, y=y, regime="cor2")
+        f0_term = f0_asymptote(n, ctx.params, ctx.consts) * ctx.pot.a(-y)
+        rhs = ctx.pot.a_dagger(x_fixed) * (f0_term + abs(yn) * _p_ccirc(ctx, yn) / n)
+        rep.add_row(ctx.dp_slice(("set", (0,)), x_fixed, n).at(y), rhs, n=n, x=x_fixed, y=y, regime="cor2")
     return rep.finalize(crit)
 
 

@@ -19,6 +19,10 @@ kept step) and, for finite-set killing, the entrance law into each site of
 the set.  run_kernel is the only DP loop: the ladder renewal functions are
 the Green sums of two half-line runs, and the space-time hitting law of a
 finite set is its entrance law.
+
+On a window the step matrix of law.reversed() is the transpose of the law's,
+so f^x_W(n) = p~^n_{0}(0, x): its {0}-killed run from 0 gives f^x(n) for every
+x at once, while first_passage, one run from x, gives f^x(k) for every k.
 """
 from __future__ import annotations
 
@@ -252,9 +256,6 @@ class FirstPassageLaw:
     truncation_tail: float   # surviving + escaped mass at n_max
     escaped: float
 
-    def total(self) -> float:
-        return float(self.f.sum())
-
 
 def first_passage(
     law: WalkLaw, B, x: int, n_max: int, window: int | None = None
@@ -475,27 +476,20 @@ def _weak_renewal_recursion(q_as: np.ndarray, x_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def k_estimate(
-    law: WalkLaw,
-    etas,
-    n: int,
-    window: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """K_{c_circ}(eta) ~ n^{1/alpha} p^n_{(-inf,0]}(x, floor(eta n^{1/alpha})) / x_n.
+def k_estimate(ctx, ys, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """K_{c_circ}(y n^{-1/alpha}) ~ n^{1/alpha} p^n_{(-inf,0]}(x, y) / x_n at lattice sites y.
 
-    One DP from two small starts serves every eta; returns the estimates
-    (averaged over the two starts) and their relative spreads between them.
+    The half-line DPs from two small starts x come from the memo of ctx (an
+    asymptotics.LawContext), shared by every caller at this n.  Returns the
+    estimates averaged over the two starts and their relative spreads.
     """
-    alpha = law.spec.alpha
-    scale = n ** (1.0 / alpha)
-    ys = np.floor(np.asarray(etas, dtype=float) * scale).astype(int)
+    ys = np.asarray(ys, dtype=int)
     if ys.min() < 1:
-        raise ResolutionTooCoarse(f"eta n^(1/alpha) = {min(etas) * scale:.2f} < 1")
+        raise ResolutionTooCoarse(f"site y = {ys.min()} < 1")
+    scale = n ** (1.0 / ctx.law.spec.alpha)
     x1 = max(1, int(round(scale / 32.0)))
-    x2 = 2 * x1
-    table = run_kernel(law, HALF_LE_0, [x1, x2], n, window=window, keep=[n])
-    xn = np.array([[x1], [x2]]) / scale
-    vals = scale * table.values[n][:, ys + table.window] / xn
+    sls = {x: ctx.dp_slice(HALF_LE_0, x, n) for x in (x1, 2 * x1)}
+    vals = [scale * sl.slice[ys + sl.window] / (x / scale) for x, sl in sls.items()]
     est = 0.5 * (vals[0] + vals[1])
     spread = np.abs(vals[0] - vals[1]) / np.maximum(np.abs(est), 1e-300)
     return est, spread

@@ -10,6 +10,7 @@ from stablewalk.asymptotics import (
     LawContext,
     TrendCriterion,
     VerificationReport,
+    diagnostics_prop21,
     f0_asymptote,
     rhs_theorem2_3,
     rhs_theorem4_5,
@@ -23,8 +24,10 @@ from stablewalk.asymptotics import (
     verify_thm1,
     verify_thm2_bulk,
     verify_thm4_y_small,
+    verify_thm5_x_small,
 )
 from stablewalk.errors import InfiniteCPlus, RegimeViolation
+from stablewalk.killed_walk import HALF_LE_0, first_passage, run_kernel
 from stablewalk.potential_theory import FiniteSetPotential, c_plus
 from stablewalk.special import gamma_fn
 
@@ -221,3 +224,59 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
     again = LawContext.build(sym15).dp_slice(B, x, n)
     assert len(calls) == 1
     assert np.array_equal(again.f, got.f)
+
+
+@pytest.mark.parametrize("name", ["asym15", "sp15", "bp15"])
+def test_dual_slice_is_the_forward_kill_ledger(name):
+    """f^x_W(n) at site x of the reversed law's run from 0 is the forward {0}-killed ledger from x."""
+    ctx, n = get_ctx(name), 256
+    dual = ctx.dual_slice([n])[n]
+    assert dual.window == 512
+    s = n ** (1.0 / ctx.params.alpha)
+    xs = sorted({v for x in (1, 4, int(s / 2), int(s), int(3 * s)) for v in (x, -x)})
+    f = run_kernel(ctx.law, ("set", (0,)), xs, n, window=512, keep=[]).step_killed[:, n]
+    got = np.array([dual.at(x) for x in xs])
+    assert np.all(np.abs(got - f) <= 1e-12 * f + 1e-15)
+    f0 = run_kernel(ctx.law, ("set", (0,)), [0], n, window=512, keep=[]).step_killed[0]
+    assert np.abs(dual.f - f0).max() <= 1e-15
+
+
+def test_prop21_reads_two_dual_runs(sym15, monkeypatch, tmp_path):
+    """Every x of the sup grid at n = 64 and 256 comes off one run per n."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    assert diagnostics_prop21(LawContext.build(sym15)).passed
+    assert len(calls) <= 2
+
+
+def test_f_drivers_share_one_dual_run_per_n(sp15, monkeypatch, tmp_path):
+    """thm2_bulk, thm4 and thm5 read f off one reversed run per n; forward runs are kernel slices."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    ctx, ns = LawContext.build(sp15), (64, 256)
+    verify_thm2_bulk(ctx, n_values=ns)
+    verify_thm4_y_small(ctx, n_values=ns)
+    verify_thm5_x_small(ctx, n_values=ns)
+    point = [(law.law_hash(), n, starts[0]) for law, B, starts, n in calls if B == ("set", (0,))]
+    assert sorted((n, x) for h, n, x in point if h == sp15.reversed().law_hash()) == [(64, 0), (256, 0)]
+    inv_a = 1.0 / ctx.params.alpha
+    slices = {(n, max(1, int(math.floor(0.5 * n ** inv_a)))) for n in ns} | {(n, 3) for n in ns}
+    assert {(n, x) for h, n, x in point if h == sp15.law_hash()} <= slices
+
+
+def test_thm5_reads_K_at_its_own_site():
+    """eta n^{1/alpha} = 7.06 on sp18 at n = 64: the row's y is 7 and K is read there, not at 6."""
+    ctx, n = get_ctx("sp18"), 64
+    (row,) = verify_thm5_x_small(ctx, n_values=(n,), eta=0.7).rows
+    assert row["y"] == 7
+    fy = first_passage(ctx.law, ("set", (0,)), -7, n).f[n]
+    # K(y) = n^{1/a} p^n_{(-inf,0]}(x, y) / x_n, averaged over the starts x = 1, 2 used at this n
+    scale, xs = n ** (1.0 / ctx.params.alpha), np.array([1, 2])
+    half = run_kernel(ctx.law, HALF_LE_0, xs, n, keep=[n])
+
+    def rhs(y):
+        K = float(np.mean(scale * half.values[n][:, y + half.window] / (xs / scale)))
+        return rhs_theorem4_5(ctx, 3, 7, n, "x_small", f_minus_y=fy, K_val=K)
+
+    assert row["rhs"] == pytest.approx(rhs(7), rel=1e-10)
+    assert abs(rhs(6) / rhs(7) - 1.0) > 1e-6

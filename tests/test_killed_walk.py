@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import get_ctx
 from stablewalk import stable_params_of
 from stablewalk.errors import WindowTooSmall
 from stablewalk.killed_walk import (
@@ -237,9 +238,10 @@ def test_ladder_tables(sp15):
     assert devs_v[-1] < 0.2
 
 
-def test_k_estimate_two_resolutions(sp15):
-    (k1,), (s1,) = k_estimate(sp15, [1.0], 256)
-    (k2,), (s2,) = k_estimate(sp15, [1.0], 1024)
+def test_k_estimate_two_resolutions():
+    # the site y = floor(n^{1/alpha}), i.e. eta = 1, at both resolutions
+    (k1,), (s1,) = k_estimate(get_ctx("sp15"), [40], 256)
+    (k2,), (s2,) = k_estimate(get_ctx("sp15"), [101], 1024)
     assert k1 > 0 and k2 > 0
     assert abs(k1 / k2 - 1.0) < 0.05
     assert s2 < 0.1
@@ -253,9 +255,18 @@ def test_lemma76_ratio_bounded(sym15):
     assert val < 50.0
 
 
-def test_k_estimate_one_run_for_all_etas(sp15):
-    etas = [1.0, 0.5, 0.25]
-    est, spread = k_estimate(sp15, etas, 256)
-    for i, eta in enumerate(etas):
-        (k,), (s,) = k_estimate(sp15, [eta], 256)
+def test_k_estimate_one_run_for_all_etas(sp15, monkeypatch, tmp_path):
+    """Every site and every later call at the same n read the same two memoised DPs."""
+    from stablewalk import asymptotics
+
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    calls = []
+    real = asymptotics.run_kernel
+    monkeypatch.setattr(asymptotics, "run_kernel", lambda *a, **k: calls.append(a) or real(*a, **k))
+    ctx = asymptotics.LawContext.build(sp15)
+    sites = [40, 20, 10]  # eta = 1, 0.5, 0.25 at n = 256
+    est, spread = k_estimate(ctx, sites, 256)
+    for i, y in enumerate(sites):
+        (k,), (s,) = k_estimate(ctx, [y], 256)
         assert (est[i], spread[i]) == (k, s)
+    assert len(calls) == 2
