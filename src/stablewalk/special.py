@@ -180,12 +180,13 @@ def omexp(x: np.ndarray) -> np.ndarray:
 def x_minus_sin(x: np.ndarray) -> np.ndarray:
     """x - sin(x), series-evaluated for small |x|."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-2
-    x2 = x * x
-    ser = x * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
     with np.errstate(invalid="ignore"):
-        direct = x - np.sin(x)
-    return np.where(small, ser, direct)
+        out = np.asarray(x - np.sin(x))
+    small = np.abs(x) < 1e-2
+    xs = x[small]
+    x2 = xs * xs
+    out[small] = xs * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
+    return out
 
 
 # Gauss-Kronrod 15 point rule on [-1, 1] with the embedded 7 point Gauss rule.

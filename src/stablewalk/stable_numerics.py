@@ -20,6 +20,7 @@ from .special import gamma_fn, gk_panels
 from .walk_model import StableParams
 
 _CUT = 44.0  # exp(-44) ~ 8e-20: below double noise for O(1) integrands
+_X_ROWS = 128  # x rows per block of density_grid's oscillatory matrix product
 
 
 def psi(theta, params: StableParams):
@@ -54,7 +55,6 @@ def density_grid(
     xs: np.ndarray,
     params: StableParams,
     deriv: int = 0,
-    x_chunk: int = 128,
 ) -> tuple[np.ndarray, np.ndarray]:
     """p_t(x) (or its x-derivative) on a batch of points, with error estimates."""
     if t <= 0:
@@ -67,8 +67,8 @@ def density_grid(
         g = g * (-1j * nodes) ** deriv
     vals = np.empty(len(xs))
     errs = np.empty(len(xs))
-    for lo in range(0, len(xs), x_chunk):
-        chunk = xs[lo : lo + x_chunk]
+    for lo in range(0, len(xs), _X_ROWS):
+        chunk = xs[lo : lo + _X_ROWS]
         osc = np.exp(-1j * np.outer(chunk, nodes))
         integ = osc * g[None, :]
         vk = integ @ wk

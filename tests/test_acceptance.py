@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import get_ctx, get_law
+from potential_oracles import green_origin
 from stablewalk.asymptotics import (
     TrendCriterion,
     diagnostics_prop21,
@@ -40,11 +41,7 @@ from stablewalk.killed_walk import (
     run_kernel,
 )
 from stablewalk.montecarlo import SimConfig, estimate_first_passage
-from stablewalk.potential_theory import (
-    FiniteSetPotential,
-    PotentialTable,
-    green_origin,
-)
+from stablewalk.potential_theory import FiniteSetPotential, PotentialTable
 from stablewalk.stable_numerics import (
     abs_moment,
     density_at_zero,

@@ -9,6 +9,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 WORKLOAD = PERFBENCH / "workload.py"
@@ -81,3 +83,12 @@ def test_run_kernel_takes_the_traced_arguments():
 
     params = inspect.signature(run_kernel).parameters
     assert {"law", "keep", "entrance_depth", "escape_budget"} <= set(params)
+
+
+def test_potential_a_grid_returns_one_window(sym15):
+    """The tracer counts a(x) points as len(result): one 1-D float array over [-X, X]."""
+    from stablewalk.potential_theory import potential_a_grid
+
+    out = potential_a_grid(sym15, 8)
+    assert isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == np.float64
+    assert len(out) == 17

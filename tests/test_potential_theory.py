@@ -4,17 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import get_law
+from potential_oracles import a_per_point, green_origin, hit_before, u_via_anchor
 from stablewalk import stable_params_of
 from stablewalk.errors import DegenerateDenominator
 from stablewalk.killed_walk import run_kernel
-from stablewalk.potential_theory import (
-    FiniteSetPotential,
-    PotentialTable,
-    c_plus,
-    green_origin,
-    hit_before,
-    potential_a_grid,
-)
+from stablewalk.potential_theory import FiniteSetPotential, PotentialTable, c_plus, potential_a_grid
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import constants
 
@@ -27,7 +22,16 @@ def pot15(sym15):
 
 
 def test_a_zero(sym15):
-    assert potential_a_grid(sym15, [0])[0] == 0.0
+    assert potential_a_grid(sym15, 8)[8] == 0.0
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
+def test_a_window_matches_per_point_sum(name):
+    """The chirp-z window is the per-point sum over the same nodes, reordered."""
+    law, X = get_law(name), 2000
+    window = potential_a_grid(law, X)
+    xs = np.unique(np.concatenate([np.arange(-X, X + 1, 37), np.arange(-12, 13), [X - 1, X]]))
+    assert np.abs(window[xs + X] - a_per_point(law, X, xs)).max() <= 1e-11
 
 
 def test_a_positive_two_sided(pot15):
@@ -187,10 +191,38 @@ def test_finite_set_vs_dp(sym15, pot15):
 def test_u_A_anchor_independence(pot15):
     fsp = FiniteSetPotential(pot15, [-1, 2])
     for x in (-9, 0, 5, 14):
-        vals = [fsp.u_via_anchor(x, w0) for w0 in (-1, 2)]
+        vals = [u_via_anchor(fsp, x, w0) for w0 in (-1, 2)]
         assert abs(vals[0] - vals[1]) < 1e-9
         assert fsp.u(x) == pytest.approx(vals[0], abs=1e-9)
         assert fsp.u(x) > 0
+
+
+def test_finite_set_columns_match_per_x_solve(pot15):
+    """The whole-window u_A and H_A columns are the per-x solutions of the system."""
+    A = (-1, 2)
+    fsp = FiniteSetPotential(pot15, A)
+    mat = np.ones((3, 3))
+    mat[:2, :2] = [[pot15.a(z - w) for z in A] for w in A]
+    mat[2, 2] = 0.0
+    X = pot15.X - 2  # the set's window: x - w stays in the table
+    for x in range(-X, X + 1):
+        rhs = [pot15.a(x - w) + (x == w) for w in A] + [1.0]
+        sol = np.linalg.solve(mat, rhs)
+        h = fsp.hit_dist(x)
+        assert abs(fsp.u(x) - sol[2]) <= 1e-12
+        assert max(abs(h[z] - sol[j]) for j, z in enumerate(A)) <= 1e-12
+
+
+def test_finite_set_follows_table_growth(sym15):
+    """Built on a 64-wide table, u_{0} still equals a_dagger after the table grows to 4096."""
+    pot = PotentialTable(sym15)
+    fsp = FiniteSetPotential(pot, [0])
+    assert fsp.u(5) == pytest.approx(pot.a(5), abs=1e-11)
+    assert pot.X == 64
+    pot.fill([4096])
+    assert pot.X == 4096
+    for x in (-4096, -700, -3, 0, 1, 5, 64, 4096):
+        assert fsp.u(x) == pytest.approx(pot.a_dagger(x), abs=1e-11)
 
 
 def test_u_A_harmonicity(sym15, pot15):
@@ -239,8 +271,9 @@ def test_hit_before_basics(sym15, pot15):
 
 def test_hit_before_degenerate_guard(sym15):
     pot = PotentialTable(sym15)
-    pot.values[9] = 0.0
-    pot.values[-9] = 0.0
+    pot.fill([9])
+    pot.values[pot.X + 9] = 0.0
+    pot.values[pot.X - 9] = 0.0
     with pytest.raises(DegenerateDenominator):
         hit_before(pot, 3, 9)
 
