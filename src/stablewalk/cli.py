@@ -169,52 +169,46 @@ def cmd_table(args) -> int:
 
 
 def _registry(ctx: asy.LawContext, quick: bool):
-    """theorem_id -> zero-arg callables returning VerificationReport(s), all on one context."""
-    g = (64, 256, 1024) if quick else (256, 1024, 4096)
+    """theorem_id -> zero-arg callable returning its VerificationReports, all on one context.
 
-    def cor1():
+    Each driver is called as driver(ctx, quick) and holds its own quick and
+    full grids; verify_ladder returns two reports.
+    """
+
+    def cor1(ctx, quick):
         if ctx.params.skew_sign > 0:
             raise ConfigError("cor1 power branch needs a two-sided law")
-        ts = (10.0, 100.0, 1000.0) if quick else (10.0, 100.0, 1000.0, 10000.0)
-        return [asy.verify_cor1(ctx.params, t_values=ts)]
+        return asy.verify_cor1(ctx.params, quick)
 
-    reg = {
-        "thm1": lambda: [asy.verify_thm1(ctx, n_values=g)],
-        "thm2": lambda: [
-            asy.verify_thm2_small(ctx, n_values=g),
-            asy.verify_thm2_bulk(ctx, n_values=g),
-        ],
+    drivers = {
+        "thm1": (asy.verify_thm1,),
+        "thm2": (asy.verify_thm2_small, asy.verify_thm2_bulk),
         # thm2 writes the thm2_small report; thm3 adds the crossover scan
-        "thm3": lambda: [asy.verify_crossover(ctx)],
-        "thm4": lambda: [
-            asy.verify_thm4_y_small(ctx, n_values=g),
-            asy.verify_bulk_scaling(ctx, n_values=g),
-        ],
-        "thm5": lambda: [asy.verify_thm5_x_small(ctx, n_values=g)],
-        "thm6": lambda: [asy.verify_thm6(ctx, n_values=g)],
-        "cor1": cor1,
-        "cor2": lambda: [asy.verify_cor2(ctx, n_values=g)],
-        "cor3": lambda: [asy.verify_cor3(ctx, n_values=g)],
-        "finite": lambda: [
-            asy.verify_finite_set(
-                ctx,
-                n_values=g,
-                crit=asy.TrendCriterion(final_cap=0.2 if quick else 0.1),
-            )
-        ],
-        "comp": lambda: [asy.verify_comp(ctx, n_values=g)],
-        "ladder": lambda: list(
-            asy.verify_ladder(ctx, x_values=(8, 32, 128) if quick else (16, 64, 256))
-        ),
-        "kest": lambda: [asy.verify_k_small_eta(ctx, n=1024 if quick else 4096)],
-        "llt": lambda: [asy.verify_llt(ctx, n_values=g)],
-        "prop21": lambda: [asy.diagnostics_prop21(ctx)],
-        "prop22": lambda: [
-            asy.tunneling_check(ctx, (4, 16, 64), 128 if quick else 256, 8, -8)
-        ],
-        "prop23": lambda: [asy.diagnostics_prop23(ctx)],
+        "thm3": (asy.verify_crossover,),
+        "thm4": (asy.verify_thm4_y_small, asy.verify_bulk_scaling),
+        "thm5": (asy.verify_thm5_x_small,),
+        "thm6": (asy.verify_thm6,),
+        "cor1": (cor1,),
+        "cor2": (asy.verify_cor2,),
+        "cor3": (asy.verify_cor3,),
+        "finite": (asy.verify_finite_set,),
+        "comp": (asy.verify_comp,),
+        "ladder": (asy.verify_ladder,),
+        "kest": (asy.verify_k_small_eta,),
+        "llt": (asy.verify_llt,),
+        "prop21": (asy.diagnostics_prop21,),
+        "prop22": (asy.verify_prop22,),
+        "prop23": (asy.diagnostics_prop23,),
     }
-    return reg
+
+    def reports(fns):
+        out = []
+        for fn in fns:
+            rep = fn(ctx, quick)
+            out.extend(rep if isinstance(rep, tuple) else [rep])
+        return out
+
+    return {tid: (lambda fns=fns: reports(fns)) for tid, fns in drivers.items()}
 
 
 _QUICK_ALL = ("thm1", "thm2", "thm4", "finite", "llt", "prop23")

@@ -198,19 +198,3 @@ def estimate_conditional_escape(
             f"only {accept} paths satisfied the conditioning (floor {min_effective})"
         )
     return _binom_ci(deep, accept)
-
-
-def estimates_to_csv(estimates: dict, x: int) -> str:
-    """First-passage estimates in the verification-report column layout."""
-    lines = ["schema_version,n,x,y,exact,rhs,ratio,regime,source"]
-    for n in sorted(estimates["f"]):
-        ci = estimates["f"][n]
-        lines.append(
-            f"1,{n},{x},,{ci.point:.17g},{ci.half_width_95:.17g},,f,montecarlo"
-        )
-    for n in sorted(estimates["survival"]):
-        ci = estimates["survival"][n]
-        lines.append(
-            f"1,{n},{x},,{ci.point:.17g},{ci.half_width_95:.17g},,survival,montecarlo"
-        )
-    return "\n".join(lines) + "\n"

@@ -10,20 +10,15 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureNonConvergence
-
 __all__ = [
     "gamma_fn",
     "zeta_fn",
-    "zeta_tail",
     "harmonic",
-    "polylog_exp",
     "polylog_analytic",
     "omexp",
     "x_minus_sin",
     "gk_panels",
     "integrate_panels",
-    "integrate_adaptive",
     "geometric_breaks",
 ]
 
@@ -105,22 +100,6 @@ def zeta_fn(s: float) -> float:
     )
 
 
-def zeta_tail(s: float, m: int) -> float:
-    """sum_{y >= m} y^{-s} for s > 1, by Euler-Maclaurin (no large partial sums)."""
-    if m < 30:
-        head = sum(y ** (-s) for y in range(1, m))
-        return zeta_fn(s) - head
-    big_m = float(m)
-    total = big_m ** (1.0 - s) / (s - 1.0) + 0.5 * big_m ** (-s)
-    rising = s
-    mpow = big_m ** (-s - 1.0)
-    for k, b in enumerate(_B2K, start=1):
-        total += b / math.factorial(2 * k) * rising * mpow
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        mpow /= big_m * big_m
-    return total
-
-
 def harmonic(n: int) -> float:
     return sum(1.0 / j for j in range(1, n + 1))
 
@@ -164,11 +143,6 @@ def polylog_sing(s: float, theta: np.ndarray) -> np.ndarray:
     if abs(s - round(s)) < 1e-12:
         return np.zeros(theta.shape, dtype=complex)
     return gamma_fn(1.0 - s) * np.exp((s - 1.0) * (np.log(theta) - 1j * math.pi / 2.0))
-
-
-def polylog_exp(s: float, theta: np.ndarray, terms: int = 96) -> np.ndarray:
-    """Li_s(e^{i theta}) for 0 < theta <= pi (series converges for theta < 2 pi)."""
-    return polylog_analytic(s, theta, terms=terms) + polylog_sing(s, theta)
 
 
 def omexp(x: np.ndarray) -> np.ndarray:
@@ -279,22 +253,6 @@ def integrate_panels(f, breaks):
     """
     per_k, per_g = _panel_sums(f, np.asarray(breaks, dtype=float))
     return per_k.sum(), float(np.abs(per_k - per_g).sum())
-
-
-def integrate_adaptive(f, a, b, abs_tol=1e-12, max_splits=14, initial=33):
-    """Adaptive panel-splitting GK15 on [a, b] for vectorised complex f."""
-    breaks = np.linspace(a, b, initial)
-    for _ in range(max_splits):
-        per_k, per_g = _panel_sums(f, breaks)
-        err = np.abs(per_k - per_g)
-        if err.sum() <= abs_tol:
-            return per_k.sum(), float(err.sum())
-        worst = err > max(abs_tol / max(len(breaks), 1), err.max() / 8.0)
-        mids = 0.5 * (breaks[:-1][worst] + breaks[1:][worst])
-        breaks = np.sort(np.concatenate([breaks, mids]))
-    raise QuadratureNonConvergence(
-        f"adaptive GK15 on [{a}, {b}]: error {err.sum():.3e} > {abs_tol:.1e}"
-    )
 
 
 def geometric_breaks(lo: float, hi: float, per_octave: int = 1) -> np.ndarray:

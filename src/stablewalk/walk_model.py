@@ -35,12 +35,10 @@ from .special import (
     gamma_fn,
     geometric_breaks,
     integrate_panels,
-    omexp,
     polylog_analytic,
     polylog_sing,
     x_minus_sin,
     zeta_fn,
-    zeta_tail,
 )
 
 BLOCK1 = (1, 4)

@@ -1,9 +1,10 @@
-"""Verification harness: rhs identities, regime dispatch, quick trends."""
+"""Verification harness: rhs identities, one function per asymptotic form, quick trends."""
 import math
 
 import numpy as np
 import pytest
 
+from asymptotic_oracles import rhs_theorem6_hitting_form, rhs_theorem6_i
 from conftest import get_ctx
 from stablewalk import asymptotics, cache
 from stablewalk.asymptotics import (
@@ -12,10 +13,10 @@ from stablewalk.asymptotics import (
     VerificationReport,
     diagnostics_prop21,
     f0_asymptote,
-    rhs_theorem2_3,
-    rhs_theorem4_5,
-    rhs_theorem6,
-    rhs_theorem6_hitting_form,
+    rhs_thm2_bulk,
+    rhs_thm2_small,
+    rhs_thm5_x_small,
+    rhs_thm6_ii,
     tunneling_check,
     verify_comp,
     verify_cor2,
@@ -60,18 +61,21 @@ def test_theorem_pair_consistency_extremal(sp15):
     for n in (64, 256):
         x = int(1.3 * n ** inv_a)
         xn = x / n ** inv_a
-        bulk = rhs_theorem2_3(ctx, x, n, "bulk")
+        bulk = rhs_thm2_bulk(ctx, x, n)
         dens, _ = density_grid_smart(ctx.params.c_circ, np.array([-xn]), ctx.params)
         two_term = xn * float(dens[0]) / n
         assert abs(bulk - two_term) < 1e-10
 
 
 def test_rhs_regime_dispatch_total(sym15):
+    """Each form raises RegimeViolation outside its regime."""
     ctx = LawContext.build(sym15)
     with pytest.raises(RegimeViolation):
-        rhs_theorem2_3(ctx, 4, 64, "nonsense")
+        rhs_thm2_bulk(ctx, 0, 64)
     with pytest.raises(RegimeViolation):
-        rhs_theorem4_5(ctx, 4, 3, 64, "sideways")
+        rhs_thm6_ii(ctx, -5, 5, 64, 1.0)
+    with pytest.raises(RegimeViolation):
+        rhs_theorem6_i(ctx, 5, 3, 64)
 
 
 def test_rhs_finite_set_singleton_reduction(sym15):
@@ -80,26 +84,29 @@ def test_rhs_finite_set_singleton_reduction(sym15):
     fsp = FiniteSetPotential(ctx.pot, [0])
     for n in (64, 256):
         for x in (3, -7, 12):
-            a = rhs_theorem2_3(ctx, x, n, "x_small", prefactor=fsp.u(x))
-            b = rhs_theorem2_3(ctx, x, n, "x_small")
+            a = rhs_thm2_small(ctx, x, n, prefactor=fsp.u(x))
+            b = rhs_thm2_small(ctx, x, n)
             assert abs(a - b) < 1e-10
 
 
 def test_rhs_theorem6_forms_agree(bp15):
-    """Regime (ii) product form equals the C+ c f^{x-y}(c n) form."""
+    """Regime (ii) product form equals the C+ c f^{x-y}(c n) form; regime (i) tracks the DP."""
     ctx = LawContext.build(bp15)
     cp = c_plus(bp15, ctx.pot)
     for n in (64, 256):
         x = max(1, int(0.5 * n ** (2 / 3)))
-        a = rhs_theorem6(ctx, x, -x, n, "ii", cp)
+        a = rhs_thm6_ii(ctx, x, -x, n, cp)
         b = rhs_theorem6_hitting_form(ctx, x, -x, n, cp)
         assert a == pytest.approx(b, rel=1e-9)
+    # x = -y = 1 fixed: the DP over the regime-(i) form reads 0.9988 at n = 1024
+    exact = ctx.dp_slice(("set", (0,)), 1, 1024, mult=10.0).at(-1)
+    assert exact == pytest.approx(rhs_theorem6_i(ctx, 1, -1, 1024), rel=0.01)
 
 
 def test_rhs_theorem6_infinite_cplus(sym15):
     ctx = LawContext.build(sym15)
     with pytest.raises(InfiniteCPlus):
-        rhs_theorem6(ctx, 5, -5, 64, "ii", math.inf)
+        rhs_thm6_ii(ctx, 5, -5, 64, math.inf)
 
 
 def test_trend_criterion_monotone_floor():
@@ -113,7 +120,7 @@ def test_trend_criterion_monotone_floor():
 
 
 def test_report_serialisation():
-    rep = verify_thm1(get_ctx("sym15"), n_values=(64, 256))
+    rep = verify_thm1(get_ctx("sym15"), True)
     csv = rep.to_csv()
     assert csv.splitlines()[0].startswith("schema_version")
     summ = rep.summary()
@@ -122,17 +129,17 @@ def test_report_serialisation():
 
 def test_quick_trends_two_sided():
     sym15 = get_ctx("sym15")
-    assert verify_thm1(sym15, n_values=(64, 256, 1024)).passed
-    assert verify_thm2_bulk(sym15, n_values=(64, 256, 1024)).passed
-    assert verify_thm4_y_small(sym15, n_values=(64, 256, 1024)).passed
-    assert verify_llt(sym15, n_values=(64, 256, 1024)).passed
+    assert verify_thm1(sym15, True).passed
+    assert verify_thm2_bulk(sym15, True).passed
+    assert verify_thm4_y_small(sym15, True).passed
+    assert verify_llt(sym15, True).passed
 
 
 def test_quick_trends_spectral():
     sp15 = get_ctx("sp15")
-    assert verify_comp(sp15, n_values=(64, 256, 1024)).passed
-    assert verify_cor2(sp15, n_values=(64, 256, 1024)).passed
-    assert verify_finite_set(sp15, n_values=(64, 256, 1024)).passed
+    assert verify_comp(sp15, True).passed
+    assert verify_cor2(sp15, True).passed
+    assert verify_finite_set(sp15, True).passed
 
 
 def test_tunneling_families():
@@ -156,8 +163,8 @@ def test_tunneling_validates_orientation():
 
 def test_report_exact_column_reproducible(sym15):
     """With the artifact cache active the exact column reproduces bit-identically."""
-    r1 = verify_thm1(LawContext.build(sym15), n_values=(64, 256))
-    r2 = verify_thm1(LawContext.build(sym15), n_values=(64, 256))
+    r1 = verify_thm1(LawContext.build(sym15), True)
+    r2 = verify_thm1(LawContext.build(sym15), True)
     assert [row["exact"] for row in r1.rows] == [row["exact"] for row in r2.rows]
     assert r1.to_csv() == r2.to_csv()
 
@@ -245,7 +252,7 @@ def test_prop21_reads_two_dual_runs(sym15, monkeypatch, tmp_path):
     """Every x of the sup grid at n = 64 and 256 comes off one run per n."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     _, calls = _count_run_kernel(monkeypatch)
-    assert diagnostics_prop21(LawContext.build(sym15)).passed
+    assert diagnostics_prop21(LawContext.build(sym15), True).passed
     assert len(calls) <= 2
 
 
@@ -253,30 +260,30 @@ def test_f_drivers_share_one_dual_run_per_n(sp15, monkeypatch, tmp_path):
     """thm2_bulk, thm4 and thm5 read f off one reversed run per n; forward runs are kernel slices."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     _, calls = _count_run_kernel(monkeypatch)
-    ctx, ns = LawContext.build(sp15), (64, 256)
-    verify_thm2_bulk(ctx, n_values=ns)
-    verify_thm4_y_small(ctx, n_values=ns)
-    verify_thm5_x_small(ctx, n_values=ns)
+    ctx, ns = LawContext.build(sp15), (64, 256, 1024)
+    verify_thm2_bulk(ctx, True)
+    verify_thm4_y_small(ctx, True)
+    verify_thm5_x_small(ctx, True)
     point = [(law.law_hash(), n, starts[0]) for law, B, starts, n in calls if B == ("set", (0,))]
-    assert sorted((n, x) for h, n, x in point if h == sp15.reversed().law_hash()) == [(64, 0), (256, 0)]
+    assert sorted((n, x) for h, n, x in point if h == sp15.reversed().law_hash()) == [(64, 0), (256, 0), (1024, 0)]
     inv_a = 1.0 / ctx.params.alpha
     slices = {(n, max(1, int(math.floor(0.5 * n ** inv_a)))) for n in ns} | {(n, 3) for n in ns}
     assert {(n, x) for h, n, x in point if h == sp15.law_hash()} <= slices
 
 
 def test_thm5_reads_K_at_its_own_site():
-    """eta n^{1/alpha} = 7.06 on sp18 at n = 64: the row's y is 7 and K is read there, not at 6."""
+    """n^{1/alpha} = 10.08 on sp18 at n = 64: the row's y is 10 and K is read there, not at 9."""
     ctx, n = get_ctx("sp18"), 64
-    (row,) = verify_thm5_x_small(ctx, n_values=(n,), eta=0.7).rows
-    assert row["y"] == 7
-    fy = first_passage(ctx.law, ("set", (0,)), -7, n).f[n]
+    row = verify_thm5_x_small(ctx, True).rows[0]
+    assert (row["n"], row["y"]) == (n, 10)
+    fy = first_passage(ctx.law, ("set", (0,)), -10, n).f[n]
     # K(y) = n^{1/a} p^n_{(-inf,0]}(x, y) / x_n, averaged over the starts x = 1, 2 used at this n
     scale, xs = n ** (1.0 / ctx.params.alpha), np.array([1, 2])
     half = run_kernel(ctx.law, HALF_LE_0, xs, n, keep=[n])
 
     def rhs(y):
         K = float(np.mean(scale * half.values[n][:, y + half.window] / (xs / scale)))
-        return rhs_theorem4_5(ctx, 3, 7, n, "x_small", f_minus_y=fy, K_val=K)
+        return rhs_thm5_x_small(ctx, 3, n, fy, K)
 
-    assert row["rhs"] == pytest.approx(rhs(7), rel=1e-10)
-    assert abs(rhs(6) / rhs(7) - 1.0) > 1e-6
+    assert row["rhs"] == pytest.approx(rhs(10), rel=1e-10)
+    assert abs(rhs(9) / rhs(10) - 1.0) > 1e-6

@@ -1,11 +1,13 @@
 """CLI contract: subcommands, exit codes, manifests, reproducibility."""
 import json
+from pathlib import Path
 
 import pytest
 
-from conftest import get_ctx
-from stablewalk import asymptotics
+from conftest import get_ctx, get_law
+from stablewalk import asymptotics, killed_walk
 from stablewalk.cli import _registry, main
+from stablewalk.errors import StableWalkError
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +152,33 @@ def test_thm3_runs_only_the_crossover_scan():
     """thm2 writes thm2_small; thm3 must not write it a second time."""
     reports = _registry(get_ctx("spx15"), True)["thm3"]()
     assert [r.theorem_id for r in reports] == ["crossover"]
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+def test_registry_strings_match_the_benchmark_reference(tmp_path, monkeypatch, capsys):
+    """The benchmark compares theorem ids and skip texts byte for byte with its reference."""
+    sym_ref = json.loads((REFERENCE / "verify_sym15.json").read_text())
+    sp_ref = json.loads((REFERENCE / "verify_sp15.json").read_text())
+    reg = _registry(get_ctx("sym15"), True)
+    assert list(reg) == sp_ref["theorem_ids"] == sym_ref["theorem_ids"]
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("a precondition skip ran a DP")
+
+    monkeypatch.setattr(asymptotics, "run_kernel", no_dp)
+    monkeypatch.setattr(killed_walk, "run_kernel", no_dp)
+    for tid in ("thm3", "thm5", "thm6", "cor2", "ladder", "kest"):
+        with pytest.raises(StableWalkError) as exc:
+            reg[tid]()
+        assert str(exc.value) == sym_ref["theorems"][tid]["skip"]
+    monkeypatch.undo()
+
+    law = tmp_path / "sp15.json"
+    law.write_text(get_law("sp15").to_json() + "\n")
+    capsys.readouterr()
+    assert main(["verify", "cor1", "--quick", "--law", str(law), "--out", str(tmp_path / "c1")]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: cor1: ConfigError: cor1 power branch needs a two-sided law\n"
+    assert err.strip() == sp_ref["theorems"]["cor1"]["skip"]

@@ -248,7 +248,8 @@ def test_k_estimate_two_resolutions():
 
 
 def test_lemma76_ratio_bounded(sym15):
-    from stablewalk.asymptotics import LawContext, lemma76_diagnostic
+    from asymptotic_oracles import lemma76_diagnostic
+    from stablewalk.asymptotics import LawContext
 
     val = lemma76_diagnostic(LawContext.build(sym15), n=256)
     assert math.isfinite(val)

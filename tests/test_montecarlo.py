@@ -117,7 +117,7 @@ def test_conditioning_too_rare(sym15):
 
 
 def test_estimates_csv_schema(sym15):
-    from stablewalk.montecarlo import estimates_to_csv
+    from montecarlo_oracles import estimates_to_csv
 
     cfg = SimConfig(trials=20_000, n_horizon=8, seed=4)
     est = estimate_first_passage(sym15, 2, [8], cfg)

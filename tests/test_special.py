@@ -5,15 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from special_oracles import integrate_adaptive, polylog_exp, zeta_tail
 from stablewalk.special import (
     gamma_fn,
-    integrate_adaptive,
     integrate_panels,
     omexp,
-    polylog_exp,
     x_minus_sin,
     zeta_fn,
-    zeta_tail,
 )
 
 mp.mp.dps = 60

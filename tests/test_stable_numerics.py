@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from stable_oracles import (
+    abs_moment,
+    meander_density,
+    meander_small_eta_slope,
+    normalization_check,
+    stable_density,
+)
 from stablewalk.errors import WrongSkew
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import (
-    abs_moment,
     constants,
     density_at_zero,
     density_grid_smart,
     hitting_density,
-    meander_density,
-    meander_small_eta_slope,
-    normalization_check,
     psi,
-    stable_density,
 )
 from stablewalk.walk_model import StableParams
 

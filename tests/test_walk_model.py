@@ -29,7 +29,7 @@ def test_zero_mean_by_direct_summation(name):
     xs = np.arange(-W, W + 1)
     head = float((law.pmf_window(W) * xs).sum())
     # tail moment sum_{y > W} y w(y) = (W+1) P[X >= W+1] + sum_{y >= W+2} P[X >= y]
-    from stablewalk.special import zeta_tail
+    from special_oracles import zeta_tail
 
     tail_p = law.sp * ((W + 1.0) * (W + 1.0) ** -law.rp + zeta_tail(law.rp, W + 2))
     tail_m = law.sm * ((W + 1.0) * (W + 1.0) ** -law.rm + zeta_tail(law.rm, W + 2))
