@@ -6,6 +6,7 @@ inside quadratures come from a single source.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -81,8 +82,13 @@ def _zeta_em(s: float, n_direct: int = 24) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=None)
 def zeta_fn(s: float) -> float:
-    """Riemann zeta on the real line, s != 1 (reflection below s = 0.5)."""
+    """Riemann zeta on the real line, s != 1 (reflection below s = 0.5).
+
+    Memoised: a law build asks for a few hundred distinct orders tens of
+    thousands of times.
+    """
     if abs(s - 1.0) < 1e-9:
         raise ValueError("zeta pole at s=1")
     if s == 0.0:

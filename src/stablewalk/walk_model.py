@@ -3,24 +3,31 @@
 A law is assembled from
   * two analytic power-law sides p(+-y) = s * [y^-r - (y+1)^-r] (telescoped, so
     the discrete tail sum P[X >= y] = s * y^-r holds exactly at every lattice
-    point),
+    point past the calibration blocks),
   * two inner calibration blocks whose atoms are rescaled by (1 + l1) on
     [1, 4] and (1 + l2) on [5, 64],
   * optional repair atoms at -1 / +1, and the atom at the origin.
 
-The calibration blocks are solved so that the mean is exactly zero, the
-theta^2 coefficient of 1 - phi(theta) vanishes, and (where feasibility
-permits) the lattice offset constant C0 = lim [pi_0(tau) - pi_0^inf(tau)]
-vanishes as well.  This keeps 1 - phi(theta) as close to its stable principal
-part c e^{i pi gamma/2} |theta|^alpha as an integer-supported law allows, so
-the limit formulas become visible at desk-scale n.
+Each part has one place in `WalkLaw`: `_side` gives a side's scale, exponent
+and repair atom, `_blocks` the calibration blocks, and `_tail` the exact side
+tail behind `cumulative_*` and `escaped_split`, which is therefore exact for
+every window W, inside the blocks too.  law.json is written and read field by
+field with one codec per field annotation.
+
+The builder closes the mean to exactly zero and solves l2 so that the theta^2
+coefficient of 1 - phi(theta) vanishes.  It then scans l1 and a short-range
+atom for a sign change of the lattice offset constant
+C0 = lim [pi_0(tau) - pi_0^inf(tau)] and refines one with brentq; without a
+sign change it keeps the feasible grid point of smallest |C0|.  The fallback
+is the common case: sym15, sp15 and bp15 keep c0 = 0.31, 0.012 and 0.0076,
+recorded in `WalkLaw.c0`.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
@@ -126,6 +133,33 @@ def _wgt(y: np.ndarray, r: float) -> np.ndarray:
     return y ** (-r) - (y + 1.0) ** (-r)
 
 
+# law.json codec per field annotation: (encode, decode); any other field is a
+# float written as its repr, or None (beta_neg)
+_CODECS = {
+    "Family": (lambda v: v.value, Family),
+    "int": (int, int),
+    "bool": (bool, bool),
+}
+_FLOAT = (
+    lambda v: None if v is None else repr(float(v)),
+    lambda v: None if v is None else float(v),
+)
+
+
+def _encode(obj) -> dict:
+    """The dataclass fields of obj as law.json values (a nested spec is written apart)."""
+    return {
+        f.name: _CODECS.get(f.type, _FLOAT)[0](getattr(obj, f.name))
+        for f in fields(obj)
+        if f.name != "spec"
+    }
+
+
+def _decode(cls, d: dict) -> dict:
+    """Constructor keywords of cls from its law.json values."""
+    return {f.name: _CODECS.get(f.type, _FLOAT)[1](d[f.name]) for f in fields(cls) if f.name != "spec"}
+
+
 @dataclass(frozen=True)
 class WalkLaw:
     """Immutable increment law; all operations are pure."""
@@ -143,21 +177,32 @@ class WalkLaw:
 
     # -- structural helpers -------------------------------------------------
 
-    def _scale_at(self, y: np.ndarray) -> np.ndarray:
-        """(1 + l(y)) for positive lattice distance y."""
-        out = np.ones_like(np.asarray(y, dtype=float))
-        y = np.asarray(y)
-        out[(y >= BLOCK1[0]) & (y <= BLOCK1[1])] += self.l1
-        out[(y >= BLOCK2[0]) & (y <= BLOCK2[1])] += self.l2
-        return out
+    def _side(self, sign: int) -> tuple[float, float, float]:
+        """(scale, exponent, repair atom) of the side X >= 1 (sign +1) or X <= -1 (sign -1)."""
+        return (self.sp, self.rp, self.u_plus) if sign > 0 else (self.sm, self.rm, self.u_minus)
+
+    def _blocks(self) -> tuple[tuple[np.ndarray, float], ...]:
+        """The calibration blocks as (sites y >= 1, factor - 1) pairs."""
+        return tuple(
+            (np.arange(lo, hi + 1, dtype=float), l)
+            for (lo, hi), l in ((BLOCK1, self.l1), (BLOCK2, self.l2))
+        )
+
+    def _moments(self, k: int) -> tuple[float, float]:
+        """(sum_{y>=1} y^k P[X = y], sum_{y>=1} y^k P[X = -y]) exactly, k = 0 or 1."""
+        out = []
+        for sign in (1, -1):
+            s, r, u = self._side(sign)
+            # the telescoped side alone: sum y^k w(y) is 1 (k = 0) or zeta(r) (k = 1)
+            v = 1.0 if k == 0 else zeta_fn(r)
+            for y, l in self._blocks():
+                v = v + l * (_wgt(y, r) * y ** k).sum()
+            out.append(s * v + u)
+        return out[0], out[1]
 
     def side_mass(self) -> tuple[float, float]:
         """(P[X >= 1], P[X <= -1]) exactly."""
-        y1 = np.arange(BLOCK1[0], BLOCK1[1] + 1, dtype=float)
-        y2 = np.arange(BLOCK2[0], BLOCK2[1] + 1, dtype=float)
-        mp = self.sp * (1.0 + self.l1 * _wgt(y1, self.rp).sum() + self.l2 * _wgt(y2, self.rp).sum())
-        mm = self.sm * (1.0 + self.l1 * _wgt(y1, self.rm).sum() + self.l2 * _wgt(y2, self.rm).sum())
-        return mp + self.u_plus, mm + self.u_minus
+        return self._moments(0)
 
     @property
     def p0(self) -> float:
@@ -166,30 +211,17 @@ class WalkLaw:
 
     def mean(self) -> float:
         """Exact first moment (analytic tail moments via zeta)."""
-        y1 = np.arange(BLOCK1[0], BLOCK1[1] + 1, dtype=float)
-        y2 = np.arange(BLOCK2[0], BLOCK2[1] + 1, dtype=float)
-        vp = self.sp * (
-            zeta_fn(self.rp)
-            + self.l1 * (_wgt(y1, self.rp) * y1).sum()
-            + self.l2 * (_wgt(y2, self.rp) * y2).sum()
-        ) + self.u_plus
-        vm = self.sm * (
-            zeta_fn(self.rm)
-            + self.l1 * (_wgt(y1, self.rm) * y1).sum()
-            + self.l2 * (_wgt(y2, self.rm) * y2).sum()
-        ) + self.u_minus
+        vp, vm = self._moments(1)
         return vp - vm
 
     def d2(self) -> float:
         """theta^2 coefficient of Re(1 - phi)."""
-        y1 = np.arange(BLOCK1[0], BLOCK1[1] + 1, dtype=float)
-        y2 = np.arange(BLOCK2[0], BLOCK2[1] + 1, dtype=float)
         v = -(
             self.sp * (zeta_fn(self.rp) / 2.0 - zeta_fn(self.rp - 1.0))
             + self.sm * (zeta_fn(self.rm) / 2.0 - zeta_fn(self.rm - 1.0))
         )
         v += (self.u_plus + self.u_minus) / 2.0
-        for y, l in ((y1, self.l1), (y2, self.l2)):
+        for y, l in self._blocks():
             v += l * (
                 self.sp * (_wgt(y, self.rp) * y * y).sum()
                 + self.sm * (_wgt(y, self.rm) * y * y).sum()
@@ -202,34 +234,34 @@ class WalkLaw:
         """Exact probability mass at integer points (vectorised)."""
         x = np.asarray(x, dtype=np.int64)
         out = np.zeros(x.shape, dtype=float)
-        pos = x >= 1
-        neg = x <= -1
-        if pos.any():
-            y = x[pos].astype(float)
-            out[pos] = self.sp * _wgt(y, self.rp) * self._scale_at(y)
-            out[pos] += np.where(x[pos] == 1, self.u_plus, 0.0)
-        if neg.any():
-            y = (-x[neg]).astype(float)
-            out[neg] = self.sm * _wgt(y, self.rm) * self._scale_at(y)
-            out[neg] += np.where(x[neg] == -1, self.u_minus, 0.0)
+        for sign in (1, -1):
+            on = sign * x >= 1
+            if on.any():
+                s, r, u = self._side(sign)
+                y = (sign * x[on]).astype(float)
+                factor = np.ones_like(y)
+                for sites, l in self._blocks():
+                    factor[(y >= sites[0]) & (y <= sites[-1])] += l
+                out[on] = s * _wgt(y, r) * factor + np.where(y == 1.0, u, 0.0)
         out[x == 0] = self.p0
         return out
 
-    def cumulative_plus(self, y: int) -> float:
-        """P[X >= y] exactly, any y >= 1."""
+    def _tail(self, sign: int, y: int) -> float:
+        """P[sign * X >= y] exactly, any y >= 1."""
+        s, r, _ = self._side(sign)
         y = int(y)
         if y > CALIBRATED_BEYOND:
-            return self.sp * float(y) ** (-self.rp)
-        grid = np.arange(y, CALIBRATED_BEYOND + 1, dtype=np.int64)
-        return float(self.pmf(grid).sum()) + self.sp * float(CALIBRATED_BEYOND + 1) ** (-self.rp)
+            return s * float(y) ** (-r)
+        grid = sign * np.arange(y, CALIBRATED_BEYOND + 1, dtype=np.int64)
+        return float(self.pmf(grid).sum()) + s * float(CALIBRATED_BEYOND + 1) ** (-r)
+
+    def cumulative_plus(self, y: int) -> float:
+        """P[X >= y] exactly, any y >= 1."""
+        return self._tail(1, y)
 
     def cumulative_minus(self, y: int) -> float:
         """P[X <= -y] exactly, any y >= 1."""
-        y = int(y)
-        if y > CALIBRATED_BEYOND:
-            return self.sm * float(y) ** (-self.rm)
-        grid = -np.arange(y, CALIBRATED_BEYOND + 1, dtype=np.int64)
-        return float(self.pmf(grid).sum()) + self.sm * float(CALIBRATED_BEYOND + 1) ** (-self.rm)
+        return self._tail(-1, y)
 
     def pmf_window(self, W: int) -> np.ndarray:
         """Dense pmf on [-W, W] (index 0 <-> -W)."""
@@ -239,34 +271,26 @@ class WalkLaw:
         return self.pmf(xs)
 
     def escaped_split(self, W: int) -> tuple[float, float]:
-        """(P[X > W], P[X < -W]) - per-step jump mass beyond the window."""
-        return (
-            self.sp * float(W + 1) ** (-self.rp),
-            self.sm * float(W + 1) ** (-self.rm),
-        )
+        """(P[X > W], P[X < -W]) - per-step jump mass beyond the window, exact for every W >= 0."""
+        return self.cumulative_plus(W + 1), self.cumulative_minus(W + 1)
 
     # -- Fourier side ---------------------------------------------------------
 
     def _atoms_for_fourier(self):
         """Finite lattice components: (points, masses) treated atom-by-atom."""
-        pts, ms = [], []
-        y1 = np.arange(BLOCK1[0], BLOCK1[1] + 1, dtype=float)
-        y2 = np.arange(BLOCK2[0], BLOCK2[1] + 1, dtype=float)
-        for y, l in ((y1, self.l1), (y2, self.l2)):
+        pts, ms = [np.zeros(0)], [np.zeros(0)]
+        for y, l in self._blocks():
             if l != 0.0:
-                pts.append(y)
-                ms.append(l * self.sp * _wgt(y, self.rp))
-                pts.append(-y)
-                ms.append(l * self.sm * _wgt(y, self.rm))
-        if self.u_plus != 0.0:
-            pts.append(np.array([1.0]))
-            ms.append(np.array([self.u_plus]))
-        if self.u_minus != 0.0:
-            pts.append(np.array([-1.0]))
-            ms.append(np.array([self.u_minus]))
-        if pts:
-            return np.concatenate(pts), np.concatenate(ms)
-        return np.zeros(0), np.zeros(0)
+                for sign in (1, -1):
+                    s, r, _ = self._side(sign)
+                    pts.append(sign * y)
+                    ms.append(l * s * _wgt(y, r))
+        for sign in (1, -1):
+            u = self._side(sign)[2]
+            if u != 0.0:
+                pts.append(np.array([float(sign)]))
+                ms.append(np.array([u]))
+        return np.concatenate(pts), np.concatenate(ms)
 
     def cf_main(self, theta: np.ndarray) -> np.ndarray:
         """Stable principal part of (1 - phi): the alpha-side singular image."""
@@ -352,51 +376,18 @@ class WalkLaw:
 
     def reversed(self) -> "WalkLaw":
         """Law of -X (duality partner)."""
-        fam = self.spec.family
-        if fam is Family.TWO_SIDED_PARETO:
-            rspec = replace(self.spec, q_plus=self.spec.q_minus, q_minus=self.spec.q_plus)
-        else:
-            # one-sided families keep the spec marker; skew and boundedness
-            # are read off the swapped sides, not off the family
-            rspec = self.spec
-        return WalkLaw(
-            spec=rspec,
-            sp=self.sm,
-            rp=self.rm,
-            sm=self.sp,
-            rm=self.rp,
-            l1=self.l1,
-            l2=self.l2,
-            u_plus=self.u_minus,
-            u_minus=self.u_plus,
-            c0=self.c0,
+        spec = self.spec
+        if spec.family is Family.TWO_SIDED_PARETO:
+            spec = replace(spec, q_plus=spec.q_minus, q_minus=spec.q_plus)
+        # one-sided families keep the spec marker; skew and boundedness are
+        # read off the swapped sides, not off the family
+        return replace(
+            self, spec=spec, sp=self.sm, rp=self.rm, sm=self.sp, rm=self.rp,
+            u_plus=self.u_minus, u_minus=self.u_plus,
         )
 
     def to_json(self) -> str:
-        payload = {
-            "schema_version": 1,
-            "spec": {
-                "alpha": repr(float(self.spec.alpha)),
-                "family": self.spec.family.value,
-                "B": repr(float(self.spec.B)),
-                "q_plus": repr(float(self.spec.q_plus)),
-                "q_minus": repr(float(self.spec.q_minus)),
-                "support_radius": int(self.spec.support_radius),
-                "beta_neg": None if self.spec.beta_neg is None else repr(float(self.spec.beta_neg)),
-                "calibrate": bool(self.spec.calibrate),
-            },
-            "law": {
-                "sp": repr(float(self.sp)),
-                "rp": repr(float(self.rp)),
-                "sm": repr(float(self.sm)),
-                "rm": repr(float(self.rm)),
-                "l1": repr(float(self.l1)),
-                "l2": repr(float(self.l2)),
-                "u_plus": repr(float(self.u_plus)),
-                "u_minus": repr(float(self.u_minus)),
-                "c0": repr(float(self.c0)),
-            },
-        }
+        payload = {"schema_version": 1, "spec": _encode(self.spec), "law": _encode(self)}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @staticmethod
@@ -404,29 +395,7 @@ class WalkLaw:
         d = json.loads(text)
         if d.get("schema_version") != 1:
             raise ConfigError("unknown law schema version")
-        s, l = d["spec"], d["law"]
-        spec = TailSpec(
-            alpha=float(s["alpha"]),
-            family=Family(s["family"]),
-            B=float(s["B"]),
-            q_plus=float(s["q_plus"]),
-            q_minus=float(s["q_minus"]),
-            support_radius=int(s["support_radius"]),
-            beta_neg=None if s["beta_neg"] is None else float(s["beta_neg"]),
-            calibrate=bool(s["calibrate"]),
-        )
-        return WalkLaw(
-            spec=spec,
-            sp=float(l["sp"]),
-            rp=float(l["rp"]),
-            sm=float(l["sm"]),
-            rm=float(l["rm"]),
-            l1=float(l["l1"]),
-            l2=float(l["l2"]),
-            u_plus=float(l["u_plus"]),
-            u_minus=float(l["u_minus"]),
-            c0=float(l["c0"]),
-        )
+        return WalkLaw(spec=TailSpec(**_decode(TailSpec, d["spec"])), **_decode(WalkLaw, d["law"]))
 
     def law_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -467,6 +436,16 @@ def stable_params_of(law: WalkLaw) -> StableParams:
 # ---------------------------------------------------------------------------
 
 
+def _close_mean(law: WalkLaw, iters: int, step) -> WalkLaw:
+    """Apply law = step(law, law.mean()) up to iters times, stopping at an exactly zero mean."""
+    for _ in range(iters):
+        r = law.mean()
+        if r == 0.0:
+            break
+        law = step(law, r)
+    return law
+
+
 def _raw_law(spec: TailSpec, l1: float, l2: float, u_extra: float = 0.0) -> WalkLaw:
     """Law with given blocks; mass closers solved for exact zero mean.
 
@@ -475,46 +454,23 @@ def _raw_law(spec: TailSpec, l1: float, l2: float, u_extra: float = 0.0) -> Walk
     scale re-closing the mean) otherwise.
     """
     alpha, B = spec.alpha, spec.B
-    fam = spec.family
-    if fam is Family.TWO_SIDED_PARETO:
+    if spec.family is Family.TWO_SIDED_PARETO:
         half = u_extra / 2.0
         law = WalkLaw(spec, spec.q_plus * B, alpha, spec.q_minus * B, alpha, l1, l2, half, half)
-        m = law.mean()
-        if m > 0:
-            law = replace(law, u_minus=law.u_minus + m)
-        elif m < 0:
-            law = replace(law, u_plus=law.u_plus - m)
-        for _ in range(3):
-            r = law.mean()
-            if r == 0.0:
-                break
-            if r > 0 or law.u_minus > half:
-                law = replace(law, u_minus=law.u_minus + r)
-            else:
-                law = replace(law, u_plus=law.u_plus - r)
-        return law
-    if fam is Family.LEFT_CONTINUOUS:
+
+        def step(lw: WalkLaw, r: float) -> WalkLaw:
+            if r > 0 or lw.u_minus > half:
+                return replace(lw, u_minus=lw.u_minus + r)
+            return replace(lw, u_plus=lw.u_plus - r)
+
+        return _close_mean(law, 4, step)
+    if spec.family is Family.LEFT_CONTINUOUS:
         law = WalkLaw(spec, B, alpha, 0.0, alpha, l1, l2, 0.0, 0.0)
-        law = replace(law, u_minus=law.mean())
-        for _ in range(3):
-            r = law.mean()
-            if r == 0.0:
-                break
-            law = replace(law, u_minus=law.u_minus + r)
-        return law
-    # light-negative families: scale sm solves the mean
-    beta = spec.beta_neg
-    base = WalkLaw(spec, B, alpha, 0.0, beta, l1, l2, 0.0, u_extra)
-    unit = WalkLaw(spec, B, alpha, 1.0, beta, l1, l2, 0.0, u_extra)
-    m0, m1 = base.mean(), unit.mean()
-    sm = -m0 / (m1 - m0)
-    law = WalkLaw(spec, B, alpha, sm, beta, l1, l2, 0.0, u_extra)
-    for _ in range(5):
-        r = law.mean()
-        if r == 0.0:
-            break
-        law = replace(law, sm=law.sm - r / (m1 - m0))
-    return law
+        return _close_mean(law, 4, lambda lw, r: replace(lw, u_minus=lw.u_minus + r))
+    # light-negative families: the scale sm solves the mean, which is linear in it
+    law = WalkLaw(spec, B, alpha, 0.0, spec.beta_neg, l1, l2, 0.0, u_extra)
+    slope = replace(law, sm=1.0).mean() - law.mean()
+    return _close_mean(law, 6, lambda lw, r: replace(lw, sm=lw.sm - r / slope))
 
 
 def _solve_d2(spec: TailSpec, l1: float, u_extra: float = 0.0) -> WalkLaw:
@@ -553,11 +509,8 @@ def _feasible(law: WalkLaw) -> bool:
 
 def build_walk_law(spec: TailSpec) -> WalkLaw:
     """Construct, calibrate and validate a law for the given tail spec."""
-    if not (1.0 < spec.alpha < 2.0):
-        raise AlphaOutOfRange(f"alpha={spec.alpha}")
     if not spec.calibrate:
         law = _raw_law(spec, 0.0, 0.0)
-        law = replace(law, c0=math.nan)
         _validate(law)
         return law
 
@@ -621,8 +574,8 @@ def _validate(law: WalkLaw) -> None:
         g = math.gcd(g, int(abs(x)))
         if g == 1:
             break
-    if g != 1 or law.p0 <= 0:
-        raise AperiodicityFailure(f"support gcd {g}, p0={law.p0}")
+    if g != 1:
+        raise AperiodicityFailure(f"support gcd {g}")
 
 
 # ---------------------------------------------------------------------------
@@ -671,16 +624,7 @@ def validate_tails(law: WalkLaw, k_max: int = 22) -> TailReport:
 # config parsing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "family",
-    "alpha",
-    "B",
-    "q_plus",
-    "q_minus",
-    "beta_neg",
-    "support_radius",
-    "calibrate",
-}
+_CONFIG_KEYS = {f.name for f in fields(TailSpec)}
 
 
 def parse_law_config(text: str) -> TailSpec:

@@ -27,9 +27,11 @@ def test_one_step_is_pmf(sym15):
 
 
 def test_conservation_every_step(sym15):
-    tab = run_kernel(sym15, [0], [3, -7], 512, window=700)
-    for n in (1, 64, 511, 512):
-        assert tab.conservation_defect(n).max() < 1e-12
+    """Mass is conserved at every step, also on a window inside the calibration blocks."""
+    for W in (700, 16):
+        tab = run_kernel(sym15, [0], [3, -7], 512, window=W)
+        for n in (1, 64, 511, 512):
+            assert tab.conservation_defect(n).max() < 1e-12, (W, n)
 
 
 @pytest.mark.parametrize("W", [512, 812, 1015, 2047])

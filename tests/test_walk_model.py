@@ -14,11 +14,12 @@ from conftest import get_law, _LAW_DEFS
 
 @pytest.mark.parametrize("name", sorted(_LAW_DEFS))
 def test_mass_conservation(name):
+    """Window mass plus escaped mass is 1, also for windows inside the calibration blocks."""
     law = get_law(name)
-    W = 2500
-    total = law.pmf_window(W).sum()
-    ep, em = law.escaped_split(W)
-    assert abs(total + ep + em - 1.0) < 1e-12
+    for W in (10, 63, 64, 2500):
+        total = law.pmf_window(W).sum()
+        ep, em = law.escaped_split(W)
+        assert abs(total + ep + em - 1.0) < 1e-12, W
 
 
 @pytest.mark.parametrize("name", sorted(_LAW_DEFS))
@@ -131,10 +132,24 @@ def test_validate_tails_one_sided(sp15):
     assert vals[-1] < 1e-3
 
 
-def test_json_round_trip_exact(sp15):
-    clone = WalkLaw.from_json(sp15.to_json())
-    assert clone == sp15
-    assert clone.law_hash() == sp15.law_hash()
+@pytest.mark.parametrize("name", sorted(_LAW_DEFS))
+def test_json_round_trip_exact(name):
+    law = get_law(name)
+    clone = WalkLaw.from_json(law.to_json())
+    assert clone == law
+    assert clone.to_json() == law.to_json()
+    assert clone.law_hash() == law.law_hash()
+
+
+def test_benchmark_law_hashes_pinned():
+    """sym15, sp15 and bp15 keep their law hashes.
+
+    The benchmark builds these three laws from their specs and checks every
+    output against references recorded for exactly these laws, so any change
+    to how they are built moves every benchmark number.
+    """
+    hashes = {name: get_law(name).law_hash() for name in ("sym15", "sp15", "bp15")}
+    assert hashes == {"sym15": "77b3904f3d7fb10f", "sp15": "0c09caf53272897c", "bp15": "f5219f230a39fd98"}
 
 
 def test_reversed_law_swaps_sides(asym15):
