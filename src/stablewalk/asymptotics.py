@@ -26,7 +26,8 @@ law's {0}-killed run from 0 (LawContext.dual_slice): thm1, thm2_small, comp
 and finite share one at W(n_max), crossover has its own, thm2_bulk, thm4 and
 thm5 share one per n, prop21 has one per n.  Forward {0}-killed runs give
 only kernel slices p^n_0(x, .); prop23 reads p^n_0(x, y) = p~^n_0(y, x) off
-the reversed run from y.
+the reversed run from y, and tunneling_check reads its dual kernel at every
+step 0..n off the reversed run from -y.
 """
 from __future__ import annotations
 
@@ -198,20 +199,17 @@ class LawContext:
         if set(keep) <= runs.keys():
             return runs
         keep = sorted(set(keep) | runs.keys())
-        # kept at its last step only: the key and 1-D layout of a plain dp_slice artifact
-        shape = (2 * W + 1,) if len(keep) == 1 else (len(keep), 2 * W + 1)
-        extra = {} if len(keep) == 1 else {"keep": keep}
-        key = cache.content_key(base[0], "dp_slice", B=str(B), x=x, n=n, W=W, **extra)
-        arrays = cache.load(key, shapes={"slice": shape, "f": (n + 1,), "escaped": (len(keep),)})
+        key = cache.content_key(base[0], "dp_slice", B=str(B), x=x, n=n, W=W, keep=keep)
+        arrays = cache.load(key, shapes={"slice": (len(keep), 2 * W + 1), "f": (n + 1,), "escaped": (len(keep),)})
         if arrays is None:
             table = run_kernel(law, B, [x], n, window=W, keep=keep)
-            arrays = {"slice": np.stack([table.values[m][0] for m in keep]).reshape(shape),
+            arrays = {"slice": np.stack([table.values[m][0] for m in keep]),
                       "f": table.step_killed[0], "escaped": table.escaped[0, keep]}
             cache.store(key, **arrays)
         for arr in arrays.values():
             arr.flags.writeable = False
-        slices = arrays["slice"].reshape(len(keep), 2 * W + 1)
-        self.memo[base] = {m: DPSlice(sl, W, arrays["f"], float(esc)) for m, sl, esc in zip(keep, slices, arrays["escaped"])}
+        self.memo[base] = {m: DPSlice(sl, W, arrays["f"], float(esc))
+                           for m, sl, esc in zip(keep, arrays["slice"], arrays["escaped"])}
         return self.memo[base]
 
 
@@ -453,21 +451,20 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     W = default_window(law, n)
     ent = run_kernel(law, HALF_LE_0, [x], n, window=W, keep=[n], entrance_depth=W)
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
-    dual = run_kernel(law.reversed(), _ORIGIN, [-y], n, window=W)
+    dual = ctx.dual_slice(range(n + 1), y=-y)
     sl0, W0, _, _ = ctx.dp_slice(_ORIGIN, x, n)
     denom = float(sl0[y + W0])
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")
     rep = VerificationReport(theorem_id="tunneling")
     # p^{n-k}_0(z, y) = dual kernel from -y evaluated at -z = d
-    dual_slices = dual.values
     probs = []
     for R in R_values:
         num = 0.0
         for k in range(1, n + 1):
             rowk = h[k]
             m = n - k
-            dz = dual_slices[m][0]
+            dz = dual[m].slice
             # z < -R  <->  d > R; dual kernel gives p^{n-k}_0(z, y) at index -z + W
             d_idx = np.arange(int(R) + 1, len(rowk))
             num += float((rowk[d_idx] * dz[d_idx + W]).sum())
@@ -679,5 +676,7 @@ def verify_ladder(ctx: LawContext, quick: bool) -> tuple[VerificationReport, Ver
     rep_u.notes["E_Z"] = ez
     rep_u.notes["pmf_tails"] = [lt.q_ds_tail, lt.q_as_tail]
     rep_v.notes["E_Z"] = ez
+    for rep in (rep_u, rep_v):
+        rep.notes["green_tail_rel"] = lt.green_tail_rel
     crit = TrendCriterion(final_cap=0.2)
     return rep_u.finalize(crit), rep_v.finalize(crit)

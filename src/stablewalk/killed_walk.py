@@ -33,12 +33,13 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
-from .special import gk_panels
+from .special import gk_panels, omexp
 from .walk_model import WalkLaw
 
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
 DP_VERSION = 2
 _TAU_ROWS = 1024  # tau rows per block of the Fourier oracle's theta integral
+_LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may miss
 
 # ---------------------------------------------------------------------------
 # killing-set descriptors
@@ -82,7 +83,6 @@ class KernelTable:
     deeper rest).
     """
 
-    law_hash: str
     killing: object
     window: int
     n_max: int
@@ -92,7 +92,6 @@ class KernelTable:
     step_killed: np.ndarray | None = None
     escaped: np.ndarray | None = None
     entrance: np.ndarray | None = None
-    entrance_depth: int = 0
     entrance_lump: np.ndarray | None = None
 
     @property
@@ -177,20 +176,13 @@ def run_kernel(
     for i, x in enumerate(starts):
         states[i, x + W] = 1.0
 
-    table = KernelTable(
-        law_hash=law.law_hash(),
-        killing=B,
-        window=W,
-        n_max=n_max,
-        starts=starts,
-    )
+    table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts)
     table.step_killed = np.zeros((ns, n_max + 1))
     table.escaped = np.zeros((ns, n_max + 1))
     half_le = B is not None and B[0] == "le"
     if entrance_depth:
         if not half_le:
             raise ValueError("entrance collection needs half-line killing")
-        table.entrance_depth = entrance_depth
         table.entrance = np.zeros((ns, n_max + 1, entrance_depth + 1))
         table.entrance_lump = np.zeros((ns, n_max + 1))
     elif B is not None and not half_le:
@@ -249,8 +241,6 @@ def run_kernel(
 
 @dataclass
 class FirstPassageLaw:
-    x: int
-    killing: object
     f: np.ndarray            # f[n] = P[sigma = n]
     cumulative: np.ndarray
     truncation_tail: float   # surviving + escaped mass at n_max
@@ -266,14 +256,7 @@ def first_passage(
     cum = np.cumsum(f)
     surv = float(table.values[n_max][0].sum())
     esc = float(table.escaped[0, n_max])
-    return FirstPassageLaw(
-        x=int(x),
-        killing=table.killing,
-        f=f,
-        cumulative=cum,
-        truncation_tail=surv + esc,
-        escaped=esc,
-    )
+    return FirstPassageLaw(f=f, cumulative=cum, truncation_tail=surv + esc, escaped=esc)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +297,7 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     # D(tau, theta) = (1 - e^{i tau}) + e^{i tau} (1 - phi(theta)), and
     # pi_y(tau) = (1/2pi) int e^{-iy theta}/D dtheta  (split +-theta)
     eit = np.exp(1j * tau)
-    om_t = 2.0 * np.sin(tau / 2.0) ** 2 - 1j * np.sin(tau)  # 1 - e^{i tau}
+    om_t = omexp(tau)                                      # 1 - e^{i tau}
     ys = np.array([0] + [-x for x in xs], dtype=float)
     ph = np.exp(-1j * np.outer(th, ys)) * wth[:, None]     # e^{-iy theta} w
     ph_m = np.conj(ph)                                      # e^{+iy theta} w
@@ -358,14 +341,9 @@ class LadderTables:
     route (its truncation defect compounds with x).
     """
 
-    x_max: int
-    n_truncate: int
     q_ds: np.ndarray          # strictly descending ladder height pmf, |Z| = 1..len
     q_ds_tail: float
-    q_as: np.ndarray          # weakly ascending ladder height pmf, Z = 0..len-1
-    q_as_tail: float
-    nu_as: np.ndarray         # renewal measure of weak ascending heights, y = 0..x_max
-    u_ds: np.ndarray          # renewal measure of strict descending heights, y = 1..x_max
+    q_as_tail: float          # missing mass of the weakly ascending ladder height pmf
     V_as: np.ndarray          # cumulative: V_as[x] = sum_{y<=x} nu_as(y)
     U_ds: np.ndarray          # cumulative: U_ds[x] = 1 + sum_{y<=x} u_ds(y)
     V_as_recursion: np.ndarray
@@ -399,22 +377,16 @@ def _green_sites(table: KernelTable, n_late: int, n: int, n_sites: int, alpha: f
     return total, float(tail.sum() / max(total.sum(), 1e-300))
 
 
-def ladder_renewals(
-    law: WalkLaw,
-    x_max: int = 256,
-    n_truncate: int | None = None,
-    tail_budget: float = 0.2,
-) -> LadderTables:
+def ladder_renewals(law: WalkLaw, x_max: int = 256) -> LadderTables:
     """Ladder-height pmfs and renewal functions from two half-line DPs.
 
     The Green sum at level y needs of order y^alpha steps before its tail
-    enters the m^{-1-1/alpha} regime, so n_truncate defaults to
-    4 * x_max^alpha (at least 8192).
+    enters the m^{-1-1/alpha} regime, so both runs take N = 4 * x_max^alpha
+    steps (at least 8192).
     """
     alpha = law.spec.alpha
-    if n_truncate is None:
-        n_truncate = max(8192, int(4.0 * x_max ** alpha))
-    N, half = n_truncate, n_truncate // 2
+    N = max(8192, int(4.0 * x_max ** alpha))
+    half = N // 2
     W = default_window(law, N)
 
     # law from 1: entering (-inf, 0] at depth d is a strict descent |Z| = d + 1
@@ -426,9 +398,9 @@ def ladder_renewals(
     )
     q_ds, q_ds_tail = _ladder_pmf(down, N)
     q_as, q_as_tail = _ladder_pmf(up, N)
-    if max(q_ds_tail, q_as_tail) > tail_budget:
+    if max(q_ds_tail, q_as_tail) > _LADDER_TAIL_BUDGET:
         raise TruncationTooCoarse(
-            f"ladder pmf truncation tails ({q_ds_tail:.3f}, {q_as_tail:.3f}) above {tail_budget}"
+            f"ladder pmf truncation tails ({q_ds_tail:.3f}, {q_as_tail:.3f}) above {_LADDER_TAIL_BUDGET}"
         )
 
     nu_as, rel1 = _green_sites(down, half, N, x_max + 1, alpha)
@@ -442,14 +414,9 @@ def ladder_renewals(
     U_rec = _weak_renewal_recursion(np.concatenate([[0.0], q_ds]), x_max)
 
     return LadderTables(
-        x_max=x_max,
-        n_truncate=n_truncate,
         q_ds=q_ds,
         q_ds_tail=q_ds_tail,
-        q_as=q_as,
         q_as_tail=q_as_tail,
-        nu_as=nu_as,
-        u_ds=u_ds,
         V_as=V_as,
         U_ds=U_ds,
         V_as_recursion=V_rec,

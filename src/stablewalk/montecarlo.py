@@ -15,7 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningTooRare
-from .walk_model import CALIBRATED_BEYOND, WalkLaw
+from .walk_model import WalkLaw
+
+_CORE = 4096  # the alias table covers [-_CORE, _CORE]; beyond it the tails are inverted
+_CHUNK = 200_000  # paths simulated at once per stream
+_MIN_EFFECTIVE = 50  # fewest accepted paths a conditional estimate may rest on
 
 
 @dataclass(frozen=True)
@@ -51,15 +55,13 @@ def _binom_ci(hits: float, n: int) -> EstimateCI:
 class IncrementSampler:
     """Alias-method core + closed-form tail inversion for one WalkLaw."""
 
-    def __init__(self, law: WalkLaw, core: int = 4096):
-        if core <= CALIBRATED_BEYOND:
-            raise ValueError("core window must clear the calibration blocks")
+    def __init__(self, law: WalkLaw):
         self.law = law
-        self.core = core
-        xs = np.arange(-core, core + 1, dtype=np.int64)
+        xs = np.arange(-_CORE, _CORE + 1, dtype=np.int64)
         probs = law.pmf(xs)
-        # (P[X >= core+1], P[X <= -core-1])
-        self.tail_p, self.tail_m = law.escaped_split(core)
+        # (P[X >= _CORE+1], P[X <= -_CORE-1]); _CORE is past the calibration blocks,
+        # so both tails are pure power laws
+        self.tail_p, self.tail_m = law.escaped_split(_CORE)
         self.core_mass = float(probs.sum())
         # mass bookkeeping is exact by construction: core + tails = 1
         self._xs = xs
@@ -118,19 +120,17 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _chunks(cfg: SimConfig, chunk: int):
+def _chunks(cfg: SimConfig):
     """(generator, trials) per chunk: cfg.trials split over the streams, each stream in chunks."""
     base, rem = divmod(cfg.trials, cfg.stream_count)
     for stream in range(cfg.stream_count):
         trials = base + (1 if stream < rem else 0)
         rng = stream_rng(cfg.seed, stream)
-        for done in range(0, trials, chunk):
-            yield rng, min(chunk, trials - done)
+        for done in range(0, trials, _CHUNK):
+            yield rng, min(_CHUNK, trials - done)
 
 
-def estimate_first_passage(
-    law: WalkLaw, x: int, n_grid, cfg: SimConfig, chunk: int = 200_000
-) -> dict:
+def estimate_first_passage(law: WalkLaw, x: int, n_grid, cfg: SimConfig) -> dict:
     """Indicator estimates of f^x(n) on n_grid plus survival P[sigma > n].
 
     Returns {"f": {n: EstimateCI}, "survival": {n: EstimateCI}}.
@@ -140,7 +140,7 @@ def estimate_first_passage(
     sampler = IncrementSampler(law)
     hit_at = np.zeros(horizon + 1)
     alive_at = {n: 0.0 for n in n_grid}
-    for rng, m in _chunks(cfg, chunk):
+    for rng, m in _chunks(cfg):
         pos = np.full(m, int(x), dtype=np.int64)
         alive = np.ones(m, dtype=bool)
         for n in range(1, horizon + 1):
@@ -159,23 +159,14 @@ def estimate_first_passage(
     return {"f": out_f, "survival": out_s}
 
 
-def estimate_conditional_escape(
-    law: WalkLaw,
-    x: int,
-    y: int,
-    n: int,
-    R: float,
-    cfg: SimConfig,
-    chunk: int = 200_000,
-    min_effective: int = 50,
-) -> EstimateCI:
+def estimate_conditional_escape(law: WalkLaw, x: int, y: int, n: int, R: float, cfg: SimConfig) -> EstimateCI:
     """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] by rejection."""
     if not (x > 0 > y):
         raise ValueError("need x > 0 > y")
     sampler = IncrementSampler(law)
     accept = 0
     deep = 0
-    for rng, m in _chunks(cfg, chunk):
+    for rng, m in _chunks(cfg):
         pos = np.full(m, int(x), dtype=np.int64)
         ok = np.ones(m, dtype=bool)          # sigma_0 > current step
         entered = np.zeros(m, dtype=bool)
@@ -193,8 +184,8 @@ def estimate_conditional_escape(
         sel = ok & (pos == y)
         accept += int(sel.sum())
         deep += int((entry_val[sel] < -R).sum())
-    if accept < min_effective:
+    if accept < _MIN_EFFECTIVE:
         raise ConditioningTooRare(
-            f"only {accept} paths satisfied the conditioning (floor {min_effective})"
+            f"only {accept} paths satisfied the conditioning (floor {_MIN_EFFECTIVE})"
         )
     return _binom_ci(deep, accept)

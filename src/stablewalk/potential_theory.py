@@ -36,6 +36,7 @@ from .special import gk_panels
 from .walk_model import WalkLaw
 
 _CUSP_ROWS = 128  # x rows per block of the cusp segment's matrix product
+_C_PLUS_K_HI = 12  # c_plus extrapolates a(2^k) for k = 5 .. _C_PLUS_K_HI
 
 
 def _a_breaks_sub(alpha: float, split: float) -> np.ndarray:
@@ -211,7 +212,7 @@ def has_bounded_potential(law: WalkLaw) -> bool:
     return float(law.pmf(np.array([-2]))[0]) > 0.0 or law.sm > 0.0
 
 
-def c_plus(law: WalkLaw, pot: PotentialTable | None = None, k_hi: int = 12) -> float:
+def c_plus(law: WalkLaw, pot: PotentialTable | None = None) -> float:
     """C+ = lim_{x -> +inf} a(x): finite value, 0, or +inf per the tail criterion.
 
     Left-continuity (no mass below -1, so a(x) = 0 for x > 0) is read off the
@@ -222,5 +223,5 @@ def c_plus(law: WalkLaw, pot: PotentialTable | None = None, k_hi: int = 12) -> f
     if not has_bounded_potential(law):
         return math.inf
     pot = pot or PotentialTable(law)
-    pot.fill([2 ** k_hi])
-    return _aitken_limit([pot.a(2 ** k) for k in range(5, k_hi + 1)])
+    pot.fill([2 ** _C_PLUS_K_HI])
+    return _aitken_limit([pot.a(2 ** k) for k in range(5, _C_PLUS_K_HI + 1)])

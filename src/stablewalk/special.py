@@ -110,7 +110,10 @@ def harmonic(n: int) -> float:
     return sum(1.0 / j for j in range(1, n + 1))
 
 
-def polylog_analytic(s: float, theta: np.ndarray, terms: int = 96) -> np.ndarray:
+_POLYLOG_TERMS = 96  # Taylor terms of the analytic part of Li_s(e^{i theta})
+
+
+def polylog_analytic(s: float, theta: np.ndarray) -> np.ndarray:
     """Analytic (Taylor) part of Li_s(e^{i theta}) on 0 < theta <= pi.
 
     For non-integer s this is sum_k zeta(s-k) (i theta)^k / k!; the
@@ -127,14 +130,14 @@ def polylog_analytic(s: float, theta: np.ndarray, terms: int = 96) -> np.ndarray
             harmonic(n - 1) - (np.log(theta) - 1j * math.pi / 2.0)
         )
         term = np.ones(theta.shape, dtype=complex)
-        for k in range(terms + 1):
+        for k in range(_POLYLOG_TERMS + 1):
             if k != n - 1:
                 res = res + zeta_fn(n - k) * term
             term = term * (1j * theta) / (k + 1)
         return res
     res = np.zeros(theta.shape, dtype=complex)
     term = np.ones(theta.shape, dtype=complex)
-    for k in range(terms + 1):
+    for k in range(_POLYLOG_TERMS + 1):
         res = res + zeta_fn(s - k) * term
         term = term * (1j * theta) / (k + 1)
     return res
@@ -261,8 +264,8 @@ def integrate_panels(f, breaks):
     return per_k.sum(), float(np.abs(per_k - per_g).sum())
 
 
-def geometric_breaks(lo: float, hi: float, per_octave: int = 1) -> np.ndarray:
-    """Breakpoints geometric from hi down to ~lo (plus the origin)."""
-    n = max(int(math.ceil(math.log2(hi / lo))) * per_octave, 4)
-    pts = hi * 2.0 ** (-np.arange(1, n + 1, dtype=float) / per_octave)
+def geometric_breaks(lo: float, hi: float) -> np.ndarray:
+    """Breakpoints hi / 2^k, one per octave, from hi down to ~lo (plus the origin)."""
+    n = max(int(math.ceil(math.log2(hi / lo))), 4)
+    pts = hi * 2.0 ** -np.arange(1, n + 1, dtype=float)
     return np.unique(np.concatenate([[0.0, hi], pts[pts > lo / 2]]))

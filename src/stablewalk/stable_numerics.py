@@ -21,6 +21,7 @@ from .walk_model import StableParams
 
 _CUT = 44.0  # exp(-44) ~ 8e-20: below double noise for O(1) integrands
 _X_ROWS = 128  # x rows per block of density_grid's oscillatory matrix product
+_FAR_TERMS = 5  # terms of the far-tail series; the sixth is the error bound
 
 
 def psi(theta, params: StableParams):
@@ -70,14 +71,14 @@ def density_grid(
     return vals, errs
 
 
-def density_series_far(t: float, xs: np.ndarray, params: StableParams, deriv: int = 0, terms: int = 5):
+def density_series_far(t: float, xs: np.ndarray, params: StableParams, deriv: int = 0):
     """p_t(x) (or d/dx p_t) by the far-tail series; |x| >> t^{1/alpha} only."""
     xs = np.asarray(xs, dtype=float)
     a = params.alpha
     side = np.where(xs >= 0, 1, -1)
     if deriv == 0:
-        return _far_series(t, np.abs(xs), params, side, terms, lambda k: 1.0, -1.0)
-    out, err = _far_series(t, np.abs(xs), params, side, terms, lambda k: -(k * a + 1.0), -2.0)
+        return _far_series(t, np.abs(xs), params, side, _FAR_TERMS, lambda k: 1.0, -1.0)
+    out, err = _far_series(t, np.abs(xs), params, side, _FAR_TERMS, lambda k: -(k * a + 1.0), -2.0)
     # d/dx p_t(x): for x<0 the chain rule flips the sign
     return side * out, err
 

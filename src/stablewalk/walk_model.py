@@ -521,7 +521,7 @@ def build_walk_law(spec: TailSpec) -> WalkLaw:
         u_grid = [0.0, 0.15, 0.3, 0.45, 0.6]
 
     chosen = None
-    best = None
+    best, best_c0 = None, math.inf  # the feasible grid point of smallest |C0| so far
     for u in u_grid:
         laws = [_solve_d2(spec, g, u) for g in grid]
         feas = [_feasible(lw) for lw in laws]
@@ -535,20 +535,20 @@ def build_walk_law(spec: TailSpec) -> WalkLaw:
                     xtol=1e-11,
                 )
                 chosen = _solve_d2(spec, root, u)
+                chosen = replace(chosen, c0=chosen.lattice_offset())
                 break
         if chosen is not None:
             break
         finite = [abs(c) if ok and math.isfinite(c) else math.inf for c, ok in zip(c0s, feas)]
         k = int(np.argmin(finite))
-        if not math.isinf(finite[k]) and (best is None or finite[k] < abs(best.lattice_offset())):
-            best = laws[k]
+        if finite[k] < abs(best_c0):
+            best, best_c0 = laws[k], c0s[k]
     if chosen is None:
         if best is None:
             raise InfeasibleMeanAdjustment(
                 f"no feasible calibration for {spec.family.value} alpha={spec.alpha} B={spec.B}"
             )
-        chosen = best
-    chosen = replace(chosen, c0=chosen.lattice_offset())
+        chosen = replace(best, c0=best_c0)
     _validate(chosen)
     return chosen
 
@@ -583,9 +583,11 @@ def _validate(law: WalkLaw) -> None:
 # ---------------------------------------------------------------------------
 
 
+_TAIL_K_MAX = 22  # validate_tails scans y = 2^k for k < _TAIL_K_MAX
+
+
 @dataclass
 class TailReport:
-    law_hash: str
     rows: list = field(default_factory=list)  # (x, side, scaled, target, deviation)
     max_dev_beyond_window: float = 0.0
 
@@ -596,16 +598,16 @@ class TailReport:
         return "\n".join(lines) + "\n"
 
 
-def validate_tails(law: WalkLaw, k_max: int = 22) -> TailReport:
+def validate_tails(law: WalkLaw) -> TailReport:
     """Scaled tails y^alpha P[X >= y] (and the mirror side) on y = 2^k.
 
     With the telescoped construction P[X >= y] = sp * y^-alpha holds exactly
     once y clears the calibration blocks, so the deviation is identically
     zero there; inside the window the blocks produce a finite deviation.
     """
-    rep = TailReport(law_hash=law.law_hash())
+    rep = TailReport()
     alpha = law.spec.alpha
-    for k in range(1, k_max):
+    for k in range(1, _TAIL_K_MAX):
         y = 2 ** k
         scaled = law.cumulative_plus(y) * float(y) ** alpha
         target = law.sp

@@ -30,9 +30,9 @@ def zeta_tail(s: float, m: int) -> float:
     return total
 
 
-def polylog_exp(s: float, theta: np.ndarray, terms: int = 96) -> np.ndarray:
+def polylog_exp(s: float, theta: np.ndarray) -> np.ndarray:
     """Li_s(e^{i theta}) for 0 < theta <= pi (series converges for theta < 2 pi)."""
-    return polylog_analytic(s, theta, terms=terms) + polylog_sing(s, theta)
+    return polylog_analytic(s, theta) + polylog_sing(s, theta)
 
 
 def integrate_adaptive(f, a, b, abs_tol=1e-12, max_splits=14, initial=33):

@@ -210,16 +210,16 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
     """A wrong-shape or non-finite artifact under the right key is a warned miss."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     B, x, n, W = ("set", (0,)), 3, 256, 512
-    planted = {"slice": np.zeros(2 * W + 1), "f": np.zeros(n + 1), "escaped": np.zeros(1)}
+    planted = {"slice": np.zeros((1, 2 * W + 1)), "f": np.zeros(n + 1), "escaped": np.zeros(1)}
     if flaw == "short slice":
-        planted["slice"] = planted["slice"][:-1]
+        planted["slice"] = planted["slice"][:, :-1]
     elif flaw == "short f":
         planted["f"] = planted["f"][:-1]
     elif flaw == "nan in f":
         planted["f"][7] = np.nan
     else:
         del planted["escaped"]
-    cache.store(cache.content_key(sym15.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W), **planted)
+    cache.store(cache.content_key(sym15.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W, keep=[n]), **planted)
     real, calls = _count_run_kernel(monkeypatch)
     with pytest.warns(UserWarning, match="treated as a miss"):
         got = LawContext.build(sym15).dp_slice(B, x, n)

@@ -39,6 +39,14 @@ def _tracer_spans() -> dict:
     return module.SPANS
 
 
+def _attr(module: str, name: str):
+    """module.name, importing it first when it is a submodule not imported yet; None if absent."""
+    mod = importlib.import_module(module)
+    if not hasattr(mod, name) and importlib.util.find_spec(f"{module}.{name}") is not None:
+        importlib.import_module(f"{module}.{name}")
+    return getattr(mod, name, None)
+
+
 def _resolves(module: str, attr: str) -> bool:
     obj = importlib.import_module(f"stablewalk.{module}")
     cls_name, _, name = attr.rpartition(".")
@@ -65,7 +73,7 @@ def test_workload_imports_resolve():
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "stablewalk":
             wanted.append(("stablewalk", node.attr))
     assert len(wanted) > 5
-    missing = [f"{m}.{a}" for m, a in wanted if not hasattr(importlib.import_module(m), a)]
+    missing = [f"{m}.{a}" for m, a in wanted if _attr(m, a) is None]
     assert not missing
 
 
@@ -76,6 +84,52 @@ def test_workload_attributes_exist():
         if not hasattr(getattr(importlib.import_module(f"stablewalk.{m}"), c), a)
     ]
     assert not missing
+
+
+def _workload_callees(tree) -> dict:
+    """Local name in the workload -> the stablewalk object it is bound to."""
+    bound = {"stablewalk": importlib.import_module("stablewalk")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "stablewalk":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = _attr(node.module, alias.name)
+    return bound
+
+
+def _callee(func, bound):
+    """The stablewalk object a call's func names (name or stablewalk.name / module.name), or None."""
+    if isinstance(func, ast.Name):
+        return bound.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and inspect.ismodule(bound.get(func.value.id)):
+        return getattr(bound[func.value.id], func.attr, None)
+    return None
+
+
+def test_workload_calls_bind_to_signatures():
+    """Each call the workload makes into stablewalk binds to the callee's signature.
+
+    A keyword or positional argument the package no longer takes then fails
+    here, not in a benchmark run.
+    """
+    tree = ast.parse(WORKLOAD.read_text())
+    bound = _workload_callees(tree)
+    checked, unbound = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _callee(node.func, bound)
+        if target is None or inspect.ismodule(target):
+            continue
+        args = [None] * len(node.args)
+        kwargs = {kw.arg: None for kw in node.keywords}
+        assert not any(isinstance(a, ast.Starred) for a in node.args) and None not in kwargs
+        try:
+            inspect.signature(target).bind(*args, **kwargs)
+        except TypeError as exc:
+            unbound.append(f"line {node.lineno}: {ast.unparse(node.func)}: {exc}")
+        checked.append(ast.unparse(node.func))
+    assert not unbound
+    assert {"SimConfig", "run_kernel", "estimate_first_passage", "cli.main", "stablewalk.TailSpec"} <= set(checked)
 
 
 def test_run_kernel_takes_the_traced_arguments():

@@ -1,4 +1,5 @@
 """CLI contract: subcommands, exit codes, manifests, reproducibility."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -95,6 +96,32 @@ def test_potential_table_origin_row(built_law, tmp_path):
     vals = {int(r.split(",")[1]): float(r.split(",")[2]) for r in rows}
     assert vals[0] == 0.0
     assert vals[3] > 0
+
+
+# kind -> (extra arguments, output file, header, data rows); the density sites
+# 0 and 1 take the quadrature and 40 the far-tail series
+_TABLE_KINDS = {
+    "kernel": (["--n", "8", "--window", "64"], "kernel_n8.csv", "schema_version,n,x,y,value", 129),
+    "fp": (["--n", "8", "--x", "3", "--window", "64"], "fp_x3_n8.csv", "schema_version,n,f", 8),
+    "constants": ([], "constants.json", "{", 13),
+    "density": (["--set", "0,1,40", "--t", "1"], "density.csv", "schema_version,t,x,value,abs_error_estimate", 3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLE_KINDS))
+def test_table_kinds(kind, built_law, tmp_path):
+    extra, name, header, n_rows = _TABLE_KINDS[kind]
+    assert main(["table", "--kind", kind, "--law", str(built_law), *extra, "--out", str(tmp_path)]) == 0
+    path = tmp_path / name
+    text = path.read_text()
+    assert text.splitlines()[0] == header
+    if kind == "constants":
+        (entry,) = json.loads(text).values()
+        assert len(entry) == n_rows and entry["alpha"] == 1.5
+    else:
+        assert len(text.splitlines()) == 1 + n_rows
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
 def test_verify_quick_pass_and_report(built_law, tmp_path):

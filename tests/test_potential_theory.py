@@ -9,7 +9,7 @@ from potential_oracles import a_per_point, green_origin, hit_before, u_via_ancho
 from stablewalk import stable_params_of
 from stablewalk.errors import DegenerateDenominator
 from stablewalk.killed_walk import run_kernel
-from stablewalk.potential_theory import FiniteSetPotential, PotentialTable, c_plus, potential_a_grid
+from stablewalk.potential_theory import FiniteSetPotential, PotentialTable, _aitken_limit, c_plus, potential_a_grid
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import constants
 
@@ -254,10 +254,11 @@ def test_c_plus_families(sym15, bp15, lc15):
     assert c_plus(lc15) == 0.0
     # the reversed law has mass below -1 and the alpha tail on its negative side
     assert c_plus(lc15.reversed()) == math.inf
-    val = c_plus(bp15)
+    pot = PotentialTable(bp15)
+    val = c_plus(bp15, pot)
     assert 0.0 < val < math.inf
-    # stability across depths (1%)
-    val2 = c_plus(bp15, k_hi=11)
+    # stability across depths (1%): the limit of a(2^5 .. 2^11) off the same table
+    val2 = _aitken_limit([pot.a(2 ** k) for k in range(5, 12)])
     assert val == pytest.approx(val2, rel=0.01)
 
 

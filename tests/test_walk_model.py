@@ -114,7 +114,7 @@ def test_stable_params_skewness_dictionary(asym15):
 
 
 def test_validate_tails_exact_beyond_window(sym15):
-    rep = validate_tails(sym15, k_max=20)
+    rep = validate_tails(sym15)
     # analytic-tail identity: zero up to one ulp of y^alpha * y^-alpha
     assert rep.max_dev_beyond_window < 1e-15
     inner = [r for r in rep.rows if r[0] <= 64 and r[1] == "plus"]
@@ -124,7 +124,7 @@ def test_validate_tails_exact_beyond_window(sym15):
 
 
 def test_validate_tails_one_sided(sp15):
-    rep = validate_tails(sp15, k_max=18)
+    rep = validate_tails(sp15)
     minus = [r for r in rep.rows if r[1] == "minus" and r[0] > 64]
     # light tail: x^alpha P[X <= -x] must fall to zero along the grid
     vals = [r[2] for r in minus]
