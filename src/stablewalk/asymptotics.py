@@ -1,10 +1,9 @@
 """Right-hand sides of the limit theorems and exact-vs-asymptotic reports.
 
 Every driver is called as driver(ctx, quick): ctx is the run's LawContext
-(cor1 takes the stable parameters instead) and quick is the CLI's --quick
-flag.  Each theorem's quick and full values (its n grid, sites, caps) are
-literals in its own driver, and the shared n grid is _grid; cli._registry
-only maps theorem ids to drivers.  A driver returns a VerificationReport:
+and quick is the CLI's --quick flag.  Each theorem's quick and full values
+(its n grid, sites, caps) are literals in its own driver, and the shared n
+grid is _grid; cli._registry only maps theorem ids to drivers.  A driver returns a VerificationReport:
 rows of (n, x, y, exact, rhs, ratio) plus a trend verdict.  Exact columns
 come from the killed-walk DP only; rhs columns come from the stable numerics
 and the potential kernel only, so the two sides are computationally
@@ -40,6 +39,7 @@ import numpy as np
 from . import cache
 from .errors import (
     ConditioningMassZero,
+    ConfigError,
     InfiniteCPlus,
     RegimeViolation,
 )
@@ -240,15 +240,11 @@ def _p_ccirc(ctx: LawContext, xi: float) -> float:
     return float(vals[0])
 
 
-def rhs_thm2_small(ctx: LawContext, x: int, n: int, prefactor: float | None = None) -> float:
-    """x fixed: f^x(n) ~ a_dagger(x) f^0(n), plus |x_n| p_c(-x_n)/n when gamma x > 0.
-
-    prefactor replaces a_dagger(x) by u_A(x) for a finite killing set A.
-    """
+def rhs_thm2_small(ctx: LawContext, x: int, n: int) -> float:
+    """x fixed: f^x(n) ~ a_dagger(x) f^0(n), plus |x_n| p_c(-x_n)/n when gamma x > 0."""
     params = ctx.params
     xn = x / n ** (1.0 / params.alpha)
-    pref = ctx.pot.a_dagger(x) if prefactor is None else prefactor
-    val = pref * f0_asymptote(n, params, ctx.consts)
+    val = ctx.pot.a_dagger(x) * f0_asymptote(n, params, ctx.consts)
     if params.skew_sign * x > 0:
         val += abs(xn) * _p_ccirc(ctx, -xn) / n
     return val
@@ -440,10 +436,14 @@ def verify_thm6(ctx: LawContext, quick: bool) -> VerificationReport:
 
 
 def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> VerificationReport:
-    """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y], exactly.
+    """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] on symmetric laws.
 
-    Decomposes along the first entry into (-inf, 0]: entrance law from x times
-    the dual {0}-killed kernel from -y, normalised by p^n_0(x, y).
+    Decomposes along the first entry into (-inf, 0]: the entrance law h(k, z)
+    from x times p^{n-k}_0(z, y), normalised by p^n_0(x, y).  The second
+    factor is read at site -z of the reversed law's {0}-killed run from -y,
+    which holds p^{n-k}_0(y, z).  That equals p^{n-k}_0(z, y) only when the
+    law is symmetric, so on a skewed law the value is not the stated
+    probability (the FOUND line on tunneling_check in CHANGES.md).
     """
     if not (x > 0 > y):
         raise RegimeViolation("need x > 0 > y")
@@ -457,7 +457,7 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")
     rep = VerificationReport(theorem_id="tunneling")
-    # p^{n-k}_0(z, y) = dual kernel from -y evaluated at -z = d
+    # h[k, d] enters at z = -d; the dual slice at m = n - k holds p^m_0(y, z) at site d = -z
     probs = []
     for R in R_values:
         num = 0.0
@@ -465,7 +465,7 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
             rowk = h[k]
             m = n - k
             dz = dual[m].slice
-            # z < -R  <->  d > R; dual kernel gives p^{n-k}_0(z, y) at index -z + W
+            # z < -R  <->  d > R; the dual slice holds p^{n-k}_0(y, z) at index d + W
             d_idx = np.arange(int(R) + 1, len(rowk))
             num += float((rowk[d_idx] * dz[d_idx + W]).sum())
         probs.append(num / denom)
@@ -608,15 +608,18 @@ def diagnostics_prop23(ctx: LawContext, quick: bool) -> VerificationReport:
     return _finish_sups(rep, sups)
 
 
-def verify_cor1(params: StableParams, quick: bool) -> VerificationReport:
-    """t^{2-1/alpha} f^1(t) -> kappa_f for gamma < 2 - alpha (pure stable side)."""
+def verify_cor1(ctx: LawContext, quick: bool) -> VerificationReport:
+    """t^{2-1/alpha} f^1(t) -> kappa_f for gamma < 2 - alpha (pure stable side).
+
+    Reads only ctx.params and ctx.consts: the check is on the stable limit.
+    """
+    params = ctx.params
     if params.skew_sign > 0:
-        raise RegimeViolation("Corollary 1 power branch needs gamma < 2 - alpha")
-    consts = constants(params)
+        raise ConfigError("cor1 power branch needs a two-sided law")
     rep = VerificationReport(theorem_id="cor1")
     for t in (10.0, 100.0, 1000.0) if quick else (10.0, 100.0, 1000.0, 10000.0):
         scaled = t ** (2.0 - 1.0 / params.alpha) * hitting_density(t, 1.0, params)
-        rep.add_row(scaled, consts.kappa_f, n=int(t), x=1, regime="t")
+        rep.add_row(scaled, ctx.consts.kappa_f, n=int(t), x=1, regime="t")
     return rep.finalize(TrendCriterion(final_cap=0.15))
 
 

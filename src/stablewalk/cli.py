@@ -174,12 +174,6 @@ def _registry(ctx: asy.LawContext, quick: bool):
     Each driver is called as driver(ctx, quick) and holds its own quick and
     full grids; verify_ladder returns two reports.
     """
-
-    def cor1(ctx, quick):
-        if ctx.params.skew_sign > 0:
-            raise ConfigError("cor1 power branch needs a two-sided law")
-        return asy.verify_cor1(ctx.params, quick)
-
     drivers = {
         "thm1": (asy.verify_thm1,),
         "thm2": (asy.verify_thm2_small, asy.verify_thm2_bulk),
@@ -188,7 +182,7 @@ def _registry(ctx: asy.LawContext, quick: bool):
         "thm4": (asy.verify_thm4_y_small, asy.verify_bulk_scaling),
         "thm5": (asy.verify_thm5_x_small,),
         "thm6": (asy.verify_thm6,),
-        "cor1": (cor1,),
+        "cor1": (asy.verify_cor1,),
         "cor2": (asy.verify_cor2,),
         "cor3": (asy.verify_cor3,),
         "finite": (asy.verify_finite_set,),

@@ -98,12 +98,6 @@ class KernelTable:
     def killed(self) -> np.ndarray:
         return np.cumsum(self.step_killed, axis=1)
 
-    def value(self, n: int, x: int, y: int) -> float:
-        W = self.window
-        if abs(y) > W:
-            raise WindowTooSmall(f"y={y} outside window {W}")
-        return float(self.values[n][self.starts.index(x)][y + W])
-
     def conservation_defect(self, n: int) -> np.ndarray:
         total = self.values[n].sum(axis=1) + self.killed[:, n] + self.escaped[:, n]
         return np.abs(total - 1.0)
@@ -242,9 +236,6 @@ def run_kernel(
 @dataclass
 class FirstPassageLaw:
     f: np.ndarray            # f[n] = P[sigma = n]
-    cumulative: np.ndarray
-    truncation_tail: float   # surviving + escaped mass at n_max
-    escaped: float
 
 
 def first_passage(
@@ -252,11 +243,7 @@ def first_passage(
 ) -> FirstPassageLaw:
     """First-passage law f^x_B(n) from the killed-kernel ledger."""
     table = run_kernel(law, B, [x], n_max, window=window, keep=[n_max])
-    f = table.step_killed[0].copy()
-    cum = np.cumsum(f)
-    surv = float(table.values[n_max][0].sum())
-    esc = float(table.escaped[0, n_max])
-    return FirstPassageLaw(f=f, cumulative=cum, truncation_tail=surv + esc, escaped=esc)
+    return FirstPassageLaw(f=table.step_killed[0].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,6 @@ class EstimateCI:
     half_width_95: float
     trials_effective: int
 
-    def covers(self, truth: float) -> bool:
-        return abs(self.point - truth) <= self.half_width_95
-
 
 def _binom_ci(hits: float, n: int) -> EstimateCI:
     p = hits / n

@@ -11,11 +11,11 @@ the error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import QuadratureNonConvergence, WrongSkew
+from .errors import QuadratureNonConvergence
 from .special import gamma_fn, gk_panels
 from .walk_model import StableParams
 
@@ -171,35 +171,27 @@ def _f1_integral(t: float, params: StableParams) -> float:
     return pref * float(integrand @ wk)
 
 
-def hitting_density(t: float, x: float, params: StableParams, method: str = "auto") -> float:
+def hitting_density(t: float, x: float, params: StableParams) -> float:
     """Density f^x(t) of the first hitting time of 0 from x != 0.
 
     For the spectrally positive case (gamma = 2 - alpha, x > 0) the creeping
-    identity f^x(t) = x t^{-1} p_t(-x) applies; the general route integrates
-    the density derivative through the first-passage representation and uses
-    the scaling f^x(t) = f^1(t/x^alpha)/x^alpha.
+    identity f^x(t) = x t^{-1} p_t(-x) applies; otherwise the density
+    derivative is integrated through the first-passage representation
+    (_f1_integral) with the scaling f^x(t) = f^1(t/x^alpha)/x^alpha.  A start
+    x < 0 is the start -x of the skew-flipped process.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     if x == 0:
         raise ValueError("x must be nonzero")
     if x < 0:
-        flipped = StableParams(
-            alpha=params.alpha, gamma=-params.gamma, c_circ=params.c_circ, rho=1.0 - params.rho
-        )
-        return hitting_density(t, -x, flipped, method=method)
-    if method == "auto":
-        method = "identity" if params.skew_sign > 0 else "integral"
-    if method == "identity":
-        if params.skew_sign <= 0:
-            raise WrongSkew("identity path needs gamma = 2 - alpha")
+        return hitting_density(t, -x, replace(params, gamma=-params.gamma))
+    if params.skew_sign > 0:
         val, err = density_grid(t, np.array([-x]), params)
         if err[0] > 1e-8:
             raise QuadratureNonConvergence(f"p_t(-x) error {err[0]:.2e}")
         return x / t * float(val[0])
-    if method == "integral":
-        return _f1_integral(t / x ** params.alpha, params) / x ** params.alpha
-    raise ValueError(method)
+    return _f1_integral(t / x ** params.alpha, params) / x ** params.alpha
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +205,6 @@ class ConstantsTable:
     gamma: float
     c_circ: float
     kappa_hit: float          # hitting-time constant
-    kappa_hit_alt: float      # same constant via the p_1(0) form
     kappa_f: float            # f^1(t) tail constant, zero iff gamma = 2-alpha
     kappa_a_plus: float       # a(x) growth constants
     kappa_a_minus: float
@@ -235,7 +226,6 @@ def constants(params: StableParams) -> ConstantsTable:
         * math.sin(math.pi / a)
         / (gamma_fn(1.0 / a) * math.sin(math.pi * (a - g) / (2.0 * a)))
     )
-    kappa_hit_alt = (1.0 - 1.0 / a) * math.sin(math.pi / a) / (p1_zero * math.pi)
     kappa_f = (
         gamma_fn(2.0 - a)
         * math.sin(math.pi / a)
@@ -257,7 +247,6 @@ def constants(params: StableParams) -> ConstantsTable:
         gamma=g,
         c_circ=c,
         kappa_hit=kappa_hit,
-        kappa_hit_alt=kappa_hit_alt,
         kappa_f=kappa_f,
         kappa_a_plus=kappa_a_plus,
         kappa_a_minus=kappa_a_minus,

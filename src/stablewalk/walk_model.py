@@ -115,11 +115,15 @@ class StableParams:
     alpha: float
     gamma: float
     c_circ: float
-    rho: float
 
     def __post_init__(self):
         if abs(self.gamma) > 2.0 - self.alpha + 1e-12:
             raise ConfigError(f"|gamma|={abs(self.gamma)} exceeds 2-alpha")
+
+    @property
+    def rho(self) -> float:
+        """Positivity P[Y_1 > 0] = (1 - gamma/alpha)/2."""
+        return 0.5 * (1.0 - self.gamma / self.alpha)
 
     @property
     def skew_sign(self) -> int:
@@ -345,10 +349,6 @@ class WalkLaw:
         out[theta == 0] = 0.0
         return out
 
-    def char_fn(self, theta) -> np.ndarray:
-        """phi(theta) = E e^{i theta X}."""
-        return 1.0 - self.one_minus_char(theta)
-
     def lattice_offset(self) -> float:
         """C0 = lim_{tau->0} [pi_0(tau) - pi_0^inf(tau)] (real).
 
@@ -407,7 +407,7 @@ class WalkLaw:
 
 
 def stable_params_of(law: WalkLaw) -> StableParams:
-    """Read off (alpha, gamma, c_circ, rho) from the tail constants."""
+    """Read off (alpha, gamma, c_circ) from the tail constants."""
     alpha = law.spec.alpha
     if law.spec.family is Family.TWO_SIDED_PARETO:
         qp, qm = law.spec.q_plus, law.spec.q_minus
@@ -427,8 +427,7 @@ def stable_params_of(law: WalkLaw) -> StableParams:
         * math.cos(alpha * math.pi / 2.0)
         / math.cos(gamma * math.pi / 2.0)
     )
-    rho = 0.5 * (1.0 - gamma / alpha)
-    return StableParams(alpha=alpha, gamma=gamma, c_circ=c_circ, rho=rho)
+    return StableParams(alpha=alpha, gamma=gamma, c_circ=c_circ)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +588,6 @@ _TAIL_K_MAX = 22  # validate_tails scans y = 2^k for k < _TAIL_K_MAX
 @dataclass
 class TailReport:
     rows: list = field(default_factory=list)  # (x, side, scaled, target, deviation)
-    max_dev_beyond_window: float = 0.0
 
     def to_csv(self) -> str:
         lines = ["schema_version,x,side,scaled_tail,target,deviation"]
@@ -615,10 +613,6 @@ def validate_tails(law: WalkLaw) -> TailReport:
         scaled_m = law.cumulative_minus(y) * float(y) ** alpha
         target_m = law.sm if law.rm == law.rp else 0.0
         rep.rows.append((y, "minus", scaled_m, target_m, abs(scaled_m - target_m)))
-        if y > CALIBRATED_BEYOND and target:
-            rep.max_dev_beyond_window = max(
-                rep.max_dev_beyond_window, abs(scaled - target)
-            )
     return rep
 
 

@@ -1,8 +1,15 @@
-"""Monte Carlo estimates in the verification-report layout, for tests only.
+"""Monte Carlo estimates read against the DP, for tests only.
 
-Puts the point estimate in the exact column and the 95% half-width in the
-rhs column, so a test can lay the estimator next to a DP report.
+covers asks whether an estimate's 95% interval holds the exact value, and
+estimates_to_csv puts the point estimate in the exact column and the 95%
+half-width in the rhs column, so a test can lay the estimator next to a DP
+report.
 """
+
+
+def covers(ci, truth: float) -> bool:
+    """Whether the 95% interval of the estimate ci holds truth."""
+    return abs(ci.point - truth) <= ci.half_width_95
 
 
 def estimates_to_csv(estimates: dict, x: int) -> str:

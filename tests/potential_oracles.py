@@ -2,7 +2,8 @@
 
 Each reads a(x) off a PotentialTable (or the quadrature nodes of one window),
 so it checks the package's whole-window tables without sharing their
-summation.
+summation.  hit_dist and green read H_A^x and u_A(x) off the same
+whole-window solution FiniteSetPotential.u reads.
 """
 import math
 
@@ -37,9 +38,24 @@ def hit_before(pot, x: int, y: int) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def hit_dist(fsp, x: int) -> dict:
+    """H_A^x(z) for z in A, from the finite-set solution of fsp."""
+    sol = fsp._columns(x)
+    return {z: float(sol[j]) for j, z in enumerate(fsp.A)}
+
+
+def green(fsp, x: int, y: int) -> float:
+    """g_A(x, y) = u_A(x) - a(x - y) + sum_z H_A^x(z) a(z - y), the n = 0 identity term included."""
+    x, y = int(x), int(y)
+    fsp.pot.fill([x - y] + [z - y for z in fsp.A])
+    sol = fsp._columns(x)
+    a = fsp.pot.a
+    return float(sol[-1] - a(x - y) + sum(sol[j] * a(z - y) for j, z in enumerate(fsp.A)))
+
+
 def u_via_anchor(fsp, x: int, w0: int) -> float:
     """u_A(x) = a_dagger(x - w0) - sum_z H_A^x(z) a(z - w0), any anchor w0 in A."""
     if w0 not in fsp.A:
         raise ValueError("anchor must lie in A")
-    h = fsp.hit_dist(x)
+    h = hit_dist(fsp, x)
     return fsp.pot.a_dagger(x - w0) - sum(h[z] * fsp.pot.a(z - w0) for z in fsp.A)

@@ -2,7 +2,8 @@
 
 Each evaluates the package's density quadrature or far-tail series at test
 points and checks it against a closed form or a conservation identity; the
-verification drivers never call them.
+verification drivers never call them.  kappa_hit_p1 is the hitting-time
+constant by its second printed form, through p_1(0).
 """
 import math
 from dataclasses import dataclass
@@ -21,6 +22,12 @@ class StableDensityEval:
     x: float
     value: float
     abs_error_estimate: float
+
+
+def kappa_hit_p1(params: StableParams) -> float:
+    """kappa = (1 - 1/alpha) sin(pi/alpha) / (pi p_1(0)), the p_1(0) form of ConstantsTable.kappa_hit."""
+    a = params.alpha
+    return (1.0 - 1.0 / a) * math.sin(math.pi / a) / (density_at_zero(1.0, params) * math.pi)
 
 
 def stable_density(t: float, x: float, params: StableParams) -> StableDensityEval:

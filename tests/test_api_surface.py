@@ -3,36 +3,39 @@
 Parses ``src/stablewalk/*.py`` with ``ast`` and fails on a module-level
 import the module never reads, on a public top-level function or class
 that nothing in ``src/`` or ``perfbench/*.py`` references outside its own
-definition, on a defaulted parameter no call there ever passes, and on a
-class field nothing in ``src/``, ``perfbench/`` or ``tests/`` reads.  Code
-only tests need belongs in a ``tests/`` oracle module; a setting no caller
-changes is a module constant.
+definition, on a defaulted parameter no call there passes from outside the
+function's own body, on a public method nothing there calls from outside
+its own body, and on a class field nothing there reads.  Reads and calls in
+``tests/`` do not count: code only tests need belongs in a ``tests/``
+oracle module, and a setting no caller changes is a module constant.
 """
 import ast
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src" / "stablewalk").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
-TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # public names with no caller in src/ or perfbench/, each kept for a reason
 ALLOWED = {
     ("errors", "DegenerateDenominator"): "raised by the two-point hitting oracle in tests/",
+    ("errors", "WrongSkew"): "raised by the meander oracle in tests/",
     ("montecarlo", "estimate_conditional_escape"): "the Monte Carlo leg of the three-oracle rule",
 }
 
 # defaulted parameters no call in src/ or perfbench/ passes, each kept for a reason
 ALLOWED_UNSET = {
     ("killed_walk", "run_kernel.escape_budget"): "the tracer binds it, and ROADMAP item 4 turns on a default",
-    ("asymptotics", "rhs_thm2_small.prefactor"): "tests check the finite-set form through it",
 }
 
-# class fields nothing reads, each kept for a reason
+# public methods no call in src/ or perfbench/ reaches, each kept for a reason
+ALLOWED_UNCALLED = {}
+
+# class fields nothing in src/ or perfbench/ reads, each kept for a reason
 ALLOWED_UNREAD = {
     ("montecarlo", "SimConfig.n_horizon"): "perfbench/workload.py passes it",
-    ("stable_numerics", "ConstantsTable.p1_zero"): "written to constants.json through as_dict",
+    ("montecarlo", "EstimateCI.half_width_95"): "read by covers and estimates_to_csv in tests/montecarlo_oracles.py",
 }
 
 
@@ -102,6 +105,29 @@ def test_every_public_name_has_a_caller():
     assert set(ALLOWED) <= orphans
 
 
+def _scoped_calls(path: Path, tree):
+    """(call, scope) per call in tree; scope holds (module, "func" or "Class.method") of each def around it."""
+
+    def visit(node, scope, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                qual = f"{owner}.{child.name}" if owner else child.name
+                yield from visit(child, scope | {(path.stem, qual)}, None)
+            elif isinstance(child, ast.ClassDef):
+                yield from visit(child, scope, child.name)
+            else:
+                if isinstance(child, ast.Call):
+                    yield child, scope
+                yield from visit(child, scope, owner)
+
+    yield from visit(tree, frozenset(), None)
+
+
+def _from_outside(scopes, module: str, qual: str) -> bool:
+    """Whether any of the calls with these scopes lies outside the body of module.qual."""
+    return any((module, qual) not in scope for scope in scopes)
+
+
 def _public_defaults(path: Path, tree):
     """(module, "func.param", callee name, positional index or None) per defaulted parameter.
 
@@ -125,22 +151,28 @@ def _public_defaults(path: Path, tree):
 
 
 def test_every_defaulted_parameter_is_passed():
-    """A default that no caller overrides is a constant, not a parameter."""
-    passed = set()  # (callee name, keyword) and (callee name, positional index)
+    """A default that no caller overrides is a constant, not a parameter.
+
+    A call inside the function's own body (a recursion handing the parameter
+    on) does not count as passing it.
+    """
+    passed = defaultdict(list)  # (callee name, keyword or positional index) -> scopes of the calls
     for path in SRC + PERFBENCH:
-        for node in ast.walk(_parse(path)):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                passed.update((name, kw.arg) for kw in node.keywords)
-                for i, arg in enumerate(node.args):
-                    if isinstance(arg, ast.Starred):
-                        break
-                    passed.add((name, i))
+        for call, scope in _scoped_calls(path, _parse(path)):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for kw in call.keywords:
+                passed[(name, kw.arg)].append(scope)
+            for i, arg in enumerate(call.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed[(name, i)].append(scope)
     unset = set()
     for path in SRC:
         for module, param, callee, index in _public_defaults(path, _parse(path)):
-            if (callee, param.rpartition(".")[2]) not in passed and (callee, index) not in passed:
+            qual, _, arg = param.rpartition(".")
+            scopes = passed[(callee, arg)] + passed[(callee, index)]
+            if not _from_outside(scopes, module, qual):
                 unset.add((module, param))
     unlisted = sorted(f"{m}.{p}" for m, p in unset - set(ALLOWED_UNSET))
     assert not unlisted, f"defaulted parameters no call in src/ or perfbench/ passes: {unlisted}"
@@ -148,20 +180,62 @@ def test_every_defaulted_parameter_is_passed():
     assert set(ALLOWED_UNSET) <= unset
 
 
+def test_every_public_method_is_called():
+    """Each public method of a src/ class is called in src/ or perfbench/, or traced by name.
+
+    Calls are matched by method name, outside the method's own body; the
+    tracer names what it wraps as "Class.method".  Properties are fields.
+    """
+    called = defaultdict(list)  # method name -> scopes of the calls
+    traced = set()
+    for path in SRC + PERFBENCH:
+        tree = _parse(path)
+        for call, scope in _scoped_calls(path, tree):
+            if isinstance(call.func, ast.Attribute):
+                called[call.func.attr].append(scope)
+        if path in PERFBENCH:
+            traced.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    uncalled = set()
+    for path in SRC:
+        for cls in (n for n in _parse(path).body if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                if any(getattr(d, "id", None) == "property" for d in fn.decorator_list):
+                    continue
+                qual = f"{cls.name}.{fn.name}"
+                if qual not in traced and not _from_outside(called[fn.name], path.stem, qual):
+                    uncalled.add((path.stem, qual))
+    unlisted = sorted(f"{m}.{q}" for m, q in uncalled - set(ALLOWED_UNCALLED))
+    assert not unlisted, f"public methods nothing in src/ or perfbench/ calls: {unlisted}"
+    # an allowlisted method that gained a caller (or was removed) leaves the list
+    assert set(ALLOWED_UNCALLED) <= uncalled
+
+
 def test_every_class_field_is_read():
-    """Each annotated class field in src/ is read in src/, perfbench/ or tests/.
+    """Each annotated class field in src/ is read in src/ or perfbench/.
 
     A read is an attribute load that is not a call, or a tracer name string
-    "Class.field".  Reads are matched by name, so a name two classes share
-    counts as read for both.
+    "Class.field".  A load on the right of an assignment to the same
+    attribute name only updates the field and is not a read.  Reads are
+    matched by name, so a name two classes share counts as read for both.  A
+    class that reads its own __dataclass_fields__ (a serializer such as
+    ConstantsTable.as_dict) reads every field it has.
     """
     read = Counter()
-    for path in SRC + PERFBENCH + TESTS:
+    for path in SRC + PERFBENCH:
         tree = _parse(path)
         called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        updates = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in called:
-                read[node.attr] += 1
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.attr for t in targets if isinstance(t, ast.Attribute)}
+                updates.update(id(n) for n in ast.walk(node.value) if isinstance(n, ast.Attribute) and n.attr in names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if id(node) not in called and id(node) not in updates:
+                    read[node.attr] += 1
             elif path in PERFBENCH and isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if "." in node.value:
                     read[node.value.rpartition(".")[2]] += 1
@@ -169,11 +243,12 @@ def test_every_class_field_is_read():
     for path in SRC:
         for cls in ast.walk(_parse(path)):
             if isinstance(cls, ast.ClassDef):
+                serializes = any(getattr(n, "attr", None) == "__dataclass_fields__" for n in ast.walk(cls))
                 for node in cls.body:
                     if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                        if not read[node.target.id]:
+                        if not read[node.target.id] and not serializes:
                             unread.add((path.stem, f"{cls.name}.{node.target.id}"))
     unlisted = sorted(f"{m}.{f}" for m, f in unread - set(ALLOWED_UNREAD))
-    assert not unlisted, f"class fields nothing reads: {unlisted}"
+    assert not unlisted, f"class fields nothing in src/ or perfbench/ reads: {unlisted}"
     # an allowlisted field that gained a reader (or was removed) leaves the list
     assert set(ALLOWED_UNREAD) <= unread

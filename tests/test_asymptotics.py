@@ -14,7 +14,6 @@ from stablewalk.asymptotics import (
     diagnostics_prop21,
     f0_asymptote,
     rhs_thm2_bulk,
-    rhs_thm2_small,
     rhs_thm5_x_small,
     rhs_thm6_ii,
     tunneling_check,
@@ -79,14 +78,11 @@ def test_rhs_regime_dispatch_total(sym15):
 
 
 def test_rhs_finite_set_singleton_reduction(sym15):
-    """A = {0} reproduces the single-point rhs to 1e-10."""
+    """A = {0} reproduces the single-point prefactor: u_{0}(x) = a_dagger(x) to 1e-10."""
     ctx = LawContext.build(sym15)
     fsp = FiniteSetPotential(ctx.pot, [0])
-    for n in (64, 256):
-        for x in (3, -7, 12):
-            a = rhs_thm2_small(ctx, x, n, prefactor=fsp.u(x))
-            b = rhs_thm2_small(ctx, x, n)
-            assert abs(a - b) < 1e-10
+    for x in (3, -7, 12):
+        assert abs(fsp.u(x) - ctx.pot.a_dagger(x)) < 1e-10
 
 
 def test_rhs_theorem6_forms_agree(bp15):

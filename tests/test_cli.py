@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, manifests, reproducibility."""
 import hashlib
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import get_ctx, get_law
 from stablewalk import asymptotics, killed_walk
 from stablewalk.cli import _registry, main
 from stablewalk.errors import StableWalkError
+from stablewalk.stable_numerics import ConstantsTable
 
 
 @pytest.fixture(scope="module")
@@ -98,12 +100,16 @@ def test_potential_table_origin_row(built_law, tmp_path):
     assert vals[3] > 0
 
 
-# kind -> (extra arguments, output file, header, data rows); the density sites
-# 0 and 1 take the quadrature and 40 the far-tail series
+# kind -> (extra arguments, output file, header, data rows); the killed table
+# lists the nonzero sites, all but the killed origin; the density sites 0 and
+# 1 take the quadrature and 40 the far-tail series; constants.json holds one
+# key per ConstantsTable field
 _TABLE_KINDS = {
     "kernel": (["--n", "8", "--window", "64"], "kernel_n8.csv", "schema_version,n,x,y,value", 129),
+    "killed": (["--n", "8", "--x", "3", "--window", "64"], "killed_n8.csv", "schema_version,n,x,y,value", 128),
+    "potential": (["--x-max", "6"], "potential.csv", "schema_version,x,a", 13),
     "fp": (["--n", "8", "--x", "3", "--window", "64"], "fp_x3_n8.csv", "schema_version,n,f", 8),
-    "constants": ([], "constants.json", "{", 13),
+    "constants": ([], "constants.json", "{", None),
     "density": (["--set", "0,1,40", "--t", "1"], "density.csv", "schema_version,t,x,value,abs_error_estimate", 3),
 }
 
@@ -117,7 +123,7 @@ def test_table_kinds(kind, built_law, tmp_path):
     assert text.splitlines()[0] == header
     if kind == "constants":
         (entry,) = json.loads(text).values()
-        assert len(entry) == n_rows and entry["alpha"] == 1.5
+        assert set(entry) == {f.name for f in fields(ConstantsTable)} and entry["alpha"] == 1.5
     else:
         assert len(text.splitlines()) == 1 + n_rows
     manifest = json.loads((tmp_path / "manifest.json").read_text())

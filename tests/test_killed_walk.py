@@ -75,11 +75,16 @@ def test_set_entrance_sums_to_step_killed(asym15):
     assert np.abs(tab.entrance[0, 1] - asym15.pmf(np.array(A) - 5)).max() < 1e-16
 
 
+def _value(table, n: int, x: int, y: int) -> float:
+    """p^n_B(x, y) off a kernel table."""
+    return float(table.values[n][table.starts.index(x)][y + table.window])
+
+
 def test_killed_rows_vanish_on_set(sym15):
     tab = run_kernel(sym15, [0, 5], [-3], 64, window=512, keep=[16, 64])
     for n in (16, 64):
-        assert tab.value(n, -3, 0) == 0.0
-        assert tab.value(n, -3, 5) == 0.0
+        assert _value(tab, n, -3, 0) == 0.0
+        assert _value(tab, n, -3, 5) == 0.0
 
 
 def test_duality_relation(sym15, asym15):
@@ -88,9 +93,9 @@ def test_duality_relation(sym15, asym15):
     for law in (sym15, asym15):
         t1 = run_kernel(law, [0], [3], 64, window=512, keep=[64])
         t2 = run_kernel(law, [0], [5], 64, window=512, keep=[64])
-        assert t1.value(64, 3, -5) == pytest.approx(t2.value(64, 5, -3), abs=1e-15)
+        assert _value(t1, 64, 3, -5) == pytest.approx(_value(t2, 64, 5, -3), abs=1e-15)
         t3 = run_kernel(law.reversed(), [0], [-5], 64, window=512, keep=[64])
-        assert t1.value(64, 3, -5) == pytest.approx(t3.value(64, -5, 3), abs=1e-15)
+        assert _value(t1, 64, 3, -5) == pytest.approx(_value(t3, 64, -5, 3), abs=1e-15)
 
 
 def test_chapman_kolmogorov(sym15):
@@ -122,8 +127,12 @@ def test_first_passage_one_step(sym15):
 
 
 def test_first_passage_conservation(sym15):
+    """First-passage mass plus the surviving and escaped mass at n_max is one."""
     fp = first_passage(sym15, [0], 3, 256, window=600)
-    assert fp.cumulative[-1] + fp.truncation_tail == pytest.approx(1.0, abs=1e-12)
+    table = run_kernel(sym15, [0], [3], 256, window=600, keep=[256])
+    np.testing.assert_array_equal(fp.f, table.step_killed[0])
+    tail = table.values[256][0].sum() + table.escaped[0, 256]
+    assert np.cumsum(fp.f)[-1] + tail == pytest.approx(1.0, abs=1e-12)
 
 
 def test_window_too_small_raised(sym15):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import get_law
-from potential_oracles import a_per_point, green_origin, hit_before, u_via_anchor
-from stablewalk import stable_params_of
+from potential_oracles import a_per_point, green, green_origin, hit_before, hit_dist, u_via_anchor
+from stablewalk import potential_theory, stable_params_of
 from stablewalk.errors import DegenerateDenominator
 from stablewalk.killed_walk import run_kernel
 from stablewalk.potential_theory import FiniteSetPotential, PotentialTable, _aitken_limit, c_plus, potential_a_grid
@@ -156,16 +156,16 @@ def test_finite_set_singleton_reduces_to_origin(sym15, pot15):
     for x in range(-12, 13):
         assert fsp.u(x) == pytest.approx(pot15.a_dagger(x), abs=1e-11)
         for y in range(-6, 7):
-            assert fsp.green(x, y) == pytest.approx(green_origin(pot15, x, y), abs=1e-10)
-    assert fsp.hit_dist(5)[0] == pytest.approx(1.0, abs=1e-12)
+            assert green(fsp, x, y) == pytest.approx(green_origin(pot15, x, y), abs=1e-10)
+    assert hit_dist(fsp, 5)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_finite_set_green_zero_on_set(pot15):
     fsp = FiniteSetPotential(pot15, [-1, 2])
     for x in (-7, 3, 9):
         for w in (-1, 2):
-            assert fsp.green(x, w) == pytest.approx(0.0, abs=1e-10)
-    assert fsp.green(-1, -1) == pytest.approx(1.0, abs=1e-10)
+            assert green(fsp, x, w) == pytest.approx(0.0, abs=1e-10)
+    assert green(fsp, -1, -1) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_finite_set_vs_dp(sym15, pot15):
@@ -177,13 +177,13 @@ def test_finite_set_vs_dp(sym15, pot15):
     checks = {n: tab.green[n][0] for n in (1000, 2000, 4000)}
     for y in (-4, 0, 6):
         seq = [checks[n][y + W] for n in (1000, 2000, 4000)]
-        closed = fsp.green(4, y)
+        closed = green(fsp, 4, y)
         assert seq[0] < seq[1] < seq[2] <= closed + 1e-9
         # Aitken-extrapolated limit of the N^{1/a-1} tail
         d1, d2 = seq[1] - seq[0], seq[2] - seq[1]
         accel = seq[2] - d2 * d2 / (d2 - d1)
         assert accel == pytest.approx(closed, rel=5e-3)
-    h = fsp.hit_dist(4)
+    h = hit_dist(fsp, 4)
     assert sum(h.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v >= -1e-12 for v in h.values())
 
@@ -208,7 +208,7 @@ def test_finite_set_columns_match_per_x_solve(pot15):
     for x in range(-X, X + 1):
         rhs = [pot15.a(x - w) + (x == w) for w in A] + [1.0]
         sol = np.linalg.solve(mat, rhs)
-        h = fsp.hit_dist(x)
+        h = hit_dist(fsp, x)
         assert abs(fsp.u(x) - sol[2]) <= 1e-12
         assert max(abs(h[z] - sol[j]) for j, z in enumerate(A)) <= 1e-12
 
@@ -223,6 +223,24 @@ def test_finite_set_follows_table_growth(sym15):
     assert pot.X == 4096
     for x in (-4096, -700, -3, 0, 1, 5, 64, 4096):
         assert fsp.u(x) == pytest.approx(pot.a_dagger(x), abs=1e-11)
+
+
+def test_u_A_over_the_csv_window_computes_a_once(sym15, monkeypatch):
+    """u_A on [-X, X] after to_csv(X) needs a(x - z) a few sites past X: one power-of-two window holds both."""
+    windows = []
+
+    def counted(law, X):
+        windows.append(X)
+        return real(law, X)
+
+    real = potential_theory.potential_a_grid
+    monkeypatch.setattr(potential_theory, "potential_a_grid", counted)
+    pot = PotentialTable(sym15)
+    pot.to_csv(200)
+    fsp = FiniteSetPotential(pot, [-1, 2])
+    u = [fsp.u(x) for x in range(-200, 201)]
+    assert windows == [256]
+    assert all(np.isfinite(u))
 
 
 def test_u_A_harmonicity(sym15, pot15):

@@ -6,6 +6,7 @@ import pytest
 
 from stable_oracles import (
     abs_moment,
+    kappa_hit_p1,
     meander_density,
     meander_small_eta_slope,
     normalization_check,
@@ -14,6 +15,7 @@ from stable_oracles import (
 from stablewalk.errors import WrongSkew
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import (
+    _f1_integral,
     constants,
     density_at_zero,
     density_grid_smart,
@@ -24,7 +26,7 @@ from stablewalk.walk_model import StableParams
 
 
 def make_params(alpha, gamma, c=1.0):
-    return StableParams(alpha=alpha, gamma=gamma, c_circ=c, rho=0.5 * (1 - gamma / alpha))
+    return StableParams(alpha=alpha, gamma=gamma, c_circ=c)
 
 
 GRID = [
@@ -121,7 +123,7 @@ def test_constants_table_identities():
         for gamma in (0.0, (2 - alpha) / 2, 2 - alpha):
             c = constants(make_params(alpha, gamma))
             # two printed expressions for the hitting constant agree
-            assert abs(c.kappa_hit - c.kappa_hit_alt) < 1e-10
+            assert abs(c.kappa_hit - kappa_hit_p1(make_params(alpha, gamma))) < 1e-10
             # evenness in gamma
             c2 = constants(make_params(alpha, -gamma))
             assert c.kappa_hit == pytest.approx(c2.kappa_hit, abs=1e-12)
@@ -168,8 +170,8 @@ def test_kappa_f_integral_form():
 def test_hitting_density_two_paths(alpha):
     p = make_params(alpha, 2 - alpha)
     for t, x in ((1.0, 1.0), (3.0, 2.0)):
-        ident = hitting_density(t, x, p, "identity")
-        integ = hitting_density(t, x, p, "integral")
+        ident = hitting_density(t, x, p)  # the creeping identity at gamma = 2 - alpha
+        integ = _f1_integral(t / x ** alpha, p) / x ** alpha
         assert abs(ident - integ) < 1e-8
         assert ident >= 0.0
 
@@ -196,7 +198,7 @@ def test_cor1_trend_to_kappa_f():
     c = constants(p)
     devs = []
     for t in (10.0, 100.0, 1000.0, 10000.0):
-        scaled = t ** (2 - 1 / 1.5) * hitting_density(t, 1.0, p, "integral")
+        scaled = t ** (2 - 1 / 1.5) * hitting_density(t, 1.0, p)
         devs.append(abs(scaled / c.kappa_f - 1.0))
     assert devs[0] > devs[1] > devs[2] > devs[3]
     assert devs[-1] < 0.05
@@ -234,7 +236,7 @@ def test_hitting_density_space_integral_extremal():
     p = make_params(alpha, 2 - alpha)
     t = 2.0
     xs = np.linspace(1e-4, 40.0, 1500)
-    vals = np.array([hitting_density(t, float(x), p, "identity") for x in xs[::5]])
+    vals = np.array([hitting_density(t, float(x), p) for x in xs[::5]])
     total = np.trapezoid(vals, xs[::5])
     target = t ** (-1 + 1 / alpha) / gamma_fn(1 / alpha)
     assert total == pytest.approx(target, rel=2e-3)
