@@ -50,13 +50,14 @@ from .killed_walk import (
     ladder_renewals,
     run_kernel,
 )
+from .output import csv_text
 from .potential_theory import FiniteSetPotential, PotentialTable, c_plus, has_bounded_potential
 from .special import gamma_fn
 from .stable_numerics import (
     ConstantsTable,
     constants,
     density_at_zero,
-    density_grid_smart,
+    density_grid,
     hitting_density,
 )
 from .walk_model import StableParams, WalkLaw, stable_params_of
@@ -66,28 +67,8 @@ _A = (-1, 0, 2)  # the finite killing set of finite and cor3
 
 
 # ---------------------------------------------------------------------------
-# trend criterion and report
+# report and its trend verdict
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrendCriterion:
-    """Pass/fail rule for asymptotic ratio trends.
-
-    final_cap bounds the last |ratio - 1|; deviations below mono_floor are
-    treated as converged noise and exempt from the ordering requirement.
-    """
-
-    final_cap: float = 0.15
-    mono_floor: float = 0.02
-
-    def check(self, deviations) -> tuple[bool, bool]:
-        devs = [float(d) for d in deviations]
-        mono = all(
-            devs[i + 1] <= max(devs[i], self.mono_floor) for i in range(len(devs) - 1)
-        )
-        final_ok = devs[-1] < self.final_cap
-        return mono, final_ok
 
 
 @dataclass
@@ -111,9 +92,16 @@ class VerificationReport:
         if dev is not None:
             self.deviations.append(dev)
 
-    def finalize(self, crit: TrendCriterion) -> "VerificationReport":
-        """The trend verdict of crit on the recorded deviations."""
-        return self.finish(self.deviations, *crit.check(self.deviations))
+    def finalize(self, final_cap: float, mono_floor: float = 0.02) -> "VerificationReport":
+        """The trend verdict on the recorded deviations.
+
+        They must be non-increasing, except that deviations below mono_floor
+        are converged noise and may reorder freely, and the last one must be
+        below final_cap.
+        """
+        devs = [float(d) for d in self.deviations]
+        monotone = all(devs[i + 1] <= max(devs[i], mono_floor) for i in range(len(devs) - 1))
+        return self.finish(self.deviations, monotone, devs[-1] < final_cap)
 
     def finish(self, deviations, monotone: bool, ok: bool) -> "VerificationReport":
         """Close the report on deviations: passed iff monotone and ok, final_dev the last one."""
@@ -124,15 +112,8 @@ class VerificationReport:
         return self
 
     def to_csv(self) -> str:
-        cols = ["n", "x", "y", "exact", "rhs", "ratio", "regime"]
-        lines = ["schema_version," + ",".join(cols)]
-        for row in self.rows:
-            vals = []
-            for c in cols:
-                v = row.get(c, "")
-                vals.append(f"{v:.17g}" if isinstance(v, float) else str(v))
-            lines.append("1," + ",".join(vals))
-        return "\n".join(lines) + "\n"
+        cols = ("n", "x", "y", "exact", "rhs", "ratio", "regime")
+        return csv_text(cols, [[row.get(c, "") for c in cols] for row in self.rows])
 
     def summary(self) -> dict:
         return {
@@ -236,7 +217,7 @@ def f0_asymptote(n: int, params: StableParams, consts: ConstantsTable) -> float:
 
 
 def _p_ccirc(ctx: LawContext, xi: float) -> float:
-    vals, _ = density_grid_smart(ctx.params.c_circ, np.array([xi]), ctx.params)
+    vals, _ = density_grid(ctx.params.c_circ, np.array([xi]), ctx.params)
     return float(vals[0])
 
 
@@ -290,7 +271,7 @@ def verify_thm1(ctx: LawContext, quick: bool) -> VerificationReport:
     for n in ns:
         rep.add_row(float(fp.f[n]), f0_asymptote(n, ctx.params, ctx.consts), n=n, x=0)
     rep.notes["escaped"] = fp.escaped
-    return rep.finalize(TrendCriterion(final_cap=0.15))
+    return rep.finalize(0.15)
 
 
 def verify_thm2_bulk(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -299,7 +280,7 @@ def verify_thm2_bulk(ctx: LawContext, quick: bool) -> VerificationReport:
     for n in _grid(quick):
         x = _site(ctx, 1.0, n)
         rep.add_row(ctx.dual_slice([n])[n].at(x), rhs_thm2_bulk(ctx, x, n), n=n, x=x, regime="bulk")
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_thm2_small(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -309,7 +290,7 @@ def verify_thm2_small(ctx: LawContext, quick: bool) -> VerificationReport:
     dual = ctx.dual_slice(ns)
     for n in ns:
         rep.add_row(dual[n].at(4), rhs_thm2_small(ctx, 4, n), n=n, x=4, regime="x_small")
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -380,7 +361,7 @@ def verify_thm4_y_small(ctx: LawContext, quick: bool) -> VerificationReport:
         x = _site(ctx, 0.5, n)
         rhs = ctx.dual_slice([n])[n].at(x) * ctx.pot.a(-3)
         rep.add_row(ctx.dp_slice(_ORIGIN, x, n).at(3), rhs, n=n, x=x, y=3, regime="y_small")
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -399,7 +380,7 @@ def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
         rhs = rhs_thm5_x_small(ctx, 3, n, fy, float(K_vals[0]))
         rep.add_row(ctx.dp_slice(_ORIGIN, 3, n).at(y), rhs, n=n, x=3, y=y, regime="x_small")
         rep.notes.setdefault("k_spread", []).append(float(spreads[0]))
-    return rep.finalize(TrendCriterion(final_cap=0.2, mono_floor=0.03))
+    return rep.finalize(0.2, mono_floor=0.03)
 
 
 def verify_bulk_scaling(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -418,7 +399,7 @@ def verify_bulk_scaling(ctx: LawContext, quick: bool) -> VerificationReport:
         rep.record(scaled, n=n, x=x, y=y, regime="bulk")
     rep.deviations = [abs(vals[i] / vals[i + 1] - 1.0) for i in range(len(vals) - 1)]
     rep.notes["scaled_values"] = vals
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_thm6(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -432,7 +413,7 @@ def verify_thm6(ctx: LawContext, quick: bool) -> VerificationReport:
         exact = ctx.dp_slice(_ORIGIN, x, n, mult=10.0).at(-x)
         rep.add_row(exact, rhs_thm6_ii(ctx, x, -x, n, cp), n=n, x=x, y=-x, regime="ii")
     rep.notes["c_plus"] = cp
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> VerificationReport:
@@ -489,7 +470,7 @@ def verify_comp(ctx: LawContext, quick: bool) -> VerificationReport:
         x = y = _site(ctx, 0.5, n)
         rhs = ctx.dp_slice(("le", -1), x, n).at(y) + ctx.pot.a_dagger(x) * float(f0[n]) * ctx.pot.a(-y)
         rep.add_row(ctx.dp_slice(_ORIGIN, x, n).at(y), rhs, n=n, x=x, y=y, regime="comp")
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -505,7 +486,7 @@ def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
         scaled = K_val * params.c_circ * gamma_fn(params.alpha) / (p0 * eta ** (params.alpha - 1.0))
         rep.record(K_val, ratio=scaled, dev=abs(scaled - 1.0), n=n, x=0, y=eta, regime="eta")
         rep.notes.setdefault("spread", []).append(spread)
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_finite_set(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -518,7 +499,7 @@ def verify_finite_set(ctx: LawContext, quick: bool) -> VerificationReport:
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in ns:
         rep.add_row(float(table.step_killed[:, n].sum()), float(f0.f[n]), n=n, x=0, regime="sum_fA")
-    return rep.finalize(TrendCriterion(final_cap=0.2 if quick else 0.1))
+    return rep.finalize(0.2 if quick else 0.1)
 
 
 def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -541,7 +522,7 @@ def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
         fA_n = float(table.step_killed[0, n])
         rep.add_row(exact, fA_n * weights[y_probe], n=n, x=5, y=y_probe, regime="cor3")
     rep.notes["weight_sum"] = sum(weights.values())
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def _finish_sups(rep: VerificationReport, sups: list) -> VerificationReport:
@@ -620,7 +601,7 @@ def verify_cor1(ctx: LawContext, quick: bool) -> VerificationReport:
     for t in (10.0, 100.0, 1000.0) if quick else (10.0, 100.0, 1000.0, 10000.0):
         scaled = t ** (2.0 - 1.0 / params.alpha) * hitting_density(t, 1.0, params)
         rep.add_row(scaled, ctx.consts.kappa_f, n=int(t), x=1, regime="t")
-    return rep.finalize(TrendCriterion(final_cap=0.15))
+    return rep.finalize(0.15)
 
 
 def verify_cor2(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -635,7 +616,7 @@ def verify_cor2(ctx: LawContext, quick: bool) -> VerificationReport:
         f0_term = f0_asymptote(n, ctx.params, ctx.consts) * ctx.pot.a(-y)
         rhs = ctx.pot.a_dagger(-3) * (f0_term + abs(yn) * _p_ccirc(ctx, yn) / n)
         rep.add_row(ctx.dp_slice(_ORIGIN, -3, n).at(y), rhs, n=n, x=-3, y=y, regime="cor2")
-    return rep.finalize(TrendCriterion(final_cap=0.2))
+    return rep.finalize(0.2)
 
 
 def verify_llt(ctx: LawContext, quick: bool) -> VerificationReport:
@@ -651,10 +632,10 @@ def verify_llt(ctx: LawContext, quick: bool) -> VerificationReport:
         # window-edge bias is a DP artifact, not an LLT failure: restrict the
         # sup to the bulk |x| <= 6 n^{1/alpha}
         mask = np.abs(xs) <= 6.0 * scale
-        dens, _ = density_grid_smart(ctx.params.c_circ, xs[mask] / scale, ctx.params)
+        dens, _ = density_grid(ctx.params.c_circ, xs[mask] / scale, ctx.params)
         sup = float(np.abs(scale * table.values[n][0][mask] - dens).max())
         rep.record(sup, 0.0, sup, sup, n=n, x=0, regime="llt")
-    return rep.finalize(TrendCriterion(final_cap=0.05, mono_floor=0.002))
+    return rep.finalize(0.05, mono_floor=0.002)
 
 
 def verify_ladder(ctx: LawContext, quick: bool) -> tuple[VerificationReport, VerificationReport]:
@@ -681,5 +662,4 @@ def verify_ladder(ctx: LawContext, quick: bool) -> tuple[VerificationReport, Ver
     rep_v.notes["E_Z"] = ez
     for rep in (rep_u, rep_v):
         rep.notes["green_tail_rel"] = lt.green_tail_rel
-    crit = TrendCriterion(final_cap=0.2)
-    return rep_u.finalize(crit), rep_v.finalize(crit)
+    return rep_u.finalize(0.2), rep_v.finalize(0.2)

@@ -26,8 +26,9 @@ from .errors import (
     WindowTooSmall,
 )
 from .killed_walk import first_passage, ladder_renewals, run_kernel
+from .output import csv_text, json_text
 from .potential_theory import PotentialTable
-from .stable_numerics import constants, density_grid_smart
+from .stable_numerics import constants, density_grid
 from .walk_model import WalkLaw, build_walk_law, parse_law_config, stable_params_of, validate_tails
 
 EXIT_PASS = 0
@@ -36,10 +37,6 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
 _BUDGET_ERRORS = (WindowTooSmall, QuadratureNonConvergence, TruncationTooCoarse)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class RunManifest:
@@ -57,14 +54,16 @@ class RunManifest:
         }
         self._t0 = time.time()
 
-    def add_output(self, path: Path) -> None:
-        self.data["outputs"][str(path)] = _sha256(path)
-
-    def write(self, out_dir: Path) -> Path:
-        self.data["wall_clock_s"] = round(time.time() - self._t0, 3)
-        path = out_dir / "manifest.json"
-        path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+    def write_output(self, path: Path, text: str) -> Path:
+        """Write text to path and record the SHA-256 of its bytes among the outputs."""
+        data = text.encode()
+        path.write_bytes(data)
+        self.data["outputs"][str(path)] = hashlib.sha256(data).hexdigest()
         return path
+
+    def write(self, out_dir: Path) -> None:
+        self.data["wall_clock_s"] = round(time.time() - self._t0, 3)
+        (out_dir / "manifest.json").write_text(json_text(self.data))
 
 
 def _load_law(args) -> WalkLaw:
@@ -93,13 +92,8 @@ def cmd_law(args) -> int:
     spec = parse_law_config(Path(args.config).read_text())
     law = build_walk_law(spec)
     manifest.data["law_hash"] = law.law_hash()
-    law_path = out / "law.json"
-    law_path.write_text(law.to_json() + "\n")
-    manifest.add_output(law_path)
-    report = validate_tails(law)
-    tails_path = out / "tails.csv"
-    tails_path.write_text(report.to_csv())
-    manifest.add_output(tails_path)
+    manifest.write_output(out / "law.json", law.to_json() + "\n")
+    manifest.write_output(out / "tails.csv", validate_tails(law).to_csv())
     manifest.write(out)
     print(f"law {law.law_hash()} built: gamma calibration C0={law.c0:.3e}")
     return EXIT_PASS
@@ -113,56 +107,41 @@ def cmd_table(args) -> int:
     kind = args.kind
     if kind == "kernel":
         table = run_kernel(law, None, [0], args.n, window=args.window, keep=[args.n])
-        path = out / f"kernel_n{args.n}.csv"
-        path.write_text(table.to_csv(args.n))
+        name, text = f"kernel_n{args.n}.csv", table.to_csv(args.n)
     elif kind == "killed":
         killing = ("set", tuple(int(z) for z in args.set.split(",")))
         table = run_kernel(law, killing, [args.x], args.n, window=args.window, keep=[args.n])
-        path = out / f"killed_n{args.n}.csv"
-        path.write_text(table.to_csv(args.n))
+        name, text = f"killed_n{args.n}.csv", table.to_csv(args.n)
     elif kind == "potential":
-        pot = PotentialTable(law)
-        path = out / "potential.csv"
-        path.write_text(pot.to_csv(args.x_max))
+        name, text = "potential.csv", PotentialTable(law).to_csv(args.x_max)
     elif kind == "fp":
         killing = ("set", tuple(int(z) for z in args.set.split(",")))
         fp = first_passage(law, killing, args.x, args.n, window=args.window)
-        lines = ["schema_version,n,f"]
-        for n in range(1, args.n + 1):
-            lines.append(f"1,{n},{fp.f[n]:.17g}")
-        path = out / f"fp_x{args.x}_n{args.n}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        name = f"fp_x{args.x}_n{args.n}.csv"
+        text = csv_text(("n", "f"), [(n, fp.f[n]) for n in range(1, args.n + 1)])
     elif kind == "constants":
         params = stable_params_of(law)
         clean = {
             k: (v if isinstance(v, str) or math.isfinite(v) else None)
             for k, v in constants(params).as_dict().items()
         }
-        payload = {f"({params.alpha!r},{params.gamma!r})": clean}
-        path = out / "constants.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        name, text = "constants.json", json_text({f"({params.alpha!r},{params.gamma!r})": clean})
     elif kind == "density":
-        params = stable_params_of(law)
         xs = [float(v) for v in args.set.split(",")]
-        vals, errs = density_grid_smart(args.t, xs, params)
-        lines = ["schema_version,t,x,value,abs_error_estimate"]
-        for x, v, e in zip(xs, vals, errs):
-            lines.append(f"1,{args.t:.17g},{x:.17g},{v:.17g},{e:.17g}")
-        path = out / "density.csv"
-        path.write_text("\n".join(lines) + "\n")
+        vals, errs = density_grid(args.t, xs, stable_params_of(law))
+        name = "density.csv"
+        text = csv_text(("t", "x", "value", "abs_error_estimate"), [(args.t, *row) for row in zip(xs, vals, errs)])
     elif kind == "ladder":
         lt = ladder_renewals(law, x_max=args.x_max)
-        lines = ["schema_version,x,U_ds,V_as,U_ds_recursion,V_as_recursion"]
-        for x in range(args.x_max + 1):
-            lines.append(
-                f"1,{x},{lt.U_ds[x]:.17g},{lt.V_as[x]:.17g},"
-                f"{lt.U_ds_recursion[x]:.17g},{lt.V_as_recursion[x]:.17g}"
-            )
-        path = out / "ladder.csv"
-        path.write_text("\n".join(lines) + "\n")
+        cols = (lt.U_ds, lt.V_as, lt.U_ds_recursion, lt.V_as_recursion)
+        name = "ladder.csv"
+        text = csv_text(
+            ("x", "U_ds", "V_as", "U_ds_recursion", "V_as_recursion"),
+            [(x, *(col[x] for col in cols)) for x in range(args.x_max + 1)],
+        )
     else:
         raise ConfigError(f"unknown table kind {kind!r}")
-    manifest.add_output(path)
+    path = manifest.write_output(out / name, text)
     manifest.write(out)
     print(f"wrote {path}")
     return EXIT_PASS
@@ -237,16 +216,12 @@ def cmd_verify(args) -> int:
             summaries.append({"theorem_id": name, "passed": None, "skipped": str(exc)})
             continue
         for rep in reports:
-            csv_path = out / f"{rep.theorem_id}.csv"
-            csv_path.write_text(rep.to_csv())
-            manifest.add_output(csv_path)
+            manifest.write_output(out / f"{rep.theorem_id}.csv", rep.to_csv())
             summaries.append(rep.summary())
             status = "PASS" if rep.passed else "FAIL"
             print(f"{rep.theorem_id}: {status} final_dev={rep.final_dev:.4f}")
             all_pass &= rep.passed
-    summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summaries, indent=2, sort_keys=True) + "\n")
-    manifest.add_output(summary_path)
+    manifest.write_output(out / "summary.json", json_text(summaries))
     manifest.write(out)
     return EXIT_PASS if all_pass else EXIT_FAIL
 
@@ -256,13 +231,13 @@ def cmd_report(args) -> int:
     out = _out_dir(args)
     rows = []
     for path in sorted(Path(args.dir or ".").glob("**/summary.json")):
-        rows.extend(json.loads(path.read_text()))
-    path = out / "report.csv"
-    lines = ["schema_version,theorem_id,passed,final_dev"]
-    for r in rows:
-        lines.append(f"1,{r.get('theorem_id')},{r.get('passed')},{r.get('final_dev', '')}")
-    path.write_text("\n".join(lines) + "\n")
-    manifest.add_output(path)
+        # final_dev stays the number text summary.json holds, not a reformatted float
+        rows.extend(json.loads(path.read_text(), parse_float=str))
+    text = csv_text(
+        ("theorem_id", "passed", "final_dev"),
+        [(r.get("theorem_id"), r.get("passed"), r.get("final_dev", "")) for r in rows],
+    )
+    path = manifest.write_output(out / "report.csv", text)
     manifest.write(out)
     print(f"aggregated {len(rows)} results into {path}")
     return EXIT_PASS

@@ -33,6 +33,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
+from .output import csv_text
 from .special import gk_panels, omexp
 from .walk_model import WalkLaw
 
@@ -103,14 +104,9 @@ class KernelTable:
         return np.abs(total - 1.0)
 
     def to_csv(self, n: int) -> str:
-        W = self.window
-        lines = ["schema_version,n,x,y,value"]
         arr = self.values[n]
-        for i, x in enumerate(self.starts):
-            nz = np.nonzero(arr[i])[0]
-            for j in nz:
-                lines.append(f"1,{n},{x},{j - W},{arr[i][j]:.17g}")
-        return "\n".join(lines) + "\n"
+        rows = [(n, x, j - self.window, arr[i][j]) for i, x in enumerate(self.starts) for j in np.nonzero(arr[i])[0]]
+        return csv_text(("n", "x", "y", "value"), rows)
 
 
 def _fft_stepper(law: WalkLaw, W: int):

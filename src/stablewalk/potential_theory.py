@@ -34,6 +34,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .errors import ExtrapolationUnstable, SingularSystem
+from .output import csv_text
 from .special import gk_panels
 from .walk_model import WalkLaw
 
@@ -117,10 +118,7 @@ class PotentialTable:
 
     def to_csv(self, window: int) -> str:
         self.fill([window])
-        lines = ["schema_version,x,a"]
-        for x in range(-window, window + 1):
-            lines.append(f"1,{x},{self.a(x):.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("x", "a"), [(x, self.a(x)) for x in range(-window, window + 1)])
 
 
 class FiniteSetPotential:

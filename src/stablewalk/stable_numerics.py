@@ -20,7 +20,7 @@ from .special import gamma_fn, gk_panels
 from .walk_model import StableParams
 
 _CUT = 44.0  # exp(-44) ~ 8e-20: below double noise for O(1) integrands
-_X_ROWS = 128  # x rows per block of density_grid's oscillatory matrix product
+_X_ROWS = 128  # x rows per block of _quadrature's oscillatory matrix product
 _FAR_TERMS = 5  # terms of the far-tail series; the sixth is the error bound
 
 
@@ -43,15 +43,8 @@ def _theta_breaks(t: float, params: StableParams, x_max: float) -> np.ndarray:
     return np.unique(np.concatenate([[0.0], geo, uni]))
 
 
-def density_grid(
-    t: float,
-    xs: np.ndarray,
-    params: StableParams,
-    deriv: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """p_t(x) (or its x-derivative) on a batch of points, with error estimates."""
-    if t <= 0:
-        raise ValueError("t must be positive")
+def _quadrature(t: float, xs: np.ndarray, params: StableParams, deriv: int) -> tuple[np.ndarray, np.ndarray]:
+    """p_t(x) (or its x-derivative) by the inversion integral, with error estimates."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     breaks = _theta_breaks(t, params, float(np.abs(xs).max()) if len(xs) else 1.0)
     nodes, wk, wg, _ = gk_panels(breaks)
@@ -86,15 +79,21 @@ def density_series_far(t: float, xs: np.ndarray, params: StableParams, deriv: in
 _SERIES_SWITCH = 35.0  # |x| / t^{1/alpha} beyond which the far series is used
 
 
-def density_grid_smart(t: float, xs: np.ndarray, params: StableParams, deriv: int = 0):
-    """density_grid with automatic far-tail series switching."""
+def density_grid(t: float, xs: np.ndarray, params: StableParams, deriv: int = 0):
+    """p_t(x) (or its x-derivative) on a batch of points, with error estimates.
+
+    Points with |x| > 35 t^{1/alpha} take the far-tail series, the rest the
+    inversion integral.
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     cut = _SERIES_SWITCH * t ** (1.0 / params.alpha)
     far = np.abs(xs) > cut
     vals = np.empty(xs.shape)
     errs = np.empty(xs.shape)
     if (~far).any():
-        v, e = density_grid(t, xs[~far], params, deriv=deriv)
+        v, e = _quadrature(t, xs[~far], params, deriv)
         vals[~far], errs[~far] = v, e
     if far.any():
         v, e = density_series_far(t, xs[far], params, deriv=deriv)
@@ -164,7 +163,7 @@ def _f1_integral(t: float, params: StableParams) -> float:
     u = 1.0 - v_nodes ** a
     u = np.clip(u, 1e-140, 1.0)
     args = -((t * u) ** (-1.0 / a))
-    dvals, _ = density_grid_smart(1.0, args, params, deriv=1)
+    dvals, _ = density_grid(1.0, args, params, deriv=1)
     integrand = u ** (-2.0 / a) * dvals
     # u -> 0 endpoint: the integrand decays like u; guard stray non-finite
     integrand = np.where(np.isfinite(integrand), integrand, 0.0)
@@ -187,7 +186,7 @@ def hitting_density(t: float, x: float, params: StableParams) -> float:
     if x < 0:
         return hitting_density(t, -x, replace(params, gamma=-params.gamma))
     if params.skew_sign > 0:
-        val, err = density_grid(t, np.array([-x]), params)
+        val, err = _quadrature(t, np.array([-x]), params, 0)
         if err[0] > 1e-8:
             raise QuadratureNonConvergence(f"p_t(-x) error {err[0]:.2e}")
         return x / t * float(val[0])

@@ -38,6 +38,7 @@ from .errors import (
     ConfigError,
     InfeasibleMeanAdjustment,
 )
+from .output import csv_text
 from .special import (
     gamma_fn,
     geometric_breaks,
@@ -590,10 +591,7 @@ class TailReport:
     rows: list = field(default_factory=list)  # (x, side, scaled, target, deviation)
 
     def to_csv(self) -> str:
-        lines = ["schema_version,x,side,scaled_tail,target,deviation"]
-        for x, side, scaled, target, dev in self.rows:
-            lines.append(f"1,{x},{side},{scaled:.17g},{target:.17g},{dev:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text(("x", "side", "scaled_tail", "target", "deviation"), self.rows)
 
 
 def validate_tails(law: WalkLaw) -> TailReport:
@@ -623,6 +621,14 @@ def validate_tails(law: WalkLaw) -> TailReport:
 _CONFIG_KEYS = {f.name for f in fields(TailSpec)}
 
 
+def _switch(text: str) -> bool:
+    """A config switch: 1/true/yes or 0/false/no in any case; anything else is a ValueError."""
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(text)
+    return word in ("1", "true", "yes")
+
+
 def parse_law_config(text: str) -> TailSpec:
     """Parse the flat `key = value` law config format."""
     values: dict[str, str] = {}
@@ -649,14 +655,13 @@ def parse_law_config(text: str) -> TailSpec:
         ("q_minus", float),
         ("beta_neg", float),
         ("support_radius", int),
+        ("calibrate", _switch),
     ):
         if key in values:
             try:
                 kwargs[key] = conv(values[key])
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {values[key]!r}") from exc
-    if "calibrate" in values:
-        kwargs["calibrate"] = values["calibrate"].strip().lower() in ("1", "true", "yes")
     try:
         fam = Family(values["family"])
     except ValueError as exc:

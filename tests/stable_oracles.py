@@ -12,7 +12,7 @@ import numpy as np
 
 from stablewalk.errors import QuadratureNonConvergence, WrongSkew
 from stablewalk.special import gamma_fn, gk_panels
-from stablewalk.stable_numerics import _far_series, density_at_zero, density_grid, density_grid_smart
+from stablewalk.stable_numerics import _far_series, _quadrature, density_at_zero, density_grid
 from stablewalk.walk_model import StableParams
 
 
@@ -32,7 +32,7 @@ def kappa_hit_p1(params: StableParams) -> float:
 
 def stable_density(t: float, x: float, params: StableParams) -> StableDensityEval:
     """Density of Y_t at x."""
-    vals, errs = density_grid_smart(t, np.array([x]), params)
+    vals, errs = density_grid(t, np.array([x]), params)
     val, err = float(vals[0]), float(errs[0])
     if err > 1e-8:
         raise QuadratureNonConvergence(f"density quadrature error {err:.2e}")
@@ -71,7 +71,7 @@ def normalization_check(t: float, params: StableParams) -> tuple[float, float]:
     a = params.alpha
     X = max(32.0, (gamma_fn(4 * a + 1.0) / (24.0 * 4 * a) * t ** 4 / 1e-8) ** (1.0 / (4 * a)))
     nodes, wk, _, _ = gk_panels(_x_breaks(t, X))
-    vals, errs = density_grid_smart(t, nodes, params)
+    vals, errs = density_grid(t, nodes, params)
     mass = float(vals @ wk)
     err = float(errs @ np.abs(wk))
     tp, ep = tail_mass_series(X, t, params, +1)
@@ -94,7 +94,7 @@ def abs_moment(t: float, params: StableParams, method: str = "closed") -> float:
         raise ValueError(method)
     X = max(100.0, 8.0 * t ** (1.0 / a))
     nodes, wk, _, _ = gk_panels(_x_breaks(t, X))
-    vals, errs = density_grid_smart(t, nodes, params)
+    vals, errs = density_grid(t, nodes, params)
     mom = float((vals * np.abs(nodes)) @ wk)
     tp, _ = tail_absmoment_series(X, t, params, +1)
     tm, _ = tail_absmoment_series(X, t, params, -1)
@@ -121,7 +121,7 @@ def meander_density(t: float, eta: float, params: StableParams, K: float | None 
     if eta <= 0 or t <= 0:
         raise ValueError("t, eta must be positive")
     a = params.alpha
-    val, err = density_grid(t, np.array([-eta]), params)
+    val, err = _quadrature(t, np.array([-eta]), params, 0)
     if err[0] > 1e-8:
         raise QuadratureNonConvergence(f"p_t(-eta) error {err[0]:.2e}")
     q_hat = t ** (-1.0 / a) * gamma_fn(1.0 / a) * float(val[0]) * eta

@@ -252,3 +252,15 @@ def test_every_class_field_is_read():
     assert not unlisted, f"class fields nothing in src/ or perfbench/ reads: {unlisted}"
     # an allowlisted field that gained a reader (or was removed) leaves the list
     assert set(ALLOWED_UNREAD) <= unread
+
+
+def test_csv_headers_only_in_the_writer_module():
+    """Every CSV table goes through output.csv_text: no other src/ string spells out a header."""
+    spelled = [
+        f"{path.stem}:{node.lineno}"
+        for path in SRC
+        if path.stem != "output"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "schema_version," in node.value
+    ]
+    assert not spelled, f"CSV layouts written outside stablewalk/output.py: {spelled}"

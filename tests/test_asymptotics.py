@@ -9,7 +9,6 @@ from conftest import get_ctx
 from stablewalk import asymptotics, cache
 from stablewalk.asymptotics import (
     LawContext,
-    TrendCriterion,
     VerificationReport,
     diagnostics_prop21,
     f0_asymptote,
@@ -54,14 +53,14 @@ def test_theorem_pair_consistency_extremal(sp15):
     the two theorem forms must match to near machine precision.
     """
     ctx = LawContext.build(sp15)
-    from stablewalk.stable_numerics import density_grid_smart
+    from stablewalk.stable_numerics import density_grid
 
     inv_a = 1.0 / ctx.params.alpha
     for n in (64, 256):
         x = int(1.3 * n ** inv_a)
         xn = x / n ** inv_a
         bulk = rhs_thm2_bulk(ctx, x, n)
-        dens, _ = density_grid_smart(ctx.params.c_circ, np.array([-xn]), ctx.params)
+        dens, _ = density_grid(ctx.params.c_circ, np.array([-xn]), ctx.params)
         two_term = xn * float(dens[0]) / n
         assert abs(bulk - two_term) < 1e-10
 
@@ -106,13 +105,18 @@ def test_rhs_theorem6_infinite_cplus(sym15):
 
 
 def test_trend_criterion_monotone_floor():
-    crit = TrendCriterion(final_cap=0.15, mono_floor=0.02)
-    mono, ok = crit.check([0.30, 0.10, 0.05])
-    assert mono and ok
-    mono, ok = crit.check([0.001, 0.015, 0.01])  # noise-level reordering
-    assert mono and ok
-    mono, ok = crit.check([0.30, 0.40, 0.05])
-    assert not mono
+    def verdict(devs):
+        rep = VerificationReport(theorem_id="t")
+        for d in devs:
+            rep.record(d, dev=d)
+        return rep.finalize(0.15, mono_floor=0.02)
+
+    rep = verdict([0.30, 0.10, 0.05])
+    assert rep.monotone and rep.passed
+    rep = verdict([0.001, 0.015, 0.01])  # noise-level reordering
+    assert rep.monotone and rep.passed
+    rep = verdict([0.30, 0.40, 0.05])
+    assert not rep.monotone
 
 
 def test_report_serialisation():

@@ -4,10 +4,11 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import get_ctx, get_law
-from stablewalk import asymptotics, killed_walk
+from stablewalk import asymptotics, cli, killed_walk
 from stablewalk.cli import _registry, main
 from stablewalk.errors import StableWalkError
 from stablewalk.stable_numerics import ConstantsTable
@@ -49,6 +50,13 @@ def test_invalid_alpha_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family = two_sided_pareto\nalpha = 2.1\n")
     assert main(["law", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def test_bad_calibrate_value_exit_code(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("family = two_sided_pareto\nalpha = 1.5\nB = 0.5\ncalibrate = maybe\n")
+    assert main(["law", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "law.json").exists()
 
 
 def test_malformed_config_exit_code(tmp_path):
@@ -103,7 +111,7 @@ def test_potential_table_origin_row(built_law, tmp_path):
 # kind -> (extra arguments, output file, header, data rows); the killed table
 # lists the nonzero sites, all but the killed origin; the density sites 0 and
 # 1 take the quadrature and 40 the far-tail series; constants.json holds one
-# key per ConstantsTable field
+# key per ConstantsTable field; the ladder table is written from _small_ladder
 _TABLE_KINDS = {
     "kernel": (["--n", "8", "--window", "64"], "kernel_n8.csv", "schema_version,n,x,y,value", 129),
     "killed": (["--n", "8", "--x", "3", "--window", "64"], "killed_n8.csv", "schema_version,n,x,y,value", 128),
@@ -111,12 +119,23 @@ _TABLE_KINDS = {
     "fp": (["--n", "8", "--x", "3", "--window", "64"], "fp_x3_n8.csv", "schema_version,n,f", 8),
     "constants": ([], "constants.json", "{", None),
     "density": (["--set", "0,1,40", "--t", "1"], "density.csv", "schema_version,t,x,value,abs_error_estimate", 3),
+    "ladder": (["--x-max", "3"], "ladder.csv", "schema_version,x,U_ds,V_as,U_ds_recursion,V_as_recursion", 4),
 }
 
 
+def _small_ladder(law, x_max):
+    """A LadderTables of hand-set values in place of the two 8192-step half-line runs."""
+    x = np.arange(x_max + 1, dtype=float)
+    return killed_walk.LadderTables(
+        q_ds=np.array([0.5, 0.25]), q_ds_tail=0.25, q_as_tail=0.0, V_as=0.5 * x, U_ds=1.0 + x / 3.0,
+        V_as_recursion=0.1 * x, U_ds_recursion=1.0 + x / 7.0, green_tail_rel=0.0,
+    )
+
+
 @pytest.mark.parametrize("kind", sorted(_TABLE_KINDS))
-def test_table_kinds(kind, built_law, tmp_path):
+def test_table_kinds(kind, built_law, tmp_path, monkeypatch):
     extra, name, header, n_rows = _TABLE_KINDS[kind]
+    monkeypatch.setattr(cli, "ladder_renewals", _small_ladder)
     assert main(["table", "--kind", kind, "--law", str(built_law), *extra, "--out", str(tmp_path)]) == 0
     path = tmp_path / name
     text = path.read_text()
@@ -126,6 +145,8 @@ def test_table_kinds(kind, built_law, tmp_path):
         assert set(entry) == {f.name for f in fields(ConstantsTable)} and entry["alpha"] == 1.5
     else:
         assert len(text.splitlines()) == 1 + n_rows
+    if kind == "ladder":
+        assert text.splitlines()[2] == "1,1,1.3333333333333333,0.5,1.1428571428571428,0.10000000000000001"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["outputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
@@ -139,6 +160,21 @@ def test_verify_quick_pass_and_report(built_law, tmp_path):
     rep_out = tmp_path / "agg"
     assert main(["report", "--dir", str(out), "--out", str(rep_out)]) == 0
     assert (rep_out / "report.csv").exists()
+
+
+def test_report_csv_bytes(tmp_path):
+    """report.csv keeps final_dev as the number text summary.json holds, and a skip as blank."""
+    summary = [
+        {"deviations": [0.2, 0.0671], "final_dev": 0.0671, "monotone": True, "notes": {}, "passed": False,
+         "theorem_id": "cor1"},
+        {"passed": None, "skipped": "thm5 needs gamma = 2 - alpha", "theorem_id": "thm5"},
+    ]
+    (tmp_path / "v").mkdir()
+    (tmp_path / "v" / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    assert main(["report", "--dir", str(tmp_path / "v"), "--out", str(tmp_path / "agg")]) == 0
+    assert (tmp_path / "agg" / "report.csv").read_bytes() == (
+        b"schema_version,theorem_id,passed,final_dev\n1,cor1,False,0.0671\n1,thm5,None,\n"
+    )
 
 
 def test_verify_unknown_theorem(built_law, tmp_path):

@@ -18,7 +18,7 @@ from stablewalk.killed_walk import (
     run_kernel,
 )
 from stablewalk.special import gamma_fn
-from stablewalk.stable_numerics import density_grid_smart
+from stablewalk.stable_numerics import density_grid
 
 
 def test_one_step_is_pmf(sym15):
@@ -182,7 +182,7 @@ def test_llt_sup_shrinks(sym15):
         sl = tab.values[n][0]
         scale = float(n) ** (1 / p.alpha)
         xs = np.arange(-W, W + 1, dtype=float)
-        dens, _ = density_grid_smart(p.c_circ, xs / scale, p)
+        dens, _ = density_grid(p.c_circ, xs / scale, p)
         mask = np.abs(xs) <= 6.0 * scale
         sups.append(float(np.abs(scale * sl - dens)[mask].max()))
     assert sups[0] > sups[1] > sups[2]

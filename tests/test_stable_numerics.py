@@ -16,13 +16,15 @@ from stablewalk.errors import WrongSkew
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import (
     _f1_integral,
+    _quadrature,
     constants,
     density_at_zero,
-    density_grid_smart,
+    density_grid,
+    density_series_far,
     hitting_density,
     psi,
 )
-from stablewalk.walk_model import StableParams
+from stablewalk.walk_model import StableParams, stable_params_of
 
 
 def make_params(alpha, gamma, c=1.0):
@@ -82,17 +84,38 @@ def test_density_scaling_relation():
         assert abs(lhs - rhs) <= max(2 * ev.abs_error_estimate, 1e-13)
 
 
+@pytest.mark.parametrize("deriv", [0, 1])
+def test_density_grid_takes_each_route_on_its_side_of_the_cut(deriv):
+    """Inside 35 t^{1/alpha} density_grid is the quadrature bit for bit; beyond it, the far-tail series."""
+    for p in (make_params(1.5, 0.25), make_params(1.2, 0.8)):
+        for t in (0.7, 2.0):
+            cut = 35.0 * t ** (1.0 / p.alpha)
+            near = np.array([-0.99 * cut, -3.0, 0.0, 1.5, cut])
+            far = np.array([-4.0 * cut, -1.01 * cut, 1.01 * cut, 3.0 * cut])
+            for xs, route in ((near, _quadrature(t, near, p, deriv)), (far, density_series_far(t, far, p, deriv=deriv))):
+                vals, errs = density_grid(t, xs, p, deriv=deriv)
+                assert np.array_equal(vals, route[0]) and np.array_equal(errs, route[1])
+
+
+def test_hitting_density_creeping_route_unchanged(sp15):
+    """On sp15, f^1(c) is x p_c(-x)/t off the quadrature alone, whatever the series cut."""
+    p = stable_params_of(sp15)
+    val = hitting_density(p.c_circ, 1.0, p)
+    assert val == 1.0 / p.c_circ * float(_quadrature(p.c_circ, np.array([-1.0]), p, 0)[0][0])
+    assert val == pytest.approx(0.586142816707243, rel=1e-12)
+
+
 def test_density_positive_on_window():
     # non-extremal skew: both tails are power laws, positivity holds everywhere
     p = make_params(1.5, 0.25)
     xs = np.linspace(-10, 10, 41)
-    vals, _ = density_grid_smart(1.0, xs, p)
+    vals, _ = density_grid(1.0, xs, p)
     assert np.all(vals > 0)
     # extremal skew: the spectrally-positive left tail decays beyond double
     # precision by |x| ~ 5; positivity is asserted where the density is
     # resolvable and only noise-level negativity is tolerated beyond
     pe = make_params(1.5, 0.5)
-    vals_e, errs_e = density_grid_smart(1.0, xs, pe)
+    vals_e, errs_e = density_grid(1.0, xs, pe)
     resolvable = np.abs(vals_e) > 10 * errs_e + 1e-15
     assert np.all(vals_e[resolvable] > 0)
     assert vals_e.min() > -1e-12
@@ -159,7 +182,7 @@ def test_kappa_f_integral_form():
     p = make_params(alpha, gamma)
     # substitution u = v^2 removes the u^{1-alpha} endpoint singularity
     vs = np.linspace(1e-8, math.sqrt(60.0), 2501)
-    dv, _ = density_grid_smart(1.0, -(vs ** 2), p, deriv=1)
+    dv, _ = density_grid(1.0, -(vs ** 2), p, deriv=1)
     integrand = 2.0 * vs ** (3 - 2 * alpha) * dv
     val = np.trapezoid(integrand, vs)
     closed = gamma_fn(2 - alpha) * math.sin(math.pi * (alpha + gamma) / 2) / (alpha * math.pi)

@@ -194,6 +194,17 @@ def test_config_parsing_round_trip(tmp_path):
         parse_law_config("family = two_sided_pareto\nalpha = 1.5\nbogus_key = 3\n")
 
 
+@pytest.mark.parametrize("word,value", [("1", True), ("True", True), ("YES", True), ("0", False), ("false", False), ("No", False)])
+def test_config_calibrate_switch(word, value):
+    assert parse_law_config(f"family = two_sided_pareto\nalpha = 1.5\ncalibrate = {word}\n").calibrate is value
+
+
+@pytest.mark.parametrize("word", ["maybe", "ture", "2", ""])
+def test_config_calibrate_rejects_other_words(word):
+    with pytest.raises(ConfigError, match="calibrate"):
+        parse_law_config(f"family = two_sided_pareto\nalpha = 1.5\ncalibrate = {word}\n")
+
+
 def test_two_sided_requires_q_balance():
     with pytest.raises(ConfigError):
         TailSpec(alpha=1.5, family=Family.TWO_SIDED_PARETO, q_plus=0.7, q_minus=0.7)
