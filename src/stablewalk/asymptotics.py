@@ -14,19 +14,22 @@ is a trend: |ratio - 1| must be non-increasing across the grid (deviations
 already below a small floor may reorder freely - they are numerically
 converged) and the final deviation must beat a per-theorem cap.
 
-A run builds one LawContext for its law and hands it to every driver.  The
-context owns all per-law state: the stable parameters and named constants,
-one PotentialTable that every theorem reads and fills, and the memo of DP
-slices, so each distinct DP runs once per run.  Only the on-disk artifact
-cache (STABLEWALK_CACHE) spans runs.
+A run builds one LawContext for its law and hands it to every driver.  It
+owns the stable parameters and constants, one PotentialTable, and the memo of
+DP runs keyed by (law hash, killing set, start, n, W); only the artifact
+cache (STABLEWALK_CACHE) spans runs.  A forward run (dp_slice) keeps step n,
+a reversed one (dual_slice) each power of two up to n and n, and the starts
+one request misses run as one batch.
 
-Every f^x(n) is f^x_W(n) = p~^n_{0}(0, x), read at site x of the reversed
-law's {0}-killed run from 0 (LawContext.dual_slice): thm1, thm2_small, comp
-and finite share one at W(n_max), crossover has its own, thm2_bulk, thm4 and
-thm5 share one per n, prop21 has one per n.  Forward {0}-killed runs give
-only kernel slices p^n_0(x, .); prop23 reads p^n_0(x, y) = p~^n_0(y, x) off
-the reversed run from y, and tunneling_check reads its dual kernel at every
-step 0..n off the reversed run from -y.
+On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
+f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed run from 0
+(LawContext.hits): thm1, thm2_small, comp, finite and full-grid crossover
+share one at W(n_max), thm2_bulk, thm4 and thm5 one per n, prop21 one per n.
+prop23 reads its columns y off one batch of reversed runs from y.  For A =
+{-1, 0, 2}, site x of the reversed A-killed run from z in A is P_x[sigma_A =
+n, S_n = z]: one batch from the three z gives cor3 both its columns and
+finite its sum_{w in A} f_A^w(n), the summed kill ledgers.  Only llt's free
+walk and tunneling_check's every-step runs call run_kernel directly.
 """
 from __future__ import annotations
 
@@ -127,7 +130,7 @@ class VerificationReport:
 
 
 class DPSlice(NamedTuple):
-    """One-start DP at kept step m: p^m_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass at m."""
+    """One start's DP at a kept step m: p^m_B(x, .) over [-W, W], W, f^x_B(0..n), escaped mass at m."""
 
     slice: np.ndarray
     window: int
@@ -146,7 +149,7 @@ class LawContext:
     params: StableParams
     consts: ConstantsTable
     pot: PotentialTable
-    # (law hash, killing set, x, n, W) -> {kept m: DPSlice}, in front of the artifact cache
+    # artifact key of (law hash, killing set, start, n, W) -> {kept m: DPSlice}, in front of the cache
     memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -155,43 +158,50 @@ class LawContext:
         return cls(law=law, params=params, consts=constants(params), pot=PotentialTable(law))
 
     def dp_slice(self, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
-        """run_kernel(law, B, [x], n, keep=[n]) at W = default_window(law, n, mult)."""
-        return self._run(self.law, B, x, n, default_window(self.law, n, mult), [n])[n]
+        """p^n_B(x, .): the law's B-killed run from x to n at W = default_window(law, n, mult)."""
+        return self._run(self.law, B, [x], n, default_window(self.law, n, mult))[x][n]
 
-    def dual_slice(self, ns, y: int = 0, mult: float = 8.0) -> dict:
-        """{m: DPSlice} for m in ns of the reversed law's {0}-killed run from y to max(ns).
+    def dual_slice(self, B, ys, n: int, mult: float = 8.0) -> dict:
+        """{y: {m: DPSlice}} of the reversed law's B-killed runs from each y to n, m a kept step.
 
-        On W = default_window(law, max(ns), mult) the windowed reversed step
-        matrix is the transpose of the forward one, so site x of the slice at
-        m is p^m_0(x, y) exactly.  From y = 0 it is f^x_W(m), and the kill
-        ledger .f is f^0_W.
+        On W = default_window(law, n, mult) the reversed step matrix is the
+        forward one transposed, so site x at m is p^m_B(x, y) exactly: for y in B
+        P_x[sigma_B = m, S_m = y], with kill ledger sum_{w in B} P_w[sigma_B = ., S = y].
         """
-        n = max(ns)
-        return self._run(self.law.reversed(), _ORIGIN, y, n, default_window(self.law, n, mult), ns)
+        return self._run(self.law.reversed(), B, ys, n, default_window(self.law, n, mult))
 
-    def _run(self, law: WalkLaw, B, x: int, n: int, W: int, keep) -> dict:
-        """{m: DPSlice} for m in keep of run_kernel(law, B, [x], n, window=W), read-only.
+    def hits(self, n: int) -> dict:
+        """{m: DPSlice} of the reversed {0}-killed run from 0: site x at m is f^x_W(m), .f is f^0_W."""
+        return self.dual_slice(_ORIGIN, [0], n)[0]
 
-        One run per (law, B, x, n, W) and context; asking for a step it did not
-        keep reruns it kept at both requests (keep does not change the floats).
+    def _run(self, law: WalkLaw, B, xs, n: int, W: int, ran=None) -> dict:
+        """{x: {m: DPSlice}} of run_kernel(law, B, xs, n, window=W) at its kept steps, read-only.
+
+        A run of the reversed law (on a self-dual law, every run) keeps each
+        power of two up to n, and n; any other keeps n.  Each start is a memo
+        hit, an artifact hit or a miss; the misses run as one batch, each row
+        bit-identical to a single run, and each start is stored under its own
+        key.  ran, a run from xs kept at every step, stands in for cache and DP.
         """
-        base = (law.law_hash(), str(B), x, n, W)
-        runs = self.memo.get(base, {})
-        if set(keep) <= runs.keys():
-            return runs
-        keep = sorted(set(keep) | runs.keys())
-        key = cache.content_key(base[0], "dp_slice", B=str(B), x=x, n=n, W=W, keep=keep)
-        arrays = cache.load(key, shapes={"slice": (len(keep), 2 * W + 1), "f": (n + 1,), "escaped": (len(keep),)})
-        if arrays is None:
-            table = run_kernel(law, B, [x], n, window=W, keep=keep)
-            arrays = {"slice": np.stack([table.values[m][0] for m in keep]),
-                      "f": table.step_killed[0], "escaped": table.escaped[0, keep]}
-            cache.store(key, **arrays)
-        for arr in arrays.values():
-            arr.flags.writeable = False
-        self.memo[base] = {m: DPSlice(sl, W, arrays["f"], float(esc))
-                           for m, sl, esc in zip(keep, arrays["slice"], arrays["escaped"])}
-        return self.memo[base]
+        h = law.law_hash()
+        keep = sorted({n, *(1 << k for k in range(n.bit_length()))}) if h == self.law.reversed().law_hash() else [n]
+        key = {x: cache.content_key(h, "dp_slice", B=str(B), x=x, n=n, W=W) for x in xs}
+        shapes = {"slice": (len(keep), 2 * W + 1), "f": (n + 1,), "escaped": (len(keep),)}
+        got = {x: cache.load(key[x], shapes) for x in key if key[x] not in self.memo and ran is None}
+        missing = [x for x in key if key[x] not in self.memo and got.get(x) is None]
+        table = ran or (run_kernel(law, B, missing, n, window=W, keep=keep) if missing else None)
+        for x in missing:
+            i = table.starts.index(x)
+            got[x] = {"slice": np.stack([table.values[m][i] for m in keep]),
+                      "f": table.step_killed[i], "escaped": table.escaped[i, keep]}
+            if ran is None:
+                cache.store(key[x], **got[x])
+        for x, arrays in got.items():
+            for arr in arrays.values():
+                arr.flags.writeable = False
+            self.memo[key[x]] = {m: DPSlice(sl, W, arrays["f"], float(esc))
+                                 for m, sl, esc in zip(keep, arrays["slice"], arrays["escaped"])}
+        return {x: self.memo[key[x]] for x in xs}
 
 
 def _grid(quick: bool) -> tuple:
@@ -266,7 +276,7 @@ def rhs_thm6_ii(ctx: LawContext, x: int, y: int, n: int, c_plus_val: float) -> f
 def verify_thm1(ctx: LawContext, quick: bool) -> VerificationReport:
     """n^{2-1/alpha} f^0(n) against kappa c^{1/alpha}."""
     ns = _grid(quick)
-    fp = ctx.dual_slice(ns)[max(ns)]
+    fp = ctx.hits(max(ns))[max(ns)]
     rep = VerificationReport(theorem_id="thm1")
     for n in ns:
         rep.add_row(float(fp.f[n]), f0_asymptote(n, ctx.params, ctx.consts), n=n, x=0)
@@ -279,7 +289,7 @@ def verify_thm2_bulk(ctx: LawContext, quick: bool) -> VerificationReport:
     rep = VerificationReport(theorem_id="thm2_bulk")
     for n in _grid(quick):
         x = _site(ctx, 1.0, n)
-        rep.add_row(ctx.dual_slice([n])[n].at(x), rhs_thm2_bulk(ctx, x, n), n=n, x=x, regime="bulk")
+        rep.add_row(ctx.hits(n)[n].at(x), rhs_thm2_bulk(ctx, x, n), n=n, x=x, regime="bulk")
     return rep.finalize(0.2)
 
 
@@ -287,7 +297,7 @@ def verify_thm2_small(ctx: LawContext, quick: bool) -> VerificationReport:
     """f^4(n) ~ a_dagger(4) f^0(n) (+ spectral term when gamma > 0)."""
     ns = _grid(quick)
     rep = VerificationReport(theorem_id="thm2_small")
-    dual = ctx.dual_slice(ns)
+    dual = ctx.hits(max(ns))
     for n in ns:
         rep.add_row(dual[n].at(4), rhs_thm2_small(ctx, 4, n), n=n, x=4, regime="x_small")
     return rep.finalize(0.2)
@@ -312,7 +322,7 @@ def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     factors = []
     track_worst = 0.0
     n_grid = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-    dual = ctx.dual_slice(n_grid)
+    dual = ctx.hits(max(n_grid))
     for x in (1, 2):
         gaps = []
         two_term = {}
@@ -359,7 +369,7 @@ def verify_thm4_y_small(ctx: LawContext, quick: bool) -> VerificationReport:
     rep = VerificationReport(theorem_id="thm4_y_small")
     for n in _grid(quick):
         x = _site(ctx, 0.5, n)
-        rhs = ctx.dual_slice([n])[n].at(x) * ctx.pot.a(-3)
+        rhs = ctx.hits(n)[n].at(x) * ctx.pot.a(-3)
         rep.add_row(ctx.dp_slice(_ORIGIN, x, n).at(3), rhs, n=n, x=x, y=3, regime="y_small")
     return rep.finalize(0.2)
 
@@ -375,7 +385,7 @@ def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
     rep = VerificationReport(theorem_id="thm5_x_small")
     for n in _grid(quick):
         y = _site(ctx, 1.0, n)
-        fy = ctx.dual_slice([n])[n].at(-y)
+        fy = ctx.hits(n)[n].at(-y)
         K_vals, spreads = k_estimate(ctx, [y], n)
         rhs = rhs_thm5_x_small(ctx, 3, n, fy, float(K_vals[0]))
         rep.add_row(ctx.dp_slice(_ORIGIN, 3, n).at(y), rhs, n=n, x=3, y=y, regime="x_small")
@@ -432,23 +442,19 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     W = default_window(law, n)
     ent = run_kernel(law, HALF_LE_0, [x], n, window=W, keep=[n], entrance_depth=W)
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
-    dual = ctx.dual_slice(range(n + 1), y=-y)
-    sl0, W0, _, _ = ctx.dp_slice(_ORIGIN, x, n)
-    denom = float(sl0[y + W0])
+    # every step of the reversed run from -y, off disk; its kept steps serve prop23's y = 8
+    dual = run_kernel(law.reversed(), _ORIGIN, [-y], n, window=W)
+    ctx._run(law.reversed(), _ORIGIN, [-y], n, W, ran=dual)
+    denom = ctx.dp_slice(_ORIGIN, x, n).at(y)
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")
     rep = VerificationReport(theorem_id="tunneling")
-    # h[k, d] enters at z = -d; the dual slice at m = n - k holds p^m_0(y, z) at site d = -z
+    # h[k, d] enters at z = -d, and z < -R <-> d > R; the dual at step n - k
+    # holds p^{n-k}_0(y, z) at index d + W
     probs = []
     for R in R_values:
-        num = 0.0
-        for k in range(1, n + 1):
-            rowk = h[k]
-            m = n - k
-            dz = dual[m].slice
-            # z < -R  <->  d > R; the dual slice holds p^{n-k}_0(y, z) at index d + W
-            d_idx = np.arange(int(R) + 1, len(rowk))
-            num += float((rowk[d_idx] * dz[d_idx + W]).sum())
+        d = int(R) + 1
+        num = sum(float((h[k, d:] * dual.values[n - k][0][W + d:]).sum()) for k in range(1, n + 1))
         probs.append(num / denom)
         rep.record(num / denom, float(R), n=n, x=x, y=y, regime="tunnel")
     rep.notes["probs"] = probs
@@ -465,7 +471,7 @@ def verify_comp(ctx: LawContext, quick: bool) -> VerificationReport:
     """Comparison identity p^n_0 ~ p^n_{(-inf,0)} + a_dag(x) f^0(n) a(-y) at x = y = n^{1/a}/2."""
     rep = VerificationReport(theorem_id="comp")
     ns = _grid(quick)
-    f0 = ctx.dual_slice(ns)[max(ns)].f
+    f0 = ctx.hits(max(ns))[max(ns)].f
     for n in ns:
         x = y = _site(ctx, 0.5, n)
         rhs = ctx.dp_slice(("le", -1), x, n).at(y) + ctx.pot.a_dagger(x) * float(f0[n]) * ctx.pot.a(-y)
@@ -490,15 +496,13 @@ def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
 
 
 def verify_finite_set(ctx: LawContext, quick: bool) -> VerificationReport:
-    """sum_z in A f_A^z(n) / f^0(n) -> 1 for A = {-1, 0, 2}."""
+    """sum_z in A f_A^z(n) / f^0(n) -> 1 for A = {-1, 0, 2}: the summed ledgers of cor3's reversed runs."""
     ns = _grid(quick)
-    n_max = max(ns)
-    W = default_window(ctx.law, n_max)
-    table = run_kernel(ctx.law, ("set", _A), _A, n_max, window=W, keep=[])
-    f0 = ctx.dual_slice(ns)[n_max]
+    runs = ctx.dual_slice(("set", _A), _A, max(ns))
+    f0 = ctx.hits(max(ns))[max(ns)]
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in ns:
-        rep.add_row(float(table.step_killed[:, n].sum()), float(f0.f[n]), n=n, x=0, regime="sum_fA")
+        rep.add_row(float(sum(runs[z][n].f[n] for z in _A)), float(f0.f[n]), n=n, x=0, regime="sum_fA")
     return rep.finalize(0.2 if quick else 0.1)
 
 
@@ -507,20 +511,17 @@ def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
 
     w_A(y) = u_{-A}(-y): the u-function of the reflected set -A (same law),
     which is the limiting entrance distribution; the weights sum to one.
+    Site 5 of the reversed A-killed run from z holds P_5[sigma_A = n, S_n = z].
     """
     ns = _grid(quick)
-    n_max = max(ns)
-    W = default_window(ctx.law, n_max)
-    table = run_kernel(ctx.law, ("set", _A), [5], n_max, window=W, keep=[])
+    runs = ctx.dual_slice(("set", _A), _A, max(ns))
     fsp_neg = FiniteSetPotential(ctx.pot, [-z for z in _A])
     weights = {y: fsp_neg.u(-y) for y in _A}
     rep = VerificationReport(theorem_id="cor3")
     y_probe = max(_A)
     for n in ns:
-        # P[sigma = n, S_n = y]: the entrance law at y, A being inside the window
-        exact = float(table.entrance[0, n, _A.index(y_probe)])
-        fA_n = float(table.step_killed[0, n])
-        rep.add_row(exact, fA_n * weights[y_probe], n=n, x=5, y=y_probe, regime="cor3")
+        entry = [runs[z][n].at(5) for z in _A]
+        rep.add_row(entry[_A.index(y_probe)], sum(entry) * weights[y_probe], n=n, x=5, y=y_probe, regime="cor3")
     rep.notes["weight_sum"] = sum(weights.values())
     return rep.finalize(0.2)
 
@@ -547,7 +548,7 @@ def diagnostics_prop21(ctx: LawContext, quick: bool) -> VerificationReport:
         sup = 0.0
         xs = sorted({max(1, int(round(2.0 ** (j / step)))) for j in range(14 * step)})
         for n in (64, 256):
-            fn = ctx.dual_slice([n], mult=10.0)[n]
+            fn = ctx.dual_slice(_ORIGIN, [0], n, mult=10.0)[0][n]
             for x in xs:
                 xn = x * float(n) ** -inv_a
                 if xn > 8.0:
@@ -574,14 +575,14 @@ def diagnostics_prop23(ctx: LawContext, quick: bool) -> VerificationReport:
         ((-40, -12, -3, 3, 12, 40), (1, 4, 16)),
         ((-40, -24, -12, -6, -3, -1, 1, 3, 6, 12, 24, 40), (1, 2, 4, 8, 16)),
     )
-    col = {y: ctx.dual_slice([n], y=y)[n] for y in grids[-1][1]}
+    col = ctx.dual_slice(_ORIGIN, grids[-1][1], n)
     for xs, ys in grids:
         sup = 0.0
         for x in xs:
             xn = x * float(n) ** -inv_a
             for y in ys:
                 bound = min(max(abs(xn), 1.0) ** (a - 1.0), abs(xn) ** -a) * abs(y) ** (a - 1.0)
-                val = col[y].at(int(x)) / bound
+                val = col[y][n].at(int(x)) / bound
                 sup = max(sup, val)
                 rep.record(val, n=n, x=x, y=y, regime="p23")
         sups.append(sup)

@@ -20,9 +20,10 @@ the set.  run_kernel is the only DP loop: the ladder renewal functions are
 the Green sums of two half-line runs, and the space-time hitting law of a
 finite set is its entrance law.
 
-On a window the step matrix of law.reversed() is the transpose of the law's,
-so f^x_W(n) = p~^n_{0}(0, x): its {0}-killed run from 0 gives f^x(n) for every
-x at once, while first_passage, one run from x, gives f^x(k) for every k.
+On a window law.reversed()'s B-killed step matrix is the law's transposed:
+its {0}-killed run from 0 gives f^x_W(n) for every x, and its A-killed run
+from z in A holds P_x[sigma_A = n, S_n = z] at site x, with the forward
+entrance ledger as oracle.  A batch's rows equal single-start runs.
 """
 from __future__ import annotations
 
@@ -129,7 +130,8 @@ def _fft_stepper(law: WalkLaw, W: int):
         spec = sfft.rfft(states, nfft, axis=1)
         spec *= pf
         full = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)
-        return full[:, W : 3 * W + 1], states @ w_below, states @ w_above
+        # one dot per row, as states @ w for one row: no ledger depends on the batch
+        return full[:, W : 3 * W + 1], np.vecdot(states, w_below), np.vecdot(states, w_above)
 
     return step, esc_p, esc_m
 
@@ -154,21 +156,18 @@ def run_kernel(
     """
     starts = [int(x) for x in starts]
     W = window or default_window(law, n_max)
-    for x in starts:
-        if abs(x) > W:
-            raise WindowTooSmall(f"start {x} outside window {W}")
+    if any(abs(x) > W for x in starts):
+        raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
     B = _normalize_killing(B)
     keep_set = set(keep) if keep is not None else set(range(n_max + 1))
     step, esc_p, esc_m = _fft_stepper(law, W)
 
     ns = len(starts)
     states = np.zeros((ns, 2 * W + 1))
-    for i, x in enumerate(starts):
-        states[i, x + W] = 1.0
+    states[np.arange(ns), np.array(starts, dtype=np.int64) + W] = 1.0
 
-    table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts)
-    table.step_killed = np.zeros((ns, n_max + 1))
-    table.escaped = np.zeros((ns, n_max + 1))
+    table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts,
+                        step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
     half_le = B is not None and B[0] == "le"
     if entrance_depth:
         if not half_le:
@@ -237,7 +236,7 @@ class FirstPassageLaw:
 def first_passage(
     law: WalkLaw, B, x: int, n_max: int, window: int | None = None
 ) -> FirstPassageLaw:
-    """First-passage law f^x_B(n) from the killed-kernel ledger."""
+    """f^x_B(n) for n <= n_max from the kill ledger: `table --kind fp` and perfbench call it."""
     table = run_kernel(law, B, [x], n_max, window=window, keep=[n_max])
     return FirstPassageLaw(f=table.step_killed[0].copy())
 

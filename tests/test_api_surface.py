@@ -254,6 +254,27 @@ def test_every_class_field_is_read():
     assert set(ALLOWED_UNREAD) <= unread
 
 
+# the only callers of run_kernel in asymptotics.py, each with its reason
+RUN_KERNEL_CALLERS = {
+    "LawContext._run": "the context runs each DP a driver reads once, and keeps its kept steps",
+    "verify_llt": "the free walk, read by llt alone",
+    "tunneling_check": "an entrance-law run and a dual kernel read at every step, neither kept by the context",
+}
+
+
+def test_run_kernel_only_through_the_context():
+    """No driver in asymptotics.py runs a DP around LawContext, so none can run one twice."""
+    path = ROOT / "src" / "stablewalk" / "asymptotics.py"
+    callers = set()
+    for call, scope in _scoped_calls(path, _parse(path)):
+        func = call.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "run_kernel":
+            callers.update(qual for _, qual in scope)
+    assert callers <= set(RUN_KERNEL_CALLERS), f"run_kernel called around LawContext by: {sorted(callers - set(RUN_KERNEL_CALLERS))}"
+    # a listed caller that stopped calling run_kernel leaves the list
+    assert set(RUN_KERNEL_CALLERS) <= callers
+
+
 def test_csv_headers_only_in_the_writer_module():
     """Every CSV table goes through output.csv_text: no other src/ string spells out a header."""
     spelled = [

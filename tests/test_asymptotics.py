@@ -18,6 +18,8 @@ from stablewalk.asymptotics import (
     tunneling_check,
     verify_comp,
     verify_cor2,
+    verify_cor3,
+    verify_crossover,
     verify_finite_set,
     verify_llt,
     verify_thm1,
@@ -191,6 +193,9 @@ def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
     assert first.window == 512
     assert ctx.dp_slice(("set", (0,)), 3, 256) is first
     assert ctx.dp_slice(("set", (0,)), 3, 256, mult=10.0) is first
+    # sym15 is self-dual: the reversed run from 3 is the same run, kept at the powers of two
+    dual = ctx.dual_slice(("set", (0,)), [3], 256)[3]
+    assert sorted(dual) == [1, 2, 4, 8, 16, 32, 64, 128, 256] and dual[256] is first
     assert len(calls) == 1
     table = real(sym15, ("set", (0,)), [3], 256, window=512, keep=[256])
     assert np.array_equal(first.slice, table.values[256][0])
@@ -210,7 +215,8 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
     """A wrong-shape or non-finite artifact under the right key is a warned miss."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     B, x, n, W = ("set", (0,)), 3, 256, 512
-    planted = {"slice": np.zeros((1, 2 * W + 1)), "f": np.zeros(n + 1), "escaped": np.zeros(1)}
+    kept = 9  # sym15 is self-dual, so its runs keep the steps 1, 2, 4, ..., 256
+    planted = {"slice": np.zeros((kept, 2 * W + 1)), "f": np.zeros(n + 1), "escaped": np.zeros(kept)}
     if flaw == "short slice":
         planted["slice"] = planted["slice"][:, :-1]
     elif flaw == "short f":
@@ -219,7 +225,7 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
         planted["f"][7] = np.nan
     else:
         del planted["escaped"]
-    cache.store(cache.content_key(sym15.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W, keep=[n]), **planted)
+    cache.store(cache.content_key(sym15.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W), **planted)
     real, calls = _count_run_kernel(monkeypatch)
     with pytest.warns(UserWarning, match="treated as a miss"):
         got = LawContext.build(sym15).dp_slice(B, x, n)
@@ -237,7 +243,7 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
 def test_dual_slice_is_the_forward_kill_ledger(name):
     """f^x_W(n) at site x of the reversed law's run from 0 is the forward {0}-killed ledger from x."""
     ctx, n = get_ctx(name), 256
-    dual = ctx.dual_slice([n])[n]
+    dual = ctx.hits(n)[n]
     assert dual.window == 512
     s = n ** (1.0 / ctx.params.alpha)
     xs = sorted({v for x in (1, 4, int(s / 2), int(s), int(3 * s)) for v in (x, -x)})
@@ -246,6 +252,72 @@ def test_dual_slice_is_the_forward_kill_ledger(name):
     assert np.all(np.abs(got - f) <= 1e-12 * f + 1e-15)
     f0 = run_kernel(ctx.law, ("set", (0,)), [0], n, window=512, keep=[]).step_killed[0]
     assert np.abs(dual.f - f0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["asym15", "sp15"])
+def test_dual_set_slice_is_the_forward_entrance_law(name):
+    """Site x of the reversed A-killed run from z is P_x[sigma_A = n, S_n = z]; the ledgers sum to sum_z f_A^z(n)."""
+    ctx, n, A = get_ctx(name), 256, (-1, 0, 2)
+    runs = ctx.dual_slice(("set", A), A, n)
+    xs = [-40, -7, -2, 1, 3, 5, 20, 60]
+    entrance = run_kernel(ctx.law, A, xs, n, window=512, keep=[]).entrance[:, n]
+    for j, z in enumerate(A):
+        got = np.array([runs[z][n].at(x) for x in xs])
+        # the FFT's round-off is absolute, about 1e-17 here: sp15's rare entries at -1 (~1e-8) differ by 2e-12 relative
+        assert np.all(np.abs(got - entrance[:, j]) <= 1e-12 * entrance[:, j] + 1e-16)
+    f_A = run_kernel(ctx.law, A, A, n, window=512, keep=[]).step_killed[:, n].sum()
+    assert sum(runs[z][n].f[n] for z in A) == pytest.approx(f_A, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, B, ys", [("sp15", ("set", (0,)), [1, 2, 4, 8, 16]),
+                                         ("asym15", ("set", (-1, 0, 2)), [-1, 0, 2])])
+def test_batch_artifacts_equal_single_runs(name, B, ys, monkeypatch, tmp_path):
+    """The missed starts run as one batch, and each start's artifact is its single-start run, bit for bit."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    real, calls = _count_run_kernel(monkeypatch)
+    law, n, W = get_ctx(name).law, 256, 512
+    LawContext.build(law).dual_slice(B, ys, n)
+    assert len(calls) == 1
+    keep = [1, 2, 4, 8, 16, 32, 64, 128, 256]
+    rev = law.reversed()
+    for y in ys:
+        stored = cache.load(cache.content_key(rev.law_hash(), "dp_slice", B=str(B), x=y, n=n, W=W))
+        single = real(rev, B, [y], n, window=W, keep=keep)
+        assert np.array_equal(stored["slice"], np.stack([single.values[m][0] for m in keep]))
+        assert np.array_equal(stored["f"], single.step_killed[0])
+        assert np.array_equal(stored["escaped"], single.escaped[0, keep])
+
+
+def test_thm1_and_crossover_share_one_run(sp15, monkeypatch, tmp_path):
+    """On the full grid both read the reversed run from 0 to n = 4096: one DP, not one per reader."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    ctx = LawContext.build(sp15)
+    verify_thm1(ctx, False)
+    with pytest.raises(RegimeViolation, match="no dominance switch"):
+        verify_crossover(ctx, False)
+    assert len(calls) == 1
+
+
+def test_cor3_and_finite_share_one_set_run(sp15, monkeypatch, tmp_path):
+    """cor3 and finite read the same three reversed A-killed runs, made in one run_kernel call."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    ctx = LawContext.build(sp15)
+    verify_cor3(ctx, True)
+    verify_finite_set(ctx, True)
+    assert len([c for c in calls if c[1] == ("set", (-1, 0, 2))]) == 1
+
+
+def test_thm4_loads_the_f_run_thm1_stored(sp15, monkeypatch, tmp_path):
+    """A fresh context's f^x(1024) read is an artifact hit on the run thm1's quick grid stored."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    verify_thm1(LawContext.build(sp15), True)
+    first = len(calls)
+    verify_thm4_y_small(LawContext.build(sp15), True)
+    dual = sp15.reversed().law_hash()
+    assert [n for law, B, starts, n in calls[first:] if law.law_hash() == dual] == [64, 256]
 
 
 def test_prop21_reads_two_dual_runs(sym15, monkeypatch, tmp_path):
