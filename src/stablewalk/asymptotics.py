@@ -161,6 +161,11 @@ class LawContext:
         """p^n_B(x, .): the law's B-killed run from x to n at W = default_window(law, n, mult)."""
         return self._run(self.law, B, [x], n, default_window(self.law, n, mult))[x][n]
 
+    def dp_slices(self, B, xs, n: int) -> dict:
+        """{x: dp_slice(B, x, n)} for several starts, the misses run as one batch."""
+        runs = self._run(self.law, B, xs, n, default_window(self.law, n))
+        return {x: runs[x][n] for x in xs}
+
     def dual_slice(self, B, ys, n: int, mult: float = 8.0) -> dict:
         """{y: {m: DPSlice}} of the reversed law's B-killed runs from each y to n, m a kept step.
 

@@ -1,18 +1,23 @@
 """Exact finite-n kernels for free, point-killed and half-line-killed walks.
 
-The state lives on the window [-W, W]; one step convolves it with the
-windowed increment pmf by a circular FFT of length next_fast_len(3W + 1),
-whose wrap-around misses the kept window.  The mass pushed below or above
-the window is a dot product with weights built once from the pmf's
-cumulative sums.  Mass that leaves the window, or jumps past it, goes to an
-explicit escaped/killed ledger, so
+The state lives on the window [-W, W], and a run steps only its live
+sites, the last S of the window: all 2W + 1 of them for free and
+point-killed runs, and [max(-W, min(b - entrance_depth, min start)), W]
+for a run killed on (-inf, b], whose state is zero on (-inf, b] after every
+kill.  One step convolves the live state with the windowed increment pmf by
+a circular FFT of length next_fast_len(S + W), whose wrap-around misses the
+live sites.  The mass pushed below the live sites or above the window is a
+dot product with weights built once from the pmf's cumulative sums.  Mass
+that leaves the window, or jumps past it, goes to an explicit
+escaped/killed ledger, so
 
     in-window + killed + escaped = 1
 
-holds to float accumulation error at every step.  For half-line killing the
-below-window overflow is provably inside the killing set and is charged to
-the killed ledger, which keeps first-passage mass exact up to the escape on
-the open side only.
+holds to float accumulation error at every step.  On a half-line run the
+mass pushed below the live sites, like a jump below the window, lands in
+the killing set (below the entrance strip) and is charged to the killed
+ledger, which keeps first-passage mass exact up to the escape on the open
+side only.
 
 Every run also records the Green sums (the occupation measure up to each
 kept step) and, for finite-set killing, the entrance law into each site of
@@ -23,7 +28,8 @@ finite set is its entrance law.
 On a window law.reversed()'s B-killed step matrix is the law's transposed:
 its {0}-killed run from 0 gives f^x_W(n) for every x, and its A-killed run
 from z in A holds P_x[sigma_A = n, S_n = z] at site x, with the forward
-entrance ledger as oracle.  A batch's rows equal single-start runs.
+entrance ledger as oracle.  A batch's rows equal single-start runs with
+the same live sites, as in every batch of starts at or above b - entrance_depth.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from .special import gk_panels, omexp
 from .walk_model import WalkLaw
 
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
-DP_VERSION = 2
+DP_VERSION = 3
 _TAU_ROWS = 1024  # tau rows per block of the Fourier oracle's theta integral
 _LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may miss
 
@@ -113,25 +119,32 @@ class KernelTable:
 def _fft_stepper(law: WalkLaw, W: int):
     """(step, P[X > W], P[X < -W]) for the DP on [-W, W].
 
-    step maps a (n_starts, 2W+1) batch to (in-window states one step later,
-    mass pushed below the window, mass pushed above it) for jumps |X| <= W.
+    step maps a (n_starts, S) batch living on the last S sites of the
+    window, [W - S + 1, W], to (states on those sites one step later, mass
+    pushed below them, mass pushed above the window) for jumps |X| <= W.
+    Its circular FFT has length next_fast_len(S + W), whose wrap-around
+    misses the kept sites; S = 2W + 1 is the whole window.
     """
     p = law.pmf_window(W)
     esc_p, esc_m = law.escaped_split(W)
-    nfft = sfft.next_fast_len(3 * W + 1, real=True)
-    pf = sfft.rfft(p, nfft)
-    # from state index i, mass p[j] lands below the window iff i + j < W and
-    # above it iff i + j > 3W
+    # from full-window index i, mass p[j] lands below the window iff i + j < W and
+    # above it iff i + j > 3W; on the last S sites, below them iff i' + j < W
     zeros = np.zeros(W + 1)
     w_below = np.concatenate([np.cumsum(p[:W])[::-1], zeros])
     w_above = np.concatenate([zeros, np.cumsum(p[::-1][:W])])
+    spectra = {}  # S -> (FFT length, rfft of p)
 
     def step(states: np.ndarray):
+        S = states.shape[1]
+        if S not in spectra:
+            nfft = sfft.next_fast_len(S + W, real=True)
+            spectra[S] = nfft, sfft.rfft(p, nfft)
+        nfft, pf = spectra[S]
         spec = sfft.rfft(states, nfft, axis=1)
         spec *= pf
         full = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)
         # one dot per row, as states @ w for one row: no ledger depends on the batch
-        return full[:, W : 3 * W + 1], np.vecdot(states, w_below), np.vecdot(states, w_above)
+        return full[:, W : W + S], np.vecdot(states, w_below[:S]), np.vecdot(states, w_above[-S:])
 
     return step, esc_p, esc_m
 
@@ -159,19 +172,27 @@ def run_kernel(
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
     B = _normalize_killing(B)
+    half_le = B is not None and B[0] == "le"
+    if entrance_depth and not half_le:
+        raise ValueError("entrance collection needs half-line killing")
     keep_set = set(keep) if keep is not None else set(range(n_max + 1))
     step, esc_p, esc_m = _fft_stepper(law, W)
 
+    # live sites [lo, W]: a run killed on (-inf, b] is zero on (-inf, b] after each
+    # kill, so it needs sites there only for its entrance strip [b - depth, b] and starts
+    lo = max(-W, min(B[1] - entrance_depth, *starts)) if half_le else -W
     ns = len(starts)
-    states = np.zeros((ns, 2 * W + 1))
-    states[np.arange(ns), np.array(starts, dtype=np.int64) + W] = 1.0
+    states = np.zeros((ns, W - lo + 1))
+    states[np.arange(ns), np.array(starts, dtype=np.int64) - lo] = 1.0
+
+    def window_rows(live: np.ndarray) -> np.ndarray:
+        rows = np.zeros((ns, 2 * W + 1))
+        rows[:, lo + W :] = live
+        return rows
 
     table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts,
                         step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
-    half_le = B is not None and B[0] == "le"
     if entrance_depth:
-        if not half_le:
-            raise ValueError("entrance collection needs half-line killing")
         table.entrance = np.zeros((ns, n_max + 1, entrance_depth + 1))
         table.entrance_lump = np.zeros((ns, n_max + 1))
     elif B is not None and not half_le:
@@ -180,8 +201,8 @@ def run_kernel(
         table.entrance = np.zeros((ns, n_max + 1, len(sites)))
     green = states.copy()
     if 0 in keep_set:
-        table.values[0] = states.copy()
-        table.green[0] = green.copy()
+        table.values[0] = window_rows(states)
+        table.green[0] = window_rows(green)
 
     escaped_cum = np.zeros(ns)
     for n in range(1, n_max + 1):
@@ -193,15 +214,14 @@ def run_kernel(
             kill_now = np.zeros(ns)
             escaped_cum += below + above + jump_up + jump_dn
         elif half_le:
-            # below-window overflow and below-window jumps land in B
-            b = B[1]
-            cut = b + W + 1  # indices [0, cut) are killed states
+            # mass below the live sites, by overflow or by a jump past the window, lands in B
+            cut = B[1] - lo + 1  # live indices [0, cut) are killed states
             kill_now = states[:, :cut].sum(axis=1) + below + jump_dn
             if entrance_depth:
-                lo = max(cut - (entrance_depth + 1), 0)
-                strip = states[:, lo:cut][:, ::-1]  # d = 0 <-> landing at b
+                deep = max(cut - (entrance_depth + 1), 0)
+                strip = states[:, deep:cut][:, ::-1]  # d = 0 <-> landing at b
                 table.entrance[:, n, : strip.shape[1]] = strip
-                table.entrance_lump[:, n] = kill_now - strip.sum(axis=1)
+                table.entrance_lump[:, n] = states[:, :deep].sum(axis=1) + below + jump_dn
             states[:, :cut] = 0.0
             escaped_cum += above + jump_up
         else:
@@ -214,8 +234,8 @@ def run_kernel(
         table.step_killed[:, n] = kill_now
         table.escaped[:, n] = escaped_cum
         if n in keep_set:
-            table.values[n] = states.copy()
-            table.green[n] = green.copy()
+            table.values[n] = window_rows(states)
+            table.green[n] = window_rows(green)
     if escape_budget is not None and escaped_cum.max() > escape_budget:
         raise WindowTooSmall(
             f"escaped mass {escaped_cum.max():.3e} above budget {escape_budget:.1e} at W={W}"
@@ -429,15 +449,16 @@ def k_estimate(ctx, ys, n: int) -> tuple[np.ndarray, np.ndarray]:
     """K_{c_circ}(y n^{-1/alpha}) ~ n^{1/alpha} p^n_{(-inf,0]}(x, y) / x_n at lattice sites y.
 
     The half-line DPs from two small starts x come from the memo of ctx (an
-    asymptotics.LawContext), shared by every caller at this n.  Returns the
-    estimates averaged over the two starts and their relative spreads.
+    asymptotics.LawContext), shared by every caller at this n, and run as one
+    batch.  Returns the estimates averaged over the two starts and their
+    relative spreads.
     """
     ys = np.asarray(ys, dtype=int)
     if ys.min() < 1:
         raise ResolutionTooCoarse(f"site y = {ys.min()} < 1")
     scale = n ** (1.0 / ctx.law.spec.alpha)
     x1 = max(1, int(round(scale / 32.0)))
-    sls = {x: ctx.dp_slice(HALF_LE_0, x, n) for x in (x1, 2 * x1)}
+    sls = ctx.dp_slices(HALF_LE_0, [x1, 2 * x1], n)
     vals = [scale * sl.slice[ys + sl.window] / (x / scale) for x, sl in sls.items()]
     est = 0.5 * (vals[0] + vals[1])
     spread = np.abs(vals[0] - vals[1]) / np.maximum(np.abs(est), 1e-300)

@@ -11,6 +11,8 @@ panels e^{i x theta} factors into a per-node phase times e^{i x j h}, so the
 sum over panels j is one chirp-z transform (Rabiner, Schafer & Rader, 1969)
 per GK node position, done as Bluestein's FFT convolution.  Nodes and
 weights are those of the per-point sum; only the order of summation differs.
+1 - phi on those panels comes from WalkLaw.one_minus_char_panels, whose
+atom sum is a chirp-z of the same kind.
 
 A PotentialTable holds a(x) on one window and, asked for |x| > X, recomputes
 it at the next power of two >= max(|x|, 64), so a window a few sites past
@@ -31,11 +33,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import ExtrapolationUnstable, SingularSystem
 from .output import csv_text
-from .special import gk_panels
+from .special import chirp_z, gk_panels
 from .walk_model import WalkLaw
 
 _CUSP_ROWS = 128  # x rows per block of the cusp segment's matrix product
@@ -63,8 +64,8 @@ def _a_segments(law: WalkLaw, X: int):
     g1 = wk * u ** (1.0 / p - 1.0) / p / law.one_minus_char(theta1)
     n_osc = max(48, int(2 * X * (math.pi - split) / math.pi) + 1)
     theta2, wk2, _, _ = gk_panels(np.linspace(split, math.pi, min(n_osc, 400_000)))
-    g2 = wk2 / law.one_minus_char(theta2)
-    return theta1, g1, theta2.reshape(-1, 15), g2.reshape(-1, 15)
+    theta2 = theta2.reshape(-1, 15)
+    return theta1, g1, theta2, wk2.reshape(-1, 15) / law.one_minus_char_panels(theta2)
 
 
 def potential_a_grid(law: WalkLaw, X: int) -> np.ndarray:
@@ -79,15 +80,9 @@ def potential_a_grid(law: WalkLaw, X: int) -> np.ndarray:
         even[lo : lo + _CUSP_ROWS] = (2.0 * np.sin(arg / 2.0) ** 2) @ g1.real
         odd[lo : lo + _CUSP_ROWS] = np.sin(arg) @ g1.imag
     out = np.concatenate([(even - odd)[:0:-1], even + odd])
-    # theta_jk = theta_0k + j h, and x j = (x^2 + j^2 - (x - j)^2) / 2 turns the sum over panels j
-    # into one convolution per node position k (Bluestein's chirp-z transform)
-    P, h = len(g2), theta2[1, 0] - theta2[0, 0]
-    xs, j, k = np.arange(-X, X + 1), np.arange(P), np.arange(-X - P + 1, X + 1)
-    n = sfft.next_fast_len(len(k) + P - 1)
-    conv = sfft.ifft(sfft.fft(g2 * np.exp(0.5j * h * (j * j))[:, None], n, axis=0)
-                     * sfft.fft(np.exp(-0.5j * h * (k * k)), n)[:, None], axis=0)
-    phase = np.exp(1j * np.outer(xs, theta2[0]) + 0.5j * h * (xs * xs)[:, None])
-    out += (g2.sum() - (phase * conv[P - 1 : P + 2 * X]).sum(axis=1)).real
+    # theta_jk = theta_0k + j h, so the sum over panels j is one chirp-z per node position k
+    sums = chirp_z(g2, 0, -X, 2 * X + 1, theta2[1, 0] - theta2[0, 0])
+    out += (g2.sum() - (np.exp(1j * np.outer(np.arange(-X, X + 1), theta2[0])) * sums).sum(axis=1)).real
     out /= math.pi
     out[X] = 0.0
     return out

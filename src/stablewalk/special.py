@@ -10,6 +10,7 @@ import functools
 import math
 
 import numpy as np
+import scipy.fft as sfft
 
 __all__ = [
     "gamma_fn",
@@ -18,6 +19,7 @@ __all__ = [
     "polylog_analytic",
     "omexp",
     "x_minus_sin",
+    "chirp_z",
     "gk_panels",
     "integrate_panels",
     "geometric_breaks",
@@ -170,6 +172,23 @@ def x_minus_sin(x: np.ndarray) -> np.ndarray:
     x2 = xs * xs
     out[small] = xs * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0)))
     return out
+
+
+def chirp_z(c: np.ndarray, a0: int, b0: int, nb: int, h: float) -> np.ndarray:
+    """sum_a c[a - a0] e^{i h a b} for b = b0 ... b0 + nb - 1, per column of c.
+
+    Row i of c belongs to the integer a = a0 + i.  a b = (a^2 + b^2 - (b - a)^2) / 2
+    turns the sum into one convolution with the chirp e^{-i h d^2 / 2} per
+    column (Bluestein's chirp-z transform; Rabiner, Schafer & Rader, 1969),
+    done by FFT along axis 0.
+    """
+    na = len(c)
+    a, b = np.arange(a0, a0 + na), np.arange(b0, b0 + nb)
+    d = np.arange(b0 - a0 - na + 1, b0 + nb - a0)  # every b - a
+    n = sfft.next_fast_len(len(d) + na - 1)
+    conv = sfft.ifft(sfft.fft(c * np.exp(0.5j * h * (a * a))[:, None], n, axis=0)
+                     * sfft.fft(np.exp(-0.5j * h * (d * d)), n)[:, None], axis=0)
+    return np.exp(0.5j * h * (b * b))[:, None] * conv[na - 1 : na - 1 + nb]
 
 
 # Gauss-Kronrod 15 point rule on [-1, 1] with the embedded 7 point Gauss rule.

@@ -1,0 +1,73 @@
+"""Two oracles for the half-line DP, for tests only.
+
+dense_half_line steps an explicit killed transition matrix on [-W, W] with
+one column for the mass that leaves the window upward and one for the mass
+that leaves it downward, built from the law's pmf and its exact tails, not
+from the FFT stepper or its weights.  As in the DP, a jump longer than W
+leaves the window wherever it would land.  full_window_half_line is run_kernel's
+half-line loop on the whole window, where the FFT has length
+next_fast_len(3W + 1): the route run_kernel took before it stepped only the
+live sites.  Both return the arrays of a KernelTable kept at every step.
+"""
+import numpy as np
+
+from stablewalk.killed_walk import _fft_stepper
+
+
+def _start(starts, n_max: int, W: int, depth: int):
+    """Unit states at the starts on [-W, W], and the arrays of a run kept at every step."""
+    ns = len(starts)
+    state = np.zeros((ns, 2 * W + 1))
+    state[np.arange(ns), np.array(starts) + W] = 1.0
+    return state, {"values": [state.copy()], "green": [state.copy()], "step_killed": np.zeros((ns, n_max + 1)),
+                   "escaped": np.zeros((ns, n_max + 1)), "entrance": np.zeros((ns, n_max + 1, depth + 1)),
+                   "entrance_lump": np.zeros((ns, n_max + 1))}
+
+
+def dense_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
+    """values, green, step_killed, escaped, entrance, entrance_lump of the walk killed on (-inf, b]."""
+    sites = np.arange(-W, W + 1)
+    jump = sites[None, :] - sites[:, None]                                # site x -> site y
+    move = np.where(np.abs(jump) <= W, law.pmf(jump), 0.0)
+    # X > W, or X <= W and x + X > W; X < -W, or X >= -W and x + X < -W
+    up = np.array([law.cumulative_plus(W + 1 - max(x, 0)) for x in sites])
+    down = np.array([law.cumulative_minus(W + 1 + min(x, 0)) for x in sites])
+    state, out = _start(starts, n_max, W, depth)
+    killed = sites <= b
+    for n in range(1, n_max + 1):
+        nxt = state @ move
+        jump_dn = state @ down
+        out["escaped"][:, n] = out["escaped"][:, n - 1] + state @ up
+        out["step_killed"][:, n] = nxt[:, killed].sum(axis=1) + jump_dn
+        for d in range(depth + 1):
+            if b - d >= -W:
+                out["entrance"][:, n, d] = nxt[:, b - d + W]
+        out["entrance_lump"][:, n] = nxt[:, sites < b - depth].sum(axis=1) + jump_dn
+        nxt[:, killed] = 0.0
+        state = nxt
+        out["values"].append(state.copy())
+        out["green"].append(out["green"][-1] + state)
+    return out
+
+
+def full_window_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
+    """The same arrays from the half-line loop stepping the whole window [-W, W]."""
+    step, esc_p, esc_m = _fft_stepper(law, W)
+    states, out = _start(starts, n_max, W, depth)
+    cut = b + W + 1  # indices [0, cut) are killed states
+    escaped_cum = np.zeros(len(starts))
+    for n in range(1, n_max + 1):
+        alive = states.sum(axis=1)
+        states, below, above = step(states)
+        kill_now = states[:, :cut].sum(axis=1) + below + alive * esc_m
+        lo = max(cut - (depth + 1), 0)
+        strip = states[:, lo:cut][:, ::-1]
+        out["entrance"][:, n, : strip.shape[1]] = strip
+        out["entrance_lump"][:, n] = kill_now - strip.sum(axis=1)
+        states[:, :cut] = 0.0
+        escaped_cum += above + alive * esc_p
+        out["step_killed"][:, n] = kill_now
+        out["escaped"][:, n] = escaped_cum
+        out["values"].append(states.copy())
+        out["green"].append(out["green"][-1] + states)
+    return out

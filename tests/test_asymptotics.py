@@ -270,7 +270,8 @@ def test_dual_set_slice_is_the_forward_entrance_law(name):
 
 
 @pytest.mark.parametrize("name, B, ys", [("sp15", ("set", (0,)), [1, 2, 4, 8, 16]),
-                                         ("asym15", ("set", (-1, 0, 2)), [-1, 0, 2])])
+                                         ("asym15", ("set", (-1, 0, 2)), [-1, 0, 2]),
+                                         ("sp15", ("le", 0), [0, 1, 3])])
 def test_batch_artifacts_equal_single_runs(name, B, ys, monkeypatch, tmp_path):
     """The missed starts run as one batch, and each start's artifact is its single-start run, bit for bit."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))

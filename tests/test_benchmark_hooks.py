@@ -146,3 +146,23 @@ def test_potential_a_grid_returns_one_window(sym15):
     out = potential_a_grid(sym15, 8)
     assert isinstance(out, np.ndarray) and out.ndim == 1 and out.dtype == np.float64
     assert len(out) == 17
+
+
+def test_fft_stepper_keeps_the_call_shape_the_tracer_wraps(sym15):
+    """The tracer wraps _fft_stepper as stepper(law, W) -> (step, esc_p, esc_m) and step as timed_step(states).
+
+    The live sites are read from states.shape[1], so one argument serves the
+    whole window and the half window of a half-line run.
+    """
+    from stablewalk.killed_walk import _fft_stepper
+
+    W = 64
+    inspect.signature(_fft_stepper).bind(sym15, W)
+    step, esc_p, esc_m = _fft_stepper(sym15, W)
+    assert isinstance(esc_p, float) and isinstance(esc_m, float)
+    assert len(inspect.signature(step).parameters) == 1
+    for S in (2 * W + 1, W + 1):
+        states = np.zeros((2, S))
+        states[:, -1] = 1.0
+        inside, below, above = step(states)
+        assert inside.shape == (2, S) and below.shape == (2,) and above.shape == (2,)

@@ -49,6 +49,50 @@ def test_stepper_matches_linear_convolution(asym15, W):
     assert np.abs(above - full[:, 3 * W + 1 :].sum(axis=1)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("S_minus_W", [1, 2, 40])
+def test_stepper_on_the_last_sites_matches_linear_convolution(asym15, S_minus_W):
+    """A state on the last S sites [W - S + 1, W] steps to the same sites; below is the mass under them."""
+    W, S = 512, 512 + S_minus_W
+    step, _, _ = _fft_stepper(asym15, W)
+    p = asym15.pmf_window(W)
+    rng = np.random.default_rng(S)
+    states = rng.random((3, S))
+    states /= states.sum(axis=1, keepdims=True)
+    inside, below, above = step(states)
+    full = np.array([np.convolve(s, p) for s in states])  # index k <-> site k + 1 - S
+    assert inside.shape == states.shape
+    assert np.abs(inside - full[:, W : W + S]).max() <= 1e-13 * np.abs(full).max()
+    assert np.abs(below - full[:, :W].sum(axis=1)).max() <= 1e-14
+    assert np.abs(above - full[:, W + S :].sum(axis=1)).max() <= 1e-14
+
+
+_ORACLE_W, _ORACLE_N = 40, 60
+
+
+@pytest.mark.parametrize("name", ["sp15", "asym15"])
+@pytest.mark.parametrize("b", [0, -1])
+@pytest.mark.parametrize("depth", [0, 7, _ORACLE_W])
+@pytest.mark.parametrize("starts", [[3, 9], [0], [-5, 2]])
+def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
+    """run_kernel on the live sites against a dense killed transition matrix and the full-window loop.
+
+    depth = W is tunneling_check's entrance strip, start 0 is the ladder's
+    reversed run, and start -5 lies inside B below the strip.
+    """
+    from killed_walk_oracles import dense_half_line, full_window_half_line
+
+    law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
+    tab = run_kernel(law, ("le", b), starts, n, window=W, entrance_depth=depth)
+    got = {"values": [tab.values[m] for m in range(n + 1)], "green": [tab.green[m] for m in range(n + 1)],
+           "step_killed": tab.step_killed, "escaped": tab.escaped}
+    if depth:
+        got["entrance"], got["entrance_lump"] = tab.entrance, tab.entrance_lump
+    for oracle in (dense_half_line, full_window_half_line):
+        want = oracle(law, b, starts, n, W, depth)
+        for key, arr in got.items():
+            assert np.abs(np.asarray(arr) - np.asarray(want[key])).max() <= 1e-13, (oracle.__name__, key)
+
+
 @pytest.mark.parametrize(
     "B, start, depth",
     [([0], 3, 0), ([-1, 0, 2], 5, 0), (HALF_LE_0, 4, 16)],
@@ -268,17 +312,26 @@ def test_lemma76_ratio_bounded(sym15):
 
 
 def test_k_estimate_one_run_for_all_etas(sp15, monkeypatch, tmp_path):
-    """Every site and every later call at the same n read the same two memoised DPs."""
+    """Every site and every later call at the same n read one memoised two-start batch.
+
+    Its estimates are those of two single-start runs, bit for bit.
+    """
     from stablewalk import asymptotics
 
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     calls = []
     real = asymptotics.run_kernel
     monkeypatch.setattr(asymptotics, "run_kernel", lambda *a, **k: calls.append(a) or real(*a, **k))
-    ctx = asymptotics.LawContext.build(sp15)
-    sites = [40, 20, 10]  # eta = 1, 0.5, 0.25 at n = 256
-    est, spread = k_estimate(ctx, sites, 256)
+    ctx, n = asymptotics.LawContext.build(sp15), 256
+    sites = np.array([40, 20, 10])  # eta = 1, 0.5, 0.25 at n = 256
+    est, spread = k_estimate(ctx, sites, n)
     for i, y in enumerate(sites):
-        (k,), (s,) = k_estimate(ctx, [y], 256)
+        (k,), (s,) = k_estimate(ctx, [y], n)
         assert (est[i], spread[i]) == (k, s)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    scale, W = n ** (1.0 / ctx.params.alpha), default_window(sp15, n)
+    x1 = max(1, int(round(scale / 32.0)))
+    vals = [scale * real(sp15, HALF_LE_0, [x], n, window=W, keep=[n]).values[n][0, sites + W] / (x / scale)
+            for x in (x1, 2 * x1)]
+    assert np.array_equal(est, 0.5 * (vals[0] + vals[1]))
+    assert np.array_equal(spread, np.abs(vals[0] - vals[1]) / np.maximum(np.abs(est), 1e-300))

@@ -34,6 +34,15 @@ def test_a_window_matches_per_point_sum(name):
     assert np.abs(window[xs + X] - a_per_point(law, X, xs)).max() <= 1e-11
 
 
+@pytest.mark.parametrize("name, X", [("sp15", 4096), ("bp15", 2048), ("asym15", 1024)])
+def test_panel_atom_sum_matches_pointwise(name, X):
+    """On a(x)'s uniform panels the chirp-z atom sum is cf_excess's pointwise sum within 1e-11 |1 - phi|."""
+    law = get_law(name)
+    theta = potential_theory._a_segments(law, X)[2]
+    pointwise = law.one_minus_char(theta.ravel()).reshape(theta.shape)
+    assert np.all(np.abs(law.one_minus_char_panels(theta) - pointwise) <= 1e-11 * np.abs(pointwise))
+
+
 def test_a_positive_two_sided(pot15):
     for x in range(-50, 51):
         if x != 0:
