@@ -21,16 +21,29 @@ C0 = lim [pi_0(tau) - pi_0^inf(tau)] and refines one with brentq; without a
 sign change it keeps the feasible grid point of smallest |C0|.  The fallback
 is the common case: sym15, sp15 and bp15 keep c0 = 0.31, 0.012 and 0.0076,
 recorded in `WalkLaw.c0`.
+
+A build evaluates C0 for some 40 laws on the same 690 GK15 nodes, and those
+laws share alpha, the light-side exponent and the atom positions.  So the
+builder makes one `_Nodes` table for the build: rho_m, sin(theta), the
+polylog terms per exponent and the (nodes, atoms) matrices of the atom sum
+are computed once, and each law applies only its own scales and masses,
+through the same `cf_excess` combination and the same reductions, so every
+float is what a pointwise `cf_excess` gives.  The table lives for one build;
+nothing keeps it at module level.  The block sums of `_moments` and `d2`
+depend on (block, exponent, power) alone and are memoised in `_block_sum`.
+brentq is imported inside the one branch that brackets a sign change:
+scipy.optimize costs about 0.15 s of import time and 20 MB, and most laws
+(sym15, sp15 and bp15 among them) never reach that branch.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     AlphaOutOfRange,
@@ -43,6 +56,7 @@ from .special import (
     chirp_z,
     gamma_fn,
     geometric_breaks,
+    gk_panels,
     integrate_panels,
     polylog_analytic,
     polylog_sing,
@@ -54,6 +68,7 @@ BLOCK1 = (1, 4)
 BLOCK2 = (5, 64)
 CALIBRATED_BEYOND = BLOCK2[1]  # pure telescoped tail from here on
 _ATOM_ROWS = 2048  # theta rows per block of the atom sum in cf_excess
+_OFFSET_BREAKS = geometric_breaks(1e-13, math.pi)  # panels of the lattice-offset integral
 
 
 class Family(str, Enum):
@@ -139,6 +154,72 @@ def _wgt(y: np.ndarray, r: float) -> np.ndarray:
     return y ** (-r) - (y + 1.0) ** (-r)
 
 
+def _sites(block: tuple[int, int]) -> np.ndarray:
+    """The sites of a calibration block, as floats."""
+    return np.arange(block[0], block[1] + 1, dtype=float)
+
+
+@functools.lru_cache(maxsize=None)
+def _block_sum(block: tuple[int, int], r: float, k: int) -> float:
+    """sum of w(y) y^k over the sites of a calibration block, w(y) = y^-r - (y+1)^-r.
+
+    Memoised: a build asks for a few (block, r, k) thousands of times.
+    """
+    y = _sites(block)
+    v = _wgt(y, r)
+    for _ in range(k):
+        v = v * y
+    return v.sum()
+
+
+class _Nodes:
+    """Nodes theta > 0 and the parts of 1 - phi that depend on theta alone, each computed once.
+
+    These are rho_m, sin(theta), the polylog terms per exponent and, per atom
+    set, the matrices 2 sin^2(theta y / 2) and x_minus_sin(theta y) of the
+    atom sum in blocks of _ATOM_ROWS rows.  cf_excess and cf_main make one per
+    call; build_walk_law makes one on the lattice-offset nodes and shares it
+    with every law it calibrates.
+    """
+
+    def __init__(self, theta: np.ndarray):
+        self.theta = theta
+        self._terms = {}
+
+    def _term(self, key, make):
+        if key not in self._terms:
+            self._terms[key] = make()
+        return self._terms[key]
+
+    def rho_m(self) -> np.ndarray:
+        """(1 - e^{-i theta}) - i theta."""
+        return self._term("rho_m", lambda: 2.0 * np.sin(self.theta / 2.0) ** 2 - 1j * x_minus_sin(self.theta))
+
+    def sin(self) -> np.ndarray:
+        return self._term("sin", lambda: np.sin(self.theta))
+
+    def analytic(self, s: float) -> np.ndarray:
+        return self._term(("analytic", s), lambda: polylog_analytic(s, self.theta))
+
+    def sing(self, s: float) -> np.ndarray:
+        return self._term(("sing", s), lambda: polylog_sing(s, self.theta))
+
+    def atom_blocks(self, pts: np.ndarray):
+        """(rows, 2 sin^2(theta y / 2), x_minus_sin(theta y)) per block of theta rows, y = pts.
+
+        A node set of one block keeps its matrices per atom set; a longer one
+        streams them, so no (nodes, atoms) matrix outlives its block.
+        """
+        def block(rows):
+            arg = np.outer(self.theta[rows], pts)
+            return rows, 2.0 * np.sin(arg / 2.0) ** 2, x_minus_sin(arg)
+
+        blocks = (block(slice(lo, lo + _ATOM_ROWS)) for lo in range(0, len(self.theta), _ATOM_ROWS))
+        if len(self.theta) > _ATOM_ROWS:
+            return blocks
+        return self._term(("atoms", pts.tobytes()), lambda: list(blocks))
+
+
 # law.json codec per field annotation: (encode, decode); any other field is a
 # float written as its repr, or None (beta_neg)
 _CODECS = {
@@ -187,12 +268,9 @@ class WalkLaw:
         """(scale, exponent, repair atom) of the side X >= 1 (sign +1) or X <= -1 (sign -1)."""
         return (self.sp, self.rp, self.u_plus) if sign > 0 else (self.sm, self.rm, self.u_minus)
 
-    def _blocks(self) -> tuple[tuple[np.ndarray, float], ...]:
-        """The calibration blocks as (sites y >= 1, factor - 1) pairs."""
-        return tuple(
-            (np.arange(lo, hi + 1, dtype=float), l)
-            for (lo, hi), l in ((BLOCK1, self.l1), (BLOCK2, self.l2))
-        )
+    def _blocks(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        """The calibration blocks as ((first site, last site), factor - 1) pairs."""
+        return (BLOCK1, self.l1), (BLOCK2, self.l2)
 
     def _moments(self, k: int) -> tuple[float, float]:
         """(sum_{y>=1} y^k P[X = y], sum_{y>=1} y^k P[X = -y]) exactly, k = 0 or 1."""
@@ -201,8 +279,8 @@ class WalkLaw:
             s, r, u = self._side(sign)
             # the telescoped side alone: sum y^k w(y) is 1 (k = 0) or zeta(r) (k = 1)
             v = 1.0 if k == 0 else zeta_fn(r)
-            for y, l in self._blocks():
-                v = v + l * (_wgt(y, r) * y ** k).sum()
+            for block, l in self._blocks():
+                v = v + l * _block_sum(block, r, k)
             out.append(s * v + u)
         return out[0], out[1]
 
@@ -227,11 +305,8 @@ class WalkLaw:
             + self.sm * (zeta_fn(self.rm) / 2.0 - zeta_fn(self.rm - 1.0))
         )
         v += (self.u_plus + self.u_minus) / 2.0
-        for y, l in self._blocks():
-            v += l * (
-                self.sp * (_wgt(y, self.rp) * y * y).sum()
-                + self.sm * (_wgt(y, self.rm) * y * y).sum()
-            ) / 2.0
+        for block, l in self._blocks():
+            v += l * (self.sp * _block_sum(block, self.rp, 2) + self.sm * _block_sum(block, self.rm, 2)) / 2.0
         return v
 
     # -- pmf and tails -------------------------------------------------------
@@ -246,8 +321,8 @@ class WalkLaw:
                 s, r, u = self._side(sign)
                 y = (sign * x[on]).astype(float)
                 factor = np.ones_like(y)
-                for sites, l in self._blocks():
-                    factor[(y >= sites[0]) & (y <= sites[-1])] += l
+                for (lo, hi), l in self._blocks():
+                    factor[(y >= lo) & (y <= hi)] += l
                 out[on] = s * _wgt(y, r) * factor + np.where(y == 1.0, u, 0.0)
         out[x == 0] = self.p0
         return out
@@ -285,8 +360,9 @@ class WalkLaw:
     def _atoms_for_fourier(self):
         """Finite lattice components: (points, masses) treated atom-by-atom."""
         pts, ms = [np.zeros(0)], [np.zeros(0)]
-        for y, l in self._blocks():
+        for block, l in self._blocks():
             if l != 0.0:
+                y = _sites(block)
                 for sign in (1, -1):
                     s, r, _ = self._side(sign)
                     pts.append(sign * y)
@@ -300,22 +376,26 @@ class WalkLaw:
 
     def cf_main(self, theta: np.ndarray) -> np.ndarray:
         """Stable principal part of (1 - phi): the alpha-side singular image."""
-        theta = np.asarray(theta, dtype=float)
-        sing_p = polylog_sing(self.rp, theta)
-        main = -self.sp * (1j * theta) * sing_p
+        return self._main(_Nodes(np.asarray(theta, dtype=float)))
+
+    def _main(self, nodes: _Nodes) -> np.ndarray:
+        sing_p = nodes.sing(self.rp)
+        main = -self.sp * (1j * nodes.theta) * sing_p
         if self.rm == self.rp:
-            main = main - self.sm * (-1j * theta) * np.conj(sing_p)
+            main = main - self.sm * (-1j * nodes.theta) * np.conj(sing_p)
         return main
 
-    def _excess_continuum(self, theta: np.ndarray) -> np.ndarray:
-        """cf_excess(theta) without its atom sum and mean residual, theta > 0."""
-        rho_m = 2.0 * np.sin(theta / 2.0) ** 2 - 1j * x_minus_sin(theta)  # (1-e^{-i t}) - i t
-        rho_p = np.conj(rho_m)                                            # (1-e^{+i t}) + i t
+    def _excess_continuum(self, nodes: _Nodes) -> np.ndarray:
+        """cf_excess without its atom sum and mean residual, theta > 0."""
+        theta = nodes.theta
+        rho_m = nodes.rho_m()      # (1-e^{-i t}) - i t
+        rho_p = np.conj(rho_m)     # (1-e^{+i t}) + i t
         zp, zm = zeta_fn(self.rp), zeta_fn(self.rm)
-        Rp = polylog_analytic(self.rp, theta) - zp
-        Rm = polylog_analytic(self.rm, theta) - zm
-        Sp = polylog_sing(self.rp, theta)
-        Sm = polylog_sing(self.rm, theta)
+        # one table entry per exponent: two-sided laws (rp == rm) evaluate each polylog once
+        Rp = nodes.analytic(self.rp) - zp
+        Rm = nodes.analytic(self.rm) - zm
+        Sp = nodes.sing(self.rp)
+        Sm = nodes.sing(self.rm)
         v = -self.sp * (1j * theta * Rp + rho_m * (zp + Rp + Sp))
         v = v + self.sm * 1j * theta * np.conj(Rm)
         v = v - self.sm * rho_p * (zm + np.conj(Rm) + np.conj(Sm))
@@ -326,18 +406,18 @@ class WalkLaw:
 
     def cf_excess(self, theta: np.ndarray) -> np.ndarray:
         """(1 - phi)(theta) - cf_main(theta), cancellation-free, theta > 0."""
-        theta = np.asarray(theta, dtype=float)
-        v = self._excess_continuum(theta)
+        return self._excess(_Nodes(np.asarray(theta, dtype=float)))
+
+    def _excess(self, nodes: _Nodes) -> np.ndarray:
+        v = self._excess_continuum(nodes)
         pts, ms = self._atoms_for_fourier()
         if len(pts):
             # in blocks of theta rows, to bound the (rows, atoms) temporaries
-            for lo in range(0, len(theta), _ATOM_ROWS):
-                rows = slice(lo, lo + _ATOM_ROWS)
-                arg = np.outer(theta[rows], pts)
-                v[rows] = v[rows] + (ms[None, :] * (2.0 * np.sin(arg / 2.0) ** 2)).sum(axis=1)
-                v[rows] = v[rows] + 1j * (ms[None, :] * x_minus_sin(arg)).sum(axis=1)
+            for rows, s2, xs in nodes.atom_blocks(pts):
+                v[rows] = v[rows] + (ms[None, :] * s2).sum(axis=1)
+                v[rows] = v[rows] + 1j * (ms[None, :] * xs).sum(axis=1)
         # float-residual of the exact-zero mean, restored on its sin carrier
-        return v - 1j * np.sin(theta) * self.mean()
+        return v - 1j * nodes.sin() * self.mean()
 
     def one_minus_char_panels(self, theta: np.ndarray) -> np.ndarray:
         """one_minus_char on uniform panels theta[j, k] = theta[0, k] + j h, theta > 0.
@@ -354,8 +434,9 @@ class WalkLaw:
         np.add.at(c, ys + Y, ms)
         F = chirp_z(c[:, None] * np.exp(1j * np.outer(np.arange(-Y, Y + 1), theta[0])),
                     -Y, 0, len(theta), theta[1, 0] - theta[0, 0])
-        v = self._excess_continuum(theta) + (ms.sum() - F.real) + 1j * (theta * (ms @ pts) - F.imag)
-        return v - 1j * np.sin(theta) * self.mean() + self.cf_main(theta)
+        nodes = _Nodes(theta)
+        v = self._excess_continuum(nodes) + (ms.sum() - F.real) + 1j * (theta * (ms @ pts) - F.imag)
+        return v - 1j * nodes.sin() * self.mean() + self._main(nodes)
 
     def one_minus_char(self, theta) -> np.ndarray:
         """1 - phi(theta), exact, for theta in [-pi, pi] (vectorised)."""
@@ -371,29 +452,6 @@ class WalkLaw:
             out[neg] = np.conj(self.cf_excess(t) + self.cf_main(t))
         out[theta == 0] = 0.0
         return out
-
-    def lattice_offset(self) -> float:
-        """C0 = lim_{tau->0} [pi_0(tau) - pi_0^inf(tau)] (real).
-
-        Requires d2 ~ 0; the integrand is the stable-principal-part defect of
-        1/(1 - phi) plus the tail of the continuum integral beyond |theta|=pi.
-        """
-        params = stable_params_of(self)
-
-        def g(th):
-            ex = self.cf_excess(th)
-            cp = self.cf_main(th)
-            return (-ex / ((ex + cp) * cp)).real + 0j
-
-        brk = geometric_breaks(1e-13, math.pi)
-        val, _ = integrate_panels(g, brk)
-        tail = (
-            2.0
-            * math.cos(math.pi * params.gamma / 2.0)
-            * math.pi ** (1.0 - self.spec.alpha)
-            / ((self.spec.alpha - 1.0) * params.c_circ)
-        )
-        return (2.0 * val.real - tail) / (2.0 * math.pi)
 
     # -- misc ------------------------------------------------------------------
 
@@ -456,6 +514,28 @@ def stable_params_of(law: WalkLaw) -> StableParams:
 # ---------------------------------------------------------------------------
 # builder
 # ---------------------------------------------------------------------------
+
+
+def _lattice_offset(law: WalkLaw, nodes: _Nodes) -> float:
+    """C0 = lim_{tau->0} [pi_0(tau) - pi_0^inf(tau)] (real).
+
+    Requires d2 ~ 0; the integrand is the stable-principal-part defect of
+    1/(1 - phi) plus the tail of the continuum integral beyond |theta|=pi.
+    nodes holds the GK15 nodes of _OFFSET_BREAKS, the points at which
+    integrate_panels evaluates the integrand, so the integrand is computed
+    on the table and handed over.
+    """
+    params = stable_params_of(law)
+    ex, cp = law._excess(nodes), law._main(nodes)
+    integrand = (-ex / ((ex + cp) * cp)).real + 0j
+    val, _ = integrate_panels(lambda _: integrand, _OFFSET_BREAKS)
+    tail = (
+        2.0
+        * math.cos(math.pi * params.gamma / 2.0)
+        * math.pi ** (1.0 - law.spec.alpha)
+        / ((law.spec.alpha - 1.0) * params.c_circ)
+    )
+    return (2.0 * val.real - tail) / (2.0 * math.pi)
 
 
 def _close_mean(law: WalkLaw, iters: int, step) -> WalkLaw:
@@ -542,22 +622,27 @@ def build_walk_law(spec: TailSpec) -> WalkLaw:
     else:
         u_grid = [0.0, 0.15, 0.3, 0.45, 0.6]
 
+    nodes = _Nodes(gk_panels(_OFFSET_BREAKS)[0])  # shared by every C0 of this build
     chosen = None
     best, best_c0 = None, math.inf  # the feasible grid point of smallest |C0| so far
     for u in u_grid:
         laws = [_solve_d2(spec, g, u) for g in grid]
         feas = [_feasible(lw) for lw in laws]
-        c0s = [lw.lattice_offset() if ok else math.nan for lw, ok in zip(laws, feas)]
+        c0s = [_lattice_offset(lw, nodes) if ok else math.nan for lw, ok in zip(laws, feas)]
         for i in range(len(grid) - 1):
             if feas[i] and feas[i + 1] and c0s[i] * c0s[i + 1] < 0:
+                # imported here, not at module load: scipy.optimize costs about
+                # 0.15 s and 20 MB, and most laws never bracket a sign change
+                from scipy.optimize import brentq
+
                 root = brentq(
-                    lambda l: _solve_d2(spec, l, u).lattice_offset(),
+                    lambda l: _lattice_offset(_solve_d2(spec, l, u), nodes),
                     grid[i],
                     grid[i + 1],
                     xtol=1e-11,
                 )
                 chosen = _solve_d2(spec, root, u)
-                chosen = replace(chosen, c0=chosen.lattice_offset())
+                chosen = replace(chosen, c0=_lattice_offset(chosen, nodes))
                 break
         if chosen is not None:
             break

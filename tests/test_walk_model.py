@@ -1,5 +1,9 @@
 """Law construction: mass/mean bookkeeping, tails, CF dictionary, round trips."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,70 @@ def test_benchmark_law_hashes_pinned():
     """
     hashes = {name: get_law(name).law_hash() for name in ("sym15", "sp15", "bp15")}
     assert hashes == {"sym15": "77b3904f3d7fb10f", "sp15": "0c09caf53272897c", "bp15": "f5219f230a39fd98"}
+
+
+# the law hashes of the other conftest laws, recorded before the builder read
+# its lattice-offset nodes from one table per build; sym12 and spx15 refine a
+# C0 sign change with brentq, lc15 is left-continuous
+_OTHER_LAW_HASHES = {
+    "asym15": "195e91aaf874706f",
+    "lc15": "c526cccb0fae817e",
+    "sp12": "3695a9e1598330f2",
+    "sp18": "2ee3d1bdae81edd6",
+    "spx15": "61ae3b9219733c52",
+    "sym12": "ef3b5aab2516276f",
+    "sym18": "0c46aed1bade30c4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OTHER_LAW_HASHES))
+def test_other_law_hashes_pinned(name):
+    """Every conftest law besides the three benchmark laws keeps its law hash."""
+    assert get_law(name).law_hash() == _OTHER_LAW_HASHES[name]
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15", "lc15"])
+def test_lattice_offset_from_the_build_table_is_the_pointwise_integral(name):
+    """C0 read through one shared node table equals, bit for bit, the pointwise cf_excess integral.
+
+    One table serves grid laws with different l1 and short-range atoms in
+    turn, as in a build, so a table entry kept for one atom set or exponent
+    is reused by the next law.
+    """
+    from stablewalk.special import gk_panels
+    from stablewalk.walk_model import _OFFSET_BREAKS, _Nodes, _feasible, _lattice_offset, _solve_d2
+    from walk_model_oracles import lattice_offset_pointwise
+
+    fam, alpha, B, extra = _LAW_DEFS[name]
+    spec = TailSpec(alpha=alpha, family=Family(fam), B=B, **extra)
+    us = [0.0] if spec.family is Family.LEFT_CONTINUOUS else [0.0, 0.3]
+    laws = [_solve_d2(spec, l1, u) for u in us for l1 in (-0.3, 0.3, 1.2)]
+    laws = [lw for lw in laws if _feasible(lw)]
+    assert len(laws) >= 2
+    nodes = _Nodes(gk_panels(_OFFSET_BREAKS)[0])
+    for law in laws + laws[:1]:
+        assert _lattice_offset(law, nodes) == lattice_offset_pointwise(law)
+
+
+def test_import_and_build_leave_scipy_optimize_unloaded():
+    """Importing the package and building sym15, sp15 and bp15 never loads scipy.optimize.
+
+    Their calibration grids show no C0 sign change, and brentq is imported
+    only where a sign change is refined.
+    """
+    code = (
+        "import sys\n"
+        "import stablewalk, stablewalk.cli, stablewalk.montecarlo\n"
+        "from stablewalk import Family, TailSpec, build_walk_law\n"
+        "build_walk_law(TailSpec(alpha=1.5, family=Family.TWO_SIDED_PARETO, B=0.5))\n"
+        "build_walk_law(TailSpec(alpha=1.5, family=Family.SPECTRALLY_POSITIVE, B=0.2))\n"
+        "build_walk_law(TailSpec(alpha=1.5, family=Family.BOUNDED_POTENTIAL, B=0.25))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_reversed_law_swaps_sides(asym15):
