@@ -16,10 +16,10 @@ converged) and the final deviation must beat a per-theorem cap.
 
 A run builds one LawContext for its law and hands it to every driver.  It
 owns the stable parameters and constants, one PotentialTable, and the memo of
-DP runs keyed by (law hash, killing set, start, n, W); only the artifact
-cache (STABLEWALK_CACHE) spans runs.  A forward run (dp_slice) keeps step n,
-a reversed one (dual_slice) each power of two up to n and n, and the starts
-one request misses run as one batch.
+DP runs keyed by (law hash, killing set, starts, n, W); only the artifact
+cache (STABLEWALK_CACHE) spans runs.  The starts of one request run as one
+batch, which is one memo entry and one artifact.  A forward run (dp_slice)
+keeps step n, a reversed one (dual_slice) each power of two up to n and n.
 
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
 f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed run from 0
@@ -149,7 +149,7 @@ class LawContext:
     params: StableParams
     consts: ConstantsTable
     pot: PotentialTable
-    # artifact key of (law hash, killing set, start, n, W) -> {kept m: DPSlice}, in front of the cache
+    # artifact key of one run (law hash, killing set, starts, n, W) -> {start: {kept m: DPSlice}}
     memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -162,7 +162,7 @@ class LawContext:
         return self._run(self.law, B, [x], n, default_window(self.law, n, mult))[x][n]
 
     def dp_slices(self, B, xs, n: int) -> dict:
-        """{x: dp_slice(B, x, n)} for several starts, the misses run as one batch."""
+        """{x: dp_slice(B, x, n)} for several starts, read off one batch run."""
         runs = self._run(self.law, B, xs, n, default_window(self.law, n))
         return {x: runs[x][n] for x in xs}
 
@@ -179,34 +179,31 @@ class LawContext:
         """{m: DPSlice} of the reversed {0}-killed run from 0: site x at m is f^x_W(m), .f is f^0_W."""
         return self.dual_slice(_ORIGIN, [0], n)[0]
 
-    def _run(self, law: WalkLaw, B, xs, n: int, W: int, ran=None) -> dict:
+    def _run(self, law: WalkLaw, B, xs, n: int, W: int) -> dict:
         """{x: {m: DPSlice}} of run_kernel(law, B, xs, n, window=W) at its kept steps, read-only.
 
         A run of the reversed law (on a self-dual law, every run) keeps each
-        power of two up to n, and n; any other keeps n.  Each start is a memo
-        hit, an artifact hit or a miss; the misses run as one batch, each row
-        bit-identical to a single run, and each start is stored under its own
-        key.  ran, a run from xs kept at every step, stands in for cache and DP.
+        power of two up to n, and n; any other keeps n.  One run, keyed by
+        (law hash, B, sorted distinct starts, n, W), is one memo entry and one
+        artifact: the (starts, kept steps, 2W+1) slices, f and the escaped mass.
         """
+        xs = sorted({int(x) for x in xs})
         h = law.law_hash()
-        keep = sorted({n, *(1 << k for k in range(n.bit_length()))}) if h == self.law.reversed().law_hash() else [n]
-        key = {x: cache.content_key(h, "dp_slice", B=str(B), x=x, n=n, W=W) for x in xs}
-        shapes = {"slice": (len(keep), 2 * W + 1), "f": (n + 1,), "escaped": (len(keep),)}
-        got = {x: cache.load(key[x], shapes) for x in key if key[x] not in self.memo and ran is None}
-        missing = [x for x in key if key[x] not in self.memo and got.get(x) is None]
-        table = ran or (run_kernel(law, B, missing, n, window=W, keep=keep) if missing else None)
-        for x in missing:
-            i = table.starts.index(x)
-            got[x] = {"slice": np.stack([table.values[m][i] for m in keep]),
-                      "f": table.step_killed[i], "escaped": table.escaped[i, keep]}
-            if ran is None:
-                cache.store(key[x], **got[x])
-        for x, arrays in got.items():
+        key = cache.content_key(h, "dp_run", B=str(B), xs=xs, n=n, W=W)
+        if key not in self.memo:
+            keep = sorted({n, *(1 << k for k in range(n.bit_length()))}) if h == self.law.reversed().law_hash() else [n]
+            arrays = cache.load(key, {"slice": (len(xs), len(keep), 2 * W + 1), "f": (len(xs), n + 1),
+                                      "escaped": (len(xs), len(keep))})
+            if arrays is None:
+                table = run_kernel(law, B, xs, n, window=W, keep=keep)
+                arrays = {"slice": np.stack([table.values[m] for m in keep], axis=1),
+                          "f": table.step_killed, "escaped": table.escaped[:, keep]}
+                cache.store(key, **arrays)
             for arr in arrays.values():
                 arr.flags.writeable = False
-            self.memo[key[x]] = {m: DPSlice(sl, W, arrays["f"], float(esc))
-                                 for m, sl, esc in zip(keep, arrays["slice"], arrays["escaped"])}
-        return {x: self.memo[key[x]] for x in xs}
+            self.memo[key] = {x: {m: DPSlice(arrays["slice"][i, j], W, arrays["f"][i], float(arrays["escaped"][i, j]))
+                                  for j, m in enumerate(keep)} for i, x in enumerate(xs)}
+        return self.memo[key]
 
 
 def _grid(quick: bool) -> tuple:
@@ -447,9 +444,8 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     W = default_window(law, n)
     ent = run_kernel(law, HALF_LE_0, [x], n, window=W, keep=[n], entrance_depth=W)
     h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
-    # every step of the reversed run from -y, off disk; its kept steps serve prop23's y = 8
+    # every step of the reversed run from -y, which the context does not keep
     dual = run_kernel(law.reversed(), _ORIGIN, [-y], n, window=W)
-    ctx._run(law.reversed(), _ORIGIN, [-y], n, W, ran=dual)
     denom = ctx.dp_slice(_ORIGIN, x, n).at(y)
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")

@@ -1,35 +1,36 @@
-"""Exact finite-n kernels for free, point-killed and half-line-killed walks.
+"""Exact finite-n kernels for free, finite-set and half-line-killed walks.
 
-The state lives on the window [-W, W], and a run steps only its live
-sites, the last S of the window: all 2W + 1 of them for free and
-point-killed runs, and [max(-W, min(b - entrance_depth, min start)), W]
-for a run killed on (-inf, b], whose state is zero on (-inf, b] after every
-kill.  One step convolves the live state with the windowed increment pmf by
-a circular FFT of length next_fast_len(S + W), whose wrap-around misses the
-live sites.  The mass pushed below the live sites or above the window is a
-dot product with weights built once from the pmf's cumulative sums.  Mass
-that leaves the window, or jumps past it, goes to an explicit
-escaped/killed ledger, so
+A killing set is ("le", b), the half-line (-inf, b], or ("set", sorted
+distinct sites); None is the empty set.  The state lives on the window
+[-W, W], and a run steps only its live sites, the last S of the window: all
+2W + 1 for a finite set, [max(-W, min(b - entrance_depth, min start)), W]
+for (-inf, b], whose state is zero on (-inf, b] after every kill.  One step
+convolves the live state with the windowed increment pmf by a circular FFT
+of length next_fast_len(S + W), whose wrap-around misses the live sites;
+the mass pushed below the live sites or above the window is a dot product
+with weights built once from the pmf's cumulative sums.  Then the run kills
+alike for every set: it zeroes its killed live sites and counts their mass
+as the step's kill, and a half-line run also kills the mass pushed below its
+live sites, which lands in (-inf, b].  Any other mass that leaves the window
+goes to the escaped ledger, so
 
     in-window + killed + escaped = 1
 
-holds to float accumulation error at every step.  On a half-line run the
-mass pushed below the live sites, like a jump below the window, lands in
-the killing set (below the entrance strip) and is charged to the killed
-ledger, which keeps first-passage mass exact up to the escape on the open
-side only.
+holds to float accumulation error at every step.
 
 Every run also records the Green sums (the occupation measure up to each
-kept step) and, for finite-set killing, the entrance law into each site of
-the set.  run_kernel is the only DP loop: the ladder renewal functions are
-the Green sums of two half-line runs, and the space-time hitting law of a
-finite set is its entrance law.
+kept step) and the entrance ledger, read off the killed sites it records:
+a finite set's in-window sites, or the strip b, b - 1, ..., b - entrance_depth.
+run_kernel is the only DP loop: the ladder renewal functions are the Green
+sums of two half-line runs.
 
 On a window law.reversed()'s B-killed step matrix is the law's transposed:
 its {0}-killed run from 0 gives f^x_W(n) for every x, and its A-killed run
-from z in A holds P_x[sigma_A = n, S_n = z] at site x, with the forward
-entrance ledger as oracle.  A batch's rows equal single-start runs with
-the same live sites, as in every batch of starts at or above b - entrance_depth.
+from z in A holds P_x[sigma_A = n, S_n = z] at site x, so cor3 and finite
+read the space-time hitting law of A off the reversed A-killed runs, with
+the forward entrance ledger as oracle.  A batch's rows equal single-start
+runs with the same live sites, as in every batch of starts at or above
+b - entrance_depth.
 """
 from __future__ import annotations
 
@@ -57,13 +58,12 @@ HALF_LE_0 = ("le", 0)     # (-inf, 0]
 
 
 def _normalize_killing(B):
-    if B is None:
-        return None
+    """("le", b) for (-inf, b], else ("set", sorted distinct sites); None is the empty set."""
     if isinstance(B, tuple) and len(B) == 2 and B[0] == "le":
         return ("le", int(B[1]))
     if isinstance(B, tuple) and len(B) == 2 and B[0] == "set":
-        return B
-    return ("set", tuple(sorted(int(z) for z in B)))
+        B = B[1]
+    return ("set", tuple(sorted({int(z) for z in (() if B is None else B)})))
 
 
 def default_window(law: WalkLaw, n_max: int, mult: float = 8.0) -> int:
@@ -86,9 +86,9 @@ class KernelTable:
     and escaped and killed (derived from step_killed) are the cumulative
     per-start ledgers indexed by step.
     entrance[:, n, j] is the mass entering B at step n at its j-th sorted
-    in-window site for finite-set killing, or at depth j below the boundary
-    for half-line killing with entrance_depth (entrance_lump holding the
-    deeper rest).
+    in-window site for finite-set killing (no site for the free walk), or at
+    depth j below the boundary for half-line killing with entrance_depth
+    (entrance_lump holding the deeper rest).
     """
 
     killing: object
@@ -161,6 +161,7 @@ def run_kernel(
 ) -> KernelTable:
     """Dynamic programming for p^n_B(x, .) from each start, with ledgers.
 
+    B: ("le", b), ("set", sites), an iterable of sites, or None (no killing).
     keep: list of n to store values and Green sums for (default: all
     n <= n_max).
     entrance_depth: for half-line 'le' killing, store the entrance law
@@ -172,7 +173,7 @@ def run_kernel(
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
     B = _normalize_killing(B)
-    half_le = B is not None and B[0] == "le"
+    half_le = B[0] == "le"
     if entrance_depth and not half_le:
         raise ValueError("entrance collection needs half-line killing")
     keep_set = set(keep) if keep is not None else set(range(n_max + 1))
@@ -181,6 +182,14 @@ def run_kernel(
     # live sites [lo, W]: a run killed on (-inf, b] is zero on (-inf, b] after each
     # kill, so it needs sites there only for its entrance strip [b - depth, b] and starts
     lo = max(-W, min(B[1] - entrance_depth, *starts)) if half_le else -W
+    # the killed live indices, and those the entrance ledger records, in its order
+    if half_le:
+        cut = max(B[1] - lo + 1, 0)  # no live site is killed when b lies below the window
+        killed = slice(0, cut)
+        deep = max(cut - (entrance_depth + 1), 0)
+        recorded = np.arange(cut - 1, deep - 1, -1)  # d = 0 <-> landing at b
+    else:
+        killed = recorded = np.array([z - lo for z in B[1] if abs(z) <= W], dtype=np.int64)
     ns = len(starts)
     states = np.zeros((ns, W - lo + 1))
     states[np.arange(ns), np.array(starts, dtype=np.int64) - lo] = 1.0
@@ -192,13 +201,10 @@ def run_kernel(
 
     table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts,
                         step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
+    if entrance_depth or not half_le:
+        table.entrance = np.zeros((ns, n_max + 1, entrance_depth + 1 if half_le else len(recorded)))
     if entrance_depth:
-        table.entrance = np.zeros((ns, n_max + 1, entrance_depth + 1))
         table.entrance_lump = np.zeros((ns, n_max + 1))
-    elif B is not None and not half_le:
-        # the in-window sites of B, sorted
-        sites = np.array(sorted({z + W for z in B[1] if abs(z) <= W}), dtype=np.int64)
-        table.entrance = np.zeros((ns, n_max + 1, len(sites)))
     green = states.copy()
     if 0 in keep_set:
         table.values[0] = window_rows(states)
@@ -210,26 +216,18 @@ def run_kernel(
         states, below, above = step(states)
         jump_up = alive * esc_p
         jump_dn = alive * esc_m
-        if B is None:
-            kill_now = np.zeros(ns)
-            escaped_cum += below + above + jump_up + jump_dn
-        elif half_le:
+        if table.entrance is not None:
+            table.entrance[:, n, : len(recorded)] = states[:, recorded]
+        kill_now = states[:, killed].sum(axis=1)
+        if half_le:
             # mass below the live sites, by overflow or by a jump past the window, lands in B
-            cut = B[1] - lo + 1  # live indices [0, cut) are killed states
-            kill_now = states[:, :cut].sum(axis=1) + below + jump_dn
+            kill_now = kill_now + below + jump_dn
             if entrance_depth:
-                deep = max(cut - (entrance_depth + 1), 0)
-                strip = states[:, deep:cut][:, ::-1]  # d = 0 <-> landing at b
-                table.entrance[:, n, : strip.shape[1]] = strip
                 table.entrance_lump[:, n] = states[:, :deep].sum(axis=1) + below + jump_dn
-            states[:, :cut] = 0.0
             escaped_cum += above + jump_up
         else:
-            hits = states[:, sites]
-            table.entrance[:, n] = hits
-            kill_now = hits.sum(axis=1)
-            states[:, sites] = 0.0
             escaped_cum += below + above + jump_up + jump_dn
+        states[:, killed] = 0.0
         green += states
         table.step_killed[:, n] = kill_now
         table.escaped[:, n] = escaped_cum

@@ -27,10 +27,11 @@ laws share alpha, the light-side exponent and the atom positions.  So the
 builder makes one `_Nodes` table for the build: rho_m, sin(theta), the
 polylog terms per exponent and the (nodes, atoms) matrices of the atom sum
 are computed once, and each law applies only its own scales and masses,
-through the same `cf_excess` combination and the same reductions, so every
-float is what a pointwise `cf_excess` gives.  The table lives for one build;
-nothing keeps it at module level.  The block sums of `_moments` and `d2`
-depend on (block, exponent, power) alone and are memoised in `_block_sum`.
+through the same `_excess` combination and the same reductions, so every
+float is what `_excess` gives on a table of its own.  The table lives for
+one build; nothing keeps it at module level.  The block sums of `_moments`
+and `d2` depend on (block, exponent, power) alone and are memoised in
+`_block_sum`.
 brentq is imported inside the one branch that brackets a sign change:
 scipy.optimize costs about 0.15 s of import time and 20 MB, and most laws
 (sym15, sp15 and bp15 among them) never reach that branch.
@@ -67,7 +68,7 @@ from .special import (
 BLOCK1 = (1, 4)
 BLOCK2 = (5, 64)
 CALIBRATED_BEYOND = BLOCK2[1]  # pure telescoped tail from here on
-_ATOM_ROWS = 2048  # theta rows per block of the atom sum in cf_excess
+_ATOM_ROWS = 2048  # theta rows per block of the atom sum in _excess
 _OFFSET_BREAKS = geometric_breaks(1e-13, math.pi)  # panels of the lattice-offset integral
 
 
@@ -177,9 +178,9 @@ class _Nodes:
 
     These are rho_m, sin(theta), the polylog terms per exponent and, per atom
     set, the matrices 2 sin^2(theta y / 2) and x_minus_sin(theta y) of the
-    atom sum in blocks of _ATOM_ROWS rows.  cf_excess and cf_main make one per
-    call; build_walk_law makes one on the lattice-offset nodes and shares it
-    with every law it calibrates.
+    atom sum in blocks of _ATOM_ROWS rows.  one_minus_char makes one per sign
+    of theta and one_minus_char_panels one per call; build_walk_law makes one
+    on the lattice-offset nodes and shares it with every law it calibrates.
     """
 
     def __init__(self, theta: np.ndarray):
@@ -374,11 +375,8 @@ class WalkLaw:
                 ms.append(np.array([u]))
         return np.concatenate(pts), np.concatenate(ms)
 
-    def cf_main(self, theta: np.ndarray) -> np.ndarray:
-        """Stable principal part of (1 - phi): the alpha-side singular image."""
-        return self._main(_Nodes(np.asarray(theta, dtype=float)))
-
     def _main(self, nodes: _Nodes) -> np.ndarray:
+        """Stable principal part of (1 - phi): the alpha-side singular image."""
         sing_p = nodes.sing(self.rp)
         main = -self.sp * (1j * nodes.theta) * sing_p
         if self.rm == self.rp:
@@ -386,7 +384,7 @@ class WalkLaw:
         return main
 
     def _excess_continuum(self, nodes: _Nodes) -> np.ndarray:
-        """cf_excess without its atom sum and mean residual, theta > 0."""
+        """_excess without its atom sum and mean residual, theta > 0."""
         theta = nodes.theta
         rho_m = nodes.rho_m()      # (1-e^{-i t}) - i t
         rho_p = np.conj(rho_m)     # (1-e^{+i t}) + i t
@@ -404,11 +402,8 @@ class WalkLaw:
             v = v - self.sm * (-1j * theta) * np.conj(Sm)
         return v
 
-    def cf_excess(self, theta: np.ndarray) -> np.ndarray:
-        """(1 - phi)(theta) - cf_main(theta), cancellation-free, theta > 0."""
-        return self._excess(_Nodes(np.asarray(theta, dtype=float)))
-
     def _excess(self, nodes: _Nodes) -> np.ndarray:
+        """(1 - phi) - _main, cancellation-free, theta > 0."""
         v = self._excess_continuum(nodes)
         pts, ms = self._atoms_for_fourier()
         if len(pts):
@@ -425,7 +420,7 @@ class WalkLaw:
         The atom sum sum_m p_m (1 - e^{i theta y_m}) + i theta y_m is
         sum p - Re F + i (theta sum p y - Im F) with F = sum_m p_m e^{i theta y_m},
         and on integer atoms F is one chirp-z over j per node position k.  It
-        agrees with the pointwise sum of cf_excess to about 1e-12 |1 - phi|.
+        agrees with the pointwise sum of _excess to about 1e-12 |1 - phi|.
         """
         pts, ms = self._atoms_for_fourier()
         ys = np.rint(pts).astype(np.int64)
@@ -445,11 +440,11 @@ class WalkLaw:
         pos = theta > 0
         neg = theta < 0
         if pos.any():
-            t = theta[pos]
-            out[pos] = self.cf_excess(t) + self.cf_main(t)
+            nodes = _Nodes(theta[pos])
+            out[pos] = self._excess(nodes) + self._main(nodes)
         if neg.any():
-            t = -theta[neg]
-            out[neg] = np.conj(self.cf_excess(t) + self.cf_main(t))
+            nodes = _Nodes(-theta[neg])
+            out[neg] = np.conj(self._excess(nodes) + self._main(nodes))
         out[theta == 0] = 0.0
         return out
 

@@ -1,48 +1,61 @@
-"""Two oracles for the half-line DP, for tests only.
+"""Oracles for the DP, for tests only.
 
-dense_half_line steps an explicit killed transition matrix on [-W, W] with
-one column for the mass that leaves the window upward and one for the mass
-that leaves it downward, built from the law's pmf and its exact tails, not
-from the FFT stepper or its weights.  As in the DP, a jump longer than W
-leaves the window wherever it would land.  full_window_half_line is run_kernel's
-half-line loop on the whole window, where the FFT has length
-next_fast_len(3W + 1): the route run_kernel took before it stepped only the
-live sites.  Both return the arrays of a KernelTable kept at every step.
+dense_killed steps an explicit killed transition matrix on [-W, W] with one
+column for the mass that leaves the window upward and one for the mass that
+leaves it downward, built from the law's pmf and its exact tails, not from
+the FFT stepper or its weights.  As in the DP, a jump longer than W leaves
+the window wherever it would land.  It takes the killed sites as a mask, so
+it serves free, finite-set and half-line runs alike; dense_half_line is its
+half-line form.  full_window_half_line is run_kernel's half-line loop on the
+whole window, where the FFT has length next_fast_len(3W + 1): the route
+run_kernel took before it stepped only the live sites.  All return the
+arrays of a KernelTable kept at every step.
 """
 import numpy as np
 
 from stablewalk.killed_walk import _fft_stepper
 
 
-def _start(starts, n_max: int, W: int, depth: int):
+def _start(starts, n_max: int, W: int, width: int):
     """Unit states at the starts on [-W, W], and the arrays of a run kept at every step."""
     ns = len(starts)
     state = np.zeros((ns, 2 * W + 1))
     state[np.arange(ns), np.array(starts) + W] = 1.0
     return state, {"values": [state.copy()], "green": [state.copy()], "step_killed": np.zeros((ns, n_max + 1)),
-                   "escaped": np.zeros((ns, n_max + 1)), "entrance": np.zeros((ns, n_max + 1, depth + 1)),
+                   "escaped": np.zeros((ns, n_max + 1)), "entrance": np.zeros((ns, n_max + 1, width)),
                    "entrance_lump": np.zeros((ns, n_max + 1))}
 
 
-def dense_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
-    """values, green, step_killed, escaped, entrance, entrance_lump of the walk killed on (-inf, b]."""
+def dense_killed(law, killed, starts, n_max: int, W: int, recorded, below_killed: bool) -> dict:
+    """values, green, step_killed, escaped, entrance, entrance_lump of the walk killed on the sites killed marks.
+
+    killed is a boolean mask over [-W, W].  Mass leaving the window downward
+    is a kill when below_killed (a half-line) and escapes otherwise.
+    entrance[:, n, j] is the mass landing on recorded[j] at step n (zero for a
+    site outside the window), and entrance_lump the rest of the step's kill.
+    """
     sites = np.arange(-W, W + 1)
     jump = sites[None, :] - sites[:, None]                                # site x -> site y
     move = np.where(np.abs(jump) <= W, law.pmf(jump), 0.0)
     # X > W, or X <= W and x + X > W; X < -W, or X >= -W and x + X < -W
     up = np.array([law.cumulative_plus(W + 1 - max(x, 0)) for x in sites])
     down = np.array([law.cumulative_minus(W + 1 + min(x, 0)) for x in sites])
-    state, out = _start(starts, n_max, W, depth)
-    killed = sites <= b
+    state, out = _start(starts, n_max, W, len(recorded))
+    rest = killed & ~np.isin(sites, recorded)
     for n in range(1, n_max + 1):
         nxt = state @ move
         jump_dn = state @ down
-        out["escaped"][:, n] = out["escaped"][:, n - 1] + state @ up
-        out["step_killed"][:, n] = nxt[:, killed].sum(axis=1) + jump_dn
-        for d in range(depth + 1):
-            if b - d >= -W:
-                out["entrance"][:, n, d] = nxt[:, b - d + W]
-        out["entrance_lump"][:, n] = nxt[:, sites < b - depth].sum(axis=1) + jump_dn
+        if below_killed:
+            out["escaped"][:, n] = out["escaped"][:, n - 1] + state @ up
+            out["step_killed"][:, n] = nxt[:, killed].sum(axis=1) + jump_dn
+            out["entrance_lump"][:, n] = nxt[:, rest].sum(axis=1) + jump_dn
+        else:
+            out["escaped"][:, n] = out["escaped"][:, n - 1] + state @ up + jump_dn
+            out["step_killed"][:, n] = nxt[:, killed].sum(axis=1)
+            out["entrance_lump"][:, n] = nxt[:, rest].sum(axis=1)
+        for j, z in enumerate(recorded):
+            if abs(z) <= W:
+                out["entrance"][:, n, j] = nxt[:, z + W]
         nxt[:, killed] = 0.0
         state = nxt
         out["values"].append(state.copy())
@@ -50,11 +63,17 @@ def dense_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict
     return out
 
 
+def dense_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
+    """dense_killed on (-inf, b], recording the strip b, b - 1, ..., b - depth."""
+    killed = np.arange(-W, W + 1) <= b
+    return dense_killed(law, killed, starts, n_max, W, [b - d for d in range(depth + 1)], below_killed=True)
+
+
 def full_window_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
     """The same arrays from the half-line loop stepping the whole window [-W, W]."""
     step, esc_p, esc_m = _fft_stepper(law, W)
-    states, out = _start(starts, n_max, W, depth)
-    cut = b + W + 1  # indices [0, cut) are killed states
+    states, out = _start(starts, n_max, W, depth + 1)
+    cut = max(b + W + 1, 0)  # indices [0, cut) are killed states
     escaped_cum = np.zeros(len(starts))
     for n in range(1, n_max + 1):
         alive = states.sum(axis=1)

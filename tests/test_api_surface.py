@@ -26,7 +26,7 @@ ALLOWED = {
 
 # defaulted parameters no call in src/ or perfbench/ passes, each kept for a reason
 ALLOWED_UNSET = {
-    ("killed_walk", "run_kernel.escape_budget"): "the tracer binds it, and ROADMAP item 4 turns on a default",
+    ("killed_walk", "run_kernel.escape_budget"): "the tracer binds it, and ROADMAP item 5 turns on a default",
 }
 
 # public methods no call in src/ or perfbench/ reaches, each kept for a reason
@@ -273,6 +273,18 @@ def test_run_kernel_only_through_the_context():
     assert callers <= set(RUN_KERNEL_CALLERS), f"run_kernel called around LawContext by: {sorted(callers - set(RUN_KERNEL_CALLERS))}"
     # a listed caller that stopped calling run_kernel leaves the list
     assert set(RUN_KERNEL_CALLERS) <= callers
+
+
+def test_only_law_context_reaches_its_run():
+    """Nothing outside LawContext reads LawContext._run, so no caller hands the memo a run it did not key."""
+    reached = []
+    for path in SRC + PERFBENCH + sorted((ROOT / "tests").glob("*.py")):
+        tree = _parse(path)
+        own = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "LawContext"
+               and path.stem == "asymptotics" for node in ast.walk(cls)}
+        reached += [f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "_run" and id(node) not in own]
+    assert not reached, f"LawContext._run reached from outside the class: {reached}"
 
 
 def test_csv_headers_only_in_the_writer_module():

@@ -6,7 +6,7 @@ import pytest
 
 from asymptotic_oracles import rhs_theorem6_hitting_form, rhs_theorem6_i
 from conftest import get_ctx
-from stablewalk import asymptotics, cache
+from stablewalk import asymptotics
 from stablewalk.asymptotics import (
     LawContext,
     VerificationReport,
@@ -210,32 +210,41 @@ def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
         assert not hit.f.flags.writeable
 
 
+def _only_artifact(root):
+    """The one npz artifact under root."""
+    (path,) = root.glob("*.npz")
+    return path
+
+
 @pytest.mark.parametrize("flaw", ["short slice", "short f", "nan in f", "no escaped"])
 def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, flaw):
-    """A wrong-shape or non-finite artifact under the right key is a warned miss."""
+    """A wrong-shape or non-finite artifact under the run's key is a warned miss, recomputed and replaced."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     B, x, n, W = ("set", (0,)), 3, 256, 512
+    real, calls = _count_run_kernel(monkeypatch)
+    LawContext.build(sym15).dp_slice(B, x, n)
+    path = _only_artifact(tmp_path)
     kept = 9  # sym15 is self-dual, so its runs keep the steps 1, 2, 4, ..., 256
-    planted = {"slice": np.zeros((kept, 2 * W + 1)), "f": np.zeros(n + 1), "escaped": np.zeros(kept)}
+    planted = {"slice": np.zeros((1, kept, 2 * W + 1)), "f": np.zeros((1, n + 1)), "escaped": np.zeros((1, kept))}
     if flaw == "short slice":
-        planted["slice"] = planted["slice"][:, :-1]
+        planted["slice"] = planted["slice"][:, :, :-1]
     elif flaw == "short f":
-        planted["f"] = planted["f"][:-1]
+        planted["f"] = planted["f"][:, :-1]
     elif flaw == "nan in f":
-        planted["f"][7] = np.nan
+        planted["f"][0, 7] = np.nan
     else:
         del planted["escaped"]
-    cache.store(cache.content_key(sym15.law_hash(), "dp_slice", B=str(B), x=x, n=n, W=W), **planted)
-    real, calls = _count_run_kernel(monkeypatch)
+    np.savez_compressed(path, **planted)
     with pytest.warns(UserWarning, match="treated as a miss"):
         got = LawContext.build(sym15).dp_slice(B, x, n)
-    assert len(calls) == 1
+    assert len(calls) == 2
     table = real(sym15, B, [x], n, window=W, keep=[n])
     assert np.array_equal(got.slice, table.values[n][0])
     assert np.array_equal(got.f, table.step_killed[0])
     # the recomputed artifact replaced the planted one
+    assert _only_artifact(tmp_path) == path
     again = LawContext.build(sym15).dp_slice(B, x, n)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert np.array_equal(again.f, got.f)
 
 
@@ -273,20 +282,21 @@ def test_dual_set_slice_is_the_forward_entrance_law(name):
                                          ("asym15", ("set", (-1, 0, 2)), [-1, 0, 2]),
                                          ("sp15", ("le", 0), [0, 1, 3])])
 def test_batch_artifacts_equal_single_runs(name, B, ys, monkeypatch, tmp_path):
-    """The missed starts run as one batch, and each start's artifact is its single-start run, bit for bit."""
+    """The starts run as one batch with one artifact, and each of its rows is its single-start run, bit for bit."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     real, calls = _count_run_kernel(monkeypatch)
     law, n, W = get_ctx(name).law, 256, 512
     LawContext.build(law).dual_slice(B, ys, n)
     assert len(calls) == 1
+    with np.load(_only_artifact(tmp_path)) as z:
+        stored = {k: z[k] for k in z.files}
     keep = [1, 2, 4, 8, 16, 32, 64, 128, 256]
     rev = law.reversed()
-    for y in ys:
-        stored = cache.load(cache.content_key(rev.law_hash(), "dp_slice", B=str(B), x=y, n=n, W=W))
+    for i, y in enumerate(ys):
         single = real(rev, B, [y], n, window=W, keep=keep)
-        assert np.array_equal(stored["slice"], np.stack([single.values[m][0] for m in keep]))
-        assert np.array_equal(stored["f"], single.step_killed[0])
-        assert np.array_equal(stored["escaped"], single.escaped[0, keep])
+        assert np.array_equal(stored["slice"][i], np.stack([single.values[m][0] for m in keep]))
+        assert np.array_equal(stored["f"][i], single.step_killed[0])
+        assert np.array_equal(stored["escaped"][i], single.escaped[0, keep])
 
 
 def test_thm1_and_crossover_share_one_run(sp15, monkeypatch, tmp_path):

@@ -70,14 +70,15 @@ _ORACLE_W, _ORACLE_N = 40, 60
 
 
 @pytest.mark.parametrize("name", ["sp15", "asym15"])
-@pytest.mark.parametrize("b", [0, -1])
+@pytest.mark.parametrize("b", [0, -1, -_ORACLE_W - 5])
 @pytest.mark.parametrize("depth", [0, 7, _ORACLE_W])
 @pytest.mark.parametrize("starts", [[3, 9], [0], [-5, 2]])
 def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
     """run_kernel on the live sites against a dense killed transition matrix and the full-window loop.
 
     depth = W is tunneling_check's entrance strip, start 0 is the ladder's
-    reversed run, and start -5 lies inside B below the strip.
+    reversed run, and start -5 lies inside B below the strip.  At b = -W - 5
+    no site of the window is killed, only the mass that leaves it downward.
     """
     from killed_walk_oracles import dense_half_line, full_window_half_line
 
@@ -91,6 +92,33 @@ def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
         want = oracle(law, b, starts, n, W, depth)
         for key, arr in got.items():
             assert np.abs(np.asarray(arr) - np.asarray(want[key])).max() <= 1e-13, (oracle.__name__, key)
+
+
+@pytest.mark.parametrize("name", ["sp15", "asym15"])
+@pytest.mark.parametrize("A", [(), (0,), (-1, 0, 2), (-_ORACLE_W, -3, 5, _ORACLE_W + 4)])
+@pytest.mark.parametrize("starts", [[3, 9], [0], [-5, 2]])
+def test_set_run_matches_dense_matrix(name, A, starts):
+    """Free (B = None) and finite-set runs against a dense killed transition matrix at every step.
+
+    The last set holds the window's lowest site, where the DP's kill and its
+    downward escape meet, and a site beyond the window, which no run records.
+    The set passed as a NumPy array gives the same run as the list.
+    """
+    from killed_walk_oracles import dense_killed
+
+    law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
+    tab = run_kernel(law, list(A) or None, starts, n, window=W)
+    recorded = [z for z in A if abs(z) <= W]
+    want = dense_killed(law, np.isin(np.arange(-W, W + 1), A), starts, n, W, recorded, below_killed=False)
+    got = {"values": [tab.values[m] for m in range(n + 1)], "green": [tab.green[m] for m in range(n + 1)],
+           "step_killed": tab.step_killed, "escaped": tab.escaped, "entrance": tab.entrance}
+    for key, arr in got.items():
+        assert np.shape(arr) == np.shape(want[key]), key
+        assert np.abs(np.asarray(arr) - np.asarray(want[key])).max(initial=0.0) <= 1e-13, key
+    as_array = run_kernel(law, np.array(A, dtype=int), starts, n, window=W)
+    assert as_array.killing == tab.killing
+    np.testing.assert_array_equal(as_array.values[n], tab.values[n])
+    np.testing.assert_array_equal(as_array.step_killed, tab.step_killed)
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,7 @@ def test_a_window_matches_per_point_sum(name):
 
 @pytest.mark.parametrize("name, X", [("sp15", 4096), ("bp15", 2048), ("asym15", 1024)])
 def test_panel_atom_sum_matches_pointwise(name, X):
-    """On a(x)'s uniform panels the chirp-z atom sum is cf_excess's pointwise sum within 1e-11 |1 - phi|."""
+    """On a(x)'s uniform panels the chirp-z atom sum is the pointwise sum of one_minus_char within 1e-11 |1 - phi|."""
     law = get_law(name)
     theta = potential_theory._a_segments(law, X)[2]
     pointwise = law.one_minus_char(theta.ravel()).reshape(theta.shape)
@@ -333,7 +333,7 @@ def test_hit_before_vs_dp(sym15, pot15):
 
 
 def test_one_minus_char_memory_is_bounded(sp15):
-    """The atom sum of cf_excess runs in blocks: no (nodes, atoms) temporaries."""
+    """The atom sum of one_minus_char runs in blocks: no (nodes, atoms) temporaries."""
     import tracemalloc
 
     theta = np.linspace(1e-6, math.pi, 100_000)

@@ -182,7 +182,7 @@ def test_other_law_hashes_pinned(name):
 
 @pytest.mark.parametrize("name", ["sym15", "sp15", "bp15", "lc15"])
 def test_lattice_offset_from_the_build_table_is_the_pointwise_integral(name):
-    """C0 read through one shared node table equals, bit for bit, the pointwise cf_excess integral.
+    """C0 read through one shared node table equals, bit for bit, the pointwise integral.
 
     One table serves grid laws with different l1 and short-range atoms in
     turn, as in a build, so a table entry kept for one atom set or exponent
