@@ -22,14 +22,17 @@ Every run also records the Green sums (the occupation measure up to each
 kept step) and the entrance ledger, read off the killed sites it records:
 a finite set's in-window sites, or the strip b, b - 1, ..., b - entrance_depth.
 run_kernel is the only DP loop: the ladder renewal functions are the Green
-sums of two half-line runs.
+sums of one two-row half-line batch, a row of the law and a row of its
+reversal.
 
 On a window law.reversed()'s B-killed step matrix is the law's transposed:
 its {0}-killed run from 0 gives f^x_W(n) for every x, and its A-killed run
 from z in A holds P_x[sigma_A = n, S_n = z] at site x, so cor3 and finite
 read the space-time hitting law of A off the reversed A-killed runs, with
-the forward entrance ledger as oracle.  A batch's rows equal single-start
-runs with the same live sites, as in every batch of starts at or above
+the forward entrance ledger as oracle.  A batch's rows may carry either law:
+run_kernel's dual_starts rows step under law.reversed() beside the starts'
+rows under law.  Every row equals, bit for bit, the single-start run of its
+law with the same live sites, as in every batch of starts at or above
 b - entrance_depth.
 """
 from __future__ import annotations
@@ -80,7 +83,9 @@ def default_window(law: WalkLaw, n_max: int, mult: float = 8.0) -> int:
 class KernelTable:
     """Killed/free n-step kernel slices with a conservation ledger.
 
-    values[n] is an array (n_starts, 2W+1) and green[n] the sum of the
+    starts holds each row's start: the run's starts, then its dual_starts,
+    whose rows step under the reversed law.
+    values[n] is an array (n_rows, 2W+1) and green[n] the sum of the
     states of steps 0..n (after killing), both for each kept n; step_killed
     is the per-step kill mass (the first-passage mass into B at that step),
     and escaped and killed (derived from step_killed) are the cumulative
@@ -116,22 +121,33 @@ class KernelTable:
         return csv_text(("n", "x", "y", "value"), rows)
 
 
-def _fft_stepper(law: WalkLaw, W: int):
+def _fft_stepper(law, W: int):
     """(step, P[X > W], P[X < -W]) for the DP on [-W, W].
 
-    step maps a (n_starts, S) batch living on the last S sites of the
+    step maps a (n_rows, S) batch living on the last S sites of the
     window, [W - S + 1, W], to (states on those sites one step later, mass
     pushed below them, mass pushed above the window) for jumps |X| <= W.
     Its circular FFT has length next_fast_len(S + W), whose wrap-around
     misses the kept sites; S = 2W + 1 is the whole window.
+
+    law is one WalkLaw, whose kernel spectrum and dot weights every row
+    shares and whose escape masses are floats, or a sequence of one WalkLaw
+    per row: then the rows still take one rfft and one irfft, each times its
+    own law's spectrum and dotted with its own weights, and the escape masses
+    are per-row arrays.  Either way a row steps bit for bit as in a
+    single-law batch.
     """
-    p = law.pmf_window(W)
-    esc_p, esc_m = law.escaped_split(W)
+    if isinstance(law, WalkLaw):
+        p = law.pmf_window(W)
+        esc_p, esc_m = law.escaped_split(W)
+    else:
+        p = np.array([row.pmf_window(W) for row in law])
+        esc_p, esc_m = np.array([row.escaped_split(W) for row in law]).T
     # from full-window index i, mass p[j] lands below the window iff i + j < W and
     # above it iff i + j > 3W; on the last S sites, below them iff i' + j < W
-    zeros = np.zeros(W + 1)
-    w_below = np.concatenate([np.cumsum(p[:W])[::-1], zeros])
-    w_above = np.concatenate([zeros, np.cumsum(p[::-1][:W])])
+    zeros = np.zeros(p.shape[:-1] + (W + 1,))
+    w_below = np.concatenate([np.cumsum(p[..., :W], axis=-1)[..., ::-1], zeros], axis=-1)
+    w_above = np.concatenate([zeros, np.cumsum(p[..., ::-1][..., :W], axis=-1)], axis=-1)
     spectra = {}  # S -> (FFT length, rfft of p)
 
     def step(states: np.ndarray):
@@ -144,7 +160,7 @@ def _fft_stepper(law: WalkLaw, W: int):
         spec *= pf
         full = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)
         # one dot per row, as states @ w for one row: no ledger depends on the batch
-        return full[:, W : W + S], np.vecdot(states, w_below[:S]), np.vecdot(states, w_above[-S:])
+        return full[:, W : W + S], np.vecdot(states, w_below[..., :S]), np.vecdot(states, w_above[..., -S:])
 
     return step, esc_p, esc_m
 
@@ -158,6 +174,7 @@ def run_kernel(
     keep: list | None = None,
     entrance_depth: int = 0,
     escape_budget: float | None = None,
+    dual_starts=(),
 ) -> KernelTable:
     """Dynamic programming for p^n_B(x, .) from each start, with ledgers.
 
@@ -167,8 +184,11 @@ def run_kernel(
     entrance_depth: for half-line 'le' killing, store the entrance law
     h(n, y) for landing points within depth of the boundary.  Finite-set
     killing always stores the entrance law into each in-window site.
+    dual_starts: starts of further rows, stepped under law.reversed() in the
+    same batch; the table's starts are starts then dual_starts, one per row.
     """
-    starts = [int(x) for x in starts]
+    dual_starts = [int(x) for x in dual_starts]
+    starts = [int(x) for x in starts] + dual_starts
     W = window or default_window(law, n_max)
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
@@ -177,7 +197,8 @@ def run_kernel(
     if entrance_depth and not half_le:
         raise ValueError("entrance collection needs half-line killing")
     keep_set = set(keep) if keep is not None else set(range(n_max + 1))
-    step, esc_p, esc_m = _fft_stepper(law, W)
+    laws = law if not dual_starts else [law] * (len(starts) - len(dual_starts)) + [law.reversed()] * len(dual_starts)
+    step, esc_p, esc_m = _fft_stepper(laws, W)
 
     # live sites [lo, W]: a run killed on (-inf, b] is zero on (-inf, b] after each
     # kill, so it needs sites there only for its entrance strip [b - depth, b] and starts
@@ -328,14 +349,17 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
 class LadderTables:
     """Ladder-height pmfs and renewal functions.
 
-    Two half-line runs of run_kernel, both killed on (-inf, 0], give all of
-    them.  The law from 1 enters (-inf, 0] at its first strict descending
-    ladder height, and its Green sums are the renewal measure
+    One two-row half-line batch of run_kernel, killed on (-inf, 0], gives
+    all of them.  Row 0, the law from 1, enters (-inf, 0] at its first
+    strict descending ladder height, and its Green sums are the renewal
+    measure
         nu_as(y) = g_{(-inf,0]}(1, 1+y).
-    The reversed law from 0 enters (-inf, 0] at the mirror image of the
-    first weak ascending ladder height, and after its first step it holds
-    mu(z) = p(-z), z >= 1, so its Green sums are
+    Row 1, the reversed law from 0, enters (-inf, 0] at the mirror image of
+    the first weak ascending ladder height, and after its first step it
+    holds mu(z) = p(-z), z >= 1, so its Green sums are
         u_ds(y) = sum_m [mu Phat^m_{(-inf,0]}](y).
+    Each row is bit for bit the single-law run of its law, so the tables
+    equal those of two separate half-line runs.
     Both Green sums get a power-tail extrapolation of the step truncation;
     the pmf-convolution renewal recursion is kept alongside as a cross-check
     route (its truncation defect compounds with x).
@@ -355,15 +379,15 @@ class LadderTables:
         return float((ys * self.q_ds).sum() / max(self.q_ds.sum(), 1e-300))
 
 
-def _ladder_pmf(table: KernelTable, n: int) -> tuple[np.ndarray, float]:
-    """Entrance law into (-inf, 0] by depth over steps <= n, and its missing mass."""
-    q = table.entrance[0, : n + 1].sum(axis=0)
-    tail = table.values[n][0].sum() + table.escaped[0, n] + table.entrance_lump[0, : n + 1].sum()
+def _ladder_pmf(table: KernelTable, row: int, n: int) -> tuple[np.ndarray, float]:
+    """Entrance law of a row into (-inf, 0] by depth over steps <= n, and its missing mass."""
+    q = table.entrance[row, : n + 1].sum(axis=0)
+    tail = table.values[n][row].sum() + table.escaped[row, n] + table.entrance_lump[row, : n + 1].sum()
     return q, float(tail)
 
 
-def _green_sites(table: KernelTable, n_late: int, n: int, n_sites: int, alpha: float):
-    """Green sums at sites 1..n_sites over steps <= n, with power-tail extrapolation.
+def _green_sites(table: KernelTable, row: int, n_late: int, n: int, n_sites: int, alpha: float):
+    """Green sums of a row at sites 1..n_sites over steps <= n, with power-tail extrapolation.
 
     Step contributions at a fixed site fall off like m^{-1-1/alpha} once
     m >> site^alpha, so the remainder beyond n is estimated from the steps
@@ -371,40 +395,47 @@ def _green_sites(table: KernelTable, n_late: int, n: int, n_sites: int, alpha: f
     """
     W = table.window
     sl = slice(W + 1, W + 1 + n_sites)
-    green = table.green[n][0, sl]
-    tail = (green - table.green[n_late][0, sl]) / (2.0 ** (1.0 / alpha) - 1.0)
+    green = table.green[n][row, sl]
+    tail = (green - table.green[n_late][row, sl]) / (2.0 ** (1.0 / alpha) - 1.0)
     total = green + tail
     return total, float(tail.sum() / max(total.sum(), 1e-300))
 
 
 def ladder_renewals(law: WalkLaw, x_max: int = 256) -> LadderTables:
-    """Ladder-height pmfs and renewal functions from two half-line DPs.
+    """Ladder-height pmfs and renewal functions from one two-row half-line DP.
 
     The Green sum at level y needs of order y^alpha steps before its tail
-    enters the m^{-1-1/alpha} regime, so both runs take N = 4 * x_max^alpha
-    steps (at least 8192).
+    enters the m^{-1-1/alpha} regime, so both rows take N = 4 * x_max^alpha
+    steps (at least 8192), the reversed law's row one more.  Both rows live
+    on [-x_max, W] and share one stepper call per step.
     """
     alpha = law.spec.alpha
     N = max(8192, int(4.0 * x_max ** alpha))
     half = N // 2
     W = default_window(law, N)
 
-    # law from 1: entering (-inf, 0] at depth d is a strict descent |Z| = d + 1
-    down = run_kernel(law, HALF_LE_0, [1], N, window=W, keep=[half, N], entrance_depth=x_max)
-    # reversed law from 0: entering at depth d is a weak ascent Z = d; its
+    # row 0, the law from 1: entering (-inf, 0] at depth d is a strict descent |Z| = d + 1
+    # row 1, the reversed law from 0: entering at depth d is a weak ascent Z = d; its
     # state after step m + 1 is mu Phat^m, hence N + 1 steps for m <= N
-    up = run_kernel(
-        law.reversed(), HALF_LE_0, [0], N + 1, window=W, keep=[half + 1, N, N + 1], entrance_depth=x_max
+    runs = run_kernel(
+        law, HALF_LE_0, [1], N + 1, window=W, keep=[half, half + 1, N, N + 1], entrance_depth=x_max,
+        dual_starts=[0],
     )
-    q_ds, q_ds_tail = _ladder_pmf(down, N)
-    q_as, q_as_tail = _ladder_pmf(up, N)
+    return _ladder_tables((runs, 0), (runs, 1), N, x_max, alpha)
+
+
+def _ladder_tables(down: tuple, up: tuple, N: int, x_max: int, alpha: float) -> LadderTables:
+    """LadderTables from the (table, row) of the law's run from 1 and of the reversed law's from 0."""
+    half = N // 2
+    q_ds, q_ds_tail = _ladder_pmf(*down, N)
+    q_as, q_as_tail = _ladder_pmf(*up, N)
     if max(q_ds_tail, q_as_tail) > _LADDER_TAIL_BUDGET:
         raise TruncationTooCoarse(
             f"ladder pmf truncation tails ({q_ds_tail:.3f}, {q_as_tail:.3f}) above {_LADDER_TAIL_BUDGET}"
         )
 
-    nu_as, rel1 = _green_sites(down, half, N, x_max + 1, alpha)
-    u_ds, rel2 = _green_sites(up, half + 1, N + 1, x_max, alpha)
+    nu_as, rel1 = _green_sites(*down, half, N, x_max + 1, alpha)
+    u_ds, rel2 = _green_sites(*up, half + 1, N + 1, x_max, alpha)
     V_as = np.cumsum(nu_as)
     U_ds = 1.0 + np.concatenate([[0.0], np.cumsum(u_ds)])
 

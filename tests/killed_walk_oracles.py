@@ -8,12 +8,14 @@ the window wherever it would land.  It takes the killed sites as a mask, so
 it serves free, finite-set and half-line runs alike; dense_half_line is its
 half-line form.  full_window_half_line is run_kernel's half-line loop on the
 whole window, where the FFT has length next_fast_len(3W + 1): the route
-run_kernel took before it stepped only the live sites.  All return the
-arrays of a KernelTable kept at every step.
+run_kernel took before it stepped only the live sites.  All three return
+the arrays of a KernelTable kept at every step.  two_run_ladder is
+ladder_renewals from two single-law half-line runs, the route it took
+before it stepped both rows in one batch.
 """
 import numpy as np
 
-from stablewalk.killed_walk import _fft_stepper
+from stablewalk.killed_walk import HALF_LE_0, _fft_stepper, _ladder_tables, default_window, run_kernel
 
 
 def _start(starts, n_max: int, W: int, width: int):
@@ -90,3 +92,12 @@ def full_window_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -
         out["values"].append(states.copy())
         out["green"].append(out["green"][-1] + states)
     return out
+
+
+def two_run_ladder(law, x_max: int):
+    """ladder_renewals(law, x_max) from a run of the law from 1 and a separate run of law.reversed() from 0."""
+    N = max(8192, int(4.0 * x_max ** law.spec.alpha))
+    half, W = N // 2, default_window(law, N)
+    down = run_kernel(law, HALF_LE_0, [1], N, window=W, keep=[half, N], entrance_depth=x_max)
+    up = run_kernel(law.reversed(), HALF_LE_0, [0], N + 1, window=W, keep=[half + 1, N, N + 1], entrance_depth=x_max)
+    return _ladder_tables((down, 0), (up, 0), N, x_max, law.spec.alpha)

@@ -1,12 +1,17 @@
 """The package names the benchmark (perfbench/) wraps and calls must exist.
 
 A rename then fails here instead of crashing a benchmark run.  The tracer
-module is only loaded, never installed; the workload module is only parsed.
+module is loaded, and installed only in a subprocess, whose patched modules
+die with it; the workload module is only parsed.
 """
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,3 +171,40 @@ def test_fft_stepper_keeps_the_call_shape_the_tracer_wraps(sym15):
         states[:, -1] = 1.0
         inside, below, above = step(states)
         assert inside.shape == (2, S) and below.shape == (2,) and above.shape == (2,)
+
+
+_TRACED_DUAL_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+tracer = tracer_mod.Tracer()
+tracer.install()
+from stablewalk import Family, TailSpec, build_walk_law, killed_walk
+law = build_walk_law(TailSpec(alpha=1.5, family=Family("two_sided_pareto"), B=0.4, q_plus=0.7, q_minus=0.3))
+tracer.reset()
+table = killed_walk.run_kernel(law, killed_walk.HALF_LE_0, [1, 3], 32, window=64, dual_starts=[0])
+m = tracer.metrics(1.0)
+print(json.dumps({"rows": len(table.starts), "calls": m["killed_walk.run_kernel.calls"],
+                  "steps": m["killed_walk.run_kernel.steps"], "stepped": m["killed_walk.steps"],
+                  "step_us": m["killed_walk.step_us"]}))
+"""
+
+
+def test_tracer_counts_a_dual_row_run():
+    """The installed tracer wraps a run_kernel batch with rows of law and of law.reversed().
+
+    It binds run_kernel's signature, hashes the one law it is given and wraps
+    _fft_stepper as stepper(law, W), so a batch whose stepper takes one law
+    per row must pass through all three and be counted row by row.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    env.pop("STABLEWALK_CACHE", None)
+    out = subprocess.run([sys.executable, "-c", _TRACED_DUAL_RUN, str(TRACER)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["rows"] == 3 and got["calls"] == 1
+    assert got["steps"] == 3 * 32
+    assert got["stepped"] == {"64": 3 * 32}
+    assert set(got["step_us"]) == {"64"} and got["step_us"]["64"] > 0

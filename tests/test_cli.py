@@ -124,7 +124,7 @@ _TABLE_KINDS = {
 
 
 def _small_ladder(law, x_max):
-    """A LadderTables of hand-set values in place of the two 8192-step half-line runs."""
+    """A LadderTables of hand-set values in place of the two-row 8192-step half-line batch."""
     x = np.arange(x_max + 1, dtype=float)
     return killed_walk.LadderTables(
         q_ds=np.array([0.5, 0.25]), q_ds_tail=0.25, q_as_tail=0.0, V_as=0.5 * x, U_ds=1.0 + x / 3.0,

@@ -1,5 +1,6 @@
 """Kernel DP: conservation, duality, Chapman-Kolmogorov, oracles, ladders."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -119,6 +120,51 @@ def test_set_run_matches_dense_matrix(name, A, starts):
     assert as_array.killing == tab.killing
     np.testing.assert_array_equal(as_array.values[n], tab.values[n])
     np.testing.assert_array_equal(as_array.step_killed, tab.step_killed)
+
+
+_TABLE_ARRAYS = ("step_killed", "escaped", "entrance", "entrance_lump")
+
+
+@pytest.mark.parametrize("name", ["sp15", "asym15"])
+@pytest.mark.parametrize(
+    "B, depth",
+    [(HALF_LE_0, 0), (HALF_LE_0, 7), (("le", -1), 0), ([0], 0), ([-1, 0, 2], 0), (None, 0)],
+)
+def test_dual_rows_match_single_law_runs(name, B, depth):
+    """Rows under law and under law.reversed() in one batch equal the two single-law runs bit for bit.
+
+    Starts 1 and 0 on (-inf, 0] are the ladder's rows.  Each row also meets
+    the dense killed matrix of its own law; asym15 is not self-dual.
+    """
+    from killed_walk_oracles import dense_half_line, dense_killed
+
+    law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
+    starts, dual = [1, 4], [0]
+    both = run_kernel(law, B, starts, n, window=W, entrance_depth=depth, dual_starts=dual)
+    assert both.starts == starts + dual
+    rev = law.reversed()
+    singles = [run_kernel(law, B, starts, n, window=W, entrance_depth=depth),
+               run_kernel(rev, B, dual, n, window=W, entrance_depth=depth)]
+    rows = [slice(0, len(starts)), slice(len(starts), None)]
+    for single, rows_of in zip(singles, rows):
+        for m in range(n + 1):
+            assert np.array_equal(both.values[m][rows_of], single.values[m]), m
+            assert np.array_equal(both.green[m][rows_of], single.green[m]), m
+        for key in _TABLE_ARRAYS:
+            got, want = getattr(both, key), getattr(single, key)
+            assert (got is None) == (want is None), key
+            assert got is None or np.array_equal(got[rows_of], want), key
+    for row_law, rows_of, row_starts in ((law, rows[0], starts), (rev, rows[1], dual)):
+        if isinstance(B, tuple):
+            want = dense_half_line(row_law, B[1], row_starts, n, W, depth)
+        else:
+            A = B or []
+            want = dense_killed(row_law, np.isin(np.arange(-W, W + 1), A), row_starts, n, W, A, below_killed=False)
+        got = {"values": [both.values[m][rows_of] for m in range(n + 1)],
+               "green": [both.green[m][rows_of] for m in range(n + 1)]}
+        got.update((key, getattr(both, key)[rows_of]) for key in _TABLE_ARRAYS if getattr(both, key) is not None)
+        for key, arr in got.items():
+            assert np.abs(np.asarray(arr) - np.asarray(want[key])).max(initial=0.0) <= 1e-13, key
 
 
 @pytest.mark.parametrize(
@@ -297,9 +343,22 @@ def test_halfline_vs_point_killing_spectral(sp15):
 
 
 @pytest.mark.slow
-def test_ladder_tables(sp15):
+def test_ladder_tables(sp15, monkeypatch):
+    """One run_kernel call and one stepper give the two-run tables bit for bit, and the renewal trends hold."""
+    from killed_walk_oracles import two_run_ladder
+    from stablewalk import killed_walk
+
     p = stable_params_of(sp15)
+    calls = []
+    for name in ("run_kernel", "_fft_stepper"):
+        real = getattr(killed_walk, name)
+        monkeypatch.setattr(killed_walk, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     lt = ladder_renewals(sp15, x_max=128)
+    assert calls == ["run_kernel", "_fft_stepper"]
+    monkeypatch.undo()
+    oracle = two_run_ladder(sp15, 128)
+    for f in fields(lt):
+        assert np.array_equal(getattr(lt, f.name), getattr(oracle, f.name)), f.name
     # renewal-function conventions
     assert lt.V_as[0] >= 1.0
     assert lt.U_ds[0] == pytest.approx(1.0)
