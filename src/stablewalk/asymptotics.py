@@ -432,18 +432,20 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] on symmetric laws.
 
     Decomposes along the first entry into (-inf, 0]: the entrance law h(k, z)
-    from x times p^{n-k}_0(z, y), normalised by p^n_0(x, y).  The second
-    factor is read at site -z of the reversed law's {0}-killed run from -y,
-    which holds p^{n-k}_0(y, z).  That equals p^{n-k}_0(z, y) only when the
-    law is symmetric, so on a skewed law the value is not the stated
-    probability (the FOUND line on tunneling_check in CHANGES.md).
+    from x (the step-k growth of the forward run's Green sums on [-W, 0])
+    times p^{n-k}_0(z, y), normalised by p^n_0(x, y).  The second factor is
+    read at site -z of the reversed law's {0}-killed run from -y, which holds
+    p^{n-k}_0(y, z).  That equals p^{n-k}_0(z, y) only when the law is
+    symmetric, so on a skewed law the value is not the stated probability
+    (the FOUND line on tunneling_check in CHANGES.md).
     """
     if not (x > 0 > y):
         raise RegimeViolation("need x > 0 > y")
     law = ctx.law
     W = default_window(law, n)
-    ent = run_kernel(law, HALF_LE_0, [x], n, window=W, keep=[n], entrance_depth=W)
-    h = ent.entrance[0]  # h[k, d]: entry at step k at site -d (boundary 0)
+    ent = run_kernel(law, HALF_LE_0, [x], n, window=W, entrance_depth=W)
+    strip = np.array([ent.green[k][0, W::-1] for k in range(n + 1)])  # sites 0, -1, ..., -W; no unit as x > 0
+    h = np.diff(strip, axis=0, prepend=0.0)  # h[k, d]: entry at step k at site -d (boundary 0)
     # every step of the reversed run from -y, which the context does not keep
     dual = run_kernel(law.reversed(), _ORIGIN, [-y], n, window=W)
     denom = ctx.dp_slice(_ORIGIN, x, n).at(y)
@@ -459,7 +461,7 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
         probs.append(num / denom)
         rep.record(num / denom, float(R), n=n, x=x, y=y, regime="tunnel")
     rep.notes["probs"] = probs
-    rep.notes["entrance_lump"] = float(ent.entrance_lump[0].sum())
+    rep.notes["entrance_lump"] = float(ent.killed[0, n] - strip[n].sum())  # killed below the window
     return rep.finish([0.0], all(probs[i] >= probs[i + 1] for i in range(len(probs) - 1)), True)
 
 

@@ -1,9 +1,9 @@
 """Batch front door: build laws, materialise tables, run verification suites.
 
 Exit codes: 0 pass, 1 trend-criterion failure, 2 configuration error,
-3 numerical-budget error.  Every run writes a manifest listing its outputs
-with content hashes; reruns with an identical configuration are
-byte-identical.
+3 numerical-budget error (verify records it per id and runs the rest).
+Every run writes a manifest listing its outputs with content hashes; reruns
+with an identical configuration are byte-identical.
 """
 from __future__ import annotations
 
@@ -99,7 +99,19 @@ def cmd_law(args) -> int:
     return EXIT_PASS
 
 
+def _table_sites(args) -> list:
+    """The --set values (floats for --kind density, else sites), once --n, --x-max, --window and --t are in range."""
+    if min(args.n, args.x_max) < 0 or (args.window is not None and args.window < 1) or not args.t > 0:
+        raise ConfigError(f"--n {args.n}, --x-max {args.x_max}, --window {args.window}, --t {args.t}: "
+                          "need n >= 0, x-max >= 0, window >= 1, t > 0")
+    try:
+        return [(float if args.kind == "density" else int)(v) for v in args.set.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--set {args.set!r}: {exc}") from None
+
+
 def cmd_table(args) -> int:
+    sites = _table_sites(args)
     manifest = RunManifest("table", args)
     out = _out_dir(args)
     law = _load_law(args)
@@ -109,14 +121,12 @@ def cmd_table(args) -> int:
         table = run_kernel(law, None, [0], args.n, window=args.window, keep=[args.n])
         name, text = f"kernel_n{args.n}.csv", table.to_csv(args.n)
     elif kind == "killed":
-        killing = ("set", tuple(int(z) for z in args.set.split(",")))
-        table = run_kernel(law, killing, [args.x], args.n, window=args.window, keep=[args.n])
+        table = run_kernel(law, ("set", tuple(sites)), [args.x], args.n, window=args.window, keep=[args.n])
         name, text = f"killed_n{args.n}.csv", table.to_csv(args.n)
     elif kind == "potential":
         name, text = "potential.csv", PotentialTable(law).to_csv(args.x_max)
     elif kind == "fp":
-        killing = ("set", tuple(int(z) for z in args.set.split(",")))
-        fp = first_passage(law, killing, args.x, args.n, window=args.window)
+        fp = first_passage(law, ("set", tuple(sites)), args.x, args.n, window=args.window)
         name = f"fp_x{args.x}_n{args.n}.csv"
         text = csv_text(("n", "f"), [(n, fp.f[n]) for n in range(1, args.n + 1)])
     elif kind == "constants":
@@ -127,10 +137,9 @@ def cmd_table(args) -> int:
         }
         name, text = "constants.json", json_text({f"({params.alpha!r},{params.gamma!r})": clean})
     elif kind == "density":
-        xs = [float(v) for v in args.set.split(",")]
-        vals, errs = density_grid(args.t, xs, stable_params_of(law))
+        vals, errs = density_grid(args.t, sites, stable_params_of(law))
         name = "density.csv"
-        text = csv_text(("t", "x", "value", "abs_error_estimate"), [(args.t, *row) for row in zip(xs, vals, errs)])
+        text = csv_text(("t", "x", "value", "abs_error_estimate"), [(args.t, *row) for row in zip(sites, vals, errs)])
     elif kind == "ladder":
         lt = ladder_renewals(law, x_max=args.x_max)
         cols = (lt.U_ds, lt.V_as, lt.U_ds_recursion, lt.V_as_recursion)
@@ -205,9 +214,11 @@ def cmd_verify(args) -> int:
     for name in names:
         try:
             reports = reg[name]()
+        except _BUDGET_ERRORS as exc:
+            print(f"{name}: numerical budget error ({exc})", file=sys.stderr)
+            summaries.append({"theorem_id": name, "passed": None, "budget_error": f"{type(exc).__name__}: {exc}"})
+            continue
         except StableWalkError as exc:
-            if isinstance(exc, _BUDGET_ERRORS):
-                raise
             if single:
                 # an explicitly requested theorem whose precondition fails is
                 # a configuration error (e.g. thm6 on a C+ = inf family)
@@ -223,6 +234,8 @@ def cmd_verify(args) -> int:
             all_pass &= rep.passed
     manifest.write_output(out / "summary.json", json_text(summaries))
     manifest.write(out)
+    if any("budget_error" in entry for entry in summaries):
+        return EXIT_BUDGET
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 

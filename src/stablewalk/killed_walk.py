@@ -18,18 +18,17 @@ goes to the escaped ledger, so
 
 holds to float accumulation error at every step.
 
-Every run also records the Green sums (the occupation measure up to each
-kept step) and the entrance ledger, read off the killed sites it records:
-a finite set's in-window sites, or the strip b, b - 1, ..., b - entrance_depth.
-run_kernel is the only DP loop: the ladder renewal functions are the Green
-sums of one two-row half-line batch, a row of the law and a row of its
-reversal.
+Every run also records its Green sums, the states of steps 0..n summed
+before each kill: off B the Green function G_B(x, .) up to step n, and on
+B's live sites P_x[sigma_B <= n, S_sigma = .] plus 1 at a start there (the
+first-entrance split).  run_kernel is the only DP loop: the ladder pmfs and
+renewal functions are the Green sums of one two-row half-line batch.
 
 On a window law.reversed()'s B-killed step matrix is the law's transposed:
 its {0}-killed run from 0 gives f^x_W(n) for every x, and its A-killed run
 from z in A holds P_x[sigma_A = n, S_n = z] at site x, so cor3 and finite
 read the space-time hitting law of A off the reversed A-killed runs, with
-the forward entrance ledger as oracle.  A batch's rows may carry either law:
+the forward run's Green sums on A as oracle.  A batch's rows may carry either law:
 run_kernel's dual_starts rows step under law.reversed() beside the starts'
 rows under law.  Every row equals, bit for bit, the single-start run of its
 law with the same live sites, as in every batch of starts at or above
@@ -86,14 +85,11 @@ class KernelTable:
     starts holds each row's start: the run's starts, then its dual_starts,
     whose rows step under the reversed law.
     values[n] is an array (n_rows, 2W+1) and green[n] the sum of the
-    states of steps 0..n (after killing), both for each kept n; step_killed
-    is the per-step kill mass (the first-passage mass into B at that step),
-    and escaped and killed (derived from step_killed) are the cumulative
-    per-start ledgers indexed by step.
-    entrance[:, n, j] is the mass entering B at step n at its j-th sorted
-    in-window site for finite-set killing (no site for the free walk), or at
-    depth j below the boundary for half-line killing with entrance_depth
-    (entrance_lump holding the deeper rest).
+    states of steps 0..n before each kill, both for each kept n: on B's live
+    sites the mass that entered there by step n, plus 1 at a start there;
+    step_killed is the per-step kill mass (the first-passage mass into B at
+    that step), and escaped and killed (derived from step_killed) are the
+    cumulative per-start ledgers indexed by step.
     """
 
     killing: object
@@ -104,8 +100,6 @@ class KernelTable:
     green: dict = field(default_factory=dict)
     step_killed: np.ndarray | None = None
     escaped: np.ndarray | None = None
-    entrance: np.ndarray | None = None
-    entrance_lump: np.ndarray | None = None
 
     @property
     def killed(self) -> np.ndarray:
@@ -181,9 +175,8 @@ def run_kernel(
     B: ("le", b), ("set", sites), an iterable of sites, or None (no killing).
     keep: list of n to store values and Green sums for (default: all
     n <= n_max).
-    entrance_depth: for half-line 'le' killing, store the entrance law
-    h(n, y) for landing points within depth of the boundary.  Finite-set
-    killing always stores the entrance law into each in-window site.
+    entrance_depth: for half-line 'le' killing, keep b, ..., b - entrance_depth
+    live, so green holds the entrance law there, as on a finite set's sites.
     dual_starts: starts of further rows, stepped under law.reversed() in the
     same batch; the table's starts are starts then dual_starts, one per row.
     """
@@ -195,7 +188,7 @@ def run_kernel(
     B = _normalize_killing(B)
     half_le = B[0] == "le"
     if entrance_depth and not half_le:
-        raise ValueError("entrance collection needs half-line killing")
+        raise ValueError("entrance_depth needs half-line killing")
     keep_set = set(keep) if keep is not None else set(range(n_max + 1))
     laws = law if not dual_starts else [law] * (len(starts) - len(dual_starts)) + [law.reversed()] * len(dual_starts)
     step, esc_p, esc_m = _fft_stepper(laws, W)
@@ -203,14 +196,11 @@ def run_kernel(
     # live sites [lo, W]: a run killed on (-inf, b] is zero on (-inf, b] after each
     # kill, so it needs sites there only for its entrance strip [b - depth, b] and starts
     lo = max(-W, min(B[1] - entrance_depth, *starts)) if half_le else -W
-    # the killed live indices, and those the entrance ledger records, in its order
+    # the killed live indices; no live site is killed when b lies below the window
     if half_le:
-        cut = max(B[1] - lo + 1, 0)  # no live site is killed when b lies below the window
-        killed = slice(0, cut)
-        deep = max(cut - (entrance_depth + 1), 0)
-        recorded = np.arange(cut - 1, deep - 1, -1)  # d = 0 <-> landing at b
+        killed = slice(0, max(B[1] - lo + 1, 0))
     else:
-        killed = recorded = np.array([z - lo for z in B[1] if abs(z) <= W], dtype=np.int64)
+        killed = np.array([z - lo for z in B[1] if abs(z) <= W], dtype=np.int64)
     ns = len(starts)
     states = np.zeros((ns, W - lo + 1))
     states[np.arange(ns), np.array(starts, dtype=np.int64) - lo] = 1.0
@@ -222,10 +212,6 @@ def run_kernel(
 
     table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts,
                         step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
-    if entrance_depth or not half_le:
-        table.entrance = np.zeros((ns, n_max + 1, entrance_depth + 1 if half_le else len(recorded)))
-    if entrance_depth:
-        table.entrance_lump = np.zeros((ns, n_max + 1))
     green = states.copy()
     if 0 in keep_set:
         table.values[0] = window_rows(states)
@@ -237,19 +223,15 @@ def run_kernel(
         states, below, above = step(states)
         jump_up = alive * esc_p
         jump_dn = alive * esc_m
-        if table.entrance is not None:
-            table.entrance[:, n, : len(recorded)] = states[:, recorded]
+        green += states  # before the kill: the killed live sites keep what entered them
         kill_now = states[:, killed].sum(axis=1)
         if half_le:
             # mass below the live sites, by overflow or by a jump past the window, lands in B
             kill_now = kill_now + below + jump_dn
-            if entrance_depth:
-                table.entrance_lump[:, n] = states[:, :deep].sum(axis=1) + below + jump_dn
             escaped_cum += above + jump_up
         else:
             escaped_cum += below + above + jump_up + jump_dn
         states[:, killed] = 0.0
-        green += states
         table.step_killed[:, n] = kill_now
         table.escaped[:, n] = escaped_cum
         if n in keep_set:
@@ -358,6 +340,7 @@ class LadderTables:
     the first weak ascending ladder height, and after its first step it
     holds mu(z) = p(-z), z >= 1, so its Green sums are
         u_ds(y) = sum_m [mu Phat^m_{(-inf,0]}](y).
+    Both pmfs are the rows' Green sums on the strip 0, -1, ..., -x_max.
     Each row is bit for bit the single-law run of its law, so the tables
     equal those of two separate half-line runs.
     Both Green sums get a power-tail extrapolation of the step truncation;
@@ -379,10 +362,11 @@ class LadderTables:
         return float((ys * self.q_ds).sum() / max(self.q_ds.sum(), 1e-300))
 
 
-def _ladder_pmf(table: KernelTable, row: int, n: int) -> tuple[np.ndarray, float]:
-    """Entrance law of a row into (-inf, 0] by depth over steps <= n, and its missing mass."""
-    q = table.entrance[row, : n + 1].sum(axis=0)
-    tail = table.values[n][row].sum() + table.escaped[row, n] + table.entrance_lump[row, : n + 1].sum()
+def _ladder_pmf(table: KernelTable, row: int, n: int, depth: int) -> tuple[np.ndarray, float]:
+    """A row's entrance law by depth by step n: its Green sums on 0..-depth less a start's unit; and the rest."""
+    W = table.window
+    q = table.green[n][row, W - depth : W + 1][::-1] - (np.arange(depth + 1) == -table.starts[row])
+    tail = table.values[n][row].sum() + table.escaped[row, n] + table.killed[row, n] - q.sum()
     return q, float(tail)
 
 
@@ -427,8 +411,8 @@ def ladder_renewals(law: WalkLaw, x_max: int = 256) -> LadderTables:
 def _ladder_tables(down: tuple, up: tuple, N: int, x_max: int, alpha: float) -> LadderTables:
     """LadderTables from the (table, row) of the law's run from 1 and of the reversed law's from 0."""
     half = N // 2
-    q_ds, q_ds_tail = _ladder_pmf(*down, N)
-    q_as, q_as_tail = _ladder_pmf(*up, N)
+    q_ds, q_ds_tail = _ladder_pmf(*down, N, x_max)
+    q_as, q_as_tail = _ladder_pmf(*up, N, x_max)
     if max(q_ds_tail, q_as_tail) > _LADDER_TAIL_BUDGET:
         raise TruncationTooCoarse(
             f"ladder pmf truncation tails ({q_ds_tail:.3f}, {q_as_tail:.3f}) above {_LADDER_TAIL_BUDGET}"

@@ -9,7 +9,9 @@ it serves free, finite-set and half-line runs alike; dense_half_line is its
 half-line form.  full_window_half_line is run_kernel's half-line loop on the
 whole window, where the FFT has length next_fast_len(3W + 1): the route
 run_kernel took before it stepped only the live sites.  All three return
-the arrays of a KernelTable kept at every step.  two_run_ladder is
+the arrays of a KernelTable kept at every step, with green summed before
+each kill over the whole window: run_kernel's green equals it on the live
+sites and is 0 below them.  two_run_ladder is
 ladder_renewals from two single-law half-line runs, the route it took
 before it stepped both rows in one batch.
 """
@@ -18,23 +20,22 @@ import numpy as np
 from stablewalk.killed_walk import HALF_LE_0, _fft_stepper, _ladder_tables, default_window, run_kernel
 
 
-def _start(starts, n_max: int, W: int, width: int):
+def _start(starts, n_max: int, W: int):
     """Unit states at the starts on [-W, W], and the arrays of a run kept at every step."""
     ns = len(starts)
     state = np.zeros((ns, 2 * W + 1))
     state[np.arange(ns), np.array(starts) + W] = 1.0
     return state, {"values": [state.copy()], "green": [state.copy()], "step_killed": np.zeros((ns, n_max + 1)),
-                   "escaped": np.zeros((ns, n_max + 1)), "entrance": np.zeros((ns, n_max + 1, width)),
-                   "entrance_lump": np.zeros((ns, n_max + 1))}
+                   "escaped": np.zeros((ns, n_max + 1))}
 
 
-def dense_killed(law, killed, starts, n_max: int, W: int, recorded, below_killed: bool) -> dict:
-    """values, green, step_killed, escaped, entrance, entrance_lump of the walk killed on the sites killed marks.
+def dense_killed(law, killed, starts, n_max: int, W: int, below_killed: bool) -> dict:
+    """values, green, step_killed, escaped of the walk killed on the sites killed marks.
 
     killed is a boolean mask over [-W, W].  Mass leaving the window downward
-    is a kill when below_killed (a half-line) and escapes otherwise.
-    entrance[:, n, j] is the mass landing on recorded[j] at step n (zero for a
-    site outside the window), and entrance_lump the rest of the step's kill.
+    is a kill when below_killed (a half-line) and escapes otherwise.  On the
+    killed sites green[n] holds the mass that landed there by step n, plus
+    1 at a start there.
     """
     sites = np.arange(-W, W + 1)
     jump = sites[None, :] - sites[:, None]                                # site x -> site y
@@ -42,55 +43,44 @@ def dense_killed(law, killed, starts, n_max: int, W: int, recorded, below_killed
     # X > W, or X <= W and x + X > W; X < -W, or X >= -W and x + X < -W
     up = np.array([law.cumulative_plus(W + 1 - max(x, 0)) for x in sites])
     down = np.array([law.cumulative_minus(W + 1 + min(x, 0)) for x in sites])
-    state, out = _start(starts, n_max, W, len(recorded))
-    rest = killed & ~np.isin(sites, recorded)
+    state, out = _start(starts, n_max, W)
     for n in range(1, n_max + 1):
         nxt = state @ move
         jump_dn = state @ down
         if below_killed:
             out["escaped"][:, n] = out["escaped"][:, n - 1] + state @ up
             out["step_killed"][:, n] = nxt[:, killed].sum(axis=1) + jump_dn
-            out["entrance_lump"][:, n] = nxt[:, rest].sum(axis=1) + jump_dn
         else:
             out["escaped"][:, n] = out["escaped"][:, n - 1] + state @ up + jump_dn
             out["step_killed"][:, n] = nxt[:, killed].sum(axis=1)
-            out["entrance_lump"][:, n] = nxt[:, rest].sum(axis=1)
-        for j, z in enumerate(recorded):
-            if abs(z) <= W:
-                out["entrance"][:, n, j] = nxt[:, z + W]
+        out["green"].append(out["green"][-1] + nxt)
         nxt[:, killed] = 0.0
         state = nxt
         out["values"].append(state.copy())
-        out["green"].append(out["green"][-1] + state)
     return out
 
 
-def dense_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
-    """dense_killed on (-inf, b], recording the strip b, b - 1, ..., b - depth."""
-    killed = np.arange(-W, W + 1) <= b
-    return dense_killed(law, killed, starts, n_max, W, [b - d for d in range(depth + 1)], below_killed=True)
+def dense_half_line(law, b: int, starts, n_max: int, W: int) -> dict:
+    """dense_killed on (-inf, b]."""
+    return dense_killed(law, np.arange(-W, W + 1) <= b, starts, n_max, W, below_killed=True)
 
 
-def full_window_half_line(law, b: int, starts, n_max: int, W: int, depth: int) -> dict:
+def full_window_half_line(law, b: int, starts, n_max: int, W: int) -> dict:
     """The same arrays from the half-line loop stepping the whole window [-W, W]."""
     step, esc_p, esc_m = _fft_stepper(law, W)
-    states, out = _start(starts, n_max, W, depth + 1)
+    states, out = _start(starts, n_max, W)
     cut = max(b + W + 1, 0)  # indices [0, cut) are killed states
     escaped_cum = np.zeros(len(starts))
     for n in range(1, n_max + 1):
         alive = states.sum(axis=1)
         states, below, above = step(states)
         kill_now = states[:, :cut].sum(axis=1) + below + alive * esc_m
-        lo = max(cut - (depth + 1), 0)
-        strip = states[:, lo:cut][:, ::-1]
-        out["entrance"][:, n, : strip.shape[1]] = strip
-        out["entrance_lump"][:, n] = kill_now - strip.sum(axis=1)
+        out["green"].append(out["green"][-1] + states)
         states[:, :cut] = 0.0
         escaped_cum += above + alive * esc_p
         out["step_killed"][:, n] = kill_now
         out["escaped"][:, n] = escaped_cum
         out["values"].append(states.copy())
-        out["green"].append(out["green"][-1] + states)
     return out
 
 

@@ -269,7 +269,9 @@ def test_dual_set_slice_is_the_forward_entrance_law(name):
     ctx, n, A = get_ctx(name), 256, (-1, 0, 2)
     runs = ctx.dual_slice(("set", A), A, n)
     xs = [-40, -7, -2, 1, 3, 5, 20, 60]
-    entrance = run_kernel(ctx.law, A, xs, n, window=512, keep=[]).entrance[:, n]
+    # the forward run's step-n entrance law into A: the growth of its Green sums on A at step n
+    fwd = run_kernel(ctx.law, A, xs, n, window=512, keep=[n - 1, n])
+    entrance = (fwd.green[n] - fwd.green[n - 1])[:, np.array(A) + 512]
     for j, z in enumerate(A):
         got = np.array([runs[z][n].at(x) for x in xs])
         # the FFT's round-off is absolute, about 1e-17 here: sp15's rare entries at -1 (~1e-8) differ by 2e-12 relative

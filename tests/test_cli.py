@@ -151,6 +151,41 @@ def test_table_kinds(kind, built_law, tmp_path, monkeypatch):
     assert manifest["outputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
+@pytest.mark.parametrize("kind, extra", [
+    ("killed", ["--set", "0,a"]),
+    ("density", ["--set", "0,x"]),
+    ("kernel", ["--n", "-3"]),
+    ("ladder", ["--x-max", "-3"]),
+    ("density", ["--t", "0"]),
+    ("kernel", ["--window", "0"]),
+    ("kernel", ["--window", "-5"]),
+])
+def test_table_rejects_malformed_options(kind, extra, built_law, tmp_path, capsys):
+    """A malformed --set, --n or --x-max < 0, --window < 1 or --t <= 0 is a configuration error, before any output."""
+    assert main(["table", "--kind", kind, "--law", str(built_law), *extra, "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: --")
+    assert not (tmp_path / "t").exists()
+
+
+def test_verify_all_goes_on_after_a_budget_error(built_law, tmp_path, monkeypatch, capsys):
+    """A budget error ends its own id only: the later ids run, both JSON files are written, and the exit is 3."""
+    from stablewalk.errors import TruncationTooCoarse
+
+    def too_coarse(ctx, quick):
+        raise TruncationTooCoarse("tails above budget")
+
+    monkeypatch.setattr(asymptotics, "verify_finite_set", too_coarse)
+    out = tmp_path / "vall"
+    assert main(["verify", "all", "--quick", "--law", str(built_law), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "finite: numerical budget error (tails above budget)\n"
+    summary = {s["theorem_id"]: s for s in json.loads((out / "summary.json").read_text())}
+    assert summary["finite"] == {"theorem_id": "finite", "passed": None,
+                                 "budget_error": "TruncationTooCoarse: tails above budget"}
+    assert {"llt", "prop23"} <= set(summary)  # the ids after finite ran
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert str(out / "summary.json") in manifest["outputs"]
+
+
 def test_verify_quick_pass_and_report(built_law, tmp_path):
     out = tmp_path / "v"
     assert main(["verify", "thm1", "--law", str(built_law), "--out", str(out), "--quick"]) == 0

@@ -70,6 +70,12 @@ def test_stepper_on_the_last_sites_matches_linear_convolution(asym15, S_minus_W)
 _ORACLE_W, _ORACLE_N = 40, 60
 
 
+def _on_live_sites(green, b: int, depth: int, starts, W: int) -> list:
+    """An oracle's green as a half-line run keeps it: 0 below its live sites [max(-W, min(b - depth, starts)), W]."""
+    live = np.arange(-W, W + 1) >= max(-W, min(b - depth, *starts))
+    return [g * live for g in green]
+
+
 @pytest.mark.parametrize("name", ["sp15", "asym15"])
 @pytest.mark.parametrize("b", [0, -1, -_ORACLE_W - 5])
 @pytest.mark.parametrize("depth", [0, 7, _ORACLE_W])
@@ -77,6 +83,8 @@ _ORACLE_W, _ORACLE_N = 40, 60
 def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
     """run_kernel on the live sites against a dense killed transition matrix and the full-window loop.
 
+    green is checked at every step on every live site, the killed strip
+    b, ..., b - depth included, where it holds the entrance law by depth.
     depth = W is tunneling_check's entrance strip, start 0 is the ladder's
     reversed run, and start -5 lies inside B below the strip.  At b = -W - 5
     no site of the window is killed, only the mass that leaves it downward.
@@ -87,10 +95,9 @@ def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
     tab = run_kernel(law, ("le", b), starts, n, window=W, entrance_depth=depth)
     got = {"values": [tab.values[m] for m in range(n + 1)], "green": [tab.green[m] for m in range(n + 1)],
            "step_killed": tab.step_killed, "escaped": tab.escaped}
-    if depth:
-        got["entrance"], got["entrance_lump"] = tab.entrance, tab.entrance_lump
     for oracle in (dense_half_line, full_window_half_line):
-        want = oracle(law, b, starts, n, W, depth)
+        want = oracle(law, b, starts, n, W)
+        want["green"] = _on_live_sites(want["green"], b, depth, starts, W)
         for key, arr in got.items():
             assert np.abs(np.asarray(arr) - np.asarray(want[key])).max() <= 1e-13, (oracle.__name__, key)
 
@@ -101,18 +108,19 @@ def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
 def test_set_run_matches_dense_matrix(name, A, starts):
     """Free (B = None) and finite-set runs against a dense killed transition matrix at every step.
 
-    The last set holds the window's lowest site, where the DP's kill and its
-    downward escape meet, and a site beyond the window, which no run records.
-    The set passed as a NumPy array gives the same run as the list.
+    green is checked on every site, those of A included, where it holds the
+    entrance law by site.  The last set holds the window's lowest site, where
+    the DP's kill and its downward escape meet, and a site beyond the window,
+    which no run records.  The set passed as a NumPy array gives the same run
+    as the list.
     """
     from killed_walk_oracles import dense_killed
 
     law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
     tab = run_kernel(law, list(A) or None, starts, n, window=W)
-    recorded = [z for z in A if abs(z) <= W]
-    want = dense_killed(law, np.isin(np.arange(-W, W + 1), A), starts, n, W, recorded, below_killed=False)
+    want = dense_killed(law, np.isin(np.arange(-W, W + 1), A), starts, n, W, below_killed=False)
     got = {"values": [tab.values[m] for m in range(n + 1)], "green": [tab.green[m] for m in range(n + 1)],
-           "step_killed": tab.step_killed, "escaped": tab.escaped, "entrance": tab.entrance}
+           "step_killed": tab.step_killed, "escaped": tab.escaped}
     for key, arr in got.items():
         assert np.shape(arr) == np.shape(want[key]), key
         assert np.abs(np.asarray(arr) - np.asarray(want[key])).max(initial=0.0) <= 1e-13, key
@@ -122,7 +130,7 @@ def test_set_run_matches_dense_matrix(name, A, starts):
     np.testing.assert_array_equal(as_array.step_killed, tab.step_killed)
 
 
-_TABLE_ARRAYS = ("step_killed", "escaped", "entrance", "entrance_lump")
+_TABLE_ARRAYS = ("step_killed", "escaped")
 
 
 @pytest.mark.parametrize("name", ["sp15", "asym15"])
@@ -151,18 +159,16 @@ def test_dual_rows_match_single_law_runs(name, B, depth):
             assert np.array_equal(both.values[m][rows_of], single.values[m]), m
             assert np.array_equal(both.green[m][rows_of], single.green[m]), m
         for key in _TABLE_ARRAYS:
-            got, want = getattr(both, key), getattr(single, key)
-            assert (got is None) == (want is None), key
-            assert got is None or np.array_equal(got[rows_of], want), key
+            assert np.array_equal(getattr(both, key)[rows_of], getattr(single, key)), key
     for row_law, rows_of, row_starts in ((law, rows[0], starts), (rev, rows[1], dual)):
         if isinstance(B, tuple):
-            want = dense_half_line(row_law, B[1], row_starts, n, W, depth)
+            want = dense_half_line(row_law, B[1], row_starts, n, W)
+            want["green"] = _on_live_sites(want["green"], B[1], depth, starts + dual, W)
         else:
-            A = B or []
-            want = dense_killed(row_law, np.isin(np.arange(-W, W + 1), A), row_starts, n, W, A, below_killed=False)
+            want = dense_killed(row_law, np.isin(np.arange(-W, W + 1), B or []), row_starts, n, W, below_killed=False)
         got = {"values": [both.values[m][rows_of] for m in range(n + 1)],
                "green": [both.green[m][rows_of] for m in range(n + 1)]}
-        got.update((key, getattr(both, key)[rows_of]) for key in _TABLE_ARRAYS if getattr(both, key) is not None)
+        got.update((key, getattr(both, key)[rows_of]) for key in _TABLE_ARRAYS)
         for key, arr in got.items():
             assert np.abs(np.asarray(arr) - np.asarray(want[key])).max(initial=0.0) <= 1e-13, key
 
@@ -178,19 +184,36 @@ def test_conservation_long_run(asym15, B, start, depth):
 
 @pytest.mark.parametrize("B", [None, [0], [-1, 0, 2], HALF_LE_0])
 def test_green_is_running_sum_of_states(asym15, B):
+    """Off B green is the running sum of the kept states; on B it adds the mass that entered there.
+
+    A finite set's sites hold all of its kill; the half-line's live sites
+    [-5, 0] lack the mass killed below them.
+    """
     tab = run_kernel(asym15, B, [3, -5], 256, window=512)
     running = np.cumsum([tab.values[n] for n in range(257)], axis=0)
+    sites = np.arange(-512, 513)
+    on_B = sites <= 0 if B == HALF_LE_0 else np.isin(sites, B or [])
     for n in (0, 1, 17, 256):
-        assert np.abs(tab.green[n] - running[n]).max() <= 1e-13
+        assert np.abs(tab.green[n][:, ~on_B] - running[n][:, ~on_B]).max() <= 1e-13
+        entered = (tab.green[n] - running[n])[:, on_B].sum(axis=1)
+        if B == HALF_LE_0:
+            assert np.all(entered <= tab.killed[:, n] + 1e-13)
+        else:
+            assert np.abs(entered - tab.killed[:, n]).max() <= 1e-13
 
 
 def test_set_entrance_sums_to_step_killed(asym15):
+    """The steps' growth of green on A is the entrance law by site, and its sum over A is step_killed."""
     A = [-1, 0, 2]
-    tab = run_kernel(asym15, A, [5, -4, 0], 512, window=512, keep=[])
-    assert tab.entrance.shape == (3, 513, 3)
-    np.testing.assert_array_equal(tab.entrance.sum(axis=2), tab.step_killed)
+    tab = run_kernel(asym15, A, [5, -4, 0], 512, window=512)
+    on_A = np.array(A) + 512
+    green_A = np.array([tab.green[n][:, on_A] for n in range(513)])  # (step, start, site); start 0 adds a unit
+    entrance = np.diff(green_A, axis=0, prepend=0.0).transpose(1, 0, 2)
+    entrance[:, 0] = 0.0
+    assert entrance.shape == (3, 513, 3)
+    assert np.abs(entrance.sum(axis=2) - tab.step_killed).max() <= 1e-15
     # step 1 from 5 enters A at z with probability p(z - 5)
-    assert np.abs(tab.entrance[0, 1] - asym15.pmf(np.array(A) - 5)).max() < 1e-16
+    assert np.abs(entrance[0, 1] - asym15.pmf(np.array(A) - 5)).max() < 1e-16
 
 
 def _value(table, n: int, x: int, y: int) -> float:
@@ -308,19 +331,28 @@ def test_llt_sup_shrinks(sym15):
 
 
 def test_halfline_entrance_one_step(sp15):
-    he = run_kernel(sp15, HALF_LE_0, [4], 16, window=512, keep=[16], entrance_depth=64)
+    """After one step green holds p(y - 4) at depth d = -y of the strip 0, -1, ..., -64."""
+    he = run_kernel(sp15, HALF_LE_0, [4], 16, window=512, keep=[1], entrance_depth=64)
     ys = -np.arange(0, 65)
-    assert np.abs(he.entrance[0][1] - sp15.pmf(ys - 4)).max() < 1e-16
+    assert np.abs(he.green[1][0, ys + 512] - sp15.pmf(ys - 4)).max() < 1e-16
+    assert not he.green[1][0, : 512 - 64].any()
 
 
 def test_halfline_entrance_conservation(sp15):
-    he = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=128)
-    total = (
-        he.entrance[0].sum()
-        + he.entrance_lump[0].sum()
-        + he.values[64][0].sum()
-        + he.escaped[0, -1]
-    )
+    """The entrance law on the strip 0, ..., -128, the mass entering deeper, the survivors and the escaped mass sum to 1.
+
+    The deeper mass is read off a run whose strip reaches the window's
+    bottom, plus what left the window downward; on the shared strip the two
+    runs agree.
+    """
+    narrow = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=128)
+    wide = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=512)
+    strip = narrow.green[64][0, 512 - 128 : 513]
+    assert np.abs(wide.green[64][0, 512 - 128 : 513] - strip).max() <= 1e-15
+    below_window = wide.killed[0, 64] - wide.green[64][0, :513].sum()
+    deeper = wide.green[64][0, : 512 - 128].sum() + below_window
+    assert 0.0 < deeper < 1e-6
+    total = strip.sum() + deeper + narrow.values[64][0].sum() + narrow.escaped[0, -1]
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -343,6 +375,23 @@ def test_halfline_vs_point_killing_spectral(sp15):
 
 
 @pytest.mark.slow
+def test_ladder_memory_is_bounded(sp15):
+    """The ladder pmfs come off the Green sums at the kept steps: no per-step array over the entrance strip.
+
+    At x_max = 64 the run takes 8194 steps of two rows; a (row, step, depth)
+    entrance array alone would be 8.5 MB, and the whole call peaks near 1.7 MB.
+    """
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ladder_renewals(sp15, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
 def test_ladder_tables(sp15, monkeypatch):
     """One run_kernel call and one stepper give the two-run tables bit for bit, and the renewal trends hold."""
     from killed_walk_oracles import two_run_ladder

@@ -318,15 +318,15 @@ def test_hit_before_vs_dp(sym15, pot15):
     y = 3
     W = 2048
     for x in (2, -3):
-        tab = run_kernel(sym15, [0, y], [x], 16_000, window=W, keep=[])
-        # running hit masses of 0 and y (the set's sorted sites)
-        hit_0, hit_y = np.cumsum(tab.entrance[0], axis=0).T
+        tab = run_kernel(sym15, [0, y], [x], 16_000, window=W, keep=[4000, 8000, 16000])
         seq = []
         closed = hit_before(pot15, x, y)
         for n in (4000, 8000, 16000):
-            seq.append(hit_y[n])
-            undecided = 1.0 - hit_y[n] - hit_0[n]
-            assert hit_y[n] - 1e-12 <= closed <= hit_y[n] + undecided + 1e-12
+            # the Green sums on the set are the running hit masses of 0 and y
+            hit_0, hit_y = tab.green[n][0, [W, W + y]]
+            seq.append(hit_y)
+            undecided = 1.0 - hit_y - hit_0
+            assert hit_y - 1e-12 <= closed <= hit_y + undecided + 1e-12
         d1, d2 = seq[1] - seq[0], seq[2] - seq[1]
         accel = seq[2] - d2 * d2 / (d2 - d1)
         assert closed == pytest.approx(accel, abs=5e-3)
