@@ -51,6 +51,7 @@ from .killed_walk import (
     default_window,
     k_estimate,
     ladder_renewals,
+    normalize_killing,
     run_kernel,
 )
 from .output import csv_text
@@ -184,10 +185,11 @@ class LawContext:
 
         A run of the reversed law (on a self-dual law, every run) keeps each
         power of two up to n, and n; any other keeps n.  One run, keyed by
-        (law hash, B, sorted distinct starts, n, W), is one memo entry and one
-        artifact: the (starts, kept steps, 2W+1) slices, f and the escaped mass.
+        (law hash, normalised B, sorted distinct starts, n, W), is one memo entry
+        and one artifact: the (starts, kept steps, 2W+1) slices, f and the
+        escaped mass.
         """
-        xs = sorted({int(x) for x in xs})
+        B, xs = normalize_killing(B), sorted({int(x) for x in xs})
         h = law.law_hash()
         key = cache.content_key(h, "dp_run", B=str(B), xs=xs, n=n, W=W)
         if key not in self.memo:

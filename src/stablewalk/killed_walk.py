@@ -59,7 +59,7 @@ _LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may mis
 HALF_LE_0 = ("le", 0)     # (-inf, 0]
 
 
-def _normalize_killing(B):
+def normalize_killing(B):
     """("le", b) for (-inf, b], else ("set", sorted distinct sites); None is the empty set."""
     if isinstance(B, tuple) and len(B) == 2 and B[0] == "le":
         return ("le", int(B[1]))
@@ -185,7 +185,7 @@ def run_kernel(
     W = window or default_window(law, n_max)
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
-    B = _normalize_killing(B)
+    B = normalize_killing(B)
     half_le = B[0] == "le"
     if entrance_depth and not half_le:
         raise ValueError("entrance_depth needs half-line killing")

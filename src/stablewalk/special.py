@@ -2,7 +2,8 @@
 
 Everything numeric in the library funnels through this module so that the
 gamma / zeta / polylog values used in closed-form constants and the ones used
-inside quadratures come from a single source.
+inside quadratures come from a single source.  Gamma and zeta are
+scipy.special's, which `import scipy.fft` loads anyway.
 """
 from __future__ import annotations
 
@@ -11,138 +12,53 @@ import math
 
 import numpy as np
 import scipy.fft as sfft
-
-__all__ = [
-    "gamma_fn",
-    "zeta_fn",
-    "harmonic",
-    "polylog_analytic",
-    "omexp",
-    "x_minus_sin",
-    "chirp_z",
-    "gk_panels",
-    "integrate_panels",
-    "geometric_breaks",
-]
-
-# Lanczos approximation, g = 7, 9 terms.  Relative error below 1e-13 on the
-# real line away from the poles.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+import scipy.special as ssp
 
 
 def gamma_fn(x: float) -> float:
     """Gamma function on the real line (poles at 0, -1, -2, ... raise)."""
     if x == math.floor(x) and x <= 0:
         raise ValueError(f"gamma pole at {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
-
-
-# Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin tail.
-_B2K = (
-    1.0 / 6,
-    -1.0 / 30,
-    1.0 / 42,
-    -1.0 / 30,
-    5.0 / 66,
-    -691.0 / 2730,
-    7.0 / 6,
-    -3617.0 / 510,
-)
-
-
-def _zeta_em(s: float, n_direct: int = 24) -> float:
-    """Riemann zeta by direct sum + Euler-Maclaurin tail (valid for s > -0.5, s != 1)."""
-    total = 0.0
-    for n in range(1, n_direct):
-        total += n ** (-s)
-    big_n = float(n_direct)
-    total += big_n ** (1.0 - s) / (s - 1.0) + 0.5 * big_n ** (-s)
-    rising = s
-    npow = big_n ** (-s - 1.0)
-    for k, b in enumerate(_B2K, start=1):
-        total += b / math.factorial(2 * k) * rising * npow
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        npow /= big_n * big_n
-    return total
+    return float(ssp.gamma(x))
 
 
 @functools.lru_cache(maxsize=None)
 def zeta_fn(s: float) -> float:
-    """Riemann zeta on the real line, s != 1 (reflection below s = 0.5).
+    """Riemann zeta on the real line, s != 1.
 
-    Memoised: a law build asks for a few hundred distinct orders tens of
-    thousands of times.
+    Memoised: a law build asks for two to four distinct orders thousands of
+    times.
     """
     if abs(s - 1.0) < 1e-9:
         raise ValueError("zeta pole at s=1")
-    if s == 0.0:
-        return -0.5
-    if s >= 0.5:
-        return _zeta_em(s)
-    if s < 0 and s == math.floor(s) and int(s) % 2 == 0:
-        return 0.0
-    return (
-        2.0 ** s
-        * math.pi ** (s - 1.0)
-        * math.sin(math.pi * s / 2.0)
-        * gamma_fn(1.0 - s)
-        * _zeta_em(1.0 - s)
-    )
+    return float(ssp.zeta(s))
 
 
-def harmonic(n: int) -> float:
-    return sum(1.0 / j for j in range(1, n + 1))
-
-
-_POLYLOG_TERMS = 96  # Taylor terms of the analytic part of Li_s(e^{i theta})
+_POLYLOG_K = np.arange(97)  # Taylor terms of the analytic part of Li_s(e^{i theta})
+_INV_FACTORIAL = np.array([1.0 / math.factorial(k) for k in _POLYLOG_K])
 
 
 def polylog_analytic(s: float, theta: np.ndarray) -> np.ndarray:
     """Analytic (Taylor) part of Li_s(e^{i theta}) on 0 < theta <= pi.
 
-    For non-integer s this is sum_k zeta(s-k) (i theta)^k / k!; the
-    Gamma(1-s)(-i theta)^{s-1} singular term is *excluded*.  For integer
-    s >= 2 the k = s-1 term with the log replaces the singular term and is
-    *included* here, so for integer s this is the full Li_s(e^{i theta}).
+    For non-integer s this is sum_k zeta(s-k) (i theta)^k / k!, one Horner
+    sum; the Gamma(1-s)(-i theta)^{s-1} singular term is *excluded*.  For
+    integer s >= 2 the k = s-1 term with the log replaces the singular term
+    and is *included* here, so for integer s this is the full Li_s(e^{i theta}).
     """
     theta = np.asarray(theta, dtype=float)
-    if abs(s - round(s)) < 1e-12:
-        n = int(round(s))
-        if n < 2:
-            raise ValueError("polylog order must be > 1")
-        res = (1j * theta) ** (n - 1) / math.factorial(n - 1) * (
-            harmonic(n - 1) - (np.log(theta) - 1j * math.pi / 2.0)
+    n = round(s)
+    integer = abs(s - n) < 1e-12
+    if integer and n < 2:
+        raise ValueError("polylog order must be > 1")
+    coef = ssp.zeta((n if integer else s) - _POLYLOG_K) * _INV_FACTORIAL
+    log_term = 0.0
+    if integer:
+        coef[n - 1] = 0.0
+        log_term = (1j * theta) ** (n - 1) * _INV_FACTORIAL[n - 1] * (
+            sum(1.0 / j for j in range(1, n)) - (np.log(theta) - 1j * math.pi / 2.0)
         )
-        term = np.ones(theta.shape, dtype=complex)
-        for k in range(_POLYLOG_TERMS + 1):
-            if k != n - 1:
-                res = res + zeta_fn(n - k) * term
-            term = term * (1j * theta) / (k + 1)
-        return res
-    res = np.zeros(theta.shape, dtype=complex)
-    term = np.ones(theta.shape, dtype=complex)
-    for k in range(_POLYLOG_TERMS + 1):
-        res = res + zeta_fn(s - k) * term
-        term = term * (1j * theta) / (k + 1)
-    return res
+    return np.polyval(coef[::-1], 1j * theta) + log_term
 
 
 def polylog_sing(s: float, theta: np.ndarray) -> np.ndarray:

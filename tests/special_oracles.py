@@ -1,6 +1,7 @@
 """Special functions only tests read, built on the package's own primitives.
 
-zeta_tail sums y^{-s} past m by the same Euler-Maclaurin tail as zeta_fn,
+zeta_tail sums y^{-s} past m by an Euler-Maclaurin tail with its own
+Bernoulli numbers, a route to zeta independent of zeta_fn (scipy.special's),
 polylog_exp adds the singular term back to the analytic part of
 Li_s(e^{i theta}), and integrate_adaptive splits GK15 panels until the
 embedded error estimate is met; each is checked against mpmath or a direct
@@ -11,7 +12,19 @@ import math
 import numpy as np
 
 from stablewalk.errors import QuadratureNonConvergence
-from stablewalk.special import _B2K, _panel_sums, polylog_analytic, polylog_sing, zeta_fn
+from stablewalk.special import _panel_sums, polylog_analytic, polylog_sing, zeta_fn
+
+# Bernoulli numbers B_2 .. B_16 for the Euler-Maclaurin tail.
+_B2K = (
+    1.0 / 6,
+    -1.0 / 30,
+    1.0 / 42,
+    -1.0 / 30,
+    5.0 / 66,
+    -691.0 / 2730,
+    7.0 / 6,
+    -3617.0 / 510,
+)
 
 
 def zeta_tail(s: float, m: int) -> float:

@@ -210,6 +210,17 @@ def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
         assert not hit.f.flags.writeable
 
 
+def test_dp_slice_keys_the_normalised_killing_set(sym15, monkeypatch, tmp_path):
+    """Three spellings of the killing set {0} are one run_kernel call and one memo entry."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    real, calls = _count_run_kernel(monkeypatch)
+    ctx = LawContext.build(sym15)
+    first = ctx.dp_slice([0], 3, 64)
+    assert ctx.dp_slice(("set", (0,)), 3, 64) is first
+    assert ctx.dp_slice(("set", [0]), 3, 64) is first
+    assert len(calls) == 1 and len(ctx.memo) == 1
+
+
 def _only_artifact(root):
     """The one npz artifact under root."""
     (path,) = root.glob("*.npz")

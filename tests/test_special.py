@@ -27,12 +27,19 @@ def test_gamma_pole_raises():
         gamma_fn(-2.0)
 
 
+# -94.5 = 1.5 - 96 is the deepest order the polylog series of an alpha = 1.5
+# law reads; bp15's integer beta = 3 branch reads zeta(3 - k) at negative even
+# integers, its trivial zeros
 @pytest.mark.parametrize(
-    "s", [-60.3, -11.7, -3.2, -0.8, -0.2, 0.0, 0.3, 0.8, 1.05, 1.2, 1.5, 1.8, 2.4, 3.0, 7.7]
+    "s",
+    [-94.5, -60.3, -11.7, -3.2, -0.8, -0.2, 0.0, 0.3, 0.8, 1.05, 1.2, 1.5, 1.8, 2.4, 3.0, 7.7]
+    + [-2.0, -4.0, -50.0, -94.0],
 )
 def test_zeta_matches_mpmath(s):
     ref = float(mp.zeta(s))
     assert abs(zeta_fn(s) - ref) <= 5e-13 * max(abs(ref), 1.0)
+    if s < 0 and s % 2 == 0:
+        assert zeta_fn(s) == 0.0
 
 
 def test_zeta_tail_consistency():

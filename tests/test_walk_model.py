@@ -1,4 +1,5 @@
 """Law construction: mass/mean bookkeeping, tails, CF dictionary, round trips."""
+import ast
 import math
 import os
 import subprocess
@@ -157,20 +158,20 @@ def test_benchmark_law_hashes_pinned():
     to how they are built moves every benchmark number.
     """
     hashes = {name: get_law(name).law_hash() for name in ("sym15", "sp15", "bp15")}
-    assert hashes == {"sym15": "77b3904f3d7fb10f", "sp15": "0c09caf53272897c", "bp15": "f5219f230a39fd98"}
+    assert hashes == {"sym15": "a6c318b0b4050aa0", "sp15": "683b25bbacb8e61d", "bp15": "307caad2da8a9615"}
 
 
-# the law hashes of the other conftest laws, recorded before the builder read
-# its lattice-offset nodes from one table per build; sym12 and spx15 refine a
-# C0 sign change with brentq, lc15 is left-continuous
+# the law hashes of the other conftest laws, recorded with gamma and zeta from
+# scipy.special; sym12 and spx15 refine a C0 sign change with brentq, lc15 is
+# left-continuous
 _OTHER_LAW_HASHES = {
-    "asym15": "195e91aaf874706f",
-    "lc15": "c526cccb0fae817e",
-    "sp12": "3695a9e1598330f2",
-    "sp18": "2ee3d1bdae81edd6",
-    "spx15": "61ae3b9219733c52",
-    "sym12": "ef3b5aab2516276f",
-    "sym18": "0c46aed1bade30c4",
+    "asym15": "e2fc0dd51d90af88",
+    "lc15": "708610c99c939f0b",
+    "sp12": "9f20f5e553ee70e1",
+    "sp18": "1f02349068e1f954",
+    "spx15": "49154a9ae0601fc6",
+    "sym12": "457f58dd07eda5e3",
+    "sym18": "527af2673e5e0350",
 }
 
 
@@ -204,11 +205,13 @@ def test_lattice_offset_from_the_build_table_is_the_pointwise_integral(name):
 
 
 def test_import_and_build_leave_scipy_optimize_unloaded():
-    """Importing the package and building sym15, sp15 and bp15 never loads scipy.optimize.
+    """Importing the package and building sym15, sp15 and bp15 loads no scipy module beyond scipy.fft's.
 
     Their calibration grids show no C0 sign change, and brentq is imported
-    only where a sign change is refined.
+    only where a sign change is refined, so scipy.optimize stays unloaded;
+    scipy.special, the source of gamma and zeta, comes in with scipy.fft.
     """
+    scipy_modules = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     code = (
         "import sys\n"
         "import stablewalk, stablewalk.cli, stablewalk.montecarlo\n"
@@ -216,12 +219,18 @@ def test_import_and_build_leave_scipy_optimize_unloaded():
         "build_walk_law(TailSpec(alpha=1.5, family=Family.TWO_SIDED_PARETO, B=0.5))\n"
         "build_walk_law(TailSpec(alpha=1.5, family=Family.SPECTRALLY_POSITIVE, B=0.2))\n"
         "build_walk_law(TailSpec(alpha=1.5, family=Family.BOUNDED_POTENTIAL, B=0.25))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        + scipy_modules
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        return set(ast.literal_eval(out.stdout))
+
+    built = loaded(code)
+    assert "scipy.optimize" not in built
+    assert built == loaded("import sys\nimport scipy.fft\n" + scipy_modules)
 
 
 def test_reversed_law_swaps_sides(asym15):
