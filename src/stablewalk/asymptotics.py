@@ -24,7 +24,8 @@ keeps step n, a reversed one (dual_slice) each power of two up to n and n.
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
 f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed run from 0
 (LawContext.hits): thm1, thm2_small, comp, finite and full-grid crossover
-share one at W(n_max), thm2_bulk, thm4 and thm5 one per n, prop21 one per n.
+share one at W(n_max), the quick crossover reads hits(2048), thm2_bulk, thm4
+and thm5 one per n, prop21 one per n.
 prop23 reads its columns y off one batch of reversed runs from y.  For A =
 {-1, 0, 2}, site x of the reversed A-killed run from z in A is P_x[sigma_A =
 n, S_n = z]: one batch from the three z gives cor3 both its columns and
@@ -235,14 +236,12 @@ def _p_ccirc(ctx: LawContext, xi: float) -> float:
     return float(vals[0])
 
 
-def rhs_thm2_small(ctx: LawContext, x: int, n: int) -> float:
-    """x fixed: f^x(n) ~ a_dagger(x) f^0(n), plus |x_n| p_c(-x_n)/n when gamma x > 0."""
+def rhs_thm2_small(ctx: LawContext, x: int, n: int) -> tuple[float, float]:
+    """x fixed: f^x(n) ~ t1 + t2, t1 = a_dagger(x) f^0(n), t2 = |x_n| p_c(-x_n)/n when gamma x > 0, else 0.0."""
     params = ctx.params
     xn = x / n ** (1.0 / params.alpha)
-    val = ctx.pot.a_dagger(x) * f0_asymptote(n, params, ctx.consts)
-    if params.skew_sign * x > 0:
-        val += abs(xn) * _p_ccirc(ctx, -xn) / n
-    return val
+    t1 = ctx.pot.a_dagger(x) * f0_asymptote(n, params, ctx.consts)
+    return t1, (abs(xn) * _p_ccirc(ctx, -xn) / n if params.skew_sign * x > 0 else 0.0)
 
 
 def rhs_thm2_bulk(ctx: LawContext, x: int, n: int) -> float:
@@ -303,68 +302,52 @@ def verify_thm2_small(ctx: LawContext, quick: bool) -> VerificationReport:
     rep = VerificationReport(theorem_id="thm2_small")
     dual = ctx.hits(max(ns))
     for n in ns:
-        rep.add_row(dual[n].at(4), rhs_thm2_small(ctx, 4, n), n=n, x=4, regime="x_small")
+        rep.add_row(dual[n].at(4), sum(rhs_thm2_small(ctx, 4, n)), n=n, x=4, regime="x_small")
     return rep.finalize(0.2)
 
 
 def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     """Locate the Theorem-3 dominance switch empirically (gamma = 2 - alpha).
 
-    For fixed x = 1, 2 the potential term a_dag(x) f^0-asymptote overtakes
-    the density term x_n p_c(-x_n)/n as n grows.  The exact f^x(n) is
-    compared against both terms; the switch point n-hat is where the two
-    relative errors cross, and a_dag(x)/x must be within a factor 4 of
-    n-hat^{1 - 2/alpha}.  The two-term sum must also track the exact values
-    through the transition (Theorem 3's combined form).  Quick and full
-    runs scan the same n grid.
+    For fixed x = 1, 2 the potential term t1 of rhs_thm2_small overtakes its
+    density term t2 as n grows.  The exact f^x(n) is compared against both;
+    the switch point n-hat is where the two relative errors cross, and
+    a_dag(x)/x must be within a factor 4 of n-hat^{1 - 2/alpha}.  t1 + t2
+    must also track the exact values through the transition (Theorem 3's
+    combined form).  The n grid is 16, 32, ..., 2048 when quick and runs on
+    to 4096 otherwise.
     """
-    if ctx.params.skew_sign <= 0:
+    params, inv_a = ctx.params, 1.0 / ctx.params.alpha
+    if params.skew_sign <= 0:
         raise RegimeViolation("crossover scan needs gamma = 2 - alpha")
-    params, consts = ctx.params, ctx.consts
-    inv_a = 1.0 / params.alpha
+    ns = tuple(16 << k for k in range(8 if quick else 9))
+    dual, n_arr = ctx.hits(max(ns)), np.array(ns)
+    # predicted location constant: a(x)/x = p_c(0) n^{1-2/a} / (kappa c^{1/a});
+    # the factor cap is applied to this units-free normalisation
+    c_pred = density_at_zero(params.c_circ, params) / (ctx.consts.kappa_hit * params.c_circ ** inv_a)
     rep = VerificationReport(theorem_id="crossover")
-    factors = []
-    track_worst = 0.0
-    n_grid = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-    dual = ctx.hits(max(n_grid))
+    n_hats, factors, track_worst = [], [], 0.0
     for x in (1, 2):
-        gaps = []
-        two_term = {}
-        for n in n_grid:
-            xn = x * float(n) ** -inv_a
-            t1 = ctx.pot.a_dagger(x) * f0_asymptote(n, params, consts)
-            t2 = xn * _p_ccirc(ctx, -xn) / n
-            exact = dual[n].at(x)
-            d1 = abs(exact / t1 - 1.0)
-            d2 = abs(exact / t2 - 1.0)
-            gaps.append((n, d1 - d2))
-            rep.add_row(exact, t1 + t2, n=n, x=x, regime="crossover")
-            two_term[n] = rep.deviations[-1]
-        # d1 - d2 starts positive (density term rules) and turns negative;
-        # interpolate the sign change in log n
-        n_hat = None
-        for (na, ga), (nb, gb) in zip(gaps[:-1], gaps[1:]):
-            if ga > 0 >= gb:
-                w = ga / (ga - gb)
-                n_hat = math.exp((1 - w) * math.log(na) + w * math.log(nb))
-                break
-        if n_hat is None:
+        exact = np.array([dual[n].at(x) for n in ns])
+        t1, t2 = np.array([rhs_thm2_small(ctx, x, n) for n in ns]).T
+        for n, e, rhs in zip(ns, exact.tolist(), (t1 + t2).tolist()):
+            rep.add_row(e, rhs, n=n, x=x, regime="crossover")
+        # the gap starts positive (density term rules) and turns negative;
+        # interpolate its first sign change in log n
+        gap = np.abs(exact / t1 - 1.0) - np.abs(exact / t2 - 1.0)
+        turns = np.flatnonzero((gap[:-1] > 0) & (gap[1:] <= 0))
+        if not turns.size:
             raise RegimeViolation(f"no dominance switch inside the n grid for x={x}")
-        # the combined two-term form must track the exact values through the
-        # transition window around the switch (earlier n are pre-asymptotic)
-        for n, dev in two_term.items():
-            if n_hat / 8.0 <= n <= 8.0 * n_hat:
-                track_worst = max(track_worst, dev)
-        # predicted location constant: a(x)/x = p_c(0) n^{1-2/a} / (kappa c^{1/a});
-        # the factor cap is applied to this units-free normalisation
-        c_pred = density_at_zero(params.c_circ, params) / (
-            consts.kappa_hit * params.c_circ ** inv_a
-        )
-        r = (ctx.pot.a_dagger(x) / x) / n_hat ** (1.0 - 2.0 * inv_a) / c_pred
-        factors.append(r)
-        rep.notes.setdefault("n_hat", []).append(n_hat)
-    rep.notes["factors"] = factors
-    rep.notes["two_term_worst"] = track_worst
+        i = turns[0]
+        w = gap[i] / (gap[i] - gap[i + 1])
+        n_hat = math.exp((1 - w) * math.log(ns[i]) + w * math.log(ns[i + 1]))
+        # t1 + t2 must track the exact values through the transition window
+        # around the switch (earlier n are pre-asymptotic)
+        near = (n_hat / 8.0 <= n_arr) & (n_arr <= 8.0 * n_hat)
+        track_worst = max(track_worst, float(np.abs(exact / (t1 + t2) - 1.0)[near].max()))
+        n_hats.append(n_hat)
+        factors.append((ctx.pot.a_dagger(x) / x) / n_hat ** (1.0 - 2.0 * inv_a) / c_pred)
+    rep.notes.update(n_hat=n_hats, factors=factors, two_term_worst=track_worst)
     return rep.finish([track_worst], True, all(0.25 <= r <= 4.0 for r in factors) and track_worst < 0.35)
 
 
@@ -611,16 +594,13 @@ def verify_cor1(ctx: LawContext, quick: bool) -> VerificationReport:
 
 
 def verify_cor2(ctx: LawContext, quick: bool) -> VerificationReport:
-    """gamma = 2-alpha, x = -3, y < 0: p^n_0 ~ a_dag(x)[f^0(n)a(-y) + |y_n| p_c(y_n)/n]."""
+    """gamma = 2-alpha, x = -3, y < 0: p^n_0 ~ a_dag(x)[f^0(n)a(-y) + |y_n| p_c(y_n)/n], rhs_thm2_small's terms at -y."""
     if ctx.params.skew_sign <= 0:
         raise RegimeViolation("Corollary 2 branch needs gamma = 2 - alpha")
     rep = VerificationReport(theorem_id="cor2")
-    inv_a = 1.0 / ctx.params.alpha
     for n in _grid(quick):
         y = -_site(ctx, 0.7, n)
-        yn = y * float(n) ** -inv_a
-        f0_term = f0_asymptote(n, ctx.params, ctx.consts) * ctx.pot.a(-y)
-        rhs = ctx.pot.a_dagger(-3) * (f0_term + abs(yn) * _p_ccirc(ctx, yn) / n)
+        rhs = ctx.pot.a_dagger(-3) * sum(rhs_thm2_small(ctx, -y, n))
         rep.add_row(ctx.dp_slice(_ORIGIN, -3, n).at(y), rhs, n=n, x=-3, y=y, regime="cor2")
     return rep.finalize(0.2)
 

@@ -173,6 +173,8 @@ def run_kernel(
     """Dynamic programming for p^n_B(x, .) from each start, with ledgers.
 
     B: ("le", b), ("set", sites), an iterable of sites, or None (no killing).
+    window: W, the half-width of [-W, W]; None selects default_window(law,
+    n_max), and a W below 1 or a start outside [-W, W] raises WindowTooSmall.
     keep: list of n to store values and Green sums for (default: all
     n <= n_max).
     entrance_depth: for half-line 'le' killing, keep b, ..., b - entrance_depth
@@ -182,7 +184,9 @@ def run_kernel(
     """
     dual_starts = [int(x) for x in dual_starts]
     starts = [int(x) for x in starts] + dual_starts
-    W = window or default_window(law, n_max)
+    W = default_window(law, n_max) if window is None else window
+    if W < 1:
+        raise WindowTooSmall(f"window {W} below 1")
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
     B = normalize_killing(B)

@@ -86,8 +86,8 @@ class TailSpec:
     alpha: float
     family: Family
     B: float = 0.5
-    q_plus: float = 0.5
-    q_minus: float = 0.5
+    q_plus: float | None = None  # two_sided_pareto: 0.5 when left out; one-sided: 1 only
+    q_minus: float | None = None  # two_sided_pareto: 0.5 when left out; one-sided: 0 only
     support_radius: int = 2 ** 20
     beta_neg: float | None = None
     calibrate: bool = True
@@ -100,15 +100,17 @@ class TailSpec:
         fam = Family(self.family)
         object.__setattr__(self, "family", fam)
         if fam is Family.TWO_SIDED_PARETO:
-            if abs(self.q_plus + self.q_minus - 1.0) > 1e-12:
+            qp, qm = (0.5 if q is None else q for q in (self.q_plus, self.q_minus))
+            if abs(qp + qm - 1.0) > 1e-12:
                 raise ConfigError("two_sided_pareto requires q_plus + q_minus = 1")
-            if self.q_plus <= 0 or self.q_minus <= 0:
+            if qp <= 0 or qm <= 0:
                 raise ConfigError("two_sided_pareto requires q_plus, q_minus > 0")
+        elif self.q_plus not in (None, 1.0) or self.q_minus not in (None, 0.0):
+            raise ConfigError(f"{fam.value} forces q_plus = 1 and q_minus = 0")
         else:
-            if self.q_plus != 1.0 and self.q_plus != 0.5:
-                raise ConfigError(f"{fam.value} forces q_plus = 1")
-            object.__setattr__(self, "q_plus", 1.0)
-            object.__setattr__(self, "q_minus", 0.0)
+            qp, qm = 1.0, 0.0
+        object.__setattr__(self, "q_plus", qp)
+        object.__setattr__(self, "q_minus", qm)
         if fam in (Family.SPECTRALLY_POSITIVE, Family.BOUNDED_POTENTIAL):
             beta = self.beta_neg
             if beta is None:

@@ -7,10 +7,10 @@ LawContext a driver does.
 """
 import numpy as np
 
-from stablewalk.asymptotics import LawContext, _p_ccirc, f0_asymptote
+from stablewalk.asymptotics import LawContext, f0_asymptote
 from stablewalk.errors import RegimeViolation
 from stablewalk.killed_walk import default_window, run_kernel
-from stablewalk.stable_numerics import hitting_density
+from stablewalk.stable_numerics import density_grid, hitting_density
 
 
 def rhs_theorem6_i(ctx: LawContext, x: int, y: int, n: int) -> float:
@@ -21,9 +21,8 @@ def rhs_theorem6_i(ctx: LawContext, x: int, y: int, n: int) -> float:
     xn, yn = x / n ** inv_a, y / n ** inv_a
     ad = ctx.pot.a_dagger(x)
     am = ctx.pot.a(-y)
-    return ad * am * f0_asymptote(n, ctx.params, ctx.consts) + (
-        ad * abs(yn) * _p_ccirc(ctx, yn) + am * xn * _p_ccirc(ctx, -xn)
-    ) / n
+    (p_y, p_x), _ = density_grid(ctx.params.c_circ, np.array([yn, -xn]), ctx.params)
+    return ad * am * f0_asymptote(n, ctx.params, ctx.consts) + (ad * abs(yn) * p_y + am * xn * p_x) / n
 
 
 def rhs_theorem6_hitting_form(ctx: LawContext, x: int, y: int, n: int, c_plus_val: float) -> float:

@@ -1,5 +1,7 @@
 """Verification harness: rhs identities, one function per asymptotic form, quick trends."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +323,21 @@ def test_thm1_and_crossover_share_one_run(sp15, monkeypatch, tmp_path):
     with pytest.raises(RegimeViolation, match="no dominance switch"):
         verify_crossover(ctx, False)
     assert len(calls) == 1
+
+
+def test_quick_crossover_scans_to_2048(sp15, monkeypatch, tmp_path):
+    """The quick scan steps no DP past n = 2048, skips sp15 as the benchmark reference does, and finds spx15's switches."""
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    with pytest.raises(RegimeViolation) as exc:
+        verify_crossover(LawContext.build(sp15), True)
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_sp15.json").read_text())
+    assert "configuration error: thm3: RegimeViolation: " + str(exc.value) == ref["theorems"]["thm3"]["skip"]
+    assert calls and max(c[3] for c in calls) == 2048
+    quick, full = verify_crossover(get_ctx("spx15"), True), verify_crossover(get_ctx("spx15"), False)
+    assert quick.passed and full.passed
+    assert max(r["n"] for r in quick.rows) == 2048 and max(r["n"] for r in full.rows) == 4096
+    assert quick.notes["n_hat"] == pytest.approx(full.notes["n_hat"], rel=1e-9)
 
 
 def test_cor3_and_finite_share_one_set_run(sp15, monkeypatch, tmp_path):

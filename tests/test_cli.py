@@ -59,6 +59,14 @@ def test_bad_calibrate_value_exit_code(tmp_path):
     assert not (tmp_path / "law.json").exists()
 
 
+def test_one_sided_q_minus_exit_code(tmp_path):
+    """A q_minus the spectrally positive family would drop is a config error, not a silent sp15."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("family = spectrally_positive\nalpha = 1.5\nB = 0.2\nq_minus = 0.3\n")
+    assert main(["law", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "law.json").exists()
+
+
 def test_malformed_config_exit_code(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("family two_sided_pareto\n")

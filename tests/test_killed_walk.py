@@ -283,6 +283,16 @@ def test_window_too_small_raised(sym15):
         run_kernel(sym15, [0], [0], 64, window=512, escape_budget=1e-9)
 
 
+@pytest.mark.parametrize("window", [0, -4])
+def test_window_below_one_raised(sym15, window):
+    """Only window=None selects the default window; 0 or less is no window at all."""
+    with pytest.raises(WindowTooSmall, match="below 1"):
+        run_kernel(sym15, None, [0], 8, window=window)
+    with pytest.raises(WindowTooSmall, match="below 1"):
+        first_passage(sym15, [0], 0, 8, window=window)
+    assert run_kernel(sym15, None, [0], 8, window=None).window == default_window(sym15, 8)
+
+
 @pytest.mark.parametrize("x,n", [(0, 8), (3, 32), (-3, 32), (8, 128), (0, 128)])
 def test_fourier_oracle_vs_dp(sym15, x, n):
     fdp = float(first_passage(sym15, [0], x, n, window=1024).f[n])

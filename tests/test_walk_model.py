@@ -287,6 +287,17 @@ def test_two_sided_requires_q_balance():
         TailSpec(alpha=1.5, family=Family.TWO_SIDED_PARETO, q_plus=0.7, q_minus=0.7)
 
 
+@pytest.mark.parametrize("fam", ["spectrally_positive", "bounded_potential", "left_continuous"])
+def test_one_sided_rejects_explicit_other_q(fam):
+    """A one-sided family takes q_plus = 1 and q_minus = 0, given or left out; any other value is an error."""
+    for q in ({"q_minus": 0.3}, {"q_plus": 0.5}, {"q_plus": 0.7, "q_minus": 0.3}):
+        with pytest.raises(ConfigError, match="forces q_plus = 1 and q_minus = 0"):
+            TailSpec(alpha=1.5, family=Family(fam), **q)
+    given = TailSpec(alpha=1.5, family=Family(fam), q_plus=1.0, q_minus=0.0)
+    assert given == TailSpec(alpha=1.5, family=Family(fam))
+    assert (given.q_plus, given.q_minus) == (1.0, 0.0)
+
+
 def test_beta_neg_constraint():
     with pytest.raises(ConfigError):
         TailSpec(alpha=1.5, family=Family.BOUNDED_POTENTIAL, beta_neg=1.9)
