@@ -3,7 +3,7 @@
 Every driver is called as driver(ctx, quick): ctx is the run's LawContext
 and quick is the CLI's --quick flag.  Each theorem's quick and full values
 (its n grid, sites, caps) are literals in its own driver, and the shared n
-grid is _grid; cli._registry only maps theorem ids to drivers.  A driver returns a VerificationReport:
+grid is _grid; cli._drivers only maps theorem ids to drivers.  A driver returns a VerificationReport:
 rows of (n, x, y, exact, rhs, ratio) plus a trend verdict.  Exact columns
 come from the killed-walk DP only; rhs columns come from the stable numerics
 and the potential kernel only, so the two sides are computationally
@@ -16,21 +16,35 @@ converged) and the final deviation must beat a per-theorem cap.
 
 A run builds one LawContext for its law and hands it to every driver.  It
 owns the stable parameters and constants, one PotentialTable, and the memo of
-DP runs keyed by (law hash, killing set, starts, n, W); only the artifact
-cache (STABLEWALK_CACHE) spans runs.  The starts of one request run as one
-batch, which is one memo entry and one artifact.  A forward run (dp_slice)
-keeps step n, a reversed one (dual_slice) each power of two up to n and n.
+DP rows keyed by (law hash, killing set, start, n, W); only the artifact
+cache (STABLEWALK_CACHE) spans runs.  Each DP-reading driver declares the
+rows it reads, with the steps it reads them at, in a rows function next to
+it, built from its own guard and site helpers; a driver whose guard fails
+declares none.  Before any driver runs, cli.cmd_verify hands the rows of
+every requested id to LawContext.plan, which steps every full-window
+finite-set row at one (n, W) - forward and reversed, {0}-, A- and free
+rows alike - as one run_kernel batch, and every half-line row at one
+(B, n, W) as another.  Each row is memoised and cached under its own key and
+keeps the steps its readers read, so the drivers' reads are memo hits; a
+read nobody declared still runs on demand, so the plan saves steps but
+never changes a number.  A row's artifact holds each power of two up to n,
+and n, for a reversed row (on a self-dual law, every row), else n, so one
+id finds the rows another id wrote.
 
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
-f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed run from 0
+f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed row from 0
 (LawContext.hits): thm1, thm2_small, comp, finite and full-grid crossover
 share one at W(n_max), the quick crossover reads hits(2048), thm2_bulk, thm4
 and thm5 one per n, prop21 one per n.
-prop23 reads its columns y off one batch of reversed runs from y.  For A =
-{-1, 0, 2}, site x of the reversed A-killed run from z in A is P_x[sigma_A =
-n, S_n = z]: one batch from the three z gives cor3 both its columns and
-finite its sum_{w in A} f_A^w(n), the summed kill ledgers.  Only llt's free
-walk and tunneling_check's every-step runs call run_kernel directly.
+prop23 reads its columns y off reversed rows from y; on the full grid the
+one from 8 is also prop22's dual kernel (every step) and, on a self-dual
+law, its forward denominator.  For A = {-1, 0, 2}, site x of the reversed
+A-killed row from z in A is P_x[sigma_A = n, S_n = z]: the three rows give
+cor3 both its columns and finite its sum_{w in A} f_A^w(n), the summed kill
+ledgers.  On the full grid the rows above at n = 4096, with thm4's, comp's,
+bulk_scaling's, thm5's and cor2's forward rows and llt's free row, are one
+batch.  Only tunneling_check's entrance-law run, the one reader of Green
+sums here, calls run_kernel directly.
 """
 from __future__ import annotations
 
@@ -46,11 +60,13 @@ from .errors import (
     ConfigError,
     InfiniteCPlus,
     RegimeViolation,
+    StableWalkError,
 )
 from .killed_walk import (
     HALF_LE_0,
     default_window,
     k_estimate,
+    k_starts,
     ladder_renewals,
     normalize_killing,
     run_kernel,
@@ -143,6 +159,17 @@ class DPSlice(NamedTuple):
         return float(self.slice[y + self.window])
 
 
+class Row(NamedTuple):
+    """One DP row: the B-killed run from x to step n on [-W, W], of law.reversed() when dual, read at steps."""
+
+    dual: bool
+    B: tuple
+    x: int
+    n: int
+    W: int
+    steps: tuple
+
+
 @dataclass
 class LawContext:
     """The per-law state of one run, shared by every theorem driver."""
@@ -151,7 +178,7 @@ class LawContext:
     params: StableParams
     consts: ConstantsTable
     pot: PotentialTable
-    # artifact key of one run (law hash, killing set, starts, n, W) -> {start: {kept m: DPSlice}}
+    # (law hash, killing set, start, n, W) of one row -> {kept m: DPSlice}
     memo: dict = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -159,54 +186,149 @@ class LawContext:
         params = stable_params_of(law)
         return cls(law=law, params=params, consts=constants(params), pot=PotentialTable(law))
 
+    def __post_init__(self):
+        self._reversed = self.law.reversed()
+        self._hashes = (self.law.law_hash(), self._reversed.law_hash())
+
+    def row(self, B, x: int, n: int, mult: float = 8.0, dual: bool = False, steps=None) -> Row:
+        """The law's (law.reversed()'s when dual) B-killed run from x to n at W = default_window(law, n, mult).
+
+        Its reader reads it at steps, by default n.
+        """
+        return Row(dual, normalize_killing(B), int(x), n, default_window(self.law, n, mult),
+                   (n,) if steps is None else tuple(steps))
+
     def dp_slice(self, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
         """p^n_B(x, .): the law's B-killed run from x to n at W = default_window(law, n, mult)."""
-        return self._run(self.law, B, [x], n, default_window(self.law, n, mult))[x][n]
+        return self.read([self.row(B, x, n, mult)])[0][n]
 
     def dp_slices(self, B, xs, n: int) -> dict:
         """{x: dp_slice(B, x, n)} for several starts, read off one batch run."""
-        runs = self._run(self.law, B, xs, n, default_window(self.law, n))
-        return {x: runs[x][n] for x in xs}
+        return {x: run[n] for x, run in zip(xs, self.read([self.row(B, x, n) for x in xs]))}
 
-    def dual_slice(self, B, ys, n: int, mult: float = 8.0) -> dict:
-        """{y: {m: DPSlice}} of the reversed law's B-killed runs from each y to n, m a kept step.
+    def dual_slice(self, B, ys, n: int, mult: float = 8.0, steps=None) -> dict:
+        """{y: {m: DPSlice}} of the reversed law's B-killed runs from each y to n, m among steps (default n).
 
         On W = default_window(law, n, mult) the reversed step matrix is the
         forward one transposed, so site x at m is p^m_B(x, y) exactly: for y in B
         P_x[sigma_B = m, S_m = y], with kill ledger sum_{w in B} P_w[sigma_B = ., S = y].
         """
-        return self._run(self.law.reversed(), B, ys, n, default_window(self.law, n, mult))
+        return dict(zip(ys, self.read([self.row(B, y, n, mult, dual=True, steps=steps) for y in ys])))
 
-    def hits(self, n: int) -> dict:
-        """{m: DPSlice} of the reversed {0}-killed run from 0: site x at m is f^x_W(m), .f is f^0_W."""
-        return self.dual_slice(_ORIGIN, [0], n)[0]
+    def hits(self, n: int, steps=None) -> dict:
+        """{m: DPSlice} of the reversed {0}-killed run from 0, m among steps (default n): site x at m is f^x_W(m), .f is f^0_W."""
+        return self.read([_hits_row(self, n, steps)])[0]
 
-    def _run(self, law: WalkLaw, B, xs, n: int, W: int) -> dict:
-        """{x: {m: DPSlice}} of run_kernel(law, B, xs, n, window=W) at its kept steps, read-only.
+    def read(self, rows) -> list:
+        """[{m: DPSlice}] of each row, read-only, at least at its steps.
 
-        A run of the reversed law (on a self-dual law, every run) keeps each
-        power of two up to n, and n; any other keeps n.  One run, keyed by
-        (law hash, normalised B, sorted distinct starts, n, W), is one memo entry
-        and one artifact: the (starts, kept steps, 2W+1) slices, f and the
-        escaped mass.
+        Rows the memo lacks load from the artifact cache or run, as in plan.
         """
-        B, xs = normalize_killing(B), sorted({int(x) for x in xs})
-        h = law.law_hash()
-        key = cache.content_key(h, "dp_run", B=str(B), xs=xs, n=n, W=W)
-        if key not in self.memo:
-            keep = sorted({n, *(1 << k for k in range(n.bit_length()))}) if h == self.law.reversed().law_hash() else [n]
-            arrays = cache.load(key, {"slice": (len(xs), len(keep), 2 * W + 1), "f": (len(xs), n + 1),
-                                      "escaped": (len(xs), len(keep))})
-            if arrays is None:
-                table = run_kernel(law, B, xs, n, window=W, keep=keep)
-                arrays = {"slice": np.stack([table.values[m] for m in keep], axis=1),
-                          "f": table.step_killed, "escaped": table.escaped[:, keep]}
-                cache.store(key, **arrays)
-            for arr in arrays.values():
-                arr.flags.writeable = False
-            self.memo[key] = {x: {m: DPSlice(arrays["slice"][i, j], W, arrays["f"][i], float(arrays["escaped"][i, j]))
-                                  for j, m in enumerate(keep)} for i, x in enumerate(xs)}
-        return self.memo[key]
+        for batch in self._batches(rows):
+            self._run(batch)
+        return [self.memo[self._key(r)] for r in rows]
+
+    def plan(self, rows) -> None:
+        """Step the declared rows the memo lacks, each batch of them in one run_kernel call.
+
+        A batch is every full-window finite-set row (the empty set among them)
+        at one (n, W), whatever its law and killing set, or every half-line
+        row at one (B, n, W) whose start lies at or above b; each row is bit
+        for bit its single-start run and keeps the steps its readers read.  A
+        batch that raises is left to its readers, whose own reads meet the
+        error.
+        """
+        for batch in self._batches(rows):
+            try:
+                self._run(batch)
+            except StableWalkError:
+                pass
+
+    def _key(self, r: Row) -> tuple:
+        return (self._hashes[r.dual], r.B, r.x, r.n, r.W)
+
+    def _artifact_steps(self, r: Row) -> list:
+        """The steps a row's artifact holds.
+
+        Each power of two up to n, and n, on the reversed law (on a self-dual
+        law, every row), else n: the steps other processes' readers may read.
+        """
+        if self._hashes[r.dual] == self._hashes[1]:
+            return sorted({r.n, *(1 << k for k in range(r.n.bit_length()))})
+        return [r.n]
+
+    def _artifact(self, r: Row) -> str:
+        return cache.content_key(self._hashes[r.dual], "dp_row", B=str(r.B), x=r.x, n=r.n, W=r.W)
+
+    def _batches(self, rows) -> list:
+        """The rows the memo lacks, merged by key, less those the artifact cache holds, grouped into batches.
+
+        Each is (key, row, steps to keep).  A row the memo holds at too few
+        steps reruns for the others; with an artifact cache a run also keeps
+        the steps its artifact holds, for later processes.
+        """
+        need = {}
+        for r in rows:
+            key = self._key(r)
+            need[key] = (r, need.get(key, (r, set()))[1] | set(r.steps))
+        caching = cache.cache_dir() is not None
+        batches = {}
+        for key, (r, steps) in need.items():
+            held = self.memo.get(key, {}).keys()
+            if steps <= held:
+                continue
+            stored = self._artifact_steps(r)
+            if steps <= set(stored) and self._load(key, r, stored):
+                continue
+            steps |= set(stored if caching else ())
+            group = ("set", r.n, r.W) if r.B[0] == "set" else (r.B, r.n, r.W, None if r.x >= r.B[1] else r.x)
+            batches.setdefault(group, []).append((key, r, steps))
+        return list(batches.values())
+
+    def _load(self, key: tuple, r: Row, stored: list) -> bool:
+        arrays = cache.load(self._artifact(r), {"slice": (len(stored), 2 * r.W + 1), "f": (r.n + 1,),
+                                                "escaped": (len(stored),)})
+        if arrays is not None:
+            self._keep(key, r.W, arrays["f"], {m: (arrays["slice"][j], arrays["escaped"][j]) for j, m in enumerate(stored)})
+        return arrays is not None
+
+    def _keep(self, key: tuple, W: int, f: np.ndarray, kept: dict) -> None:
+        """Memoise a row's DPSlices, arrays read-only, from f and {m: (slice, escaped mass)}, beside those it holds."""
+        f.flags.writeable = False
+        for sl, _ in kept.values():
+            sl.flags.writeable = False
+        new = {m: DPSlice(sl, W, f, float(esc)) for m, (sl, esc) in kept.items()}
+        self.memo[key] = dict(sorted({**new, **self.memo.get(key, {})}.items()))
+
+    def _run(self, batch: list) -> None:
+        """Step one batch of (key, row, steps) in one run_kernel call and memoise and cache each row.
+
+        The law's rows come first, then the reversed law's (none on a
+        self-dual law); a killing set and kept steps shared by every row
+        pass as one, else one per row.
+        """
+        flipped = self._hashes[0] != self._hashes[1]
+        batch = sorted(batch, key=lambda item: flipped and item[1].dual)
+        dual = [r.x for _, r, _ in batch if flipped and r.dual]
+        law, starts = self.law, [r.x for _, r, _ in batch][: len(batch) - len(dual)]
+        if not starts:
+            law, starts, dual = self._reversed, dual, []
+        Bs = [r.B for _, r, _ in batch]
+        keeps = [tuple(sorted(steps)) for _, _, steps in batch]
+        _, r0, _ = batch[0]
+        table = run_kernel(law, Bs[0] if len(set(Bs)) == 1 else Bs, starts, r0.n, window=r0.W,
+                           keep=list(keeps[0]) if len(set(keeps)) == 1 else keeps, dual_starts=dual)
+        for i, (key, r, _) in enumerate(batch):
+            self._keep(key, r.W, table.step_killed[i], {m: (sl, table.escaped[i, m]) for m, sl in table.kept(i).items()})
+            if cache.cache_dir() is not None:
+                run, stored = self.memo[key], self._artifact_steps(r)
+                cache.store(self._artifact(r), slice=np.stack([run[m].slice for m in stored]), f=run[r.n].f,
+                            escaped=np.array([run[m].escaped for m in stored]))
+
+
+def _hits_row(ctx: LawContext, n: int, steps=None) -> Row:
+    """The row LawContext.hits(n, steps) reads: the reversed {0}-killed run from 0 to n."""
+    return ctx.row(_ORIGIN, 0, n, dual=True, steps=steps)
 
 
 def _grid(quick: bool) -> tuple:
@@ -217,6 +339,28 @@ def _grid(quick: bool) -> tuple:
 def _site(ctx: LawContext, c: float, n: int) -> int:
     """The lattice site max(1, floor(c n^{1/alpha}))."""
     return max(1, int(math.floor(c * n ** (1.0 / ctx.params.alpha))))
+
+
+# driver -> rows(ctx, quick): the DP rows it reads, declared before any driver runs
+_ROWS = {}
+
+
+def _reads(rows):
+    """Declare rows(ctx, quick), built from the driver's own guards and sites, as the rows the driver reads."""
+    def declare(driver):
+        _ROWS[driver] = rows
+        return driver
+    return declare
+
+
+def declared_rows(ctx: LawContext, drivers, quick: bool) -> list:
+    """Every DP row the drivers will read, for LawContext.plan; a driver whose guard fails declares none."""
+    return [row for driver in drivers if driver in _ROWS for row in _ROWS[driver](ctx, quick)]
+
+
+def _k_rows(ctx: LawContext, n: int) -> list:
+    """The half-line rows k_estimate reads at n."""
+    return [ctx.row(HALF_LE_0, x, n) for x in k_starts(ctx.law, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +420,12 @@ def rhs_thm6_ii(ctx: LawContext, x: int, y: int, n: int, c_plus_val: float) -> f
 # ---------------------------------------------------------------------------
 
 
+def _f0_rows(ctx: LawContext, quick: bool) -> list:
+    """hits(n) at the grid's largest n, read for f^0."""
+    return [_hits_row(ctx, max(_grid(quick)))]
+
+
+@_reads(_f0_rows)
 def verify_thm1(ctx: LawContext, quick: bool) -> VerificationReport:
     """n^{2-1/alpha} f^0(n) against kappa c^{1/alpha}."""
     ns = _grid(quick)
@@ -287,6 +437,11 @@ def verify_thm1(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.15)
 
 
+def _thm2_bulk_rows(ctx: LawContext, quick: bool) -> list:
+    return [_hits_row(ctx, n) for n in _grid(quick)]
+
+
+@_reads(_thm2_bulk_rows)
 def verify_thm2_bulk(ctx: LawContext, quick: bool) -> VerificationReport:
     """f^x(n) ~ c f^{x_n}(c)/n uniformly for x_n of order one, at x_n = 1."""
     rep = VerificationReport(theorem_id="thm2_bulk")
@@ -296,16 +451,34 @@ def verify_thm2_bulk(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _thm2_small_rows(ctx: LawContext, quick: bool) -> list:
+    ns = _grid(quick)
+    return [_hits_row(ctx, max(ns), steps=ns)]
+
+
+@_reads(_thm2_small_rows)
 def verify_thm2_small(ctx: LawContext, quick: bool) -> VerificationReport:
     """f^4(n) ~ a_dagger(4) f^0(n) (+ spectral term when gamma > 0)."""
     ns = _grid(quick)
     rep = VerificationReport(theorem_id="thm2_small")
-    dual = ctx.hits(max(ns))
+    dual = ctx.hits(max(ns), steps=ns)
     for n in ns:
         rep.add_row(dual[n].at(4), sum(rhs_thm2_small(ctx, 4, n)), n=n, x=4, regime="x_small")
     return rep.finalize(0.2)
 
 
+def _crossover_ns(quick: bool) -> tuple:
+    return tuple(16 << k for k in range(8 if quick else 9))
+
+
+def _crossover_rows(ctx: LawContext, quick: bool) -> list:
+    if ctx.params.skew_sign <= 0:
+        return []
+    ns = _crossover_ns(quick)
+    return [_hits_row(ctx, max(ns), steps=ns)]
+
+
+@_reads(_crossover_rows)
 def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     """Locate the Theorem-3 dominance switch empirically (gamma = 2 - alpha).
 
@@ -320,8 +493,8 @@ def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     params, inv_a = ctx.params, 1.0 / ctx.params.alpha
     if params.skew_sign <= 0:
         raise RegimeViolation("crossover scan needs gamma = 2 - alpha")
-    ns = tuple(16 << k for k in range(8 if quick else 9))
-    dual, n_arr = ctx.hits(max(ns)), np.array(ns)
+    ns = _crossover_ns(quick)
+    dual, n_arr = ctx.hits(max(ns), steps=ns), np.array(ns)
     # predicted location constant: a(x)/x = p_c(0) n^{1-2/a} / (kappa c^{1/a});
     # the factor cap is applied to this units-free normalisation
     c_pred = density_at_zero(params.c_circ, params) / (ctx.consts.kappa_hit * params.c_circ ** inv_a)
@@ -351,6 +524,11 @@ def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finish([track_worst], True, all(0.25 <= r <= 4.0 for r in factors) and track_worst < 0.35)
 
 
+def _thm4_rows(ctx: LawContext, quick: bool) -> list:
+    return [row for n in _grid(quick) for row in (_hits_row(ctx, n), ctx.row(_ORIGIN, _site(ctx, 0.5, n), n))]
+
+
+@_reads(_thm4_rows)
 def verify_thm4_y_small(ctx: LawContext, quick: bool) -> VerificationReport:
     """p^n_0(x, 3) ~ f^x(n) a(-3) with x = floor(n^{1/alpha}/2) in the bulk."""
     rep = VerificationReport(theorem_id="thm4_y_small")
@@ -361,6 +539,13 @@ def verify_thm4_y_small(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _thm5_rows(ctx: LawContext, quick: bool) -> list:
+    if ctx.params.skew_sign <= 0:
+        return []
+    return [row for n in _grid(quick) for row in (_hits_row(ctx, n), ctx.row(_ORIGIN, 3, n), *_k_rows(ctx, n))]
+
+
+@_reads(_thm5_rows)
 def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
     """gamma = 2-alpha: p^n_0(3, y) ~ a_dagger(3) f^{-y}(n) + x_n K(y_n)/n^{1/a}, y_n = 1.
 
@@ -380,6 +565,15 @@ def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2, mono_floor=0.03)
 
 
+def _bulk_site(ctx: LawContext, n: int) -> int:
+    return max(1, int(round(0.7 * n ** (1.0 / ctx.params.alpha))))
+
+
+def _bulk_scaling_rows(ctx: LawContext, quick: bool) -> list:
+    return [ctx.row(_ORIGIN, _bulk_site(ctx, n), n) for n in _grid(quick)]
+
+
+@_reads(_bulk_scaling_rows)
 def verify_bulk_scaling(ctx: LawContext, quick: bool) -> VerificationReport:
     """Scaled killed kernel n^{1/a} p^n_0(0.7 n^{1/a}, 0.7 n^{1/a}) stabilises.
 
@@ -390,7 +584,7 @@ def verify_bulk_scaling(ctx: LawContext, quick: bool) -> VerificationReport:
     vals = []
     rep = VerificationReport(theorem_id="bulk_scaling")
     for n in _grid(quick):
-        x = y = max(1, int(round(0.7 * n ** inv_a)))
+        x = y = _bulk_site(ctx, n)
         scaled = float(n) ** inv_a * ctx.dp_slice(_ORIGIN, x, n).at(y)
         vals.append(scaled)
         rep.record(scaled, n=n, x=x, y=y, regime="bulk")
@@ -399,6 +593,13 @@ def verify_bulk_scaling(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _thm6_rows(ctx: LawContext, quick: bool) -> list:
+    if not has_bounded_potential(ctx.law):
+        return []
+    return [ctx.row(_ORIGIN, _site(ctx, 0.5, n), n, mult=10.0) for n in _grid(quick)]
+
+
+@_reads(_thm6_rows)
 def verify_thm6(ctx: LawContext, quick: bool) -> VerificationReport:
     """Regime (ii): p^n_0(x, y) ~ C+ (x_n - y_n) p_c(y_n - x_n)/n at x = -y."""
     if not has_bounded_potential(ctx.law):
@@ -413,6 +614,13 @@ def verify_thm6(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _tunneling_rows(ctx: LawContext, n: int, x: int, y: int) -> list:
+    """tunneling_check's rows: the reversed {0}-killed run from -y at every step, and p^n_0(x, .)."""
+    if not (x > 0 > y):
+        raise RegimeViolation("need x > 0 > y")
+    return [ctx.row(_ORIGIN, -y, n, dual=True, steps=range(n)), ctx.row(_ORIGIN, x, n)]
+
+
 def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> VerificationReport:
     """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] on symmetric laws.
 
@@ -422,18 +630,15 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     read at site -z of the reversed law's {0}-killed run from -y, which holds
     p^{n-k}_0(y, z).  That equals p^{n-k}_0(z, y) only when the law is
     symmetric, so on a skewed law the value is not the stated probability
-    (the FOUND line on tunneling_check in CHANGES.md).
+    (the FOUND line on tunneling_check in CHANGES.md).  The entrance run is
+    the one DP here outside the context: only it reads Green sums.
     """
-    if not (x > 0 > y):
-        raise RegimeViolation("need x > 0 > y")
-    law = ctx.law
-    W = default_window(law, n)
-    ent = run_kernel(law, HALF_LE_0, [x], n, window=W, entrance_depth=W)
+    dual, fwd = ctx.read(_tunneling_rows(ctx, n, x, y))
+    W = fwd[n].window
+    ent = run_kernel(ctx.law, HALF_LE_0, [x], n, window=W, keep=[], entrance_depth=W, keep_green=range(n + 1))
     strip = np.array([ent.green[k][0, W::-1] for k in range(n + 1)])  # sites 0, -1, ..., -W; no unit as x > 0
     h = np.diff(strip, axis=0, prepend=0.0)  # h[k, d]: entry at step k at site -d (boundary 0)
-    # every step of the reversed run from -y, which the context does not keep
-    dual = run_kernel(law.reversed(), _ORIGIN, [-y], n, window=W)
-    denom = ctx.dp_slice(_ORIGIN, x, n).at(y)
+    denom = fwd[n].at(y)
     if denom <= 1e-300:
         raise ConditioningMassZero(f"p^{n}_0({x},{y}) = {denom}")
     rep = VerificationReport(theorem_id="tunneling")
@@ -442,7 +647,7 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     probs = []
     for R in R_values:
         d = int(R) + 1
-        num = sum(float((h[k, d:] * dual.values[n - k][0][W + d:]).sum()) for k in range(1, n + 1))
+        num = sum(float((h[k, d:] * dual[n - k].slice[W + d:]).sum()) for k in range(1, n + 1))
         probs.append(num / denom)
         rep.record(num / denom, float(R), n=n, x=x, y=y, regime="tunnel")
     rep.notes["probs"] = probs
@@ -450,11 +655,23 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     return rep.finish([0.0], all(probs[i] >= probs[i + 1] for i in range(len(probs) - 1)), True)
 
 
+def _prop22_rows(ctx: LawContext, quick: bool) -> list:
+    return _tunneling_rows(ctx, 128 if quick else 256, 8, -8)
+
+
+@_reads(_prop22_rows)
 def verify_prop22(ctx: LawContext, quick: bool) -> VerificationReport:
     """Prop 2.2 from x = 8 to y = -8: the tunneling probability falls as R = 4, 16, 64 grows."""
     return tunneling_check(ctx, (4, 16, 64), 128 if quick else 256, 8, -8)
 
 
+def _comp_rows(ctx: LawContext, quick: bool) -> list:
+    ns = _grid(quick)
+    sites = [(n, _site(ctx, 0.5, n)) for n in ns]
+    return [_hits_row(ctx, max(ns))] + [ctx.row(B, x, n) for n, x in sites for B in (("le", -1), _ORIGIN)]
+
+
+@_reads(_comp_rows)
 def verify_comp(ctx: LawContext, quick: bool) -> VerificationReport:
     """Comparison identity p^n_0 ~ p^n_{(-inf,0)} + a_dag(x) f^0(n) a(-y) at x = y = n^{1/a}/2."""
     rep = VerificationReport(theorem_id="comp")
@@ -467,6 +684,13 @@ def verify_comp(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _kest_rows(ctx: LawContext, quick: bool) -> list:
+    if ctx.params.skew_sign <= 0:
+        return []
+    return _k_rows(ctx, 1024 if quick else 4096)
+
+
+@_reads(_kest_rows)
 def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
     """K_c(eta) c Gamma(alpha) / (p_c(0) eta^{alpha-1}) -> 1 as eta = 1, 1/2, 1/4 -> 0."""
     if ctx.params.skew_sign <= 0:
@@ -483,10 +707,21 @@ def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _a_rows(ctx: LawContext, quick: bool) -> list:
+    """The reversed A-killed runs from each z in A to the grid's largest n, read at every n of the grid."""
+    ns = _grid(quick)
+    return [ctx.row(_A, z, max(ns), dual=True, steps=ns) for z in _A]
+
+
+def _finite_rows(ctx: LawContext, quick: bool) -> list:
+    return _a_rows(ctx, quick) + _f0_rows(ctx, quick)
+
+
+@_reads(_finite_rows)
 def verify_finite_set(ctx: LawContext, quick: bool) -> VerificationReport:
     """sum_z in A f_A^z(n) / f^0(n) -> 1 for A = {-1, 0, 2}: the summed ledgers of cor3's reversed runs."""
     ns = _grid(quick)
-    runs = ctx.dual_slice(("set", _A), _A, max(ns))
+    runs = ctx.dual_slice(("set", _A), _A, max(ns), steps=ns)
     f0 = ctx.hits(max(ns))[max(ns)]
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in ns:
@@ -494,6 +729,7 @@ def verify_finite_set(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2 if quick else 0.1)
 
 
+@_reads(_a_rows)
 def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
     """Space-time hitting from x = 5: P[sigma_A = n, S_n = y] ~ f_A^x(n) w_A(y), y in A.
 
@@ -502,7 +738,7 @@ def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
     Site 5 of the reversed A-killed run from z holds P_5[sigma_A = n, S_n = z].
     """
     ns = _grid(quick)
-    runs = ctx.dual_slice(("set", _A), _A, max(ns))
+    runs = ctx.dual_slice(("set", _A), _A, max(ns), steps=ns)
     fsp_neg = FiniteSetPotential(ctx.pot, [-z for z in _A])
     weights = {y: fsp_neg.u(-y) for y in _A}
     rep = VerificationReport(theorem_id="cor3")
@@ -521,6 +757,11 @@ def _finish_sups(rep: VerificationReport, sups: list) -> VerificationReport:
     return rep.finish([dev], True, all(math.isfinite(s) for s in sups) and dev < 0.2)
 
 
+def _prop21_rows(ctx: LawContext, quick: bool) -> list:
+    return [ctx.row(_ORIGIN, 0, n, mult=10.0, dual=True) for n in (64, 256)]
+
+
+@_reads(_prop21_rows)
 def diagnostics_prop21(ctx: LawContext, quick: bool) -> VerificationReport:
     """sup of f^x(n) n / (|x_n|^{a-1} ^ |x_n|^{-a}), stable under x-grid refinement.
 
@@ -548,6 +789,18 @@ def diagnostics_prop21(ctx: LawContext, quick: bool) -> VerificationReport:
     return _finish_sups(rep, sups)
 
 
+# prop23's coarse and refined (x, y) grids: same extents, refined interior
+_P23_GRIDS = (
+    ((-40, -12, -3, 3, 12, 40), (1, 4, 16)),
+    ((-40, -24, -12, -6, -3, -1, 1, 3, 6, 12, 24, 40), (1, 2, 4, 8, 16)),
+)
+
+
+def _prop23_rows(ctx: LawContext, quick: bool) -> list:
+    return [ctx.row(_ORIGIN, y, 256, dual=True) for y in _P23_GRIDS[-1][1]]
+
+
+@_reads(_prop23_rows)
 def diagnostics_prop23(ctx: LawContext, quick: bool) -> VerificationReport:
     """Prop 2.3(i) scaled ratio at n = 256: sup stable under (x, y)-grid refinement.
 
@@ -558,13 +811,9 @@ def diagnostics_prop23(ctx: LawContext, quick: bool) -> VerificationReport:
     n = 256
     rep = VerificationReport(theorem_id="prop23")
     sups = []
-    # same extents, refined interior: stability means no blowup between nodes
-    grids = (
-        ((-40, -12, -3, 3, 12, 40), (1, 4, 16)),
-        ((-40, -24, -12, -6, -3, -1, 1, 3, 6, 12, 24, 40), (1, 2, 4, 8, 16)),
-    )
-    col = ctx.dual_slice(_ORIGIN, grids[-1][1], n)
-    for xs, ys in grids:
+    # stability means no blowup between the coarse grid's nodes
+    col = ctx.dual_slice(_ORIGIN, _P23_GRIDS[-1][1], n)
+    for xs, ys in _P23_GRIDS:
         sup = 0.0
         for x in xs:
             xn = x * float(n) ** -inv_a
@@ -593,6 +842,13 @@ def verify_cor1(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.15)
 
 
+def _cor2_rows(ctx: LawContext, quick: bool) -> list:
+    if ctx.params.skew_sign <= 0:
+        return []
+    return [ctx.row(_ORIGIN, -3, n) for n in _grid(quick)]
+
+
+@_reads(_cor2_rows)
 def verify_cor2(ctx: LawContext, quick: bool) -> VerificationReport:
     """gamma = 2-alpha, x = -3, y < 0: p^n_0 ~ a_dag(x)[f^0(n)a(-y) + |y_n| p_c(y_n)/n], rhs_thm2_small's terms at -y."""
     if ctx.params.skew_sign <= 0:
@@ -605,13 +861,20 @@ def verify_cor2(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
+def _llt_rows(ctx: LawContext, quick: bool) -> list:
+    """The free walk from 0, read at every n of the grid."""
+    ns = _grid(quick)
+    return [ctx.row(None, 0, max(ns), steps=ns)]
+
+
+@_reads(_llt_rows)
 def verify_llt(ctx: LawContext, quick: bool) -> VerificationReport:
     """sup_x |n^{1/a} p^n(x) - p_c(x n^{-1/a})| decreasing along the n grid."""
     inv_a = 1.0 / ctx.params.alpha
     ns = _grid(quick)
     rep = VerificationReport(theorem_id="llt")
-    W = default_window(ctx.law, max(ns))
-    table = run_kernel(ctx.law, None, [0], max(ns), window=W, keep=list(ns))
+    (free,) = ctx.read(_llt_rows(ctx, quick))
+    W = free[max(ns)].window
     xs = np.arange(-W, W + 1, dtype=float)
     for n in ns:
         scale = float(n) ** inv_a
@@ -619,7 +882,7 @@ def verify_llt(ctx: LawContext, quick: bool) -> VerificationReport:
         # sup to the bulk |x| <= 6 n^{1/alpha}
         mask = np.abs(xs) <= 6.0 * scale
         dens, _ = density_grid(ctx.params.c_circ, xs[mask] / scale, ctx.params)
-        sup = float(np.abs(scale * table.values[n][0][mask] - dens).max())
+        sup = float(np.abs(scale * free[n].slice[mask] - dens).max())
         rep.record(sup, 0.0, sup, sup, n=n, x=0, regime="llt")
     return rep.finalize(0.05, mono_floor=0.002)
 

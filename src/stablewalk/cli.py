@@ -156,13 +156,12 @@ def cmd_table(args) -> int:
     return EXIT_PASS
 
 
-def _registry(ctx: asy.LawContext, quick: bool):
-    """theorem_id -> zero-arg callable returning its VerificationReports, all on one context.
+def _drivers() -> dict:
+    """theorem id -> its drivers, each called as driver(ctx, quick) with its own quick and full grids.
 
-    Each driver is called as driver(ctx, quick) and holds its own quick and
-    full grids; verify_ladder returns two reports.
+    verify_ladder returns two reports.
     """
-    drivers = {
+    return {
         "thm1": (asy.verify_thm1,),
         "thm2": (asy.verify_thm2_small, asy.verify_thm2_bulk),
         # thm2 writes the thm2_small report; thm3 adds the crossover scan
@@ -183,6 +182,10 @@ def _registry(ctx: asy.LawContext, quick: bool):
         "prop23": (asy.diagnostics_prop23,),
     }
 
+
+def _registry(ctx: asy.LawContext, quick: bool):
+    """theorem_id -> zero-arg callable returning its VerificationReports, all on one context."""
+
     def reports(fns):
         out = []
         for fn in fns:
@@ -190,7 +193,7 @@ def _registry(ctx: asy.LawContext, quick: bool):
             out.extend(rep if isinstance(rep, tuple) else [rep])
         return out
 
-    return {tid: (lambda fns=fns: reports(fns)) for tid, fns in drivers.items()}
+    return {tid: (lambda fns=fns: reports(fns)) for tid, fns in _drivers().items()}
 
 
 _QUICK_ALL = ("thm1", "thm2", "thm4", "finite", "llt", "prop23")
@@ -201,13 +204,17 @@ def cmd_verify(args) -> int:
     out = _out_dir(args)
     law = _load_law(args)
     manifest.data["law_hash"] = law.law_hash()
-    reg = _registry(asy.LawContext.build(law), args.quick)
+    ctx = asy.LawContext.build(law)
+    reg = _registry(ctx, args.quick)
     if args.theorem == "all":
         names = _QUICK_ALL if args.quick else tuple(reg)
     else:
         if args.theorem not in reg:
             raise ConfigError(f"unknown theorem id {args.theorem!r}; choose from {sorted(reg)} or 'all'")
         names = (args.theorem,)
+    # every DP row the ids will read steps now, one run_kernel call per batch
+    drivers = _drivers()
+    ctx.plan(asy.declared_rows(ctx, [fn for name in names for fn in drivers[name]], args.quick))
     all_pass = True
     summaries = []
     single = args.theorem != "all"

@@ -18,21 +18,26 @@ goes to the escaped ledger, so
 
 holds to float accumulation error at every step.
 
-Every run also records its Green sums, the states of steps 0..n summed
-before each kill: off B the Green function G_B(x, .) up to step n, and on
-B's live sites P_x[sigma_B <= n, S_sigma = .] plus 1 at a start there (the
-first-entrance split).  run_kernel is the only DP loop: the ladder pmfs and
-renewal functions are the Green sums of one two-row half-line batch.
+A run records its Green sums, the states of steps 0..n summed before each
+kill, at the steps keep_green names, and its values at the steps keep names,
+for every row or row by row: off B the Green function G_B(x, .) up to step
+n, and on B's live sites P_x[sigma_B <= n, S_sigma = .] plus 1 at a start
+there (the first-entrance split).  run_kernel is the only DP loop: the
+ladder pmfs and renewal functions are the Green sums of one two-row
+half-line batch.
 
 On a window law.reversed()'s B-killed step matrix is the law's transposed:
 its {0}-killed run from 0 gives f^x_W(n) for every x, and its A-killed run
 from z in A holds P_x[sigma_A = n, S_n = z] at site x, so cor3 and finite
 read the space-time hitting law of A off the reversed A-killed runs, with
-the forward run's Green sums on A as oracle.  A batch's rows may carry either law:
-run_kernel's dual_starts rows step under law.reversed() beside the starts'
-rows under law.  Every row equals, bit for bit, the single-start run of its
-law with the same live sites, as in every batch of starts at or above
-b - entrance_depth.
+the forward run's Green sums on A as oracle.  A batch's rows may carry
+either law: run_kernel's dual_starts rows step under law.reversed() beside
+the starts' rows under law.  The rows of a batch share one killing set, or
+each has a finite one of its own (the empty set among them): every finite
+set keeps the whole window live, so rows that differ in law, set and kept
+steps still share one stepper call per step.  Every row equals, bit for
+bit, the single-start run of its law and killing set with the same live
+sites, as in every batch of starts at or above b - entrance_depth.
 """
 from __future__ import annotations
 
@@ -83,13 +88,16 @@ class KernelTable:
     """Killed/free n-step kernel slices with a conservation ledger.
 
     starts holds each row's start: the run's starts, then its dual_starts,
-    whose rows step under the reversed law.
-    values[n] is an array (n_rows, 2W+1) and green[n] the sum of the
-    states of steps 0..n before each kill, both for each kept n: on B's live
-    sites the mass that entered there by step n, plus 1 at a start there;
-    step_killed is the per-step kill mass (the first-passage mass into B at
-    that step), and escaped and killed (derived from step_killed) are the
-    cumulative per-start ledgers indexed by step.
+    whose rows step under the reversed law; killing is the run's killing
+    set, or the list of its rows' sets.
+    values[n] is an array (rows kept at n, 2W+1) and rows_at[n] those rows'
+    indices, every row where one keep list serves all.  green[n] (n_rows,
+    2W+1) is the sum of the states of steps 0..n before each kill, at the
+    steps keep_green names: on B's live sites the mass that entered there by
+    step n, plus 1 at a start there.  step_killed is the per-step kill mass
+    (the first-passage mass into B at that step), and escaped and killed
+    (derived from step_killed) are the cumulative per-start ledgers indexed
+    by step.
     """
 
     killing: object
@@ -97,6 +105,7 @@ class KernelTable:
     n_max: int
     starts: list
     values: dict = field(default_factory=dict)
+    rows_at: dict = field(default_factory=dict)
     green: dict = field(default_factory=dict)
     step_killed: np.ndarray | None = None
     escaped: np.ndarray | None = None
@@ -104,6 +113,10 @@ class KernelTable:
     @property
     def killed(self) -> np.ndarray:
         return np.cumsum(self.step_killed, axis=1)
+
+    def kept(self, row: int) -> dict:
+        """{n: the row's values at n} over the steps it kept."""
+        return {n: arr[self.rows_at[n].index(row)] for n, arr in self.values.items() if row in self.rows_at[n]}
 
     def conservation_defect(self, n: int) -> np.ndarray:
         total = self.values[n].sum(axis=1) + self.killed[:, n] + self.escaped[:, n]
@@ -159,6 +172,11 @@ def _fft_stepper(law, W: int):
     return step, esc_p, esc_m
 
 
+def _is_per_row(arg) -> bool:
+    """Whether a killing set or keep argument is a list with one entry per row (sets, or step lists)."""
+    return isinstance(arg, list) and any(not isinstance(a, (int, np.integer)) for a in arg)
+
+
 def run_kernel(
     law: WalkLaw,
     B,
@@ -169,14 +187,18 @@ def run_kernel(
     entrance_depth: int = 0,
     escape_budget: float | None = None,
     dual_starts=(),
+    keep_green=(),
 ) -> KernelTable:
     """Dynamic programming for p^n_B(x, .) from each start, with ledgers.
 
-    B: ("le", b), ("set", sites), an iterable of sites, or None (no killing).
+    B: ("le", b), ("set", sites), an iterable of sites, or None (no killing),
+    for every row; or a list of finite killing sets (("set", sites), a
+    tuple of sites or None), one per row.
     window: W, the half-width of [-W, W]; None selects default_window(law,
     n_max), and a W below 1 or a start outside [-W, W] raises WindowTooSmall.
-    keep: list of n to store values and Green sums for (default: all
-    n <= n_max).
+    keep: steps n to store values for (default: all n <= n_max), or a list
+    of such steps, one per row.
+    keep_green: steps n to store the Green sums for (default: none).
     entrance_depth: for half-line 'le' killing, keep b, ..., b - entrance_depth
     live, so green holds the entrance law there, as on a finite set's sites.
     dual_starts: starts of further rows, stepped under law.reversed() in the
@@ -184,42 +206,67 @@ def run_kernel(
     """
     dual_starts = [int(x) for x in dual_starts]
     starts = [int(x) for x in starts] + dual_starts
+    ns = len(starts)
     W = default_window(law, n_max) if window is None else window
     if W < 1:
         raise WindowTooSmall(f"window {W} below 1")
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
-    B = normalize_killing(B)
-    half_le = B[0] == "le"
+    per_row = _is_per_row(B)
+    killing = [normalize_killing(b) for b in B] if per_row else normalize_killing(B)
+    if per_row and (len(killing) != ns or any(b[0] == "le" for b in killing)):
+        raise ValueError("a killing set per row needs one finite set for each of the rows")
+    half_le = not per_row and killing[0] == "le"
     if entrance_depth and not half_le:
         raise ValueError("entrance_depth needs half-line killing")
-    keep_set = set(keep) if keep is not None else set(range(n_max + 1))
+    if _is_per_row(keep):
+        kept = [set(k) for k in keep]
+        rows_at = {n: tuple(i for i in range(ns) if n in kept[i]) for n in sorted(set().union(*kept))}
+    else:
+        rows_at = dict.fromkeys(range(n_max + 1) if keep is None else keep, tuple(range(ns)))
+    keep_green = set(keep_green)
     laws = law if not dual_starts else [law] * (len(starts) - len(dual_starts)) + [law.reversed()] * len(dual_starts)
     step, esc_p, esc_m = _fft_stepper(laws, W)
 
     # live sites [lo, W]: a run killed on (-inf, b] is zero on (-inf, b] after each
     # kill, so it needs sites there only for its entrance strip [b - depth, b] and starts
-    lo = max(-W, min(B[1] - entrance_depth, *starts)) if half_le else -W
-    # the killed live indices; no live site is killed when b lies below the window
+    lo = max(-W, min(killing[1] - entrance_depth, *starts)) if half_le else -W
+    # (rows, index of their killed live sites) per killing set; no live site is
+    # killed when b lies below the window, nor by the empty set
     if half_le:
-        killed = slice(0, max(B[1] - lo + 1, 0))
+        kills = [(slice(None), (slice(None), slice(0, max(killing[1] - lo + 1, 0))))]
     else:
-        killed = np.array([z - lo for z in B[1] if abs(z) <= W], dtype=np.int64)
-    ns = len(starts)
+        by_set = {}
+        for i, b in enumerate(killing if per_row else [killing] * ns):
+            by_set.setdefault(b[1], []).append(i)
+        kills = []
+        for sites, rows in by_set.items():
+            cols = np.array([z - lo for z in sites if abs(z) <= W], dtype=np.int64)
+            if cols.size:
+                rows = slice(None) if len(rows) == ns else np.array(rows)
+                kills.append((rows, (rows, cols) if isinstance(rows, slice) else (rows[:, None], cols)))
     states = np.zeros((ns, W - lo + 1))
     states[np.arange(ns), np.array(starts, dtype=np.int64) - lo] = 1.0
 
+    table = KernelTable(killing=killing, window=W, n_max=n_max, starts=starts,
+                        step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
+    green = states.copy() if keep_green else None
+
     def window_rows(live: np.ndarray) -> np.ndarray:
-        rows = np.zeros((ns, 2 * W + 1))
+        rows = np.zeros((len(live), 2 * W + 1))
         rows[:, lo + W :] = live
         return rows
 
-    table = KernelTable(killing=B, window=W, n_max=n_max, starts=starts,
-                        step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
-    green = states.copy()
-    if 0 in keep_set:
-        table.values[0] = window_rows(states)
-        table.green[0] = window_rows(green)
+    def record(n: int) -> None:
+        """Store step n's values of the rows kept there, and its Green sums if kept."""
+        if n in rows_at:
+            rows = rows_at[n]
+            table.values[n] = window_rows(states if len(rows) == ns else states[list(rows)])
+            table.rows_at[n] = rows
+        if n in keep_green:
+            table.green[n] = window_rows(green)
+
+    record(0)
 
     escaped_cum = np.zeros(ns)
     for n in range(1, n_max + 1):
@@ -227,20 +274,21 @@ def run_kernel(
         states, below, above = step(states)
         jump_up = alive * esc_p
         jump_dn = alive * esc_m
-        green += states  # before the kill: the killed live sites keep what entered them
-        kill_now = states[:, killed].sum(axis=1)
+        if green is not None:
+            green += states  # before the kill: the killed live sites keep what entered them
+        kill_now = np.zeros(ns)
+        for rows, index in kills:
+            kill_now[rows] = states[index].sum(axis=1)
+            states[index] = 0.0
         if half_le:
             # mass below the live sites, by overflow or by a jump past the window, lands in B
             kill_now = kill_now + below + jump_dn
             escaped_cum += above + jump_up
         else:
             escaped_cum += below + above + jump_up + jump_dn
-        states[:, killed] = 0.0
         table.step_killed[:, n] = kill_now
         table.escaped[:, n] = escaped_cum
-        if n in keep_set:
-            table.values[n] = window_rows(states)
-            table.green[n] = window_rows(green)
+        record(n)
     if escape_budget is not None and escaped_cum.max() > escape_budget:
         raise WindowTooSmall(
             f"escaped mass {escaped_cum.max():.3e} above budget {escape_budget:.1e} at W={W}"
@@ -406,8 +454,8 @@ def ladder_renewals(law: WalkLaw, x_max: int = 256) -> LadderTables:
     # row 1, the reversed law from 0: entering at depth d is a weak ascent Z = d; its
     # state after step m + 1 is mu Phat^m, hence N + 1 steps for m <= N
     runs = run_kernel(
-        law, HALF_LE_0, [1], N + 1, window=W, keep=[half, half + 1, N, N + 1], entrance_depth=x_max,
-        dual_starts=[0],
+        law, HALF_LE_0, [1], N + 1, window=W, keep=[N, N + 1], entrance_depth=x_max, dual_starts=[0],
+        keep_green=[half, half + 1, N, N + 1],
     )
     return _ladder_tables((runs, 0), (runs, 1), N, x_max, alpha)
 
@@ -462,6 +510,12 @@ def _weak_renewal_recursion(q_as: np.ndarray, x_max: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def k_starts(law: WalkLaw, n: int) -> list:
+    """k_estimate's two half-line starts at n: x1 = max(1, round(n^{1/alpha}/32)) and 2 x1."""
+    x1 = max(1, int(round(n ** (1.0 / law.spec.alpha) / 32.0)))
+    return [x1, 2 * x1]
+
+
 def k_estimate(ctx, ys, n: int) -> tuple[np.ndarray, np.ndarray]:
     """K_{c_circ}(y n^{-1/alpha}) ~ n^{1/alpha} p^n_{(-inf,0]}(x, y) / x_n at lattice sites y.
 
@@ -474,8 +528,7 @@ def k_estimate(ctx, ys, n: int) -> tuple[np.ndarray, np.ndarray]:
     if ys.min() < 1:
         raise ResolutionTooCoarse(f"site y = {ys.min()} < 1")
     scale = n ** (1.0 / ctx.law.spec.alpha)
-    x1 = max(1, int(round(scale / 32.0)))
-    sls = ctx.dp_slices(HALF_LE_0, [x1, 2 * x1], n)
+    sls = ctx.dp_slices(HALF_LE_0, k_starts(ctx.law, n), n)
     vals = [scale * sl.slice[ys + sl.window] / (x / scale) for x, sl in sls.items()]
     est = 0.5 * (vals[0] + vals[1])
     spread = np.abs(vals[0] - vals[1]) / np.maximum(np.abs(est), 1e-300)

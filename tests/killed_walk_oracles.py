@@ -88,6 +88,7 @@ def two_run_ladder(law, x_max: int):
     """ladder_renewals(law, x_max) from a run of the law from 1 and a separate run of law.reversed() from 0."""
     N = max(8192, int(4.0 * x_max ** law.spec.alpha))
     half, W = N // 2, default_window(law, N)
-    down = run_kernel(law, HALF_LE_0, [1], N, window=W, keep=[half, N], entrance_depth=x_max)
-    up = run_kernel(law.reversed(), HALF_LE_0, [0], N + 1, window=W, keep=[half + 1, N, N + 1], entrance_depth=x_max)
+    down = run_kernel(law, HALF_LE_0, [1], N, window=W, keep=[N], entrance_depth=x_max, keep_green=[half, N])
+    up = run_kernel(law.reversed(), HALF_LE_0, [0], N + 1, window=W, keep=[N], entrance_depth=x_max,
+                    keep_green=[half + 1, N, N + 1])
     return _ladder_tables((down, 0), (up, 0), N, x_max, law.spec.alpha)

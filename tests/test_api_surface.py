@@ -256,9 +256,8 @@ def test_every_class_field_is_read():
 
 # the only callers of run_kernel in asymptotics.py, each with its reason
 RUN_KERNEL_CALLERS = {
-    "LawContext._run": "the context runs each DP a driver reads once, and keeps its kept steps",
-    "verify_llt": "the free walk, read by llt alone",
-    "tunneling_check": "an entrance-law run and a dual kernel read at every step, neither kept by the context",
+    "LawContext._run": "the context steps each batch of the rows drivers read once, and keeps what they read",
+    "tunneling_check": "an entrance-law run whose Green sums only it reads",
 }
 
 

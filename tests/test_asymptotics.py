@@ -8,7 +8,7 @@ import pytest
 
 from asymptotic_oracles import rhs_theorem6_hitting_form, rhs_theorem6_i
 from conftest import get_ctx
-from stablewalk import asymptotics
+from stablewalk import asymptotics, cache
 from stablewalk.asymptotics import (
     LawContext,
     VerificationReport,
@@ -30,7 +30,7 @@ from stablewalk.asymptotics import (
     verify_thm5_x_small,
 )
 from stablewalk.errors import InfiniteCPlus, RegimeViolation
-from stablewalk.killed_walk import HALF_LE_0, first_passage, run_kernel
+from stablewalk.killed_walk import HALF_LE_0, first_passage, normalize_killing, run_kernel
 from stablewalk.potential_theory import FiniteSetPotential, c_plus
 from stablewalk.special import gamma_fn
 
@@ -238,13 +238,13 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
     LawContext.build(sym15).dp_slice(B, x, n)
     path = _only_artifact(tmp_path)
     kept = 9  # sym15 is self-dual, so its runs keep the steps 1, 2, 4, ..., 256
-    planted = {"slice": np.zeros((1, kept, 2 * W + 1)), "f": np.zeros((1, n + 1)), "escaped": np.zeros((1, kept))}
+    planted = {"slice": np.zeros((kept, 2 * W + 1)), "f": np.zeros(n + 1), "escaped": np.zeros(kept)}
     if flaw == "short slice":
-        planted["slice"] = planted["slice"][:, :, :-1]
+        planted["slice"] = planted["slice"][:, :-1]
     elif flaw == "short f":
-        planted["f"] = planted["f"][:, :-1]
+        planted["f"] = planted["f"][:-1]
     elif flaw == "nan in f":
-        planted["f"][0, 7] = np.nan
+        planted["f"][7] = np.nan
     else:
         del planted["escaped"]
     np.savez_compressed(path, **planted)
@@ -283,7 +283,7 @@ def test_dual_set_slice_is_the_forward_entrance_law(name):
     runs = ctx.dual_slice(("set", A), A, n)
     xs = [-40, -7, -2, 1, 3, 5, 20, 60]
     # the forward run's step-n entrance law into A: the growth of its Green sums on A at step n
-    fwd = run_kernel(ctx.law, A, xs, n, window=512, keep=[n - 1, n])
+    fwd = run_kernel(ctx.law, A, xs, n, window=512, keep=[], keep_green=[n - 1, n])
     entrance = (fwd.green[n] - fwd.green[n - 1])[:, np.array(A) + 512]
     for j, z in enumerate(A):
         got = np.array([runs[z][n].at(x) for x in xs])
@@ -297,21 +297,23 @@ def test_dual_set_slice_is_the_forward_entrance_law(name):
                                          ("asym15", ("set", (-1, 0, 2)), [-1, 0, 2]),
                                          ("sp15", ("le", 0), [0, 1, 3])])
 def test_batch_artifacts_equal_single_runs(name, B, ys, monkeypatch, tmp_path):
-    """The starts run as one batch with one artifact, and each of its rows is its single-start run, bit for bit."""
+    """The starts run as one batch with one artifact per row, and each row is its single-start run, bit for bit."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     real, calls = _count_run_kernel(monkeypatch)
     law, n, W = get_ctx(name).law, 256, 512
     LawContext.build(law).dual_slice(B, ys, n)
     assert len(calls) == 1
-    with np.load(_only_artifact(tmp_path)) as z:
-        stored = {k: z[k] for k in z.files}
+    assert len(list(tmp_path.glob("*.npz"))) == len(ys)
     keep = [1, 2, 4, 8, 16, 32, 64, 128, 256]
     rev = law.reversed()
-    for i, y in enumerate(ys):
+    for y in ys:
+        key = cache.content_key(rev.law_hash(), "dp_row", B=str(normalize_killing(B)), x=y, n=n, W=W)
+        with np.load(tmp_path / f"{key}.npz") as z:
+            stored = {k: z[k] for k in z.files}
         single = real(rev, B, [y], n, window=W, keep=keep)
-        assert np.array_equal(stored["slice"][i], np.stack([single.values[m][0] for m in keep]))
-        assert np.array_equal(stored["f"][i], single.step_killed[0])
-        assert np.array_equal(stored["escaped"][i], single.escaped[0, keep])
+        assert np.array_equal(stored["slice"], np.stack([single.values[m][0] for m in keep]))
+        assert np.array_equal(stored["f"], single.step_killed[0])
+        assert np.array_equal(stored["escaped"], single.escaped[0, keep])
 
 
 def test_thm1_and_crossover_share_one_run(sp15, monkeypatch, tmp_path):

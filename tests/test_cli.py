@@ -294,3 +294,87 @@ def test_registry_strings_match_the_benchmark_reference(tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert err == "configuration error: cor1: ConfigError: cor1 power branch needs a two-sided law\n"
     assert err.strip() == sp_ref["theorems"]["cor1"]["skip"]
+
+
+def _log_rows(monkeypatch) -> dict:
+    """Record the rows each LawContext plans and reads, and the rows run_kernel steps, as
+    (law hash, killing set, start, n, W) -> steps read (planned and read) or a list (stepped)."""
+    from stablewalk.killed_walk import normalize_killing
+
+    log = {"planned": {}, "read": {}, "stepped": []}
+    hashes = {}
+
+    def record(kind, ctx, rows):
+        if id(ctx.law) not in hashes:
+            hashes[id(ctx.law)] = (ctx.law.law_hash(), ctx.law.reversed().law_hash())
+        for r in rows:
+            key = (hashes[id(ctx.law)][r.dual], r.B, r.x, r.n, r.W)
+            log[kind][key] = log[kind].get(key, set()) | set(r.steps)
+
+    def logged(kind, real):
+        def method(ctx, rows):
+            record(kind, ctx, rows)
+            return real(ctx, rows)
+        return method
+
+    real_run = asymptotics.run_kernel
+
+    def run_kernel(law, B, starts, n, window=None, dual_starts=(), **kwargs):
+        rows = len(starts) + len(dual_starts)
+        row_hashes = [law.law_hash()] * len(starts) + [law.reversed().law_hash()] * len(dual_starts)
+        sets = B if isinstance(B, list) else [B] * rows
+        log["stepped"] += [(h, normalize_killing(b), x, n, window)
+                           for h, b, x in zip(row_hashes, sets, [*starts, *dual_starts])]
+        return real_run(law, B, starts, n, window=window, dual_starts=dual_starts, **kwargs)
+
+    monkeypatch.setattr(asymptotics.LawContext, "plan", logged("planned", asymptotics.LawContext.plan))
+    monkeypatch.setattr(asymptotics.LawContext, "read", logged("read", asymptotics.LawContext.read))
+    monkeypatch.setattr(asymptotics, "run_kernel", run_kernel)
+    return log
+
+
+def _assert_plan_matches_reads(log: dict) -> None:
+    unplanned = [key for key, steps in log["read"].items() if not steps <= log["planned"].get(key, set())]
+    assert not unplanned, f"read but not planned: {unplanned}"
+    unread = set(log["planned"]) - set(log["read"])
+    assert not unread, f"planned but never read: {unread}"
+    twice = {key for key in log["stepped"] if log["stepped"].count(key) > 1}
+    assert not twice, f"stepped more than once: {twice}"
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
+def test_verify_all_steps_each_planned_row_once(name, tmp_path, monkeypatch):
+    """Quick `verify all` plans every row its drivers read, reads every row it plans, and steps each once."""
+    monkeypatch.delenv("STABLEWALK_CACHE")
+    law = tmp_path / "law.json"
+    law.write_text(get_law(name).to_json() + "\n")
+    log = _log_rows(monkeypatch)
+    assert main(["verify", "all", "--quick", "--law", str(law), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert log["read"]
+    _assert_plan_matches_reads(log)
+
+
+def test_verify_each_id_steps_each_planned_row_once(tmp_path, monkeypatch, capsys):
+    """`verify <id> --quick` for every id on sp15 with one fresh artifact cache, as the benchmark runs it.
+
+    Each id plans the rows it reads and reads the rows it plans, and no row
+    is stepped twice: an id reads the rows an earlier id stepped off the
+    cache.  The ladder reads no row (its half-line batch is its own), so its
+    2 s DP is replaced by a budget error here.
+    """
+    from stablewalk.errors import TruncationTooCoarse
+
+    def no_ladder(law, x_max):
+        raise TruncationTooCoarse("ladder not stepped in this test")
+
+    monkeypatch.setattr(asymptotics, "ladder_renewals", no_ladder)
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path / "cache"))
+    law = tmp_path / "law.json"
+    law.write_text(get_law("sp15").to_json() + "\n")
+    log = _log_rows(monkeypatch)
+    for tid in cli._drivers():
+        main(["verify", tid, "--quick", "--law", str(law), "--out", str(tmp_path / tid)])
+        _assert_plan_matches_reads(log)
+        log["planned"].clear()
+        log["read"].clear()
+    assert log["stepped"]

@@ -92,7 +92,7 @@ def test_half_line_run_matches_dense_matrix(name, b, depth, starts):
     from killed_walk_oracles import dense_half_line, full_window_half_line
 
     law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
-    tab = run_kernel(law, ("le", b), starts, n, window=W, entrance_depth=depth)
+    tab = run_kernel(law, ("le", b), starts, n, window=W, entrance_depth=depth, keep_green=range(n + 1))
     got = {"values": [tab.values[m] for m in range(n + 1)], "green": [tab.green[m] for m in range(n + 1)],
            "step_killed": tab.step_killed, "escaped": tab.escaped}
     for oracle in (dense_half_line, full_window_half_line):
@@ -117,7 +117,7 @@ def test_set_run_matches_dense_matrix(name, A, starts):
     from killed_walk_oracles import dense_killed
 
     law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
-    tab = run_kernel(law, list(A) or None, starts, n, window=W)
+    tab = run_kernel(law, list(A) or None, starts, n, window=W, keep_green=range(n + 1))
     want = dense_killed(law, np.isin(np.arange(-W, W + 1), A), starts, n, W, below_killed=False)
     got = {"values": [tab.values[m] for m in range(n + 1)], "green": [tab.green[m] for m in range(n + 1)],
            "step_killed": tab.step_killed, "escaped": tab.escaped}
@@ -148,11 +148,12 @@ def test_dual_rows_match_single_law_runs(name, B, depth):
 
     law, W, n = get_ctx(name).law, _ORACLE_W, _ORACLE_N
     starts, dual = [1, 4], [0]
-    both = run_kernel(law, B, starts, n, window=W, entrance_depth=depth, dual_starts=dual)
+    every = range(n + 1)
+    both = run_kernel(law, B, starts, n, window=W, entrance_depth=depth, dual_starts=dual, keep_green=every)
     assert both.starts == starts + dual
     rev = law.reversed()
-    singles = [run_kernel(law, B, starts, n, window=W, entrance_depth=depth),
-               run_kernel(rev, B, dual, n, window=W, entrance_depth=depth)]
+    singles = [run_kernel(law, B, starts, n, window=W, entrance_depth=depth, keep_green=every),
+               run_kernel(rev, B, dual, n, window=W, entrance_depth=depth, keep_green=every)]
     rows = [slice(0, len(starts)), slice(len(starts), None)]
     for single, rows_of in zip(singles, rows):
         for m in range(n + 1):
@@ -173,6 +174,41 @@ def test_dual_rows_match_single_law_runs(name, B, depth):
             assert np.abs(np.asarray(arr) - np.asarray(want[key])).max(initial=0.0) <= 1e-13, key
 
 
+@pytest.mark.parametrize("name", ["sym15", "sp15"])
+def test_mixed_batch_rows_match_single_runs(name):
+    """One batch of {0}-, A- and free rows under law and law.reversed(), each kept at its own steps.
+
+    Every row equals its single-start run bit for bit: values at its kept
+    steps, step_killed, escaped, and the Green sums every row records.
+    """
+    law, W, n = get_ctx(name).law, 256, 96
+    A = (-1, 0, 2)
+    rows = [  # (reversed law, killing set, start, kept steps)
+        (False, ("set", (0,)), 7, (n,)),
+        (False, ("set", A), 5, (16, n)),
+        (False, None, 0, tuple(range(n + 1))),
+        (True, ("set", (0,)), 0, (1, 2, 64)),
+        (True, ("set", A), 2, (n,)),
+        (True, None, -3, (8,)),
+        (True, ("set", A), -1, (32, n)),
+    ]
+    fwd, rev = [r for r in rows if not r[0]], [r for r in rows if r[0]]
+    both = run_kernel(law, [r[1] for r in fwd + rev], [r[2] for r in fwd], n, window=W,
+                      keep=[r[3] for r in fwd + rev], dual_starts=[r[2] for r in rev], keep_green=[0, 17, n])
+    assert both.starts == [r[2] for r in fwd + rev]
+    for i, (dual, B, x, steps) in enumerate(fwd + rev):
+        single = run_kernel(law.reversed() if dual else law, B, [x], n, window=W, keep=steps, keep_green=[0, 17, n])
+        kept = both.kept(i)
+        assert sorted(kept) == sorted(steps)
+        for m in steps:
+            assert np.array_equal(kept[m], single.values[m][0]), (i, m)
+        for m in (0, 17, n):
+            assert np.array_equal(both.green[m][i], single.green[m][0]), (i, m)
+        for key in _TABLE_ARRAYS:
+            assert np.array_equal(getattr(both, key)[i], getattr(single, key)[0]), (i, key)
+    assert both.killed[2, n] == 0.0 and both.killed[0, n] > 0.0
+
+
 @pytest.mark.parametrize(
     "B, start, depth",
     [([0], 3, 0), ([-1, 0, 2], 5, 0), (HALF_LE_0, 4, 16)],
@@ -189,7 +225,7 @@ def test_green_is_running_sum_of_states(asym15, B):
     A finite set's sites hold all of its kill; the half-line's live sites
     [-5, 0] lack the mass killed below them.
     """
-    tab = run_kernel(asym15, B, [3, -5], 256, window=512)
+    tab = run_kernel(asym15, B, [3, -5], 256, window=512, keep_green=range(257))
     running = np.cumsum([tab.values[n] for n in range(257)], axis=0)
     sites = np.arange(-512, 513)
     on_B = sites <= 0 if B == HALF_LE_0 else np.isin(sites, B or [])
@@ -205,7 +241,7 @@ def test_green_is_running_sum_of_states(asym15, B):
 def test_set_entrance_sums_to_step_killed(asym15):
     """The steps' growth of green on A is the entrance law by site, and its sum over A is step_killed."""
     A = [-1, 0, 2]
-    tab = run_kernel(asym15, A, [5, -4, 0], 512, window=512)
+    tab = run_kernel(asym15, A, [5, -4, 0], 512, window=512, keep=[], keep_green=range(513))
     on_A = np.array(A) + 512
     green_A = np.array([tab.green[n][:, on_A] for n in range(513)])  # (step, start, site); start 0 adds a unit
     entrance = np.diff(green_A, axis=0, prepend=0.0).transpose(1, 0, 2)
@@ -342,7 +378,7 @@ def test_llt_sup_shrinks(sym15):
 
 def test_halfline_entrance_one_step(sp15):
     """After one step green holds p(y - 4) at depth d = -y of the strip 0, -1, ..., -64."""
-    he = run_kernel(sp15, HALF_LE_0, [4], 16, window=512, keep=[1], entrance_depth=64)
+    he = run_kernel(sp15, HALF_LE_0, [4], 16, window=512, keep=[], entrance_depth=64, keep_green=[1])
     ys = -np.arange(0, 65)
     assert np.abs(he.green[1][0, ys + 512] - sp15.pmf(ys - 4)).max() < 1e-16
     assert not he.green[1][0, : 512 - 64].any()
@@ -355,8 +391,8 @@ def test_halfline_entrance_conservation(sp15):
     bottom, plus what left the window downward; on the shared strip the two
     runs agree.
     """
-    narrow = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=128)
-    wide = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=512)
+    narrow = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[64], entrance_depth=128, keep_green=[64])
+    wide = run_kernel(sp15, HALF_LE_0, [4], 64, window=512, keep=[], entrance_depth=512, keep_green=[64])
     strip = narrow.green[64][0, 512 - 128 : 513]
     assert np.abs(wide.green[64][0, 512 - 128 : 513] - strip).max() <= 1e-15
     below_window = wide.killed[0, 64] - wide.green[64][0, :513].sum()

@@ -139,7 +139,7 @@ def test_green_origin_vs_dp_partial_sums(sym15, pot15):
 
     W = 1024
     N_checks = (1000, 3000)
-    tab = run_kernel(sym15, [0], [3], max(N_checks), window=W, keep=list(N_checks))
+    tab = run_kernel(sym15, [0], [3], max(N_checks), window=W, keep=[], keep_green=N_checks)
     partial = [{y: tab.green[N][0, y + W] for y in (-5, 2, 7)} for N in N_checks]
     p = stable_params_of(sym15)
     ct = _constants(p)
@@ -182,7 +182,7 @@ def test_finite_set_vs_dp(sym15, pot15):
     A = (-1, 2)
     fsp = FiniteSetPotential(pot15, A)
     W = 1024
-    tab = run_kernel(sym15, A, [4], 4000, window=W, keep=[1000, 2000, 4000])
+    tab = run_kernel(sym15, A, [4], 4000, window=W, keep=[], keep_green=[1000, 2000, 4000])
     checks = {n: tab.green[n][0] for n in (1000, 2000, 4000)}
     for y in (-4, 0, 6):
         seq = [checks[n][y + W] for n in (1000, 2000, 4000)]
@@ -318,7 +318,7 @@ def test_hit_before_vs_dp(sym15, pot15):
     y = 3
     W = 2048
     for x in (2, -3):
-        tab = run_kernel(sym15, [0, y], [x], 16_000, window=W, keep=[4000, 8000, 16000])
+        tab = run_kernel(sym15, [0, y], [x], 16_000, window=W, keep=[], keep_green=[4000, 8000, 16000])
         seq = []
         closed = hit_before(pot15, x, y)
         for n in (4000, 8000, 16000):
