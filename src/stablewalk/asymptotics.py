@@ -29,7 +29,9 @@ keeps the steps its readers read, so the drivers' reads are memo hits; a
 read nobody declared still runs on demand, so the plan saves steps but
 never changes a number.  A row's artifact holds each power of two up to n,
 and n, for a reversed row (on a self-dual law, every row), else n, so one
-id finds the rows another id wrote.
+id finds the rows another id wrote; a row also read at another step (llt's
+free row, prop22's every-step dual row) could never load, so it is not
+stored.
 
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
 f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed row from 0
@@ -264,8 +266,10 @@ class LawContext:
         """The rows the memo lacks, merged by key, less those the artifact cache holds, grouped into batches.
 
         Each is (key, row, steps to keep).  A row the memo holds at too few
-        steps reruns for the others; with an artifact cache a run also keeps
-        the steps its artifact holds, for later processes.
+        steps reruns for the others.  With an artifact cache a row read only
+        at steps its artifact holds keeps all of those, for later processes;
+        a row read elsewhere too could never load, so it keeps its readers'
+        steps only and is not stored.
         """
         need = {}
         for r in rows:
@@ -280,7 +284,8 @@ class LawContext:
             stored = self._artifact_steps(r)
             if steps <= set(stored) and self._load(key, r, stored):
                 continue
-            steps |= set(stored if caching else ())
+            if caching and steps <= set(stored):
+                steps = set(stored)
             group = ("set", r.n, r.W) if r.B[0] == "set" else (r.B, r.n, r.W, None if r.x >= r.B[1] else r.x)
             batches.setdefault(group, []).append((key, r, steps))
         return list(batches.values())
@@ -301,7 +306,7 @@ class LawContext:
         self.memo[key] = dict(sorted({**new, **self.memo.get(key, {})}.items()))
 
     def _run(self, batch: list) -> None:
-        """Step one batch of (key, row, steps) in one run_kernel call and memoise and cache each row.
+        """Step one batch of (key, row, steps) in one run_kernel call, memoise each row and cache those kept at their artifact's steps.
 
         The law's rows come first, then the reversed law's (none on a
         self-dual law); a killing set and kept steps shared by every row
@@ -318,10 +323,11 @@ class LawContext:
         _, r0, _ = batch[0]
         table = run_kernel(law, Bs[0] if len(set(Bs)) == 1 else Bs, starts, r0.n, window=r0.W,
                            keep=list(keeps[0]) if len(set(keeps)) == 1 else keeps, dual_starts=dual)
-        for i, (key, r, _) in enumerate(batch):
+        for i, (key, r, steps) in enumerate(batch):
             self._keep(key, r.W, table.step_killed[i], {m: (sl, table.escaped[i, m]) for m, sl in table.kept(i).items()})
-            if cache.cache_dir() is not None:
-                run, stored = self.memo[key], self._artifact_steps(r)
+            stored = self._artifact_steps(r)
+            if cache.cache_dir() is not None and steps <= set(stored):
+                run = self.memo[key]
                 cache.store(self._artifact(r), slice=np.stack([run[m].slice for m in stored]), f=run[r.n].f,
                             escaped=np.array([run[m].escaped for m in stored]))
 

@@ -1,11 +1,16 @@
 """Stochastic oracle: exact increment sampling and path estimators.
 
-Sampling is exact: a Vose alias table covers the core window and the
-analytic power tails are inverted in closed form, so the sampled law equals
-the WalkLaw (no window truncation at all - this is what makes the Monte
-Carlo estimates an independent check on the windowed DP kernels).  Streams
-are counter-based (Philox) keyed by (seed, stream index), so estimates
-reproduce bit-identically under any parallel split.
+Sampling is exact: one Vose alias table covers the core sites [-_CORE,
+_CORE] and two tail columns holding P[X > _CORE] and P[X < -_CORE], so the
+sampled law equals the WalkLaw (no window truncation at all - this is what
+makes the Monte Carlo estimates an independent check on the windowed DP
+kernels).  An increment costs one uniform u: floor(u m) picks one of the m
+columns and the fractional part of u m is the alias coin.  Only a draw that
+lands on a tail column takes a second uniform, which inverts that power tail
+in closed form.  The estimators keep their live paths in dense arrays and
+compact them, in order, when paths hit.  Streams are counter-based (Philox)
+keyed by (seed, stream index), so an estimate reproduces bit-identically
+from its SimConfig.
 """
 from __future__ import annotations
 
@@ -49,66 +54,54 @@ def _binom_ci(hits: float, n: int) -> EstimateCI:
     return EstimateCI(point=p, half_width_95=1.959963984540054 * math.sqrt(var / n), trials_effective=n)
 
 
+def _vose(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table (prob, alias) for the distribution p over len(p) columns.
+
+    Column i keeps itself with probability prob[i] and passes to alias[i]
+    otherwise; a full column is its own alias.
+    """
+    m = len(p)
+    scaled = p * m
+    alias = np.arange(m, dtype=np.int64)
+    prob = np.ones(m)
+    small = [i for i, v in enumerate(scaled) if v < 1.0]
+    large = [i for i, v in enumerate(scaled) if v >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] = scaled[l] - (1.0 - scaled[s])
+        (small if scaled[l] < 1.0 else large).append(l)
+    return prob, alias
+
+
 class IncrementSampler:
-    """Alias-method core + closed-form tail inversion for one WalkLaw."""
+    """One alias table over the core sites and both tail columns of one WalkLaw."""
 
     def __init__(self, law: WalkLaw):
         self.law = law
-        xs = np.arange(-_CORE, _CORE + 1, dtype=np.int64)
-        probs = law.pmf(xs)
-        # (P[X >= _CORE+1], P[X <= -_CORE-1]); _CORE is past the calibration blocks,
-        # so both tails are pure power laws
-        self.tail_p, self.tail_m = law.escaped_split(_CORE)
-        self.core_mass = float(probs.sum())
-        # mass bookkeeping is exact by construction: core + tails = 1
-        self._xs = xs
-        self._build_alias(probs / self.core_mass)
-
-    def _build_alias(self, p: np.ndarray) -> None:
-        m = len(p)
-        scaled = p * m
-        alias = np.zeros(m, dtype=np.int64)
-        prob = np.ones(m)
-        small = [i for i, v in enumerate(scaled) if v < 1.0]
-        large = [i for i, v in enumerate(scaled) if v >= 1.0]
-        scaled = scaled.copy()
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = scaled[l] - (1.0 - scaled[s])
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in large + small:
-            prob[i] = 1.0
-        self._alias = alias
-        self._prob = prob
+        # columns: the sites -_CORE .. _CORE, then P[X > _CORE] and P[X < -_CORE];
+        # _CORE is past the calibration blocks, so both tails are pure power laws
+        masses = np.concatenate([law.pmf(np.arange(-_CORE, _CORE + 1)), law.escaped_split(_CORE)])
+        self._prob, self._alias = _vose(masses / masses.sum())
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = rng.random(n)
-        out = np.empty(n, dtype=np.int64)
-        core = u < self.core_mass
-        n_core = int(core.sum())
-        idx = rng.integers(0, len(self._prob), n_core)
-        take = rng.random(n_core) < self._prob[idx]
-        chosen = np.where(take, idx, self._alias[idx])
-        out[core] = self._xs[chosen]
-        rest = ~core
-        n_rest = int(rest.sum())
-        if n_rest:
-            v = u[rest] - self.core_mass
-            plus = v < self.tail_p
-            vals = np.empty(n_rest, dtype=np.int64)
-            vp = v[plus]
-            # P[X >= y] = sp y^{-rp}: invert on V ~ U(0, P[X >= core+1])
-            vals[plus] = np.floor(
-                (self.law.sp / np.maximum(self.tail_p - vp, 1e-300)) ** (1.0 / self.law.rp)
-            ).astype(np.int64)
-            vm = v[~plus] - self.tail_p
-            vals[~plus] = -np.floor(
-                (self.law.sm / np.maximum(self.tail_m - vm, 1e-300)) ** (1.0 / self.law.rm)
-            ).astype(np.int64)
-            out[rest] = vals
+        m = len(self._prob)
+        u = rng.random(n) * m
+        col = u.astype(np.int64)
+        np.minimum(col, m - 1, out=col)  # a u m rounded up to m stays on the last column
+        u -= col  # the coin
+        out = np.where(u < self._prob[col], col, self._alias[col])
+        tail = np.flatnonzero(out > 2 * _CORE)
+        out -= _CORE
+        if len(tail):
+            # P[X >= y] = sp y^{-rp} past the core, so P[X >= y | X > _CORE] = (y / (_CORE+1))^{-rp}:
+            # invert it on V ~ U(0, 1], likewise below
+            minus = out[tail] == _CORE + 2
+            r = np.where(minus, self.law.rm, self.law.rp)
+            y = np.floor((_CORE + 1) * (1.0 - rng.random(len(tail))) ** (-1.0 / r)).astype(np.int64)
+            out[tail] = np.where(minus, -y, y)
         return out
 
 
@@ -138,19 +131,17 @@ def estimate_first_passage(law: WalkLaw, x: int, n_grid, cfg: SimConfig) -> dict
     hit_at = np.zeros(horizon + 1)
     alive_at = {n: 0.0 for n in n_grid}
     for rng, m in _chunks(cfg):
-        pos = np.full(m, int(x), dtype=np.int64)
-        alive = np.ones(m, dtype=bool)
+        pos = np.full(m, int(x), dtype=np.int64)  # the live paths, in path order
         for n in range(1, horizon + 1):
-            idx = np.nonzero(alive)[0]
-            if len(idx) == 0:
-                break
-            pos[idx] += sampler.sample(rng, len(idx))
-            hit = idx[pos[idx] == 0]
-            if len(hit):
-                hit_at[n] += len(hit)
-                alive[hit] = False
+            pos += sampler.sample(rng, len(pos))
+            hit = len(pos) - int(np.count_nonzero(pos))
+            if hit:
+                hit_at[n] += hit
+                pos = pos[pos != 0]
             if n in alive_at:
-                alive_at[n] += int(alive.sum())
+                alive_at[n] += len(pos)
+            if not len(pos):
+                break
     out_f = {n: _binom_ci(hit_at[n], cfg.trials) for n in n_grid}
     out_s = {n: _binom_ci(alive_at[n], cfg.trials) for n in n_grid}
     return {"f": out_f, "survival": out_s}
@@ -164,23 +155,20 @@ def estimate_conditional_escape(law: WalkLaw, x: int, y: int, n: int, R: float, 
     accept = 0
     deep = 0
     for rng, m in _chunks(cfg):
-        pos = np.full(m, int(x), dtype=np.int64)
-        ok = np.ones(m, dtype=bool)          # sigma_0 > current step
-        entered = np.zeros(m, dtype=bool)
-        entry_val = np.zeros(m, dtype=np.int64)
+        pos = np.full(m, int(x), dtype=np.int64)  # the paths with sigma_0 > current step, in order
+        entry = np.zeros(m, dtype=np.int64)  # value at first entry of (-inf, 0), 0 before it
         for _ in range(n):
-            idx = np.nonzero(ok)[0]
-            if len(idx) == 0:
+            pos += sampler.sample(rng, len(pos))
+            live = pos != 0
+            if not live.all():
+                pos, entry = pos[live], entry[live]
+            if not len(pos):
                 break
-            pos[idx] += sampler.sample(rng, len(idx))
-            sub = pos[idx]
-            ok[idx[sub == 0]] = False
-            new_entry = idx[(sub < 0) & (~entered[idx])]
-            entered[new_entry] = True
-            entry_val[new_entry] = pos[new_entry]
-        sel = ok & (pos == y)
-        accept += int(sel.sum())
-        deep += int((entry_val[sel] < -R).sum())
+            new = (pos < 0) & (entry == 0)
+            entry[new] = pos[new]
+        sel = pos == y
+        accept += int(np.count_nonzero(sel))
+        deep += int(np.count_nonzero(entry[sel] < -R))
     if accept < _MIN_EFFECTIVE:
         raise ConditioningTooRare(
             f"only {accept} paths satisfied the conditioning (floor {_MIN_EFFECTIVE})"

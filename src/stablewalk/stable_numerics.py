@@ -51,16 +51,19 @@ def _quadrature(t: float, xs: np.ndarray, params: StableParams, deriv: int) -> t
     g = np.exp(-t * psi(nodes, params))
     if deriv:
         g = g * (-1j * nodes) ** deriv
+    # e^{-ix theta} g w = (cos - i sin)(a + ib): with columns (a, b) of g wk and
+    # (c, d) of g wg, both real matrix products give every part of both rules
+    gw = np.stack([(g * wk).real, (g * wk).imag, (g * wg).real, (g * wg).imag], axis=1)
     vals = np.empty(len(xs))
     errs = np.empty(len(xs))
     for lo in range(0, len(xs), _X_ROWS):
         chunk = xs[lo : lo + _X_ROWS]
-        osc = np.exp(-1j * np.outer(chunk, nodes))
-        integ = osc * g[None, :]
-        vk = integ @ wk
-        vg = integ @ wg
-        vals[lo : lo + len(chunk)] = vk.real / math.pi
-        errs[lo : lo + len(chunk)] = np.abs(vk - vg) / math.pi
+        phase = np.outer(chunk, nodes)
+        ca, cb, cc, cd = (np.cos(phase) @ gw).T
+        sa, sb, sc, sd = (np.sin(phase, out=phase) @ gw).T
+        vk_re, vk_im = ca + sb, cb - sa
+        vals[lo : lo + len(chunk)] = vk_re / math.pi
+        errs[lo : lo + len(chunk)] = np.hypot(vk_re - (cc + sd), vk_im - (cd - sc)) / math.pi
     return vals, errs
 
 

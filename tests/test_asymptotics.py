@@ -223,6 +223,23 @@ def test_dp_slice_keys_the_normalised_killing_set(sym15, monkeypatch, tmp_path):
     assert len(calls) == 1 and len(ctx.memo) == 1
 
 
+def test_rows_read_off_their_artifact_steps_are_not_stored(sp15, monkeypatch, tmp_path):
+    """A row read at a step its artifact would not hold writes no artifact; read at n alone, it writes one.
+
+    A forward row's artifact holds n only, so a read at 8 and 16 could never
+    load from it.
+    """
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    real, calls = _count_run_kernel(monkeypatch)
+    ctx = LawContext.build(sp15)
+    run = ctx.read([ctx.row(("set", (0,)), 3, 16, steps=(8, 16))])[0]
+    assert sorted(run) == [8, 16] and not list(tmp_path.glob("*.npz"))
+    ctx = LawContext.build(sp15)
+    assert ctx.dp_slice(("set", (0,)), 3, 16).slice.tolist() == run[16].slice.tolist()
+    _only_artifact(tmp_path)
+    assert len(calls) == 2
+
+
 def _only_artifact(root):
     """The one npz artifact under root."""
     (path,) = root.glob("*.npz")

@@ -208,3 +208,26 @@ def test_tracer_counts_a_dual_row_run():
     assert got["steps"] == 3 * 32
     assert got["stepped"] == {"64": 3 * 32}
     assert set(got["step_us"]) == {"64"} and got["step_us"]["64"] > 0
+
+
+def test_increment_sampler_takes_the_counted_arguments(sym15, monkeypatch):
+    """The tracer wraps IncrementSampler.sample as sample(obj, rng, n) and counts n as path-steps.
+
+    So the estimators must draw n for exactly the live paths of each step:
+    summed over the steps, that is the trials alive before each one.
+    """
+    from stablewalk import montecarlo
+
+    assert list(inspect.signature(montecarlo.IncrementSampler.sample).parameters) == ["self", "rng", "n"]
+    orig = montecarlo.IncrementSampler.sample
+    drawn = []
+
+    def sample(obj, rng, n):
+        drawn.append(n)
+        return orig(obj, rng, n)
+
+    monkeypatch.setattr(montecarlo.IncrementSampler, "sample", sample)
+    cfg = montecarlo.SimConfig(trials=5000, n_horizon=12, seed=3, stream_count=2)
+    est = montecarlo.estimate_first_passage(sym15, 1, range(1, 13), cfg)
+    alive = [cfg.trials] + [round(est["survival"][n].point * cfg.trials) for n in range(1, 12)]
+    assert sum(drawn) == sum(alive) < 12 * cfg.trials

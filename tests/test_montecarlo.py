@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from montecarlo_oracles import covers
+from montecarlo_oracles import covers, masked_conditional_escape, masked_first_passage
 from stablewalk.errors import ConditioningTooRare
 from stablewalk.killed_walk import first_passage
 from stablewalk.montecarlo import (
+    _CORE,
     IncrementSampler,
     SimConfig,
     estimate_conditional_escape,
@@ -23,6 +24,66 @@ def test_stream_determinism(sym15):
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
+def test_alias_columns_carry_the_law(name, request):
+    """Each column's mass, rebuilt from (prob, alias), is the pmf on the core and the two tail masses."""
+    law = request.getfixturevalue(name)
+    sampler = IncrementSampler(law)
+    prob, alias = sampler._prob, sampler._alias
+    m = len(prob)
+    assert m == 2 * _CORE + 3
+    assert ((prob >= 0) & (prob <= 1)).all() and ((alias >= 0) & (alias < m)).all()
+    mass = (prob + np.bincount(alias, weights=1.0 - prob, minlength=m)) / m
+    tail_p, tail_m = law.escaped_split(_CORE)
+    want = np.concatenate([law.pmf(np.arange(-_CORE, _CORE + 1)), [tail_p, tail_m]])
+    # Vose's build subtracts from the heaviest columns many times; each subtraction
+    # rounds at ulp(p(0) m) ~ 2e-13 in scaled units, ~3e-17 in mass
+    np.testing.assert_allclose(mass, want, rtol=1e-12, atol=1e-14)
+
+
+def test_one_uniform_per_core_draw(sym15):
+    """A draw costs one uniform unless it lands on a tail column: the stream advances by n plus the tail draws."""
+    sampler = IncrementSampler(sym15)
+    rng = stream_rng(4, 0)
+    draws = sampler.sample(rng, 2_000_000)
+    extra = int((np.abs(draws) > _CORE).sum())
+    assert extra > 0
+    ref = stream_rng(4, 0)
+    ref.random(2_000_000 + extra)
+    assert rng.random() == ref.random()
+
+
+def test_top_edge_uniform_stays_in_the_table(sym15):
+    """A u m that rounds up to m lands on the last column with a coin of 1, so it takes that column's alias."""
+    sampler = IncrementSampler(sym15)
+
+    class TopEdge:
+        def random(self, n):
+            return np.ones(n)
+
+    last = len(sampler._prob) - 1
+    assert sampler._prob[last] < 1.0 and sampler._alias[last] <= 2 * _CORE
+    out = sampler.sample(TopEdge(), 3)
+    assert (out == sampler._alias[last] - _CORE).all()
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
+def test_estimators_match_the_masked_loops(name, request):
+    """Compacting the live paths in order draws the same stream as the masked loop over every path."""
+    law = request.getfixturevalue(name)
+    sampler = IncrementSampler(law)
+    cfg = SimConfig(trials=30_000, n_horizon=64, seed=17, stream_count=3)
+    for x in (0, 2, -3):
+        got = estimate_first_passage(law, x, [4, 16, 64], cfg)
+        assert got == masked_first_passage(sampler, x, [4, 16, 64], cfg)
+        assert got["f"][16].point > 0
+    if name == "sym15":
+        cfg = SimConfig(trials=60_000, n_horizon=16, seed=31, stream_count=2)
+        est = estimate_conditional_escape(law, 3, -3, 16, 2.0, cfg)
+        accept, deep = masked_conditional_escape(sampler, 3, -3, 16, 2.0, cfg)
+        assert (est.trials_effective, est.point) == (accept, deep / accept)
+
+
 def test_empirical_mean_near_zero(sym15):
     draws = IncrementSampler(sym15).sample(stream_rng(1, 0), 2_000_000)
     se = draws.std() / np.sqrt(len(draws))
@@ -32,10 +93,10 @@ def test_empirical_mean_near_zero(sym15):
 def test_empirical_tail_matches_analytic(sym15):
     draws = IncrementSampler(sym15).sample(stream_rng(2, 0), 4_000_000)
     for x in (64, 300, 5000):
-        exact = float(sym15.cumulative_plus(x + 1))
-        emp = float((draws > x).mean())
-        se = np.sqrt(exact * (1 - exact) / len(draws))
-        assert abs(emp - exact) < 4 * se
+        for exact, emp in ((float(sym15.cumulative_plus(x + 1)), float((draws > x).mean())),
+                           (float(sym15.cumulative_minus(x + 1)), float((draws < -x).mean()))):
+            se = np.sqrt(exact * (1 - exact) / len(draws))
+            assert abs(emp - exact) < 4 * se
 
 
 def test_empirical_core_pmf(sp15):
