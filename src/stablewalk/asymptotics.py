@@ -21,17 +21,17 @@ cache (STABLEWALK_CACHE) spans runs.  Each DP-reading driver declares the
 rows it reads, with the steps it reads them at, in a rows function next to
 it, built from its own guard and site helpers; a driver whose guard fails
 declares none.  Before any driver runs, cli.cmd_verify hands the rows of
-every requested id to LawContext.plan, which steps every full-window
-finite-set row at one (n, W) - forward and reversed, {0}-, A- and free
-rows alike - as one run_kernel batch, and every half-line row at one
-(B, n, W) as another.  Each row is memoised and cached under its own key and
-keeps the steps its readers read, so the drivers' reads are memo hits; a
-read nobody declared still runs on demand, so the plan saves steps but
-never changes a number.  A row's artifact holds each power of two up to n,
-and n, for a reversed row (on a self-dual law, every row), else n, so one
-id finds the rows another id wrote; a row also read at another step (llt's
-free row, prop22's every-step dual row) could never load, so it is not
-stored.
+every requested id to LawContext.plan, which steps every row at one
+(n, W) - forward and reversed, {0}-, A-, free and half-line rows alike -
+as one run_kernel batch; only a half-line row that starts below b runs
+alone, since it lives on sites below b.  Each row is memoised and cached
+under its own key and keeps the steps its readers read, so the drivers'
+reads are memo hits; a read nobody declared still runs on demand, so the
+plan saves steps but never changes a number.  A row's artifact holds each
+power of two up to n, and n, for a reversed row (on a self-dual law, every
+row), else n, so one id finds the rows another id wrote; a row also read
+at another step (llt's free row, prop22's every-step dual row) could never
+load, so it is not stored.
 
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
 f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed row from 0
@@ -44,9 +44,9 @@ law, its forward denominator.  For A = {-1, 0, 2}, site x of the reversed
 A-killed row from z in A is P_x[sigma_A = n, S_n = z]: the three rows give
 cor3 both its columns and finite its sum_{w in A} f_A^w(n), the summed kill
 ledgers.  On the full grid the rows above at n = 4096, with thm4's, comp's,
-bulk_scaling's, thm5's and cor2's forward rows and llt's free row, are one
-batch.  Only tunneling_check's entrance-law run, the one reader of Green
-sums here, calls run_kernel directly.
+bulk_scaling's, thm5's and cor2's forward rows, llt's free row and comp's
+half-line row, are one batch.  Only tunneling_check's entrance-law run, the
+one reader of Green sums here, calls run_kernel directly.
 """
 from __future__ import annotations
 
@@ -233,12 +233,11 @@ class LawContext:
     def plan(self, rows) -> None:
         """Step the declared rows the memo lacks, each batch of them in one run_kernel call.
 
-        A batch is every full-window finite-set row (the empty set among them)
-        at one (n, W), whatever its law and killing set, or every half-line
-        row at one (B, n, W) whose start lies at or above b; each row is bit
-        for bit its single-start run and keeps the steps its readers read.  A
-        batch that raises is left to its readers, whose own reads meet the
-        error.
+        A batch is every row at one (n, W), whatever its law and killing set,
+        but a half-line row that starts below b, which runs alone; each row is
+        bit for bit its single-start run and keeps the steps its readers
+        read.  A batch that raises is left to its readers, whose own reads
+        meet the error.
         """
         for batch in self._batches(rows):
             try:
@@ -286,7 +285,8 @@ class LawContext:
                 continue
             if caching and steps <= set(stored):
                 steps = set(stored)
-            group = ("set", r.n, r.W) if r.B[0] == "set" else (r.B, r.n, r.W, None if r.x >= r.B[1] else r.x)
+            # a half-line row from below b lives on sites below b, unlike its batch-mates
+            group = (r.n, r.W) if r.B[0] == "set" or r.x >= r.B[1] else (r.B, r.n, r.W, r.x)
             batches.setdefault(group, []).append((key, r, steps))
         return list(batches.values())
 

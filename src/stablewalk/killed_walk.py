@@ -33,15 +33,29 @@ read the space-time hitting law of A off the reversed A-killed runs, with
 the forward run's Green sums on A as oracle.  A batch's rows may carry
 either law: run_kernel's dual_starts rows step under law.reversed() beside
 the starts' rows under law.  The rows of a batch share one killing set, or
-each has a finite one of its own (the empty set among them): every finite
-set keeps the whole window live, so rows that differ in law, set and kept
-steps still share one stepper call per step.  Every row equals, bit for
-bit, the single-start run of its law and killing set with the same live
-sites, as in every batch of starts at or above b - entrance_depth.
+each has its own, and they step in groups: every finite-set row (the empty
+set among them) on the whole window, and the rows of each half-line
+(-inf, b] on its live sites, so rows that differ in law, set and kept
+steps still share one stepper call per group and step.  Every row equals,
+bit for bit, the single-start run of its law and killing set with the same
+live sites, as in every batch of starts at or above b - entrance_depth.
+
+Rows never interact, so a call may step its groups on two lanes: the
+calling thread steps one and a helper thread the other, joined before the
+call returns.  With more than one CPU, a group of 4 or more rows splits
+into two halves at an even row (pocketfft transforms rows in SIMD pairs,
+so a lone row costs more per row than a pair), and the groups and halves
+go to the lighter lane, largest FFT work (rows x L) first.  Both lanes are
+used only when each carries at least _LANE_FLOOR FFT points per step; on
+one CPU, or below that floor, the same loop steps one lane.  Every group
+or half has its own stepper, built on the calling thread, and the lanes
+fill the one KernelTable's arrays, each at its own rows.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +70,7 @@ from .walk_model import WalkLaw
 DP_VERSION = 3
 _TAU_ROWS = 1024  # tau rows per block of the Fourier oracle's theta integral
 _LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may miss
+_LANE_FLOOR = 10_000  # FFT points per step (rows x L) each of two lanes must carry
 
 # ---------------------------------------------------------------------------
 # killing-set descriptors
@@ -128,21 +143,45 @@ class KernelTable:
         return csv_text(("n", "x", "y", "value"), rows)
 
 
+def _fft_length(S: int, W: int) -> int:
+    """The circular FFT length of a step on S live sites of [-W, W]."""
+    return sfft.next_fast_len(S + W, real=True)
+
+
+def _padded(states: np.ndarray, nfft: int) -> np.ndarray:
+    """states as the first columns of a zero-padded (rows, nfft) buffer: states itself if it is one, else a copy."""
+    rows, S = states.shape
+    buf = states.base
+    if (isinstance(buf, np.ndarray) and buf.shape == (rows, nfft) and buf.strides == states.strides
+            and buf.ctypes.data == states.ctypes.data):
+        return states
+    buf = np.zeros((rows, nfft))
+    buf[:, :S] = states
+    return buf[:, :S]
+
+
 def _fft_stepper(law, W: int):
     """(step, P[X > W], P[X < -W]) for the DP on [-W, W].
 
     step maps a (n_rows, S) batch living on the last S sites of the
     window, [W - S + 1, W], to (states on those sites one step later, mass
     pushed below them, mass pushed above the window) for jumps |X| <= W.
-    Its circular FFT has length next_fast_len(S + W), whose wrap-around
-    misses the kept sites; S = 2W + 1 is the whole window.
+    Its circular FFT has length L = _fft_length(S, W), whose wrap-around
+    misses the kept sites; S = 2W + 1 is the whole window.  The states live
+    in a zero-padded (n_rows, L) buffer, as the first S columns: rfft reads
+    that buffer as it is, with no padded copy per step, and the step writes
+    its result back there and returns that same view; run_kernel's groups
+    start in such buffers.  A batch that is not such a view is copied into a
+    new buffer, which is the padding rfft would do, so the bits are the same
+    either way.
 
     law is one WalkLaw, whose kernel spectrum and dot weights every row
     shares and whose escape masses are floats, or a sequence of one WalkLaw
     per row: then the rows still take one rfft and one irfft, each times its
     own law's spectrum and dotted with its own weights, and the escape masses
     are per-row arrays.  Either way a row steps bit for bit as in a
-    single-law batch.
+    single-law batch, and as in any batch: run_kernel builds one stepper per
+    row group or half of one, and may step them on two threads.
     """
     if isinstance(law, WalkLaw):
         p = law.pmf_window(W)
@@ -156,18 +195,22 @@ def _fft_stepper(law, W: int):
     w_below = np.concatenate([np.cumsum(p[..., :W], axis=-1)[..., ::-1], zeros], axis=-1)
     w_above = np.concatenate([zeros, np.cumsum(p[..., ::-1][..., :W], axis=-1)], axis=-1)
     spectra = {}  # S -> (FFT length, rfft of p)
+    returned = {}  # S -> the view step last returned, whose buffer it may reuse unchecked
 
     def step(states: np.ndarray):
         S = states.shape[1]
         if S not in spectra:
-            nfft = sfft.next_fast_len(S + W, real=True)
+            nfft = _fft_length(S, W)
             spectra[S] = nfft, sfft.rfft(p, nfft)
         nfft, pf = spectra[S]
-        spec = sfft.rfft(states, nfft, axis=1)
-        spec *= pf
-        full = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)
+        if states is not returned.get(S):
+            states = returned[S] = _padded(states, nfft)
         # one dot per row, as states @ w for one row: no ledger depends on the batch
-        return full[:, W : W + S], np.vecdot(states, w_below[..., :S]), np.vecdot(states, w_above[..., -S:])
+        below, above = np.vecdot(states, w_below[..., :S]), np.vecdot(states, w_above[..., -S:])
+        spec = sfft.rfft(states.base, axis=1)
+        spec *= pf
+        states[:] = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)[:, W : W + S]
+        return states, below, above
 
     return step, esc_p, esc_m
 
@@ -175,6 +218,158 @@ def _fft_stepper(law, W: int):
 def _is_per_row(arg) -> bool:
     """Whether a killing set or keep argument is a list with one entry per row (sets, or step lists)."""
     return isinstance(arg, list) and any(not isinstance(a, (int, np.integer)) for a in arg)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+class _Rows:
+    """Rows of one run_kernel call stepped together: one killing kind, live sites [lo, W], one stepper.
+
+    It holds its rows' live states, Green sums and ledgers, and writes what
+    it records into the table's preallocated arrays at its own rows, so two
+    lanes never write the same element.
+    """
+
+    def __init__(self, rows: list, lo: int, law, killing: list, starts: list, table: KernelTable):
+        W, n_max = table.window, table.n_max
+        self.rows, self.lo, self.table = np.array(rows, dtype=np.int64), lo, table
+        self.half_le = killing[rows[0]][0] == "le"
+        self.step, self.esc_p, self.esc_m = _fft_stepper(law, W)
+        # (local rows, index of their killed live sites) per killing set; no live site
+        # is killed when b lies below the window, nor by the empty set
+        if self.half_le:
+            self.kills = [(slice(None), (slice(None), slice(0, max(killing[rows[0]][1] - lo + 1, 0))))]
+        else:
+            by_set = {}
+            for j, i in enumerate(rows):
+                by_set.setdefault(killing[i][1], []).append(j)
+            self.kills = []
+            for sites, local in by_set.items():
+                cols = np.array([z - lo for z in sites if abs(z) <= W], dtype=np.int64)
+                if cols.size:
+                    local = slice(None) if len(local) == len(rows) else np.array(local)
+                    self.kills.append((local, (local, cols) if isinstance(local, slice) else (local[:, None], cols)))
+        # {n: (local rows kept at n, their places among the table's rows kept there)}
+        where = {i: j for j, i in enumerate(rows)}
+        places = {}
+        for kept in set(table.rows_at.values()):
+            pairs = [(where[i], k) for k, i in enumerate(kept) if i in where]
+            places[kept] = tuple(np.array(v, dtype=np.int64) for v in zip(*pairs)) if pairs else None
+        self.places = {n: places[kept] for n, kept in table.rows_at.items() if places[kept] is not None}
+        # the first S columns of the zero-padded buffer the stepper transforms whole
+        S = W - lo + 1
+        self.states = np.zeros((len(rows), _fft_length(S, W)))[:, :S]
+        self.states[np.arange(len(rows)), np.array([starts[i] for i in rows], dtype=np.int64) - lo] = 1.0
+        self.green = self.states.copy() if table.green else None
+        self.step_killed = np.zeros((len(rows), n_max + 1))
+        self.escaped = np.zeros((len(rows), n_max + 1))
+        self.record(0)
+
+    def record(self, n: int) -> None:
+        """Write step n's values of the rows kept there, and its Green sums if kept, into the table."""
+        off = self.lo + self.table.window
+        if n in self.places:
+            local, dest = self.places[n]
+            self.table.values[n][dest, off:] = self.states[local]
+        if n in self.table.green:
+            self.table.green[n][self.rows, off:] = self.green
+
+    def advance(self, n: int) -> None:
+        """Step n: one stepper call, then the kills and the ledgers."""
+        alive = self.states.sum(axis=1)
+        states, below, above = self.step(self.states)
+        self.states = states
+        jump_up = alive * self.esc_p
+        jump_dn = alive * self.esc_m
+        if self.green is not None:
+            self.green += states  # before the kill: the killed live sites keep what entered them
+        kill_now = np.zeros(len(self.rows))
+        for local, index in self.kills:
+            kill_now[local] = states[index].sum(axis=1)
+            states[index] = 0.0
+        if self.half_le:
+            # mass below the live sites, by overflow or by a jump past the window, lands in B
+            kill_now = kill_now + below + jump_dn
+            self.escaped[:, n] = self.escaped[:, n - 1] + (above + jump_up)
+        else:
+            self.escaped[:, n] = self.escaped[:, n - 1] + (below + above + jump_up + jump_dn)
+        self.step_killed[:, n] = kill_now
+        self.record(n)
+
+
+def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
+    """(rows, lo) of each row group: the finite-set rows on the whole window, and the rows of each half-line.
+
+    A run killed on (-inf, b] is zero on (-inf, b] after each kill, so it
+    needs live sites there only for its entrance strip [b - depth, b] and
+    its starts: [max(-W, min(b - depth, its group's starts)), W].
+    """
+    by_kind = {}
+    for i, b in enumerate(killing):
+        by_kind.setdefault(b if b[0] == "le" else "set", []).append(i)
+    return [(rows, -W if kind == "set" else max(-W, min(kind[1] - entrance_depth, *(starts[i] for i in rows))))
+            for kind, rows in by_kind.items()]
+
+
+def _lanes(groups: list, W: int) -> list:
+    """The groups to step, as one lane, or as two lanes when two CPUs can share the work; a lane is a list of (rows, lo).
+
+    With more than one CPU a group of 4 or more rows splits into two halves
+    at an even row (pocketfft steps rows in SIMD pairs), and the groups and
+    halves go to the lighter lane, largest FFT work (rows x L) first.  Two
+    lanes are used only if each carries at least _LANE_FLOOR FFT points per
+    step: below it the threads lose more to the GIL than they gain.
+    """
+    if _cpus() > 1:
+        def work(unit):
+            rows, lo = unit
+            return len(rows) * _fft_length(W - lo + 1, W)
+
+        units = []
+        for rows, lo in groups:
+            cut = 2 * ((len(rows) + 2) // 4) if len(rows) >= 4 else len(rows)
+            units += [(part, lo) for part in (rows[:cut], rows[cut:]) if part]
+        lanes, loads = ([], []), [0, 0]
+        for unit in sorted(units, key=work, reverse=True):
+            k = loads.index(min(loads))
+            lanes[k].append(unit)
+            loads[k] += work(unit)
+        if min(loads) >= _LANE_FLOOR:
+            return list(lanes)
+    return [groups]
+
+
+def _step_lanes(lanes: list, n_max: int) -> None:
+    """Step every lane's _Rows through steps 1..n_max: the first lane on this thread, a second on a helper.
+
+    The helper is joined before this returns, and an exception in either
+    lane stops the other at its next step and is raised here.
+    """
+    failed = []
+
+    def run(lane):
+        try:
+            for n in range(1, n_max + 1):
+                if failed:
+                    return
+                for rows in lane:
+                    rows.advance(n)
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            failed.append(exc)
+
+    helper = threading.Thread(target=run, args=(lanes[1],)) if len(lanes) > 1 and n_max > 0 else None
+    if helper is not None:
+        helper.start()
+    try:
+        run(lanes[0])
+    finally:
+        if helper is not None:
+            helper.join()
+    if failed:
+        raise failed[0]
 
 
 def run_kernel(
@@ -192,7 +387,7 @@ def run_kernel(
     """Dynamic programming for p^n_B(x, .) from each start, with ledgers.
 
     B: ("le", b), ("set", sites), an iterable of sites, or None (no killing),
-    for every row; or a list of finite killing sets (("set", sites), a
+    for every row; or a list of killing sets (("le", b), ("set", sites), a
     tuple of sites or None), one per row.
     window: W, the half-width of [-W, W]; None selects default_window(law,
     n_max), and a W below 1 or a start outside [-W, W] raises WindowTooSmall.
@@ -214,84 +409,35 @@ def run_kernel(
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
     per_row = _is_per_row(B)
     killing = [normalize_killing(b) for b in B] if per_row else normalize_killing(B)
-    if per_row and (len(killing) != ns or any(b[0] == "le" for b in killing)):
-        raise ValueError("a killing set per row needs one finite set for each of the rows")
-    half_le = not per_row and killing[0] == "le"
-    if entrance_depth and not half_le:
+    row_sets = killing if per_row else [killing] * ns
+    if len(row_sets) != ns:
+        raise ValueError("a killing set per row needs one for each of the rows")
+    if entrance_depth and any(b[0] != "le" for b in row_sets):
         raise ValueError("entrance_depth needs half-line killing")
     if _is_per_row(keep):
         kept = [set(k) for k in keep]
         rows_at = {n: tuple(i for i in range(ns) if n in kept[i]) for n in sorted(set().union(*kept))}
     else:
-        rows_at = dict.fromkeys(range(n_max + 1) if keep is None else keep, tuple(range(ns)))
-    keep_green = set(keep_green)
-    laws = law if not dual_starts else [law] * (len(starts) - len(dual_starts)) + [law.reversed()] * len(dual_starts)
-    step, esc_p, esc_m = _fft_stepper(laws, W)
-
-    # live sites [lo, W]: a run killed on (-inf, b] is zero on (-inf, b] after each
-    # kill, so it needs sites there only for its entrance strip [b - depth, b] and starts
-    lo = max(-W, min(killing[1] - entrance_depth, *starts)) if half_le else -W
-    # (rows, index of their killed live sites) per killing set; no live site is
-    # killed when b lies below the window, nor by the empty set
-    if half_le:
-        kills = [(slice(None), (slice(None), slice(0, max(killing[1] - lo + 1, 0))))]
-    else:
-        by_set = {}
-        for i, b in enumerate(killing if per_row else [killing] * ns):
-            by_set.setdefault(b[1], []).append(i)
-        kills = []
-        for sites, rows in by_set.items():
-            cols = np.array([z - lo for z in sites if abs(z) <= W], dtype=np.int64)
-            if cols.size:
-                rows = slice(None) if len(rows) == ns else np.array(rows)
-                kills.append((rows, (rows, cols) if isinstance(rows, slice) else (rows[:, None], cols)))
-    states = np.zeros((ns, W - lo + 1))
-    states[np.arange(ns), np.array(starts, dtype=np.int64) - lo] = 1.0
-
-    table = KernelTable(killing=killing, window=W, n_max=n_max, starts=starts,
+        rows_at = dict.fromkeys(range(n_max + 1) if keep is None else sorted(keep), tuple(range(ns)))
+    rows_at = {n: rows for n, rows in rows_at.items() if 0 <= n <= n_max}
+    table = KernelTable(killing=killing, window=W, n_max=n_max, starts=starts, rows_at=rows_at,
+                        values={n: np.zeros((len(rows), 2 * W + 1)) for n, rows in rows_at.items()},
+                        green={n: np.zeros((ns, 2 * W + 1)) for n in sorted(keep_green) if 0 <= n <= n_max},
                         step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
-    green = states.copy() if keep_green else None
 
-    def window_rows(live: np.ndarray) -> np.ndarray:
-        rows = np.zeros((len(live), 2 * W + 1))
-        rows[:, lo + W :] = live
-        return rows
-
-    def record(n: int) -> None:
-        """Store step n's values of the rows kept there, and its Green sums if kept."""
-        if n in rows_at:
-            rows = rows_at[n]
-            table.values[n] = window_rows(states if len(rows) == ns else states[list(rows)])
-            table.rows_at[n] = rows
-        if n in keep_green:
-            table.green[n] = window_rows(green)
-
-    record(0)
-
-    escaped_cum = np.zeros(ns)
-    for n in range(1, n_max + 1):
-        alive = states.sum(axis=1)
-        states, below, above = step(states)
-        jump_up = alive * esc_p
-        jump_dn = alive * esc_m
-        if green is not None:
-            green += states  # before the kill: the killed live sites keep what entered them
-        kill_now = np.zeros(ns)
-        for rows, index in kills:
-            kill_now[rows] = states[index].sum(axis=1)
-            states[index] = 0.0
-        if half_le:
-            # mass below the live sites, by overflow or by a jump past the window, lands in B
-            kill_now = kill_now + below + jump_dn
-            escaped_cum += above + jump_up
-        else:
-            escaped_cum += below + above + jump_up + jump_dn
-        table.step_killed[:, n] = kill_now
-        table.escaped[:, n] = escaped_cum
-        record(n)
-    if escape_budget is not None and escaped_cum.max() > escape_budget:
+    laws = [law] * (ns - len(dual_starts)) + ([law.reversed()] * len(dual_starts) if dual_starts else [])
+    # each group or half steps under its rows' one law, or one law per row
+    lanes = [[_Rows(rows, lo, laws[rows[0]] if all(laws[i] is laws[rows[0]] for i in rows) else [laws[i] for i in rows],
+                    row_sets, starts, table) for rows, lo in lane]
+             for lane in _lanes(_groups(row_sets, starts, W, entrance_depth), W)]
+    _step_lanes(lanes, n_max)
+    for lane in lanes:
+        for rows in lane:
+            table.step_killed[rows.rows] = rows.step_killed
+            table.escaped[rows.rows] = rows.escaped
+    if escape_budget is not None and table.escaped[:, n_max].max() > escape_budget:
         raise WindowTooSmall(
-            f"escaped mass {escaped_cum.max():.3e} above budget {escape_budget:.1e} at W={W}"
+            f"escaped mass {table.escaped[:, n_max].max():.3e} above budget {escape_budget:.1e} at W={W}"
         )
     return table
 

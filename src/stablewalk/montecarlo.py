@@ -8,9 +8,10 @@ kernels).  An increment costs one uniform u: floor(u m) picks one of the m
 columns and the fractional part of u m is the alias coin.  Only a draw that
 lands on a tail column takes a second uniform, which inverts that power tail
 in closed form.  The estimators keep their live paths in dense arrays and
-compact them, in order, when paths hit.  Streams are counter-based (Philox)
-keyed by (seed, stream index), so an estimate reproduces bit-identically
-from its SimConfig.
+compact them, in order, when paths hit.  They share one sampler per law
+hash across calls, since the alias table's build is a Python loop over its
+8195 columns.  Streams are counter-based (Philox) keyed by (seed, stream
+index), so an estimate reproduces bit-identically from its SimConfig.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .walk_model import WalkLaw
 _CORE = 4096  # the alias table covers [-_CORE, _CORE]; beyond it the tails are inverted
 _CHUNK = 200_000  # paths simulated at once per stream
 _MIN_EFFECTIVE = 50  # fewest accepted paths a conditional estimate may rest on
+_SAMPLERS_KEPT = 4  # laws whose IncrementSampler the estimators keep
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,19 @@ class IncrementSampler:
         return out
 
 
+_samplers: dict = {}  # law hash -> IncrementSampler, least recently used first
+
+
+def _sampler(law: WalkLaw) -> IncrementSampler:
+    """The law's IncrementSampler, built once per law hash while it stays among the last _SAMPLERS_KEPT used."""
+    key = law.law_hash()
+    sampler = _samplers.pop(key, None) or IncrementSampler(law)
+    _samplers[key] = sampler
+    if len(_samplers) > _SAMPLERS_KEPT:
+        del _samplers[next(iter(_samplers))]
+    return sampler
+
+
 def stream_rng(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream)."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
@@ -127,7 +142,7 @@ def estimate_first_passage(law: WalkLaw, x: int, n_grid, cfg: SimConfig) -> dict
     """
     n_grid = sorted(int(n) for n in n_grid)
     horizon = max(n_grid)
-    sampler = IncrementSampler(law)
+    sampler = _sampler(law)
     hit_at = np.zeros(horizon + 1)
     alive_at = {n: 0.0 for n in n_grid}
     for rng, m in _chunks(cfg):
@@ -151,7 +166,7 @@ def estimate_conditional_escape(law: WalkLaw, x: int, y: int, n: int, R: float, 
     """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] by rejection."""
     if not (x > 0 > y):
         raise ValueError("need x > 0 > y")
-    sampler = IncrementSampler(law)
+    sampler = _sampler(law)
     accept = 0
     deep = 0
     for rng, m in _chunks(cfg):

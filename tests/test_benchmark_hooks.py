@@ -210,6 +210,47 @@ def test_tracer_counts_a_dual_row_run():
     assert set(got["step_us"]) == {"64"} and got["step_us"]["64"] > 0
 
 
+_TRACED_SPLIT_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+tracer = tracer_mod.Tracer()
+tracer.install()
+from stablewalk import Family, TailSpec, build_walk_law, killed_walk
+killed_walk._cpus = lambda: 2
+lanes_used = []
+step_lanes = killed_walk._step_lanes
+killed_walk._step_lanes = lambda lanes, n_max: lanes_used.append(len(lanes)) or step_lanes(lanes, n_max)
+law = build_walk_law(TailSpec(alpha=1.5, family=Family("two_sided_pareto"), B=0.5))
+tracer.reset()
+table = killed_walk.run_kernel(law, [("set", (0,))] * 7 + [killed_walk.HALF_LE_0], [3, -2, 5], 8, window=1024,
+                               keep=[8], dual_starts=[0, 1, -1, 4, 2])
+m = tracer.metrics(1.0)
+print(json.dumps({"rows": len(table.starts), "lanes": lanes_used, "calls": m["killed_walk.run_kernel.calls"],
+                  "tables": m["killed_walk.kernel_tables_built"], "unreached": tracer.unreached(),
+                  "stepped": list(m["killed_walk.steps"])}))
+"""
+
+
+def test_traced_split_batch_builds_one_table():
+    """A batch stepped on two lanes is one run_kernel call and one KernelTable under the tracer.
+
+    The benchmark's traced run requires run_kernel.calls == kernel_tables_built,
+    so the lanes fill the one table's arrays; their steppers are built on the
+    calling thread through the wrapped _fft_stepper.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    env.pop("STABLEWALK_CACHE", None)
+    out = subprocess.run([sys.executable, "-c", _TRACED_SPLIT_RUN, str(TRACER)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    got = json.loads(out.stdout.splitlines()[-1])
+    assert got["rows"] == 8 and got["lanes"] == [2]
+    assert got["calls"] == got["tables"] == 1
+    assert got["unreached"] == [] and got["stepped"] == [1024]
+
+
 def test_increment_sampler_takes_the_counted_arguments(sym15, monkeypatch):
     """The tracer wraps IncrementSampler.sample as sample(obj, rng, n) and counts n as path-steps.
 

@@ -176,10 +176,12 @@ def test_dual_rows_match_single_law_runs(name, B, depth):
 
 @pytest.mark.parametrize("name", ["sym15", "sp15"])
 def test_mixed_batch_rows_match_single_runs(name):
-    """One batch of {0}-, A- and free rows under law and law.reversed(), each kept at its own steps.
+    """One batch of {0}-, A-, free and half-line rows under law and law.reversed(), each kept at its own steps.
 
     Every row equals its single-start run bit for bit: values at its kept
-    steps, step_killed, escaped, and the Green sums every row records.
+    steps, step_killed, escaped, and the Green sums every row records.  The
+    half-line rows step on their own live sites [0, W] beside the finite
+    sets' whole window.
     """
     law, W, n = get_ctx(name).law, 256, 96
     A = (-1, 0, 2)
@@ -187,7 +189,9 @@ def test_mixed_batch_rows_match_single_runs(name):
         (False, ("set", (0,)), 7, (n,)),
         (False, ("set", A), 5, (16, n)),
         (False, None, 0, tuple(range(n + 1))),
+        (False, HALF_LE_0, 3, (16, n)),
         (True, ("set", (0,)), 0, (1, 2, 64)),
+        (True, HALF_LE_0, 1, (n,)),
         (True, ("set", A), 2, (n,)),
         (True, None, -3, (8,)),
         (True, ("set", A), -1, (32, n)),
@@ -207,6 +211,81 @@ def test_mixed_batch_rows_match_single_runs(name):
         for key in _TABLE_ARRAYS:
             assert np.array_equal(getattr(both, key)[i], getattr(single, key)[0]), (i, key)
     assert both.killed[2, n] == 0.0 and both.killed[0, n] > 0.0
+
+
+def _lane_batch(law):
+    """A batch whose full-window rows two lanes split: {0}-, A-, free and half-line rows under law and its reversal."""
+    A = (-1, 0, 2)
+    fwd = [(("set", (0,)), 7), (("set", A), 5), (None, 0), (HALF_LE_0, 3), (("set", (0,)), -4), (None, 9)]
+    rev = [(("set", (0,)), 0), (("set", A), 2), (HALF_LE_0, 1), (("set", A), -1)]
+    return dict(B=[b for b, _ in fwd + rev], starts=[x for _, x in fwd], dual_starts=[x for _, x in rev])
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15"])
+def test_two_lanes_give_the_one_lane_table(name, monkeypatch):
+    """With one CPU the batch steps as one lane; with two, its halves and groups on two lanes, bit for bit alike.
+
+    The two-lane run switches threads every microsecond, so a lane writing
+    another's rows would show.
+    """
+    import sys
+
+    from stablewalk import killed_walk
+
+    law, W, n = get_ctx(name).law, 1024, 24
+    lanes_used = []
+    step_lanes = killed_walk._step_lanes
+    monkeypatch.setattr(killed_walk, "_step_lanes", lambda lanes, n_max: lanes_used.append(len(lanes)) or step_lanes(lanes, n_max))
+    tables, interval = [], sys.getswitchinterval()
+    for cpus in (1, 2):
+        monkeypatch.setattr(killed_walk, "_cpus", lambda cpus=cpus: cpus)
+        sys.setswitchinterval(1e-6 if cpus == 2 else interval)
+        try:
+            tables.append(run_kernel(law, n_max=n, window=W, keep=[[n], [3, n], list(range(n + 1))] + [[n]] * 7,
+                                     keep_green=[0, 5, n], **_lane_batch(law)))
+        finally:
+            sys.setswitchinterval(interval)
+    assert lanes_used == [1, 2]
+    one, two = tables
+    assert one.rows_at == two.rows_at and one.values.keys() == two.values.keys()
+    for m in one.values:
+        assert np.array_equal(one.values[m], two.values[m]), m
+    for m in (0, 5, n):
+        assert np.array_equal(one.green[m], two.green[m]), m
+    for key in _TABLE_ARRAYS:
+        assert np.array_equal(getattr(one, key), getattr(two, key)), key
+
+
+def test_a_failing_lane_is_raised_after_both_stop(sym15, monkeypatch):
+    """An exception in the helper's lane stops the calling thread's lane too, and run_kernel raises it with no thread left."""
+    import threading
+
+    from stablewalk import killed_walk
+
+    monkeypatch.setattr(killed_walk, "_cpus", lambda: 2)
+    real = killed_walk._fft_stepper
+    built, main_steps, n = [], [], 400
+
+    def stepper(law, W):
+        step, esc_p, esc_m = real(law, W)
+        built.append(0)
+        mine = len(built)
+
+        def failing(states):
+            if threading.current_thread() is threading.main_thread():
+                main_steps.append(mine)
+            elif mine == 2:
+                raise FloatingPointError("lane failed")
+            return step(states)
+
+        return failing, esc_p, esc_m
+
+    monkeypatch.setattr(killed_walk, "_fft_stepper", stepper)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        run_kernel(sym15, None, range(-4, 4), n, window=1024, keep=[n])
+    assert len(built) == 2 and threading.active_count() == before
+    assert set(main_steps) <= {1} and len(main_steps) < n
 
 
 @pytest.mark.parametrize(

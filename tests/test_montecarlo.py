@@ -7,6 +7,7 @@ from stablewalk.errors import ConditioningTooRare
 from stablewalk.killed_walk import first_passage
 from stablewalk.montecarlo import (
     _CORE,
+    EstimateCI,
     IncrementSampler,
     SimConfig,
     estimate_conditional_escape,
@@ -82,6 +83,25 @@ def test_estimators_match_the_masked_loops(name, request):
         est = estimate_conditional_escape(law, 3, -3, 16, 2.0, cfg)
         accept, deep = masked_conditional_escape(sampler, 3, -3, 16, 2.0, cfg)
         assert (est.trials_effective, est.point) == (accept, deep / accept)
+
+
+def test_estimators_share_one_sampler_per_law(sym15, monkeypatch):
+    """Two estimator calls on one law build one alias table, and estimate as a freshly built sampler does."""
+    from stablewalk import montecarlo
+
+    monkeypatch.setattr(montecarlo, "_samplers", {})
+    builds = []
+    vose = montecarlo._vose
+    monkeypatch.setattr(montecarlo, "_vose", lambda p: builds.append(len(p)) or vose(p))
+    cfg = SimConfig(trials=60_000, n_horizon=16, seed=31, stream_count=2)
+    got = estimate_first_passage(sym15, 2, [4, 16], cfg)
+    est = estimate_conditional_escape(sym15, 3, -3, 16, 2.0, cfg)
+    assert len(builds) == 1
+    fresh = IncrementSampler(sym15)
+    assert got == masked_first_passage(fresh, 2, [4, 16], cfg)
+    accept, deep = masked_conditional_escape(fresh, 3, -3, 16, 2.0, cfg)
+    assert est == EstimateCI(deep / accept, est.half_width_95, accept)
+    assert est == estimate_conditional_escape(sym15, 3, -3, 16, 2.0, cfg) and len(builds) == 2
 
 
 def test_empirical_mean_near_zero(sym15):
