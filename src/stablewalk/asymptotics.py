@@ -17,39 +17,44 @@ converged) and the final deviation must beat a per-theorem cap.
 A run builds one LawContext for its law and hands it to every driver.  It
 owns the stable parameters and constants, one PotentialTable, and the memo of
 DP rows keyed by (law hash, killing set, start, n, W); only the artifact
-cache (STABLEWALK_CACHE) spans runs.  Each DP-reading driver declares the
-rows it reads, with the steps it reads them at, in a rows function next to
-it, built from its own guard and site helpers; a driver whose guard fails
-declares none.  Before any driver runs, cli.cmd_verify hands the rows of
-every requested id to LawContext.plan, which steps every row at one
+cache (STABLEWALK_CACHE) spans runs.  Each DP-reading driver is a generator,
+made a driver by _reads: after its guards it yields the rows it reads, with
+the steps it reads them at, once (runs = yield rows), and is sent their
+runs.  driver.rows(ctx, quick) runs it up to that yield, so a driver whose
+guard fails declares none.  Before any driver runs, cli.cmd_verify hands the
+rows of every requested id to LawContext.plan, which steps every row at one
 (n, W) - forward and reversed, {0}-, A-, free and half-line rows alike -
 as one run_kernel batch; only a half-line row that starts below b runs
 alone, since it lives on sites below b.  Each row is memoised and cached
 under its own key and keeps the steps its readers read, so the drivers'
-reads are memo hits; a read nobody declared still runs on demand, so the
-plan saves steps but never changes a number.  A row's artifact holds each
-power of two up to n, and n, for a reversed row (on a self-dual law, every
-row), else n, so one id finds the rows another id wrote; a row also read
-at another step (llt's free row, prop22's every-step dual row) could never
-load, so it is not stored.
+reads are memo hits; a driver called without a plan reads its rows in one
+batch, so the plan saves steps but never changes a number.  A row's
+artifact holds each power of two up to n, and n, for a reversed row (on a
+self-dual law, every row), else n, so one id finds the rows another id
+wrote; a row also read at another step (llt's free row, prop22's every-step
+dual row) could never load, so it is not stored.
 
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
 f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed row from 0
-(LawContext.hits): thm1, thm2_small, comp, finite and full-grid crossover
-share one at W(n_max), the quick crossover reads hits(2048), thm2_bulk, thm4
-and thm5 one per n, prop21 one per n.
+(_hits_row): thm1, thm2_small, comp, finite and full-grid crossover
+share one at W(n_max), the quick crossover reads the one to 2048, thm2_bulk,
+thm4 and thm5 one per n, prop21 one per n.
 prop23 reads its columns y off reversed rows from y; on the full grid the
 one from 8 is also prop22's dual kernel (every step) and, on a self-dual
 law, its forward denominator.  For A = {-1, 0, 2}, site x of the reversed
-A-killed row from z in A is P_x[sigma_A = n, S_n = z]: the three rows give
-cor3 both its columns and finite its sum_{w in A} f_A^w(n), the summed kill
-ledgers.  On the full grid the rows above at n = 4096, with thm4's, comp's,
-bulk_scaling's, thm5's and cor2's forward rows, llt's free row and comp's
-half-line row, are one batch.  Only tunneling_check's entrance-law run, the
-one reader of Green sums here, calls run_kernel directly.
+A-killed row from z in A is P_x[sigma_A = n, S_n = z]: the three rows
+(_a_rows) give cor3 both its columns and finite its sum_{w in A} f_A^w(n),
+the summed kill ledgers.  thm5 and kest hand k_estimate the two half-line
+rows of _k_rows.  On the full grid the rows above at n = 4096, with thm4's,
+comp's, bulk_scaling's, thm5's and cor2's forward rows, llt's free row and
+comp's half-line row, are one batch.  Only tunneling_check's entrance-law
+run, the one reader of Green sums here, calls run_kernel directly;
+tunneling_check reads its other rows itself, since tests call it with
+their own (R, n, x, y), and verify_prop22 yields them first.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -200,27 +205,6 @@ class LawContext:
         return Row(dual, normalize_killing(B), int(x), n, default_window(self.law, n, mult),
                    (n,) if steps is None else tuple(steps))
 
-    def dp_slice(self, B, x: int, n: int, mult: float = 8.0) -> DPSlice:
-        """p^n_B(x, .): the law's B-killed run from x to n at W = default_window(law, n, mult)."""
-        return self.read([self.row(B, x, n, mult)])[0][n]
-
-    def dp_slices(self, B, xs, n: int) -> dict:
-        """{x: dp_slice(B, x, n)} for several starts, read off one batch run."""
-        return {x: run[n] for x, run in zip(xs, self.read([self.row(B, x, n) for x in xs]))}
-
-    def dual_slice(self, B, ys, n: int, mult: float = 8.0, steps=None) -> dict:
-        """{y: {m: DPSlice}} of the reversed law's B-killed runs from each y to n, m among steps (default n).
-
-        On W = default_window(law, n, mult) the reversed step matrix is the
-        forward one transposed, so site x at m is p^m_B(x, y) exactly: for y in B
-        P_x[sigma_B = m, S_m = y], with kill ledger sum_{w in B} P_w[sigma_B = ., S = y].
-        """
-        return dict(zip(ys, self.read([self.row(B, y, n, mult, dual=True, steps=steps) for y in ys])))
-
-    def hits(self, n: int, steps=None) -> dict:
-        """{m: DPSlice} of the reversed {0}-killed run from 0, m among steps (default n): site x at m is f^x_W(m), .f is f^0_W."""
-        return self.read([_hits_row(self, n, steps)])[0]
-
     def read(self, rows) -> list:
         """[{m: DPSlice}] of each row, read-only, at least at its steps.
 
@@ -333,8 +317,18 @@ class LawContext:
 
 
 def _hits_row(ctx: LawContext, n: int, steps=None) -> Row:
-    """The row LawContext.hits(n, steps) reads: the reversed {0}-killed run from 0 to n."""
+    """The reversed {0}-killed run from 0 to n, read at steps (default n): site x at m is f^x_W(m), .f is f^0_W."""
     return ctx.row(_ORIGIN, 0, n, dual=True, steps=steps)
+
+
+def _k_rows(ctx: LawContext, n: int) -> list:
+    """The half-line rows k_estimate reads at n."""
+    return [ctx.row(HALF_LE_0, x, n) for x in k_starts(ctx.law, n)]
+
+
+def _a_rows(ctx: LawContext, ns) -> list:
+    """The reversed A-killed runs from each z in A to max(ns), read at every n of ns."""
+    return [ctx.row(_A, z, max(ns), dual=True, steps=ns) for z in _A]
 
 
 def _grid(quick: bool) -> tuple:
@@ -347,26 +341,34 @@ def _site(ctx: LawContext, c: float, n: int) -> int:
     return max(1, int(math.floor(c * n ** (1.0 / ctx.params.alpha))))
 
 
-# driver -> rows(ctx, quick): the DP rows it reads, declared before any driver runs
-_ROWS = {}
+def _reads(check):
+    """The driver(ctx, quick) -> report of check, a generator that yields the DP rows it reads and is sent their runs.
 
+    check yields once, runs = yield rows, after its guards: driver reads
+    the rows in one ctx.read.  driver.rows(ctx, quick) runs check up to
+    that yield and returns its rows, for LawContext.plan.
+    """
+    @functools.wraps(check)
+    def driver(ctx: LawContext, quick: bool):
+        gen = check(ctx, quick)
+        try:
+            gen.send(ctx.read(next(gen)))
+        except StopIteration as done:
+            return done.value
 
-def _reads(rows):
-    """Declare rows(ctx, quick), built from the driver's own guards and sites, as the rows the driver reads."""
-    def declare(driver):
-        _ROWS[driver] = rows
-        return driver
-    return declare
+    driver.rows = lambda ctx, quick: next(check(ctx, quick))
+    return driver
 
 
 def declared_rows(ctx: LawContext, drivers, quick: bool) -> list:
     """Every DP row the drivers will read, for LawContext.plan; a driver whose guard fails declares none."""
-    return [row for driver in drivers if driver in _ROWS for row in _ROWS[driver](ctx, quick)]
-
-
-def _k_rows(ctx: LawContext, n: int) -> list:
-    """The half-line rows k_estimate reads at n."""
-    return [ctx.row(HALF_LE_0, x, n) for x in k_starts(ctx.law, n)]
+    rows = []
+    for driver in drivers:
+        try:
+            rows += driver.rows(ctx, quick) if hasattr(driver, "rows") else []
+        except StableWalkError:
+            pass
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +428,12 @@ def rhs_thm6_ii(ctx: LawContext, x: int, y: int, n: int, c_plus_val: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def _f0_rows(ctx: LawContext, quick: bool) -> list:
-    """hits(n) at the grid's largest n, read for f^0."""
-    return [_hits_row(ctx, max(_grid(quick)))]
-
-
-@_reads(_f0_rows)
-def verify_thm1(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_thm1(ctx: LawContext, quick: bool):
     """n^{2-1/alpha} f^0(n) against kappa c^{1/alpha}."""
     ns = _grid(quick)
-    fp = ctx.hits(max(ns))[max(ns)]
+    (hits,) = yield [_hits_row(ctx, max(ns))]
+    fp = hits[max(ns)]
     rep = VerificationReport(theorem_id="thm1")
     for n in ns:
         rep.add_row(float(fp.f[n]), f0_asymptote(n, ctx.params, ctx.consts), n=n, x=0)
@@ -443,49 +441,31 @@ def verify_thm1(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.15)
 
 
-def _thm2_bulk_rows(ctx: LawContext, quick: bool) -> list:
-    return [_hits_row(ctx, n) for n in _grid(quick)]
-
-
-@_reads(_thm2_bulk_rows)
-def verify_thm2_bulk(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_thm2_bulk(ctx: LawContext, quick: bool):
     """f^x(n) ~ c f^{x_n}(c)/n uniformly for x_n of order one, at x_n = 1."""
+    ns = _grid(quick)
+    runs = yield [_hits_row(ctx, n) for n in ns]
     rep = VerificationReport(theorem_id="thm2_bulk")
-    for n in _grid(quick):
+    for n, hits in zip(ns, runs):
         x = _site(ctx, 1.0, n)
-        rep.add_row(ctx.hits(n)[n].at(x), rhs_thm2_bulk(ctx, x, n), n=n, x=x, regime="bulk")
+        rep.add_row(hits[n].at(x), rhs_thm2_bulk(ctx, x, n), n=n, x=x, regime="bulk")
     return rep.finalize(0.2)
 
 
-def _thm2_small_rows(ctx: LawContext, quick: bool) -> list:
-    ns = _grid(quick)
-    return [_hits_row(ctx, max(ns), steps=ns)]
-
-
-@_reads(_thm2_small_rows)
-def verify_thm2_small(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_thm2_small(ctx: LawContext, quick: bool):
     """f^4(n) ~ a_dagger(4) f^0(n) (+ spectral term when gamma > 0)."""
     ns = _grid(quick)
+    (dual,) = yield [_hits_row(ctx, max(ns), steps=ns)]
     rep = VerificationReport(theorem_id="thm2_small")
-    dual = ctx.hits(max(ns), steps=ns)
     for n in ns:
         rep.add_row(dual[n].at(4), sum(rhs_thm2_small(ctx, 4, n)), n=n, x=4, regime="x_small")
     return rep.finalize(0.2)
 
 
-def _crossover_ns(quick: bool) -> tuple:
-    return tuple(16 << k for k in range(8 if quick else 9))
-
-
-def _crossover_rows(ctx: LawContext, quick: bool) -> list:
-    if ctx.params.skew_sign <= 0:
-        return []
-    ns = _crossover_ns(quick)
-    return [_hits_row(ctx, max(ns), steps=ns)]
-
-
-@_reads(_crossover_rows)
-def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_crossover(ctx: LawContext, quick: bool):
     """Locate the Theorem-3 dominance switch empirically (gamma = 2 - alpha).
 
     For fixed x = 1, 2 the potential term t1 of rhs_thm2_small overtakes its
@@ -499,8 +479,9 @@ def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     params, inv_a = ctx.params, 1.0 / ctx.params.alpha
     if params.skew_sign <= 0:
         raise RegimeViolation("crossover scan needs gamma = 2 - alpha")
-    ns = _crossover_ns(quick)
-    dual, n_arr = ctx.hits(max(ns), steps=ns), np.array(ns)
+    ns = tuple(16 << k for k in range(8 if quick else 9))
+    (dual,) = yield [_hits_row(ctx, max(ns), steps=ns)]
+    n_arr = np.array(ns)
     # predicted location constant: a(x)/x = p_c(0) n^{1-2/a} / (kappa c^{1/a});
     # the factor cap is applied to this units-free normalisation
     c_pred = density_at_zero(params.c_circ, params) / (ctx.consts.kappa_hit * params.c_circ ** inv_a)
@@ -530,29 +511,20 @@ def verify_crossover(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finish([track_worst], True, all(0.25 <= r <= 4.0 for r in factors) and track_worst < 0.35)
 
 
-def _thm4_rows(ctx: LawContext, quick: bool) -> list:
-    return [row for n in _grid(quick) for row in (_hits_row(ctx, n), ctx.row(_ORIGIN, _site(ctx, 0.5, n), n))]
-
-
-@_reads(_thm4_rows)
-def verify_thm4_y_small(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_thm4_y_small(ctx: LawContext, quick: bool):
     """p^n_0(x, 3) ~ f^x(n) a(-3) with x = floor(n^{1/alpha}/2) in the bulk."""
+    ns = _grid(quick)
+    xs = [_site(ctx, 0.5, n) for n in ns]
+    runs = yield [row for n, x in zip(ns, xs) for row in (_hits_row(ctx, n), ctx.row(_ORIGIN, x, n))]
     rep = VerificationReport(theorem_id="thm4_y_small")
-    for n in _grid(quick):
-        x = _site(ctx, 0.5, n)
-        rhs = ctx.hits(n)[n].at(x) * ctx.pot.a(-3)
-        rep.add_row(ctx.dp_slice(_ORIGIN, x, n).at(3), rhs, n=n, x=x, y=3, regime="y_small")
+    for n, x, hits, fwd in zip(ns, xs, runs[::2], runs[1::2]):
+        rep.add_row(fwd[n].at(3), hits[n].at(x) * ctx.pot.a(-3), n=n, x=x, y=3, regime="y_small")
     return rep.finalize(0.2)
 
 
-def _thm5_rows(ctx: LawContext, quick: bool) -> list:
-    if ctx.params.skew_sign <= 0:
-        return []
-    return [row for n in _grid(quick) for row in (_hits_row(ctx, n), ctx.row(_ORIGIN, 3, n), *_k_rows(ctx, n))]
-
-
-@_reads(_thm5_rows)
-def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_thm5_x_small(ctx: LawContext, quick: bool):
     """gamma = 2-alpha: p^n_0(3, y) ~ a_dagger(3) f^{-y}(n) + x_n K(y_n)/n^{1/a}, y_n = 1.
 
     The rhs embeds the kernel-estimated K value, whose own resolution is a
@@ -560,62 +532,52 @@ def verify_thm5_x_small(ctx: LawContext, quick: bool) -> VerificationReport:
     """
     if ctx.params.skew_sign <= 0:
         raise RegimeViolation("Theorem 5 x_small term needs gamma = 2 - alpha")
+    ns = _grid(quick)
+    runs = yield [row for n in ns for row in (_hits_row(ctx, n), ctx.row(_ORIGIN, 3, n), *_k_rows(ctx, n))]
     rep = VerificationReport(theorem_id="thm5_x_small")
-    for n in _grid(quick):
+    for n, hits, fwd, *k_runs in zip(ns, *(runs[i::4] for i in range(4))):
         y = _site(ctx, 1.0, n)
-        fy = ctx.hits(n)[n].at(-y)
-        K_vals, spreads = k_estimate(ctx, [y], n)
-        rhs = rhs_thm5_x_small(ctx, 3, n, fy, float(K_vals[0]))
-        rep.add_row(ctx.dp_slice(_ORIGIN, 3, n).at(y), rhs, n=n, x=3, y=y, regime="x_small")
+        K_vals, spreads = k_estimate(ctx.law, k_runs, [y], n)
+        rhs = rhs_thm5_x_small(ctx, 3, n, hits[n].at(-y), float(K_vals[0]))
+        rep.add_row(fwd[n].at(y), rhs, n=n, x=3, y=y, regime="x_small")
         rep.notes.setdefault("k_spread", []).append(float(spreads[0]))
     return rep.finalize(0.2, mono_floor=0.03)
 
 
-def _bulk_site(ctx: LawContext, n: int) -> int:
-    return max(1, int(round(0.7 * n ** (1.0 / ctx.params.alpha))))
-
-
-def _bulk_scaling_rows(ctx: LawContext, quick: bool) -> list:
-    return [ctx.row(_ORIGIN, _bulk_site(ctx, n), n) for n in _grid(quick)]
-
-
-@_reads(_bulk_scaling_rows)
-def verify_bulk_scaling(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_bulk_scaling(ctx: LawContext, quick: bool):
     """Scaled killed kernel n^{1/a} p^n_0(0.7 n^{1/a}, 0.7 n^{1/a}) stabilises.
 
     The stable killed density has no closed form; successive resolutions act
     as each other's reference, which is exactly the scaling-limit claim.
     """
     inv_a = 1.0 / ctx.params.alpha
+    ns = _grid(quick)
+    xs = [max(1, int(round(0.7 * n ** inv_a))) for n in ns]
+    runs = yield [ctx.row(_ORIGIN, x, n) for n, x in zip(ns, xs)]
     vals = []
     rep = VerificationReport(theorem_id="bulk_scaling")
-    for n in _grid(quick):
-        x = y = _bulk_site(ctx, n)
-        scaled = float(n) ** inv_a * ctx.dp_slice(_ORIGIN, x, n).at(y)
+    for n, x, run in zip(ns, xs, runs):
+        scaled = float(n) ** inv_a * run[n].at(x)
         vals.append(scaled)
-        rep.record(scaled, n=n, x=x, y=y, regime="bulk")
+        rep.record(scaled, n=n, x=x, y=x, regime="bulk")
     rep.deviations = [abs(vals[i] / vals[i + 1] - 1.0) for i in range(len(vals) - 1)]
     rep.notes["scaled_values"] = vals
     return rep.finalize(0.2)
 
 
-def _thm6_rows(ctx: LawContext, quick: bool) -> list:
-    if not has_bounded_potential(ctx.law):
-        return []
-    return [ctx.row(_ORIGIN, _site(ctx, 0.5, n), n, mult=10.0) for n in _grid(quick)]
-
-
-@_reads(_thm6_rows)
-def verify_thm6(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_thm6(ctx: LawContext, quick: bool):
     """Regime (ii): p^n_0(x, y) ~ C+ (x_n - y_n) p_c(y_n - x_n)/n at x = -y."""
     if not has_bounded_potential(ctx.law):
         raise InfiniteCPlus("Theorem 6 needs the bounded-potential family")
+    ns = _grid(quick)
+    xs = [_site(ctx, 0.5, n) for n in ns]
+    runs = yield [ctx.row(_ORIGIN, x, n, mult=10.0) for n, x in zip(ns, xs)]
     cp = c_plus(ctx.law, ctx.pot)
     rep = VerificationReport(theorem_id="thm6_ii")
-    for n in _grid(quick):
-        x = _site(ctx, 0.5, n)
-        exact = ctx.dp_slice(_ORIGIN, x, n, mult=10.0).at(-x)
-        rep.add_row(exact, rhs_thm6_ii(ctx, x, -x, n, cp), n=n, x=x, y=-x, regime="ii")
+    for n, x, run in zip(ns, xs, runs):
+        rep.add_row(run[n].at(-x), rhs_thm6_ii(ctx, x, -x, n, cp), n=n, x=x, y=-x, regime="ii")
     rep.notes["c_plus"] = cp
     return rep.finalize(0.2)
 
@@ -661,51 +623,39 @@ def tunneling_check(ctx: LawContext, R_values, n: int, x: int, y: int) -> Verifi
     return rep.finish([0.0], all(probs[i] >= probs[i + 1] for i in range(len(probs) - 1)), True)
 
 
-def _prop22_rows(ctx: LawContext, quick: bool) -> list:
-    return _tunneling_rows(ctx, 128 if quick else 256, 8, -8)
-
-
-@_reads(_prop22_rows)
-def verify_prop22(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_prop22(ctx: LawContext, quick: bool):
     """Prop 2.2 from x = 8 to y = -8: the tunneling probability falls as R = 4, 16, 64 grows."""
-    return tunneling_check(ctx, (4, 16, 64), 128 if quick else 256, 8, -8)
+    n = 128 if quick else 256
+    yield _tunneling_rows(ctx, n, 8, -8)
+    return tunneling_check(ctx, (4, 16, 64), n, 8, -8)
 
 
-def _comp_rows(ctx: LawContext, quick: bool) -> list:
-    ns = _grid(quick)
-    sites = [(n, _site(ctx, 0.5, n)) for n in ns]
-    return [_hits_row(ctx, max(ns))] + [ctx.row(B, x, n) for n, x in sites for B in (("le", -1), _ORIGIN)]
-
-
-@_reads(_comp_rows)
-def verify_comp(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_comp(ctx: LawContext, quick: bool):
     """Comparison identity p^n_0 ~ p^n_{(-inf,0)} + a_dag(x) f^0(n) a(-y) at x = y = n^{1/a}/2."""
-    rep = VerificationReport(theorem_id="comp")
     ns = _grid(quick)
-    f0 = ctx.hits(max(ns))[max(ns)].f
-    for n in ns:
-        x = y = _site(ctx, 0.5, n)
-        rhs = ctx.dp_slice(("le", -1), x, n).at(y) + ctx.pot.a_dagger(x) * float(f0[n]) * ctx.pot.a(-y)
-        rep.add_row(ctx.dp_slice(_ORIGIN, x, n).at(y), rhs, n=n, x=x, y=y, regime="comp")
+    xs = [_site(ctx, 0.5, n) for n in ns]
+    hits, *runs = yield [_hits_row(ctx, max(ns))] + [ctx.row(B, x, n) for n, x in zip(ns, xs) for B in (("le", -1), _ORIGIN)]
+    f0 = hits[max(ns)].f
+    rep = VerificationReport(theorem_id="comp")
+    for n, x, below, fwd in zip(ns, xs, runs[::2], runs[1::2]):
+        rhs = below[n].at(x) + ctx.pot.a_dagger(x) * float(f0[n]) * ctx.pot.a(-x)
+        rep.add_row(fwd[n].at(x), rhs, n=n, x=x, y=x, regime="comp")
     return rep.finalize(0.2)
 
 
-def _kest_rows(ctx: LawContext, quick: bool) -> list:
-    if ctx.params.skew_sign <= 0:
-        return []
-    return _k_rows(ctx, 1024 if quick else 4096)
-
-
-@_reads(_kest_rows)
-def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_k_small_eta(ctx: LawContext, quick: bool):
     """K_c(eta) c Gamma(alpha) / (p_c(0) eta^{alpha-1}) -> 1 as eta = 1, 1/2, 1/4 -> 0."""
     if ctx.params.skew_sign <= 0:
         raise RegimeViolation("K estimates need gamma = 2 - alpha")
     params = ctx.params
     n, etas = (1024 if quick else 4096), (1.0, 0.5, 0.25)
+    runs = yield _k_rows(ctx, n)
     p0 = density_at_zero(params.c_circ, params)
     rep = VerificationReport(theorem_id="k_small_eta")
-    K_vals, spreads = k_estimate(ctx, [_site(ctx, eta, n) for eta in etas], n)
+    K_vals, spreads = k_estimate(ctx.law, runs, [_site(ctx, eta, n) for eta in etas], n)
     for eta, K_val, spread in zip(etas, K_vals.tolist(), spreads.tolist()):
         scaled = K_val * params.c_circ * gamma_fn(params.alpha) / (p0 * eta ** (params.alpha - 1.0))
         rep.record(K_val, ratio=scaled, dev=abs(scaled - 1.0), n=n, x=0, y=eta, regime="eta")
@@ -713,30 +663,20 @@ def verify_k_small_eta(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.2)
 
 
-def _a_rows(ctx: LawContext, quick: bool) -> list:
-    """The reversed A-killed runs from each z in A to the grid's largest n, read at every n of the grid."""
-    ns = _grid(quick)
-    return [ctx.row(_A, z, max(ns), dual=True, steps=ns) for z in _A]
-
-
-def _finite_rows(ctx: LawContext, quick: bool) -> list:
-    return _a_rows(ctx, quick) + _f0_rows(ctx, quick)
-
-
-@_reads(_finite_rows)
-def verify_finite_set(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_finite_set(ctx: LawContext, quick: bool):
     """sum_z in A f_A^z(n) / f^0(n) -> 1 for A = {-1, 0, 2}: the summed ledgers of cor3's reversed runs."""
     ns = _grid(quick)
-    runs = ctx.dual_slice(("set", _A), _A, max(ns), steps=ns)
-    f0 = ctx.hits(max(ns))[max(ns)]
+    *runs, hits = yield _a_rows(ctx, ns) + [_hits_row(ctx, max(ns))]
+    f0 = hits[max(ns)]
     rep = VerificationReport(theorem_id="finite_set_sum")
     for n in ns:
-        rep.add_row(float(sum(runs[z][n].f[n] for z in _A)), float(f0.f[n]), n=n, x=0, regime="sum_fA")
+        rep.add_row(float(sum(run[n].f[n] for run in runs)), float(f0.f[n]), n=n, x=0, regime="sum_fA")
     return rep.finalize(0.2 if quick else 0.1)
 
 
-@_reads(_a_rows)
-def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_cor3(ctx: LawContext, quick: bool):
     """Space-time hitting from x = 5: P[sigma_A = n, S_n = y] ~ f_A^x(n) w_A(y), y in A.
 
     w_A(y) = u_{-A}(-y): the u-function of the reflected set -A (same law),
@@ -744,13 +684,13 @@ def verify_cor3(ctx: LawContext, quick: bool) -> VerificationReport:
     Site 5 of the reversed A-killed run from z holds P_5[sigma_A = n, S_n = z].
     """
     ns = _grid(quick)
-    runs = ctx.dual_slice(("set", _A), _A, max(ns), steps=ns)
+    runs = yield _a_rows(ctx, ns)
     fsp_neg = FiniteSetPotential(ctx.pot, [-z for z in _A])
     weights = {y: fsp_neg.u(-y) for y in _A}
     rep = VerificationReport(theorem_id="cor3")
     y_probe = max(_A)
     for n in ns:
-        entry = [runs[z][n].at(5) for z in _A]
+        entry = [run[n].at(5) for run in runs]
         rep.add_row(entry[_A.index(y_probe)], sum(entry) * weights[y_probe], n=n, x=5, y=y_probe, regime="cor3")
     rep.notes["weight_sum"] = sum(weights.values())
     return rep.finalize(0.2)
@@ -763,12 +703,8 @@ def _finish_sups(rep: VerificationReport, sups: list) -> VerificationReport:
     return rep.finish([dev], True, all(math.isfinite(s) for s in sups) and dev < 0.2)
 
 
-def _prop21_rows(ctx: LawContext, quick: bool) -> list:
-    return [ctx.row(_ORIGIN, 0, n, mult=10.0, dual=True) for n in (64, 256)]
-
-
-@_reads(_prop21_rows)
-def diagnostics_prop21(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def diagnostics_prop21(ctx: LawContext, quick: bool):
     """sup of f^x(n) n / (|x_n|^{a-1} ^ |x_n|^{-a}), stable under x-grid refinement.
 
     The paper's constant is unspecified, so the assertion is boundedness:
@@ -776,20 +712,21 @@ def diagnostics_prop21(ctx: LawContext, quick: bool) -> VerificationReport:
     is refined.  Quick and full runs use the same grids.
     """
     inv_a = 1.0 / ctx.params.alpha
+    ns = (64, 256)
+    runs = yield [ctx.row(_ORIGIN, 0, n, mult=10.0, dual=True) for n in ns]
     rep = VerificationReport(theorem_id="prop21")
     sups = []
     for level in range(2):
         step = 3 * (level + 1)  # finer grid at higher level
         sup = 0.0
         xs = sorted({max(1, int(round(2.0 ** (j / step)))) for j in range(14 * step)})
-        for n in (64, 256):
-            fn = ctx.dual_slice(_ORIGIN, [0], n, mult=10.0)[0][n]
+        for n, run in zip(ns, runs):
             for x in xs:
                 xn = x * float(n) ** -inv_a
                 if xn > 8.0:
                     break
                 bound = min(xn ** (ctx.params.alpha - 1.0), xn ** -ctx.params.alpha)
-                sup = max(sup, fn.at(x) * n / bound)
+                sup = max(sup, run[n].at(x) * n / bound)
         sups.append(sup)
         rep.record(sup, n=0, x=level, regime="sup")
     return _finish_sups(rep, sups)
@@ -802,12 +739,8 @@ _P23_GRIDS = (
 )
 
 
-def _prop23_rows(ctx: LawContext, quick: bool) -> list:
-    return [ctx.row(_ORIGIN, y, 256, dual=True) for y in _P23_GRIDS[-1][1]]
-
-
-@_reads(_prop23_rows)
-def diagnostics_prop23(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def diagnostics_prop23(ctx: LawContext, quick: bool):
     """Prop 2.3(i) scaled ratio at n = 256: sup stable under (x, y)-grid refinement.
 
     Boundedness diagnostic only - the paper's C_M is unspecified.  Quick and
@@ -815,10 +748,12 @@ def diagnostics_prop23(ctx: LawContext, quick: bool) -> VerificationReport:
     """
     a, inv_a = ctx.params.alpha, 1.0 / ctx.params.alpha
     n = 256
+    fine = _P23_GRIDS[-1][1]
+    runs = yield [ctx.row(_ORIGIN, y, n, dual=True) for y in fine]
+    col = dict(zip(fine, runs))
     rep = VerificationReport(theorem_id="prop23")
     sups = []
     # stability means no blowup between the coarse grid's nodes
-    col = ctx.dual_slice(_ORIGIN, _P23_GRIDS[-1][1], n)
     for xs, ys in _P23_GRIDS:
         sup = 0.0
         for x in xs:
@@ -848,38 +783,28 @@ def verify_cor1(ctx: LawContext, quick: bool) -> VerificationReport:
     return rep.finalize(0.15)
 
 
-def _cor2_rows(ctx: LawContext, quick: bool) -> list:
-    if ctx.params.skew_sign <= 0:
-        return []
-    return [ctx.row(_ORIGIN, -3, n) for n in _grid(quick)]
-
-
-@_reads(_cor2_rows)
-def verify_cor2(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_cor2(ctx: LawContext, quick: bool):
     """gamma = 2-alpha, x = -3, y < 0: p^n_0 ~ a_dag(x)[f^0(n)a(-y) + |y_n| p_c(y_n)/n], rhs_thm2_small's terms at -y."""
     if ctx.params.skew_sign <= 0:
         raise RegimeViolation("Corollary 2 branch needs gamma = 2 - alpha")
+    ns = _grid(quick)
+    runs = yield [ctx.row(_ORIGIN, -3, n) for n in ns]
     rep = VerificationReport(theorem_id="cor2")
-    for n in _grid(quick):
+    for n, run in zip(ns, runs):
         y = -_site(ctx, 0.7, n)
         rhs = ctx.pot.a_dagger(-3) * sum(rhs_thm2_small(ctx, -y, n))
-        rep.add_row(ctx.dp_slice(_ORIGIN, -3, n).at(y), rhs, n=n, x=-3, y=y, regime="cor2")
+        rep.add_row(run[n].at(y), rhs, n=n, x=-3, y=y, regime="cor2")
     return rep.finalize(0.2)
 
 
-def _llt_rows(ctx: LawContext, quick: bool) -> list:
-    """The free walk from 0, read at every n of the grid."""
-    ns = _grid(quick)
-    return [ctx.row(None, 0, max(ns), steps=ns)]
-
-
-@_reads(_llt_rows)
-def verify_llt(ctx: LawContext, quick: bool) -> VerificationReport:
+@_reads
+def verify_llt(ctx: LawContext, quick: bool):
     """sup_x |n^{1/a} p^n(x) - p_c(x n^{-1/a})| decreasing along the n grid."""
     inv_a = 1.0 / ctx.params.alpha
     ns = _grid(quick)
+    (free,) = yield [ctx.row(None, 0, max(ns), steps=ns)]
     rep = VerificationReport(theorem_id="llt")
-    (free,) = ctx.read(_llt_rows(ctx, quick))
     W = free[max(ns)].window
     xs = np.arange(-W, W + 1, dtype=float)
     for n in ns:

@@ -51,7 +51,8 @@ def load(key: str, shapes: dict | None = None) -> dict | None:
     if not path.exists():
         return None
     try:
-        with np.load(path, allow_pickle=False) as z:
+        # np.load(path) leaks its handle when the archive fails to parse; this one closes either way
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             arrays = {k: z[k] for k in z.files}
     except Exception as exc:  # a damaged npz fails in many different ways; each means recompute
         warnings.warn(f"unreadable cache artifact {path.name} treated as a miss: {exc!r}", stacklevel=2)

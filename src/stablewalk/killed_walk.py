@@ -662,20 +662,19 @@ def k_starts(law: WalkLaw, n: int) -> list:
     return [x1, 2 * x1]
 
 
-def k_estimate(ctx, ys, n: int) -> tuple[np.ndarray, np.ndarray]:
+def k_estimate(law: WalkLaw, runs, ys, n: int) -> tuple[np.ndarray, np.ndarray]:
     """K_{c_circ}(y n^{-1/alpha}) ~ n^{1/alpha} p^n_{(-inf,0]}(x, y) / x_n at lattice sites y.
 
-    The half-line DPs from two small starts x come from the memo of ctx (an
-    asymptotics.LawContext), shared by every caller at this n, and run as one
-    batch.  Returns the estimates averaged over the two starts and their
-    relative spreads.
+    runs are the half-line DPs from the two k_starts(law, n), each {m: row
+    slice at step m} with the slice's .slice over [-W, W] and its .window W.
+    Returns the estimates averaged over the two starts and their relative
+    spreads.
     """
     ys = np.asarray(ys, dtype=int)
     if ys.min() < 1:
         raise ResolutionTooCoarse(f"site y = {ys.min()} < 1")
-    scale = n ** (1.0 / ctx.law.spec.alpha)
-    sls = ctx.dp_slices(HALF_LE_0, k_starts(ctx.law, n), n)
-    vals = [scale * sl.slice[ys + sl.window] / (x / scale) for x, sl in sls.items()]
+    scale = n ** (1.0 / law.spec.alpha)
+    vals = [scale * run[n].slice[ys + run[n].window] / (x / scale) for x, run in zip(k_starts(law, n), runs)]
     est = 0.5 * (vals[0] + vals[1])
     spread = np.abs(vals[0] - vals[1]) / np.maximum(np.abs(est), 1e-300)
     return est, spread

@@ -118,7 +118,7 @@ def test_criterion_1_exact_identities():
 
 @pytest.mark.acceptance
 def test_criterion_2_oracle_triangle():
-    """DP vs Fourier inversion within 1e-4; DP vs Monte Carlo within 95% CI."""
+    """DP vs Fourier inversion within 5e-5 relative; DP vs Monte Carlo within 95% CI."""
     t0 = time.time()
     law = get_law("sym15")
     worst_f = 0.0
@@ -128,8 +128,9 @@ def test_criterion_2_oracle_triangle():
             dps[x] = float(first_passage(law, [0], x, n, window=1024).f[n])
         four = fourier_first_passage_batch(law, [0, 3, -3, 8, -8], n)
         for i, x in enumerate((0, 3, -3, 8, -8)):
-            worst_f = max(worst_f, abs(dps[x] - four[i]))
-    ok_fourier = worst_f < 1e-4
+            # relative, so a DP that read 0 where f is small (f^0(512) = 8.5e-5) fails
+            worst_f = max(worst_f, abs(dps[x] - four[i]) / abs(four[i]))
+    ok_fourier = worst_f <= 5e-5
 
     cases = [(3, 32), (8, 64), (0, 16), (-3, 32), (5, 128), (2, 8)]
     cfg = SimConfig(trials=1_000_000, n_horizon=128, seed=20260808)
@@ -143,7 +144,7 @@ def test_criterion_2_oracle_triangle():
         2,
         "oracle triangle",
         ok,
-        f"max |DP-Fourier| {worst_f:.2e}; MC CI covered {covered}/{len(cases)}",
+        f"max |DP-Fourier|/|Fourier| {worst_f:.2e}; MC CI covered {covered}/{len(cases)}",
         t0,
     )
 

@@ -274,6 +274,35 @@ def test_run_kernel_only_through_the_context():
     assert set(RUN_KERNEL_CALLERS) <= callers
 
 
+# the only callers of LawContext.read in src/, each with its reason
+CONTEXT_READERS = {
+    "_reads": "a driver reads the rows it yields, and only those, so plan sees every row it reads",
+    "tunneling_check": "tests call it with their own (R, n, x, y); verify_prop22 yields its rows first",
+}
+
+
+def test_no_driver_reads_around_its_declaration():
+    """In src/, only the _reads wrapper and tunneling_check call LawContext.read."""
+    readers = [{qual for _, qual in scope} for path in SRC for call, scope in _scoped_calls(path, _parse(path))
+               if getattr(call.func, "attr", None) == "read"]
+    around = [sorted(quals) for quals in readers if not quals & set(CONTEXT_READERS)]
+    assert not around, f"LawContext.read called outside the _reads wrapper by: {around}"
+    # a listed reader that stopped calling read leaves the list
+    assert set(CONTEXT_READERS) <= set().union(*readers)
+
+
+def test_a_failed_guard_declares_no_rows():
+    """A guarded driver raises before its yield: on sym15 it declares no row, so plan steps none for it."""
+    from conftest import get_ctx
+    from stablewalk.asymptotics import declared_rows
+    from stablewalk.cli import _drivers
+
+    guarded = [fn for tid in ("thm3", "thm5", "thm6", "cor2", "kest") for fn in _drivers()[tid]]
+    assert declared_rows(get_ctx("sym15"), guarded, True) == []
+    for fn in guarded:
+        assert declared_rows(get_ctx("bp15" if fn.__name__ == "verify_thm6" else "sp15"), [fn], True)
+
+
 def test_only_law_context_reaches_its_run():
     """Nothing outside LawContext reads LawContext._run, so no caller hands the memo a run it did not key."""
     reached = []

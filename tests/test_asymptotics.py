@@ -98,7 +98,7 @@ def test_rhs_theorem6_forms_agree(bp15):
         b = rhs_theorem6_hitting_form(ctx, x, -x, n, cp)
         assert a == pytest.approx(b, rel=1e-9)
     # x = -y = 1 fixed: the DP over the regime-(i) form reads 0.9988 at n = 1024
-    exact = ctx.dp_slice(("set", (0,)), 1, 1024, mult=10.0).at(-1)
+    exact = _at_n(ctx, ("set", (0,)), 1, 1024, mult=10.0).at(-1)
     assert exact == pytest.approx(rhs_theorem6_i(ctx, 1, -1, 1024), rel=0.01)
 
 
@@ -186,17 +186,22 @@ def _count_run_kernel(monkeypatch):
     return real, calls
 
 
+def _at_n(ctx, B, x, n, **kwargs):
+    """p^n_B(x, .) off ctx's row (B, x, n), read through LawContext.read."""
+    return ctx.read([ctx.row(B, x, n, **kwargs)])[0][n]
+
+
 def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
     """Repeats, and mult 8 vs 10 at the same W, share one run_kernel call."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     real, calls = _count_run_kernel(monkeypatch)
     ctx = LawContext.build(sym15)
-    first = ctx.dp_slice(("set", (0,)), 3, 256)
+    first = _at_n(ctx, ("set", (0,)), 3, 256)
     assert first.window == 512
-    assert ctx.dp_slice(("set", (0,)), 3, 256) is first
-    assert ctx.dp_slice(("set", (0,)), 3, 256, mult=10.0) is first
+    assert _at_n(ctx, ("set", (0,)), 3, 256) is first
+    assert _at_n(ctx, ("set", (0,)), 3, 256, mult=10.0) is first
     # sym15 is self-dual: the reversed run from 3 is the same run, kept at the powers of two
-    dual = ctx.dual_slice(("set", (0,)), [3], 256)[3]
+    (dual,) = ctx.read([ctx.row(("set", (0,)), 3, 256, dual=True)])
     assert sorted(dual) == [1, 2, 4, 8, 16, 32, 64, 128, 256] and dual[256] is first
     assert len(calls) == 1
     table = real(sym15, ("set", (0,)), [3], 256, window=512, keep=[256])
@@ -204,7 +209,7 @@ def test_dp_slice_runs_each_dp_once(sym15, monkeypatch, tmp_path):
     assert np.array_equal(first.f, table.step_killed[0])
     assert first.escaped == table.escaped[0, 256]
     # the next run's context reads the artifact cache instead of rerunning the DP
-    loaded = LawContext.build(sym15).dp_slice(("set", (0,)), 3, 256)
+    loaded = _at_n(LawContext.build(sym15), ("set", (0,)), 3, 256)
     assert len(calls) == 1
     assert np.array_equal(loaded.slice, first.slice) and loaded.escaped == first.escaped
     for hit in (first, loaded):
@@ -217,9 +222,9 @@ def test_dp_slice_keys_the_normalised_killing_set(sym15, monkeypatch, tmp_path):
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     real, calls = _count_run_kernel(monkeypatch)
     ctx = LawContext.build(sym15)
-    first = ctx.dp_slice([0], 3, 64)
-    assert ctx.dp_slice(("set", (0,)), 3, 64) is first
-    assert ctx.dp_slice(("set", [0]), 3, 64) is first
+    first = _at_n(ctx, [0], 3, 64)
+    assert _at_n(ctx, ("set", (0,)), 3, 64) is first
+    assert _at_n(ctx, ("set", [0]), 3, 64) is first
     assert len(calls) == 1 and len(ctx.memo) == 1
 
 
@@ -235,7 +240,7 @@ def test_rows_read_off_their_artifact_steps_are_not_stored(sp15, monkeypatch, tm
     run = ctx.read([ctx.row(("set", (0,)), 3, 16, steps=(8, 16))])[0]
     assert sorted(run) == [8, 16] and not list(tmp_path.glob("*.npz"))
     ctx = LawContext.build(sp15)
-    assert ctx.dp_slice(("set", (0,)), 3, 16).slice.tolist() == run[16].slice.tolist()
+    assert _at_n(ctx, ("set", (0,)), 3, 16).slice.tolist() == run[16].slice.tolist()
     _only_artifact(tmp_path)
     assert len(calls) == 2
 
@@ -252,7 +257,7 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     B, x, n, W = ("set", (0,)), 3, 256, 512
     real, calls = _count_run_kernel(monkeypatch)
-    LawContext.build(sym15).dp_slice(B, x, n)
+    _at_n(LawContext.build(sym15), B, x, n)
     path = _only_artifact(tmp_path)
     kept = 9  # sym15 is self-dual, so its runs keep the steps 1, 2, 4, ..., 256
     planted = {"slice": np.zeros((kept, 2 * W + 1)), "f": np.zeros(n + 1), "escaped": np.zeros(kept)}
@@ -266,14 +271,14 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
         del planted["escaped"]
     np.savez_compressed(path, **planted)
     with pytest.warns(UserWarning, match="treated as a miss"):
-        got = LawContext.build(sym15).dp_slice(B, x, n)
+        got = _at_n(LawContext.build(sym15), B, x, n)
     assert len(calls) == 2
     table = real(sym15, B, [x], n, window=W, keep=[n])
     assert np.array_equal(got.slice, table.values[n][0])
     assert np.array_equal(got.f, table.step_killed[0])
     # the recomputed artifact replaced the planted one
     assert _only_artifact(tmp_path) == path
-    again = LawContext.build(sym15).dp_slice(B, x, n)
+    again = _at_n(LawContext.build(sym15), B, x, n)
     assert len(calls) == 2
     assert np.array_equal(again.f, got.f)
 
@@ -282,7 +287,7 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
 def test_dual_slice_is_the_forward_kill_ledger(name):
     """f^x_W(n) at site x of the reversed law's run from 0 is the forward {0}-killed ledger from x."""
     ctx, n = get_ctx(name), 256
-    dual = ctx.hits(n)[n]
+    dual = _at_n(ctx, ("set", (0,)), 0, n, dual=True)
     assert dual.window == 512
     s = n ** (1.0 / ctx.params.alpha)
     xs = sorted({v for x in (1, 4, int(s / 2), int(s), int(3 * s)) for v in (x, -x)})
@@ -297,7 +302,7 @@ def test_dual_slice_is_the_forward_kill_ledger(name):
 def test_dual_set_slice_is_the_forward_entrance_law(name):
     """Site x of the reversed A-killed run from z is P_x[sigma_A = n, S_n = z]; the ledgers sum to sum_z f_A^z(n)."""
     ctx, n, A = get_ctx(name), 256, (-1, 0, 2)
-    runs = ctx.dual_slice(("set", A), A, n)
+    runs = dict(zip(A, ctx.read([ctx.row(("set", A), z, n, dual=True) for z in A])))
     xs = [-40, -7, -2, 1, 3, 5, 20, 60]
     # the forward run's step-n entrance law into A: the growth of its Green sums on A at step n
     fwd = run_kernel(ctx.law, A, xs, n, window=512, keep=[], keep_green=[n - 1, n])
@@ -318,7 +323,8 @@ def test_batch_artifacts_equal_single_runs(name, B, ys, monkeypatch, tmp_path):
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
     real, calls = _count_run_kernel(monkeypatch)
     law, n, W = get_ctx(name).law, 256, 512
-    LawContext.build(law).dual_slice(B, ys, n)
+    ctx = LawContext.build(law)
+    ctx.read([ctx.row(B, y, n, dual=True) for y in ys])
     assert len(calls) == 1
     assert len(list(tmp_path.glob("*.npz"))) == len(ys)
     keep = [1, 2, 4, 8, 16, 32, 64, 128, 256]
@@ -391,12 +397,17 @@ def test_cor3_and_finite_share_one_set_run(sp15, monkeypatch, tmp_path):
 def test_thm4_loads_the_f_run_thm1_stored(sp15, monkeypatch, tmp_path):
     """A fresh context's f^x(1024) read is an artifact hit on the run thm1's quick grid stored."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
-    _, calls = _count_run_kernel(monkeypatch)
     verify_thm1(LawContext.build(sp15), True)
-    first = len(calls)
+    real, dual, stepped = asymptotics.run_kernel, sp15.reversed().law_hash(), []
+
+    def logged(law, B, starts, n, dual_starts=(), **kwargs):
+        # the reversed law's rows of this call: its starts under the reversed law, else its dual starts
+        stepped.extend((n, x) for x in (starts if law.law_hash() == dual else dual_starts))
+        return real(law, B, starts, n, dual_starts=dual_starts, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "run_kernel", logged)
     verify_thm4_y_small(LawContext.build(sp15), True)
-    dual = sp15.reversed().law_hash()
-    assert [n for law, B, starts, n in calls[first:] if law.law_hash() == dual] == [64, 256]
+    assert stepped == [(64, 0), (256, 0)]
 
 
 def test_prop21_reads_two_dual_runs(sym15, monkeypatch, tmp_path):
@@ -415,11 +426,13 @@ def test_f_drivers_share_one_dual_run_per_n(sp15, monkeypatch, tmp_path):
     verify_thm2_bulk(ctx, True)
     verify_thm4_y_small(ctx, True)
     verify_thm5_x_small(ctx, True)
-    point = [(law.law_hash(), n, starts[0]) for law, B, starts, n in calls if B == ("set", (0,))]
+    # a batch of rows with different killing sets passes them as a list, one per start
+    point = [(law.law_hash(), n, x) for law, B, starts, n in calls
+             for b, x in zip(B if isinstance(B, list) else [B] * len(starts), starts) if b == ("set", (0,))]
     assert sorted((n, x) for h, n, x in point if h == sp15.reversed().law_hash()) == [(64, 0), (256, 0), (1024, 0)]
     inv_a = 1.0 / ctx.params.alpha
     slices = {(n, max(1, int(math.floor(0.5 * n ** inv_a)))) for n in ns} | {(n, 3) for n in ns}
-    assert {(n, x) for h, n, x in point if h == sp15.law_hash()} <= slices
+    assert {(n, x) for h, n, x in point if h == sp15.law_hash()} == slices
 
 
 def test_thm5_reads_K_at_its_own_site():

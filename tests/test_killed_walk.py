@@ -15,6 +15,7 @@ from stablewalk.killed_walk import (
     first_passage,
     fourier_first_passage_batch,
     k_estimate,
+    k_starts,
     ladder_renewals,
     run_kernel,
 )
@@ -554,10 +555,15 @@ def test_ladder_tables(sp15, monkeypatch):
     assert devs_v[-1] < 0.2
 
 
+def _k_estimate(ctx, ys, n):
+    """k_estimate at n off the context's two half-line runs."""
+    return k_estimate(ctx.law, ctx.read([ctx.row(HALF_LE_0, x, n) for x in k_starts(ctx.law, n)]), ys, n)
+
+
 def test_k_estimate_two_resolutions():
     # the site y = floor(n^{1/alpha}), i.e. eta = 1, at both resolutions
-    (k1,), (s1,) = k_estimate(get_ctx("sp15"), [40], 256)
-    (k2,), (s2,) = k_estimate(get_ctx("sp15"), [101], 1024)
+    (k1,), (s1,) = _k_estimate(get_ctx("sp15"), [40], 256)
+    (k2,), (s2,) = _k_estimate(get_ctx("sp15"), [101], 1024)
     assert k1 > 0 and k2 > 0
     assert abs(k1 / k2 - 1.0) < 0.05
     assert s2 < 0.1
@@ -585,9 +591,9 @@ def test_k_estimate_one_run_for_all_etas(sp15, monkeypatch, tmp_path):
     monkeypatch.setattr(asymptotics, "run_kernel", lambda *a, **k: calls.append(a) or real(*a, **k))
     ctx, n = asymptotics.LawContext.build(sp15), 256
     sites = np.array([40, 20, 10])  # eta = 1, 0.5, 0.25 at n = 256
-    est, spread = k_estimate(ctx, sites, n)
+    est, spread = _k_estimate(ctx, sites, n)
     for i, y in enumerate(sites):
-        (k,), (s,) = k_estimate(ctx, [y], n)
+        (k,), (s,) = _k_estimate(ctx, [y], n)
         assert (est[i], spread[i]) == (k, s)
     assert len(calls) == 1
     scale, W = n ** (1.0 / ctx.params.alpha), default_window(sp15, n)
