@@ -40,37 +40,37 @@ steps still share one stepper call per group and step.  Every row equals,
 bit for bit, the single-start run of its law and killing set with the same
 live sites, as in every batch of starts at or above b - entrance_depth.
 
-Rows never interact, so a call may step its groups on two lanes: the
-calling thread steps one and a helper thread the other, joined before the
-call returns.  With more than one CPU, a group of 4 or more rows splits
-into two halves at an even row (pocketfft transforms rows in SIMD pairs,
-so a lone row costs more per row than a pair), and the groups and halves
-go to the lighter lane, largest FFT work (rows x L) first.  Both lanes are
-used only when each carries at least _LANE_FLOOR FFT points per step; on
-one CPU, or below that floor, the same loop steps one lane.  Every group
-or half has its own stepper, built on the calling thread, and the lanes
-fill the one KernelTable's arrays, each at its own rows.
+Rows never interact, so a call may step its groups on two lanes through
+lanes.run_lanes: the calling thread steps one and a helper thread the
+other, joined before the call returns.  For two lanes a group of 4 or more
+rows splits into two halves at an even row (pocketfft transforms rows in
+SIMD pairs, so a lone row costs more per row than a pair), and the groups
+and halves go to the lighter lane, largest FFT work (rows x L) first.  Both
+lanes are used only when lanes.two_lanes passes each lane's FFT points per
+step (more than one CPU, and each lane at the floor); otherwise the same
+loop steps one lane.  Every group or half has its own stepper, built on the
+calling thread, and the lanes fill the one KernelTable's arrays, each at
+its own rows.  The Fourier oracle splits its tau blocks over the same two
+lanes.
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
+from .lanes import run_lanes, two_lanes
 from .output import csv_text
 from .special import gk_panels, omexp
 from .walk_model import WalkLaw
 
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
 DP_VERSION = 3
-_TAU_ROWS = 1024  # tau rows per block of the Fourier oracle's theta integral
+_TAU_ROWS = 512  # tau rows per block of the Fourier oracle's theta integral
 _LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may miss
-_LANE_FLOOR = 10_000  # FFT points per step (rows x L) each of two lanes must carry
 
 # ---------------------------------------------------------------------------
 # killing-set descriptors
@@ -220,11 +220,6 @@ def _is_per_row(arg) -> bool:
     return isinstance(arg, list) and any(not isinstance(a, (int, np.integer)) for a in arg)
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
 class _Rows:
     """Rows of one run_kernel call stepped together: one killing kind, live sites [lo, W], one stepper.
 
@@ -315,61 +310,35 @@ def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
 
 
 def _lanes(groups: list, W: int) -> list:
-    """The groups to step, as one lane, or as two lanes when two CPUs can share the work; a lane is a list of (rows, lo).
+    """The groups to step, as one lane, or as two when lanes.two_lanes says they pay; a lane is a list of (rows, lo).
 
-    With more than one CPU a group of 4 or more rows splits into two halves
-    at an even row (pocketfft steps rows in SIMD pairs), and the groups and
-    halves go to the lighter lane, largest FFT work (rows x L) first.  Two
-    lanes are used only if each carries at least _LANE_FLOOR FFT points per
-    step: below it the threads lose more to the GIL than they gain.
+    For two lanes a group of 4 or more rows splits into two halves at an
+    even row (pocketfft steps rows in SIMD pairs), and the groups and halves
+    go to the lighter lane, largest FFT work (rows x L) first.  A lane's load
+    is its FFT points per step.
     """
-    if _cpus() > 1:
-        def work(unit):
-            rows, lo = unit
-            return len(rows) * _fft_length(W - lo + 1, W)
+    def work(unit):
+        rows, lo = unit
+        return len(rows) * _fft_length(W - lo + 1, W)
 
-        units = []
-        for rows, lo in groups:
-            cut = 2 * ((len(rows) + 2) // 4) if len(rows) >= 4 else len(rows)
-            units += [(part, lo) for part in (rows[:cut], rows[cut:]) if part]
-        lanes, loads = ([], []), [0, 0]
-        for unit in sorted(units, key=work, reverse=True):
-            k = loads.index(min(loads))
-            lanes[k].append(unit)
-            loads[k] += work(unit)
-        if min(loads) >= _LANE_FLOOR:
-            return list(lanes)
-    return [groups]
+    units = []
+    for rows, lo in groups:
+        cut = 2 * ((len(rows) + 2) // 4) if len(rows) >= 4 else len(rows)
+        units += [(part, lo) for part in (rows[:cut], rows[cut:]) if part]
+    lanes, loads = ([], []), [0, 0]
+    for unit in sorted(units, key=work, reverse=True):
+        k = loads.index(min(loads))
+        lanes[k].append(unit)
+        loads[k] += work(unit)
+    return list(lanes) if two_lanes(loads) else [groups]
 
 
-def _step_lanes(lanes: list, n_max: int) -> None:
-    """Step every lane's _Rows through steps 1..n_max: the first lane on this thread, a second on a helper.
-
-    The helper is joined before this returns, and an exception in either
-    lane stops the other at its next step and is raised here.
-    """
-    failed = []
-
-    def run(lane):
-        try:
-            for n in range(1, n_max + 1):
-                if failed:
-                    return
-                for rows in lane:
-                    rows.advance(n)
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            failed.append(exc)
-
-    helper = threading.Thread(target=run, args=(lanes[1],)) if len(lanes) > 1 and n_max > 0 else None
-    if helper is not None:
-        helper.start()
-    try:
-        run(lanes[0])
-    finally:
-        if helper is not None:
-            helper.join()
-    if failed:
-        raise failed[0]
+def _steps(lane: list, n_max: int):
+    """Step a lane's _Rows through steps 1..n_max, one item per step."""
+    for n in range(1, n_max + 1):
+        for rows in lane:
+            rows.advance(n)
+        yield
 
 
 def run_kernel(
@@ -430,7 +399,7 @@ def run_kernel(
     lanes = [[_Rows(rows, lo, laws[rows[0]] if all(laws[i] is laws[rows[0]] for i in rows) else [laws[i] for i in rows],
                     row_sets, starts, table) for rows, lo in lane]
              for lane in _lanes(_groups(row_sets, starts, W, entrance_depth), W)]
-    _step_lanes(lanes, n_max)
+    run_lanes([_steps(lane, n_max) for lane in lanes])
     for lane in lanes:
         for rows in lane:
             table.step_killed[rows.rows] = rows.step_killed
@@ -480,7 +449,12 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     The outer tau integral uses half-period panels of cos(n tau); the inner
     theta integral shares phi(theta) across the whole tau grid.  pi_y(tau) is
     formed for y = 0 and every -x at once, in blocks of _TAU_ROWS tau rows,
-    so no (tau nodes, theta nodes) matrix is ever held whole.
+    so no (tau nodes, theta nodes) matrix is ever held whole: a lane forms
+    each block's 1/D in place in its one (_TAU_ROWS, theta nodes) buffer.
+    Each block writes its own rows of pi_y, so the blocks run on two lanes,
+    lane k taking blocks k, k + 2, ..., when lanes.two_lanes passes each
+    lane's smallest block (its tau x theta cells).  Every value is bit for
+    bit that of one lane.
     """
     xs = [int(x) for x in xs]
     if n < 1:
@@ -503,11 +477,26 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     ph = np.exp(-1j * np.outer(th, ys)) * wth[:, None]     # e^{-iy theta} w
     ph_m = np.conj(ph)                                      # e^{+iy theta} w
     pi = np.empty((len(tau), len(ys)), dtype=complex)
-    for lo in range(0, len(tau), _TAU_ROWS):
-        rows = slice(lo, lo + _TAU_ROWS)
-        inv_p = 1.0 / (om_t[rows, None] + eit[rows, None] * omc[None, :])
-        inv_m = 1.0 / (om_t[rows, None] + eit[rows, None] * omc_m[None, :])
-        pi[rows] = (inv_p @ ph + inv_m @ ph_m) / (2.0 * math.pi)
+    blocks = [slice(lo, min(lo + _TAU_ROWS, len(tau))) for lo in range(0, len(tau), _TAU_ROWS)]
+
+    def lane(blocks):
+        inv = np.empty((_TAU_ROWS, len(th)), dtype=complex)  # the lane's one (tau, theta) buffer
+        for rows in blocks:
+            d = inv[: rows.stop - rows.start]
+            terms = []
+            for c, w in ((omc, ph), (omc_m, ph_m)):
+                # d = 1 / (om_t + eit c) in place, the bits of that expression
+                np.multiply(eit[rows, None], c[None, :], out=d)
+                d += om_t[rows, None]
+                np.divide(1.0, d, out=d)
+                terms.append(d @ w)
+            pi[rows] = (terms[0] + terms[1]) / (2.0 * math.pi)
+            yield
+
+    # lane k takes blocks k, k + 2, ...; a lane's load is its smallest block's tau x theta cells
+    split = [blocks[k::2] for k in range(2)]
+    cells = [min((b.stop - b.start for b in part), default=0) * len(th) for part in split]
+    run_lanes([lane(part) for part in split] if two_lanes(cells) else [lane(blocks)])
 
     pi0 = pi[:, 0]
     cos_n = np.cos(n * tau)

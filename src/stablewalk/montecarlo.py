@@ -12,6 +12,14 @@ compact them, in order, when paths hit.  They share one sampler per law
 hash across calls, since the alias table's build is a Python loop over its
 8195 columns.  Streams are counter-based (Philox) keyed by (seed, stream
 index), so an estimate reproduces bit-identically from its SimConfig.
+
+Each stream draws only from its own generator, so the streams split over
+two lanes (lanes.run_lanes) and draw the same paths: lane k steps streams
+k, k + 2, ..., when lanes.two_lanes passes each lane's smallest stream, and
+otherwise one lane steps them all in order.  Each lane counts its own paths
+and the estimator adds the counts, which is exact, so every estimate is bit
+for bit that of one lane.  The estimators accept only steps in
+1..SimConfig.n_horizon.
 """
 from __future__ import annotations
 
@@ -21,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningTooRare
+from .lanes import run_lanes, two_lanes
 from .walk_model import WalkLaw
 
 _CORE = 4096  # the alias table covers [-_CORE, _CORE]; beyond it the tails are inverted
@@ -125,65 +134,108 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def _chunks(cfg: SimConfig):
-    """(generator, trials) per chunk: cfg.trials split over the streams, each stream in chunks."""
+def _stream_trials(cfg: SimConfig, stream: int) -> int:
+    """The stream's share of cfg.trials: an even split, one more path on each of the first trials % stream_count."""
     base, rem = divmod(cfg.trials, cfg.stream_count)
-    for stream in range(cfg.stream_count):
-        trials = base + (1 if stream < rem else 0)
+    return base + (1 if stream < rem else 0)
+
+
+def _chunks(cfg: SimConfig, streams):
+    """(generator, trials) per chunk of the given streams: each stream's share of cfg.trials, in chunks."""
+    for stream in streams:
+        trials = _stream_trials(cfg, stream)
         rng = stream_rng(cfg.seed, stream)
         for done in range(0, trials, _CHUNK):
             yield rng, min(_CHUNK, trials - done)
 
 
-def estimate_first_passage(law: WalkLaw, x: int, n_grid, cfg: SimConfig) -> dict:
-    """Indicator estimates of f^x(n) on n_grid plus survival P[sigma > n].
+def _stream_lanes(cfg: SimConfig) -> list:
+    """The streams of each lane: streams k, k + 2, ... on lane k when two lanes pay, else every stream on one.
 
-    Returns {"f": {n: EstimateCI}, "survival": {n: EstimateCI}}.
+    A lane's load is the live paths at the first step of its smallest
+    stream, the fewest it steps at once before any path hits.
     """
-    n_grid = sorted(int(n) for n in n_grid)
+    split = [range(k, cfg.stream_count, 2) for k in range(2)]
+    if two_lanes([min((_stream_trials(cfg, s) for s in part), default=0) for part in split]):
+        return split
+    return [range(cfg.stream_count)]
+
+
+def _horizon_steps(steps, cfg: SimConfig) -> list:
+    """The steps, sorted, each checked to lie in 1..cfg.n_horizon."""
+    steps = sorted(int(n) for n in steps)
+    if not steps or steps[0] < 1 or steps[-1] > cfg.n_horizon:
+        raise ValueError(f"steps {steps} not all in 1..n_horizon = {cfg.n_horizon}")
+    return steps
+
+
+def estimate_first_passage(law: WalkLaw, x: int, n_grid, cfg: SimConfig) -> dict:
+    """Indicator estimates of f^x(n) on n_grid plus survival P[sigma > n], each n in 1..cfg.n_horizon.
+
+    Returns {"f": {n: EstimateCI}, "survival": {n: EstimateCI}}.  Each lane
+    counts the paths of its streams that hit at each step and that are alive
+    after it; the counts are whole numbers, so their sum over the lanes is
+    exact and every estimate is that of one lane.
+    """
+    n_grid = _horizon_steps(n_grid, cfg)
     horizon = max(n_grid)
     sampler = _sampler(law)
-    hit_at = np.zeros(horizon + 1)
-    alive_at = {n: 0.0 for n in n_grid}
-    for rng, m in _chunks(cfg):
-        pos = np.full(m, int(x), dtype=np.int64)  # the live paths, in path order
-        for n in range(1, horizon + 1):
-            pos += sampler.sample(rng, len(pos))
-            hit = len(pos) - int(np.count_nonzero(pos))
-            if hit:
-                hit_at[n] += hit
-                pos = pos[pos != 0]
-            if n in alive_at:
+    parts = _stream_lanes(cfg)
+    counts = np.zeros((len(parts), 2, horizon + 1))  # per lane: paths hit at step n, alive after it
+
+    def lane(streams, hit_at, alive_at):
+        for rng, m in _chunks(cfg, streams):
+            pos = np.full(m, int(x), dtype=np.int64)  # the live paths, in path order
+            for n in range(1, horizon + 1):
+                pos += sampler.sample(rng, len(pos))
+                hit = len(pos) - int(np.count_nonzero(pos))
+                if hit:
+                    hit_at[n] += hit
+                    pos = pos[pos != 0]
                 alive_at[n] += len(pos)
-            if not len(pos):
-                break
+                yield
+                if not len(pos):
+                    break
+
+    run_lanes([lane(part, *c) for part, c in zip(parts, counts)])
+    hit_at, alive_at = counts.sum(axis=0)
     out_f = {n: _binom_ci(hit_at[n], cfg.trials) for n in n_grid}
     out_s = {n: _binom_ci(alive_at[n], cfg.trials) for n in n_grid}
     return {"f": out_f, "survival": out_s}
 
 
 def estimate_conditional_escape(law: WalkLaw, x: int, y: int, n: int, R: float, cfg: SimConfig) -> EstimateCI:
-    """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] by rejection."""
+    """P[S at first entry of (-inf,0] < -R | sigma_0 > n, S_n = y] by rejection, n in 1..cfg.n_horizon.
+
+    Each lane counts its accepted and deep paths, summed exactly as in
+    estimate_first_passage.
+    """
     if not (x > 0 > y):
         raise ValueError("need x > 0 > y")
+    n = _horizon_steps([n], cfg)[0]
     sampler = _sampler(law)
-    accept = 0
-    deep = 0
-    for rng, m in _chunks(cfg):
-        pos = np.full(m, int(x), dtype=np.int64)  # the paths with sigma_0 > current step, in order
-        entry = np.zeros(m, dtype=np.int64)  # value at first entry of (-inf, 0), 0 before it
-        for _ in range(n):
-            pos += sampler.sample(rng, len(pos))
-            live = pos != 0
-            if not live.all():
-                pos, entry = pos[live], entry[live]
-            if not len(pos):
-                break
-            new = (pos < 0) & (entry == 0)
-            entry[new] = pos[new]
-        sel = pos == y
-        accept += int(np.count_nonzero(sel))
-        deep += int(np.count_nonzero(entry[sel] < -R))
+    parts = _stream_lanes(cfg)
+    counts = np.zeros((len(parts), 2), dtype=np.int64)  # per lane: accepted paths, deep ones
+
+    def lane(streams, tally):
+        for rng, m in _chunks(cfg, streams):
+            pos = np.full(m, int(x), dtype=np.int64)  # the paths with sigma_0 > current step, in order
+            entry = np.zeros(m, dtype=np.int64)  # value at first entry of (-inf, 0), 0 before it
+            for _ in range(n):
+                pos += sampler.sample(rng, len(pos))
+                live = pos != 0
+                if not live.all():
+                    pos, entry = pos[live], entry[live]
+                yield
+                if not len(pos):
+                    break
+                new = (pos < 0) & (entry == 0)
+                entry[new] = pos[new]
+            sel = pos == y
+            tally += (np.count_nonzero(sel), np.count_nonzero(entry[sel] < -R))
+
+    run_lanes([lane(part, c) for part, c in zip(parts, counts)])
+    accept, deep = (int(v) for v in counts.sum(axis=0))
     if accept < _MIN_EFFECTIVE:
         raise ConditioningTooRare(
             f"only {accept} paths satisfied the conditioning (floor {_MIN_EFFECTIVE})"

@@ -34,7 +34,6 @@ ALLOWED_UNCALLED = {}
 
 # class fields nothing in src/ or perfbench/ reads, each kept for a reason
 ALLOWED_UNREAD = {
-    ("montecarlo", "SimConfig.n_horizon"): "perfbench/workload.py passes it",
     ("montecarlo", "EstimateCI.half_width_95"): "read by covers and estimates_to_csv in tests/montecarlo_oracles.py",
 }
 
@@ -325,3 +324,17 @@ def test_csv_headers_only_in_the_writer_module():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "schema_version," in node.value
     ]
     assert not spelled, f"CSV layouts written outside stablewalk/output.py: {spelled}"
+
+
+def test_one_thread_runner():
+    """Only stablewalk/lanes.py starts threads or processes: every other module hands its lanes to run_lanes."""
+    spawners = {"threading", "concurrent", "multiprocessing", "_thread"}
+    imported = sorted(
+        path.stem
+        for path in SRC
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and spawners & {(alias.name if isinstance(node, ast.Import) else node.module or "").split(".")[0]
+                        for alias in node.names}
+    )
+    assert imported == ["lanes"], f"modules that import a thread or process module: {imported}"

@@ -217,11 +217,11 @@ tracer_mod = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_mod)
 tracer = tracer_mod.Tracer()
 tracer.install()
-from stablewalk import Family, TailSpec, build_walk_law, killed_walk
-killed_walk._cpus = lambda: 2
+from stablewalk import Family, TailSpec, build_walk_law, killed_walk, lanes
+lanes._cpus = lambda: 2
 lanes_used = []
-step_lanes = killed_walk._step_lanes
-killed_walk._step_lanes = lambda lanes, n_max: lanes_used.append(len(lanes)) or step_lanes(lanes, n_max)
+run_lanes = killed_walk.run_lanes
+killed_walk.run_lanes = lambda parts: lanes_used.append(len(parts)) or run_lanes(parts)
 law = build_walk_law(TailSpec(alpha=1.5, family=Family("two_sided_pareto"), B=0.5))
 tracer.reset()
 table = killed_walk.run_kernel(law, [("set", (0,))] * 7 + [killed_walk.HALF_LE_0], [3, -2, 5], 8, window=1024,

@@ -231,15 +231,15 @@ def test_two_lanes_give_the_one_lane_table(name, monkeypatch):
     """
     import sys
 
-    from stablewalk import killed_walk
+    from stablewalk import killed_walk, lanes
 
     law, W, n = get_ctx(name).law, 1024, 24
     lanes_used = []
-    step_lanes = killed_walk._step_lanes
-    monkeypatch.setattr(killed_walk, "_step_lanes", lambda lanes, n_max: lanes_used.append(len(lanes)) or step_lanes(lanes, n_max))
+    run_lanes = killed_walk.run_lanes
+    monkeypatch.setattr(killed_walk, "run_lanes", lambda parts: lanes_used.append(len(parts)) or run_lanes(parts))
     tables, interval = [], sys.getswitchinterval()
     for cpus in (1, 2):
-        monkeypatch.setattr(killed_walk, "_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(lanes, "_cpus", lambda cpus=cpus: cpus)
         sys.setswitchinterval(1e-6 if cpus == 2 else interval)
         try:
             tables.append(run_kernel(law, n_max=n, window=W, keep=[[n], [3, n], list(range(n + 1))] + [[n]] * 7,
@@ -261,9 +261,9 @@ def test_a_failing_lane_is_raised_after_both_stop(sym15, monkeypatch):
     """An exception in the helper's lane stops the calling thread's lane too, and run_kernel raises it with no thread left."""
     import threading
 
-    from stablewalk import killed_walk
+    from stablewalk import killed_walk, lanes
 
-    monkeypatch.setattr(killed_walk, "_cpus", lambda: 2)
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     real = killed_walk._fft_stepper
     built, main_steps, n = [], [], 400
 
@@ -438,6 +438,30 @@ def test_fourier_oracle_memory_is_blocked(sym15):
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15", "asym15", "lc15"])
+def test_fourier_two_lanes_give_the_one_lane_bits(name, request, monkeypatch):
+    """With one CPU the tau blocks run on one lane; with two, on two lanes, and every value keeps its bits."""
+    import sys
+
+    from stablewalk import killed_walk, lanes
+
+    law = request.getfixturevalue(name)
+    lanes_used = []
+    run_lanes = killed_walk.run_lanes
+    monkeypatch.setattr(killed_walk, "run_lanes", lambda parts: lanes_used.append(len(parts)) or run_lanes(parts))
+    got, interval = [], sys.getswitchinterval()
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "_cpus", lambda cpus=cpus: cpus)
+        sys.setswitchinterval(1e-6 if cpus == 2 else interval)
+        try:
+            got.append([float(v).hex() for n in (16, 64, 256, 1024)
+                        for v in fourier_first_passage_batch(law, [0, 3, -3, 8, -8], n)])
+        finally:
+            sys.setswitchinterval(interval)
+    assert lanes_used == [1] * 4 + [2] * 4
+    assert got[0] == got[1]
 
 
 def test_llt_sup_shrinks(sym15):

@@ -85,6 +85,91 @@ def test_estimators_match_the_masked_loops(name, request):
         assert (est.trials_effective, est.point) == (accept, deep / accept)
 
 
+def test_steps_outside_the_horizon_are_refused(sym15):
+    """Both estimators take only steps in 1..n_horizon: no survival at n = 0, no step past the horizon."""
+    cfg = SimConfig(trials=1000, n_horizon=2, seed=1)
+    for grid in ([0, 4], [0, 2], [1, 4], []):
+        with pytest.raises(ValueError, match="n_horizon"):
+            estimate_first_passage(sym15, 2, grid, cfg)
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="n_horizon"):
+            estimate_conditional_escape(sym15, 6, -6, n, 4.0, cfg)
+    est = estimate_first_passage(sym15, 2, [2, 1], cfg)
+    assert sorted(est["survival"]) == [1, 2] and est["survival"][1].point < 1.0
+
+
+def _lanes_logged(monkeypatch) -> list:
+    """The number of lanes of each run_lanes call montecarlo makes from here on."""
+    from stablewalk import montecarlo
+
+    used = []
+    run_lanes = montecarlo.run_lanes
+    monkeypatch.setattr(montecarlo, "run_lanes", lambda parts: used.append(len(parts)) or run_lanes(parts))
+    return used
+
+
+@pytest.mark.parametrize("streams", [3, 8])
+def test_two_lanes_give_the_one_lane_estimates(sym15, monkeypatch, streams):
+    """With one CPU the streams run on one lane, with two on two lanes; both estimators return equal results, and equal the masked loops'."""
+    import sys
+
+    from stablewalk import lanes
+
+    used = _lanes_logged(monkeypatch)
+    cfg = SimConfig(trials=80_000, n_horizon=16, seed=31, stream_count=streams)
+    got, interval = [], sys.getswitchinterval()
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "_cpus", lambda cpus=cpus: cpus)
+        sys.setswitchinterval(1e-6 if cpus == 2 else interval)
+        try:
+            got.append((estimate_first_passage(sym15, 2, [4, 16], cfg),
+                        estimate_conditional_escape(sym15, 3, -3, 16, 2.0, cfg)))
+        finally:
+            sys.setswitchinterval(interval)
+    assert used == [1, 1, 2, 2]
+    assert got[0] == got[1]
+    sampler = IncrementSampler(sym15)
+    assert got[1][0] == masked_first_passage(sampler, 2, [4, 16], cfg)
+    accept, deep = masked_conditional_escape(sampler, 3, -3, 16, 2.0, cfg)
+    assert got[1][1] == EstimateCI(deep / accept, got[1][1].half_width_95, accept)
+
+
+def test_a_failing_lane_stops_the_estimator(sym15, monkeypatch):
+    """A sampler that raises on the helper's lane stops the calling thread's lane, and the estimator raises it with no thread left."""
+    import threading
+
+    from stablewalk import lanes, montecarlo
+
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+    used = _lanes_logged(monkeypatch)
+    orig = montecarlo.IncrementSampler.sample
+    main_steps = []
+
+    def sample(obj, rng, n):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("lane failed")
+        main_steps.append(n)
+        return orig(obj, rng, n)
+
+    monkeypatch.setattr(montecarlo.IncrementSampler, "sample", sample)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        estimate_first_passage(sym15, 2, [64], SimConfig(trials=80_000, n_horizon=64, seed=3))
+    assert used == [2] and threading.active_count() == before
+    assert len(main_steps) < 4 * 64  # the calling lane's four streams stopped short
+
+
+def test_small_estimates_run_on_one_lane(sym15, monkeypatch):
+    """Two lanes only when each lane's smallest stream starts with at least the floor of live paths."""
+    from stablewalk import lanes
+
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+    used = _lanes_logged(monkeypatch)
+    for trials, streams in ((4000, 2), (19_999, 2), (20_000, 2), (200_000, 1)):
+        estimate_first_passage(sym15, 2, [8], SimConfig(trials=trials, n_horizon=8, seed=1, stream_count=streams))
+    assert used == [1, 1, 2, 1]
+
+
 def test_estimators_share_one_sampler_per_law(sym15, monkeypatch):
     """Two estimator calls on one law build one alias table, and estimate as a freshly built sampler does."""
     from stablewalk import montecarlo
