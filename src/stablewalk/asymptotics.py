@@ -24,15 +24,14 @@ runs.  driver.rows(ctx, quick) runs it up to that yield, so a driver whose
 guard fails declares none.  Before any driver runs, cli.cmd_verify hands the
 rows of every requested id to LawContext.plan, which steps every row at one
 (n, W) - forward and reversed, {0}-, A-, free and half-line rows alike -
-as one run_kernel batch; only a half-line row that starts below b runs
-alone, since it lives on sites below b.  Each row is memoised and cached
-under its own key and keeps the steps its readers read, so the drivers'
-reads are memo hits; a driver called without a plan reads its rows in one
-batch, so the plan saves steps but never changes a number.  A row's
-artifact holds each power of two up to n, and n, for a reversed row (on a
-self-dual law, every row), else n, so one id finds the rows another id
-wrote; a row also read at another step (llt's free row, prop22's every-step
-dual row) could never load, so it is not stored.
+as one run_kernel batch.  Each row is memoised and cached under its own key
+and keeps the steps its readers read, so the drivers' reads are memo hits;
+a driver called without a plan reads its rows in one batch, so the plan
+saves steps but never changes a number.  A row's artifact holds each power
+of two up to n, and n, for a reversed row (on a self-dual law, every row),
+else n, so one id finds the rows another id wrote; a row also read at
+another step (llt's free row, prop22's every-step dual row) could never
+load, so it is not stored.
 
 On the window p^n_B(x, y) = p~^n_B(y, x), p~ the reversed law's kernel.  So
 f^x(n) = p~^n_{0}(0, x) is read off the reversed {0}-killed row from 0
@@ -217,11 +216,10 @@ class LawContext:
     def plan(self, rows) -> None:
         """Step the declared rows the memo lacks, each batch of them in one run_kernel call.
 
-        A batch is every row at one (n, W), whatever its law and killing set,
-        but a half-line row that starts below b, which runs alone; each row is
-        bit for bit its single-start run and keeps the steps its readers
-        read.  A batch that raises is left to its readers, whose own reads
-        meet the error.
+        A batch is every row at one (n, W), whatever its law, killing set and
+        start; each row is bit for bit its single-start run and keeps the
+        steps its readers read.  A batch that raises is left to its readers,
+        whose own reads meet the error.
         """
         for batch in self._batches(rows):
             try:
@@ -269,9 +267,7 @@ class LawContext:
                 continue
             if caching and steps <= set(stored):
                 steps = set(stored)
-            # a half-line row from below b lives on sites below b, unlike its batch-mates
-            group = (r.n, r.W) if r.B[0] == "set" or r.x >= r.B[1] else (r.B, r.n, r.W, r.x)
-            batches.setdefault(group, []).append((key, r, steps))
+            batches.setdefault((r.n, r.W), []).append((key, r, steps))
         return list(batches.values())
 
     def _load(self, key: tuple, r: Row, stored: list) -> bool:

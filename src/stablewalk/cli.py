@@ -118,7 +118,7 @@ def cmd_table(args) -> int:
     manifest.data["law_hash"] = law.law_hash()
     kind = args.kind
     if kind == "kernel":
-        table = run_kernel(law, None, [0], args.n, window=args.window, keep=[args.n])
+        table = run_kernel(law, None, [args.x], args.n, window=args.window, keep=[args.n])
         name, text = f"kernel_n{args.n}.csv", table.to_csv(args.n)
     elif kind == "killed":
         table = run_kernel(law, ("set", tuple(sites)), [args.x], args.n, window=args.window, keep=[args.n])
@@ -142,12 +142,8 @@ def cmd_table(args) -> int:
         text = csv_text(("t", "x", "value", "abs_error_estimate"), [(args.t, *row) for row in zip(sites, vals, errs)])
     elif kind == "ladder":
         lt = ladder_renewals(law, x_max=args.x_max)
-        cols = (lt.U_ds, lt.V_as, lt.U_ds_recursion, lt.V_as_recursion)
         name = "ladder.csv"
-        text = csv_text(
-            ("x", "U_ds", "V_as", "U_ds_recursion", "V_as_recursion"),
-            [(x, *(col[x] for col in cols)) for x in range(args.x_max + 1)],
-        )
+        text = csv_text(("x", "U_ds", "V_as"), [(x, lt.U_ds[x], lt.V_as[x]) for x in range(args.x_max + 1)])
     else:
         raise ConfigError(f"unknown table kind {kind!r}")
     path = manifest.write_output(out / name, text)

@@ -2,17 +2,17 @@
 
 A killing set is ("le", b), the half-line (-inf, b], or ("set", sorted
 distinct sites); None is the empty set.  The state lives on the window
-[-W, W], and a run steps only its live sites, the last S of the window: all
-2W + 1 for a finite set, [max(-W, min(b - entrance_depth, min start)), W]
-for (-inf, b], whose state is zero on (-inf, b] after every kill.  One step
-convolves the live state with the windowed increment pmf by a circular FFT
-of length next_fast_len(S + W), whose wrap-around misses the live sites;
-the mass pushed below the live sites or above the window is a dot product
-with weights built once from the pmf's cumulative sums.  Then the run kills
-alike for every set: it zeroes its killed live sites and counts their mass
-as the step's kill, and a half-line run also kills the mass pushed below its
-live sites, which lands in (-inf, b].  Any other mass that leaves the window
-goes to the escaped ledger, so
+[-W, W], and a row steps only its live sites, the last S of the window: all
+2W + 1 for a finite set, [max(-W, min(b - entrance_depth, x)), W] for a row
+from x killed on (-inf, b], whose state is zero on (-inf, b] after every
+kill.  One step convolves the live state with the windowed increment pmf by
+a circular FFT of length next_fast_len(S + W), whose wrap-around misses the
+live sites; the mass pushed below the live sites or above the window is a
+dot product with weights built once from the pmf's cumulative sums.  Then
+the run kills alike for every set: it zeroes its killed live sites and
+counts their mass as the step's kill, and a half-line row also kills the
+mass pushed below its live sites, which lands in (-inf, b].  Any other mass
+that leaves the window goes to the escaped ledger, so
 
     in-window + killed + escaped = 1
 
@@ -35,10 +35,10 @@ either law: run_kernel's dual_starts rows step under law.reversed() beside
 the starts' rows under law.  The rows of a batch share one killing set, or
 each has its own, and they step in groups: every finite-set row (the empty
 set among them) on the whole window, and the rows of each half-line
-(-inf, b] on its live sites, so rows that differ in law, set and kept
-steps still share one stepper call per group and step.  Every row equals,
-bit for bit, the single-start run of its law and killing set with the same
-live sites, as in every batch of starts at or above b - entrance_depth.
+(-inf, b] by their live sites, which only the row's own start sets, so rows
+that differ in law, set and kept steps still share one stepper call per
+group and step.  Every row equals, bit for bit, the single-start run of its
+law and killing set, in any batch.
 
 Rows never interact, so a call may step its groups on two lanes through
 lanes.run_lanes: the calling thread steps one and a helper thread the
@@ -109,7 +109,9 @@ class KernelTable:
     indices, every row where one keep list serves all.  green[n] (n_rows,
     2W+1) is the sum of the states of steps 0..n before each kill, at the
     steps keep_green names: on B's live sites the mass that entered there by
-    step n, plus 1 at a start there.  step_killed is the per-step kill mass
+    step n, plus 1 at a start there.  A row from x killed on (-inf, b] lives
+    on [max(-W, min(b - entrance_depth, x)), W], whatever the other rows,
+    and its green is 0 below.  step_killed is the per-step kill mass
     (the first-passage mass into B at that step), and escaped and killed
     (derived from step_killed) are the cumulative per-start ledgers indexed
     by step.
@@ -296,17 +298,19 @@ class _Rows:
 
 
 def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
-    """(rows, lo) of each row group: the finite-set rows on the whole window, and the rows of each half-line.
+    """(rows, lo) of each row group: the finite-set rows on the whole window, and the half-line rows by (b, lo).
 
-    A run killed on (-inf, b] is zero on (-inf, b] after each kill, so it
+    A row killed on (-inf, b] is zero on (-inf, b] after each kill, so it
     needs live sites there only for its entrance strip [b - depth, b] and
-    its starts: [max(-W, min(b - depth, its group's starts)), W].
+    its start x: lo = max(-W, min(b - depth, x)), the live sites of its
+    single-start run.
     """
     by_kind = {}
     for i, b in enumerate(killing):
-        by_kind.setdefault(b if b[0] == "le" else "set", []).append(i)
-    return [(rows, -W if kind == "set" else max(-W, min(kind[1] - entrance_depth, *(starts[i] for i in rows))))
-            for kind, rows in by_kind.items()]
+        half = b[0] == "le"
+        lo = max(-W, min(b[1] - entrance_depth, starts[i])) if half else -W
+        by_kind.setdefault((b if half else "set", lo), []).append(i)
+    return [(rows, lo) for (_, lo), rows in by_kind.items()]
 
 
 def _lanes(groups: list, W: int) -> list:
@@ -530,9 +534,7 @@ class LadderTables:
     Both pmfs are the rows' Green sums on the strip 0, -1, ..., -x_max.
     Each row is bit for bit the single-law run of its law, so the tables
     equal those of two separate half-line runs.
-    Both Green sums get a power-tail extrapolation of the step truncation;
-    the pmf-convolution renewal recursion is kept alongside as a cross-check
-    route (its truncation defect compounds with x).
+    Both Green sums get a power-tail extrapolation of the step truncation.
     """
 
     q_ds: np.ndarray          # strictly descending ladder height pmf, |Z| = 1..len
@@ -540,8 +542,6 @@ class LadderTables:
     q_as_tail: float          # missing mass of the weakly ascending ladder height pmf
     V_as: np.ndarray          # cumulative: V_as[x] = sum_{y<=x} nu_as(y)
     U_ds: np.ndarray          # cumulative: U_ds[x] = 1 + sum_{y<=x} u_ds(y)
-    V_as_recursion: np.ndarray
-    U_ds_recursion: np.ndarray
     green_tail_rel: float     # relative size of the extrapolated Green tail
 
     def mean_descending(self) -> float:
@@ -599,7 +599,7 @@ def _ladder_tables(down: tuple, up: tuple, N: int, x_max: int, alpha: float) -> 
     """LadderTables from the (table, row) of the law's run from 1 and of the reversed law's from 0."""
     half = N // 2
     q_ds, q_ds_tail = _ladder_pmf(*down, N, x_max)
-    q_as, q_as_tail = _ladder_pmf(*up, N, x_max)
+    _, q_as_tail = _ladder_pmf(*up, N, x_max)
     if max(q_ds_tail, q_as_tail) > _LADDER_TAIL_BUDGET:
         raise TruncationTooCoarse(
             f"ladder pmf truncation tails ({q_ds_tail:.3f}, {q_as_tail:.3f}) above {_LADDER_TAIL_BUDGET}"
@@ -609,35 +609,8 @@ def _ladder_tables(down: tuple, up: tuple, N: int, x_max: int, alpha: float) -> 
     u_ds, rel2 = _green_sites(*up, half + 1, N + 1, x_max, alpha)
     V_as = np.cumsum(nu_as)
     U_ds = 1.0 + np.concatenate([[0.0], np.cumsum(u_ds)])
-
-    # recursion route (defective pmf; cross-check for small x)
-    V_rec = _weak_renewal_recursion(q_as, x_max)
-    # a strict descent has no zero height: the weak recursion with q(0) = 0
-    U_rec = _weak_renewal_recursion(np.concatenate([[0.0], q_ds]), x_max)
-
-    return LadderTables(
-        q_ds=q_ds,
-        q_ds_tail=q_ds_tail,
-        q_as_tail=q_as_tail,
-        V_as=V_as,
-        U_ds=U_ds,
-        V_as_recursion=V_rec,
-        U_ds_recursion=U_rec,
-        green_tail_rel=max(rel1, rel2),
-    )
-
-
-def _weak_renewal_recursion(q_as: np.ndarray, x_max: int) -> np.ndarray:
-    """V(x) = 1 + sum_{j <= x} q(j) V(x - j) with mass allowed at j = 0."""
-    q0 = q_as[0] if len(q_as) else 0.0
-    V = np.zeros(x_max + 1)
-    for x in range(x_max + 1):
-        acc = 1.0
-        jmax = min(x, len(q_as) - 1)
-        for j in range(1, jmax + 1):
-            acc += q_as[j] * V[x - j]
-        V[x] = acc / (1.0 - q0)
-    return V
+    return LadderTables(q_ds=q_ds, q_ds_tail=q_ds_tail, q_as_tail=q_as_tail, V_as=V_as, U_ds=U_ds,
+                        green_tail_rel=max(rel1, rel2))
 
 
 # ---------------------------------------------------------------------------

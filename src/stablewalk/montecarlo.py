@@ -10,8 +10,9 @@ lands on a tail column takes a second uniform, which inverts that power tail
 in closed form.  The estimators keep their live paths in dense arrays and
 compact them, in order, when paths hit.  They share one sampler per law
 hash across calls, since the alias table's build is a Python loop over its
-8195 columns.  Streams are counter-based (Philox) keyed by (seed, stream
-index), so an estimate reproduces bit-identically from its SimConfig.
+8195 columns.  An estimate splits its trials over _STREAMS streams, each
+counter-based (Philox) and keyed by (seed, stream index), so it reproduces
+bit-identically from its SimConfig.
 
 Each stream draws only from its own generator, so the streams split over
 two lanes (lanes.run_lanes) and draw the same paths: lane k steps streams
@@ -36,6 +37,7 @@ _CORE = 4096  # the alias table covers [-_CORE, _CORE]; beyond it the tails are 
 _CHUNK = 200_000  # paths simulated at once per stream
 _MIN_EFFECTIVE = 50  # fewest accepted paths a conditional estimate may rest on
 _SAMPLERS_KEPT = 4  # laws whose IncrementSampler the estimators keep
+_STREAMS = 8  # counter-based streams an estimate splits its trials over
 
 
 @dataclass(frozen=True)
@@ -43,13 +45,10 @@ class SimConfig:
     trials: int
     n_horizon: int
     seed: int = 20260808
-    stream_count: int = 8
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials >= 1")
-        if self.stream_count < 1:
-            raise ValueError("stream_count >= 1")
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,8 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _stream_trials(cfg: SimConfig, stream: int) -> int:
-    """The stream's share of cfg.trials: an even split, one more path on each of the first trials % stream_count."""
-    base, rem = divmod(cfg.trials, cfg.stream_count)
+    """The stream's share of cfg.trials: an even split, one more path on each of the first trials % _STREAMS."""
+    base, rem = divmod(cfg.trials, _STREAMS)
     return base + (1 if stream < rem else 0)
 
 
@@ -155,10 +154,10 @@ def _stream_lanes(cfg: SimConfig) -> list:
     A lane's load is the live paths at the first step of its smallest
     stream, the fewest it steps at once before any path hits.
     """
-    split = [range(k, cfg.stream_count, 2) for k in range(2)]
+    split = [range(k, _STREAMS, 2) for k in range(2)]
     if two_lanes([min((_stream_trials(cfg, s) for s in part), default=0) for part in split]):
         return split
-    return [range(cfg.stream_count)]
+    return [range(_STREAMS)]
 
 
 def _horizon_steps(steps, cfg: SimConfig) -> list:

@@ -13,11 +13,14 @@ the arrays of a KernelTable kept at every step, with green summed before
 each kill over the whole window: run_kernel's green equals it on the live
 sites and is 0 below them.  two_run_ladder is
 ladder_renewals from two single-law half-line runs, the route it took
-before it stepped both rows in one batch.
+before it stepped both rows in one batch; beside its tables it returns
+U_ds and V_as by the classical renewal recursion over the same runs' ladder
+pmfs (Spitzer, Principles of Random Walk, 1964, sections 17-19), whose
+truncation defect compounds with x.
 """
 import numpy as np
 
-from stablewalk.killed_walk import HALF_LE_0, _fft_stepper, _ladder_tables, default_window, run_kernel
+from stablewalk.killed_walk import HALF_LE_0, _fft_stepper, _ladder_pmf, _ladder_tables, default_window, run_kernel
 
 
 def _start(starts, n_max: int, W: int):
@@ -85,10 +88,30 @@ def full_window_half_line(law, b: int, starts, n_max: int, W: int) -> dict:
 
 
 def two_run_ladder(law, x_max: int):
-    """ladder_renewals(law, x_max) from a run of the law from 1 and a separate run of law.reversed() from 0."""
+    """(ladder_renewals(law, x_max), (U_ds, V_as) by the renewal recursion).
+
+    Both come from a run of the law from 1 and a separate run of
+    law.reversed() from 0.
+    """
     N = max(8192, int(4.0 * x_max ** law.spec.alpha))
     half, W = N // 2, default_window(law, N)
     down = run_kernel(law, HALF_LE_0, [1], N, window=W, keep=[N], entrance_depth=x_max, keep_green=[half, N])
     up = run_kernel(law.reversed(), HALF_LE_0, [0], N + 1, window=W, keep=[N], entrance_depth=x_max,
                     keep_green=[half + 1, N, N + 1])
-    return _ladder_tables((down, 0), (up, 0), N, x_max, law.spec.alpha)
+    tables = _ladder_tables((down, 0), (up, 0), N, x_max, law.spec.alpha)
+    q_as, _ = _ladder_pmf(up, 0, N, x_max)
+    # a strict descent has no zero height: the weak recursion with q(0) = 0
+    U_ds = weak_renewal_recursion(np.concatenate([[0.0], tables.q_ds]), x_max)
+    return tables, (U_ds, weak_renewal_recursion(q_as, x_max))
+
+
+def weak_renewal_recursion(q: np.ndarray, x_max: int) -> np.ndarray:
+    """V(x) = 1 + sum_{j <= x} q(j) V(x - j) for x <= x_max, the defective ladder pmf q allowed mass at j = 0."""
+    q0 = q[0] if len(q) else 0.0
+    V = np.zeros(x_max + 1)
+    for x in range(x_max + 1):
+        acc = 1.0
+        for j in range(1, min(x, len(q) - 1) + 1):
+            acc += q[j] * V[x - j]
+        V[x] = acc / (1.0 - q0)
+    return V

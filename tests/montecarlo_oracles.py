@@ -9,6 +9,7 @@ index; the estimators must match them bit for bit.
 """
 import numpy as np
 
+from stablewalk import montecarlo
 from stablewalk.montecarlo import _binom_ci, _chunks
 
 
@@ -43,7 +44,7 @@ def masked_first_passage(sampler, x: int, n_grid, cfg) -> dict:
     horizon = max(n_grid)
     hit_at = np.zeros(horizon + 1)
     alive_at = {n: 0.0 for n in n_grid}
-    for rng, m in _chunks(cfg, range(cfg.stream_count)):
+    for rng, m in _chunks(cfg, range(montecarlo._STREAMS)):
         pos = np.full(m, int(x), dtype=np.int64)
         alive = np.ones(m, dtype=bool)
         for n in range(1, horizon + 1):
@@ -64,7 +65,7 @@ def masked_first_passage(sampler, x: int, n_grid, cfg) -> dict:
 def masked_conditional_escape(sampler, x: int, y: int, n: int, R: float, cfg):
     """estimate_conditional_escape as a masked loop, as masked_first_passage: (accepted, deep) path counts."""
     accept = deep = 0
-    for rng, m in _chunks(cfg, range(cfg.stream_count)):
+    for rng, m in _chunks(cfg, range(montecarlo._STREAMS)):
         pos = np.full(m, int(x), dtype=np.int64)
         ok = np.ones(m, dtype=bool)
         entered = np.zeros(m, dtype=bool)

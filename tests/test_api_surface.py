@@ -26,7 +26,7 @@ ALLOWED = {
 
 # defaulted parameters no call in src/ or perfbench/ passes, each kept for a reason
 ALLOWED_UNSET = {
-    ("killed_walk", "run_kernel.escape_budget"): "the tracer binds it, and ROADMAP item 5 turns on a default",
+    ("killed_walk", "run_kernel.escape_budget"): "the tracer binds it, and ROADMAP item 8 turns on a default",
 }
 
 # public methods no call in src/ or perfbench/ reaches, each kept for a reason

@@ -340,7 +340,7 @@ def test_batch_artifacts_equal_single_runs(name, B, ys, monkeypatch, tmp_path):
 
 
 def test_plan_steps_half_line_rows_with_their_window(sp15, monkeypatch):
-    """plan steps finite-set and half-line rows at one (n, W) as one run_kernel call; a half-line row from below b runs alone.
+    """plan steps finite-set and half-line rows at one (n, W) as one run_kernel call, one from below b among them.
 
     Every row still equals its single-start run bit for bit.
     """
@@ -350,12 +350,12 @@ def test_plan_steps_half_line_rows_with_their_window(sp15, monkeypatch):
     rows = [ctx.row(("set", (0,)), 3, n), ctx.row(HALF_LE_0, 1, n), ctx.row(HALF_LE_0, 2, n, dual=True),
             ctx.row(None, 0, n, dual=True), ctx.row(("le", -1), 4, n), ctx.row(HALF_LE_0, -2, n)]
     ctx.plan(rows)
-    assert len(calls) == 2 and calls[0][2] == [3, 1, 4] and calls[1][2] == [-2]
+    assert len(calls) == 1 and calls[0][2] == [3, 1, 4, -2]
     for r, run in zip(rows, ctx.read(rows)):
         single = real(sp15.reversed() if r.dual else sp15, r.B, [r.x], n, window=r.W, keep=[n])
         assert np.array_equal(run[n].slice, single.values[n][0]) and np.array_equal(run[n].f, single.step_killed[0])
         assert run[n].escaped == single.escaped[0, n]
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_thm1_and_crossover_share_one_run(sp15, monkeypatch, tmp_path):

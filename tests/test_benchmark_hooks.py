@@ -268,7 +268,8 @@ def test_increment_sampler_takes_the_counted_arguments(sym15, monkeypatch):
         return orig(obj, rng, n)
 
     monkeypatch.setattr(montecarlo.IncrementSampler, "sample", sample)
-    cfg = montecarlo.SimConfig(trials=5000, n_horizon=12, seed=3, stream_count=2)
+    monkeypatch.setattr(montecarlo, "_STREAMS", 2)
+    cfg = montecarlo.SimConfig(trials=5000, n_horizon=12, seed=3)
     est = montecarlo.estimate_first_passage(sym15, 1, range(1, 13), cfg)
     alive = [cfg.trials] + [round(est["survival"][n].point * cfg.trials) for n in range(1, 12)]
     assert sum(drawn) == sum(alive) < 12 * cfg.trials

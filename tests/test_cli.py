@@ -127,7 +127,7 @@ _TABLE_KINDS = {
     "fp": (["--n", "8", "--x", "3", "--window", "64"], "fp_x3_n8.csv", "schema_version,n,f", 8),
     "constants": ([], "constants.json", "{", None),
     "density": (["--set", "0,1,40", "--t", "1"], "density.csv", "schema_version,t,x,value,abs_error_estimate", 3),
-    "ladder": (["--x-max", "3"], "ladder.csv", "schema_version,x,U_ds,V_as,U_ds_recursion,V_as_recursion", 4),
+    "ladder": (["--x-max", "3"], "ladder.csv", "schema_version,x,U_ds,V_as", 4),
 }
 
 
@@ -136,7 +136,7 @@ def _small_ladder(law, x_max):
     x = np.arange(x_max + 1, dtype=float)
     return killed_walk.LadderTables(
         q_ds=np.array([0.5, 0.25]), q_ds_tail=0.25, q_as_tail=0.0, V_as=0.5 * x, U_ds=1.0 + x / 3.0,
-        V_as_recursion=0.1 * x, U_ds_recursion=1.0 + x / 7.0, green_tail_rel=0.0,
+        green_tail_rel=0.0,
     )
 
 
@@ -154,9 +154,21 @@ def test_table_kinds(kind, built_law, tmp_path, monkeypatch):
     else:
         assert len(text.splitlines()) == 1 + n_rows
     if kind == "ladder":
-        assert text.splitlines()[2] == "1,1,1.3333333333333333,0.5,1.1428571428571428,0.10000000000000001"
+        assert text.splitlines()[2] == "1,1,1.3333333333333333,0.5"
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["outputs"] == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_kernel_table_steps_from_x(built_law, tmp_path):
+    """--kind kernel steps the free walk from --x: every row has that x, and the file is that run's CSV."""
+    from stablewalk.walk_model import WalkLaw
+
+    args = ["table", "--kind", "kernel", "--law", str(built_law), "--n", "8", "--window", "64", "--x", "3"]
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "kernel_n8.csv").read_text()
+    assert {row.split(",")[2] for row in text.splitlines()[1:]} == {"3"}
+    law = WalkLaw.from_json(built_law.read_text())
+    assert text == killed_walk.run_kernel(law, None, [3], 8, window=64, keep=[8]).to_csv(8)
 
 
 @pytest.mark.parametrize("kind, extra", [

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from montecarlo_oracles import covers, masked_conditional_escape, masked_first_passage
+from stablewalk import montecarlo
 from stablewalk.errors import ConditioningTooRare
 from stablewalk.killed_walk import first_passage
 from stablewalk.montecarlo import (
@@ -69,17 +70,19 @@ def test_top_edge_uniform_stays_in_the_table(sym15):
 
 
 @pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
-def test_estimators_match_the_masked_loops(name, request):
+def test_estimators_match_the_masked_loops(name, request, monkeypatch):
     """Compacting the live paths in order draws the same stream as the masked loop over every path."""
     law = request.getfixturevalue(name)
     sampler = IncrementSampler(law)
-    cfg = SimConfig(trials=30_000, n_horizon=64, seed=17, stream_count=3)
+    monkeypatch.setattr(montecarlo, "_STREAMS", 3)
+    cfg = SimConfig(trials=30_000, n_horizon=64, seed=17)
     for x in (0, 2, -3):
         got = estimate_first_passage(law, x, [4, 16, 64], cfg)
         assert got == masked_first_passage(sampler, x, [4, 16, 64], cfg)
         assert got["f"][16].point > 0
     if name == "sym15":
-        cfg = SimConfig(trials=60_000, n_horizon=16, seed=31, stream_count=2)
+        monkeypatch.setattr(montecarlo, "_STREAMS", 2)
+        cfg = SimConfig(trials=60_000, n_horizon=16, seed=31)
         est = estimate_conditional_escape(law, 3, -3, 16, 2.0, cfg)
         accept, deep = masked_conditional_escape(sampler, 3, -3, 16, 2.0, cfg)
         assert (est.trials_effective, est.point) == (accept, deep / accept)
@@ -100,8 +103,6 @@ def test_steps_outside_the_horizon_are_refused(sym15):
 
 def _lanes_logged(monkeypatch) -> list:
     """The number of lanes of each run_lanes call montecarlo makes from here on."""
-    from stablewalk import montecarlo
-
     used = []
     run_lanes = montecarlo.run_lanes
     monkeypatch.setattr(montecarlo, "run_lanes", lambda parts: used.append(len(parts)) or run_lanes(parts))
@@ -116,7 +117,8 @@ def test_two_lanes_give_the_one_lane_estimates(sym15, monkeypatch, streams):
     from stablewalk import lanes
 
     used = _lanes_logged(monkeypatch)
-    cfg = SimConfig(trials=80_000, n_horizon=16, seed=31, stream_count=streams)
+    monkeypatch.setattr(montecarlo, "_STREAMS", streams)
+    cfg = SimConfig(trials=80_000, n_horizon=16, seed=31)
     got, interval = [], sys.getswitchinterval()
     for cpus in (1, 2):
         monkeypatch.setattr(lanes, "_cpus", lambda cpus=cpus: cpus)
@@ -138,7 +140,7 @@ def test_a_failing_lane_stops_the_estimator(sym15, monkeypatch):
     """A sampler that raises on the helper's lane stops the calling thread's lane, and the estimator raises it with no thread left."""
     import threading
 
-    from stablewalk import lanes, montecarlo
+    from stablewalk import lanes
 
     monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     used = _lanes_logged(monkeypatch)
@@ -166,19 +168,19 @@ def test_small_estimates_run_on_one_lane(sym15, monkeypatch):
     monkeypatch.setattr(lanes, "_cpus", lambda: 2)
     used = _lanes_logged(monkeypatch)
     for trials, streams in ((4000, 2), (19_999, 2), (20_000, 2), (200_000, 1)):
-        estimate_first_passage(sym15, 2, [8], SimConfig(trials=trials, n_horizon=8, seed=1, stream_count=streams))
+        monkeypatch.setattr(montecarlo, "_STREAMS", streams)
+        estimate_first_passage(sym15, 2, [8], SimConfig(trials=trials, n_horizon=8, seed=1))
     assert used == [1, 1, 2, 1]
 
 
 def test_estimators_share_one_sampler_per_law(sym15, monkeypatch):
     """Two estimator calls on one law build one alias table, and estimate as a freshly built sampler does."""
-    from stablewalk import montecarlo
-
     monkeypatch.setattr(montecarlo, "_samplers", {})
     builds = []
     vose = montecarlo._vose
     monkeypatch.setattr(montecarlo, "_vose", lambda p: builds.append(len(p)) or vose(p))
-    cfg = SimConfig(trials=60_000, n_horizon=16, seed=31, stream_count=2)
+    monkeypatch.setattr(montecarlo, "_STREAMS", 2)
+    cfg = SimConfig(trials=60_000, n_horizon=16, seed=31)
     got = estimate_first_passage(sym15, 2, [4, 16], cfg)
     est = estimate_conditional_escape(sym15, 3, -3, 16, 2.0, cfg)
     assert len(builds) == 1
@@ -226,8 +228,9 @@ def test_first_passage_ci_covers_dp(sym15):
     assert covers(est["survival"][64], surv)
 
 
-def test_estimates_bit_identical(sym15):
-    cfg = SimConfig(trials=50_000, n_horizon=16, seed=5, stream_count=4)
+def test_estimates_bit_identical(sym15, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_STREAMS", 4)
+    cfg = SimConfig(trials=50_000, n_horizon=16, seed=5)
     e1 = estimate_first_passage(sym15, 2, [16], cfg)
     e2 = estimate_first_passage(sym15, 2, [16], cfg)
     assert e1["f"][16] == e2["f"][16]
@@ -251,14 +254,15 @@ def test_stream_independence_permutation(sym15):
 
 
 @pytest.mark.slow
-def test_ci_calibration(sym15):
+def test_ci_calibration(sym15, monkeypatch):
     """Empirical 95% CI coverage over 200 repetitions sits in [90%, 99%]."""
     fp = first_passage(sym15, [0], 2, 8, window=512)
     truth = float(fp.f[8])
     cover = 0
     reps = 200
+    monkeypatch.setattr(montecarlo, "_STREAMS", 2)
     for rep in range(reps):
-        cfg = SimConfig(trials=4000, n_horizon=8, seed=1000 + rep, stream_count=2)
+        cfg = SimConfig(trials=4000, n_horizon=8, seed=1000 + rep)
         est = estimate_first_passage(sym15, 2, [8], cfg)
         if covers(est["f"][8], truth):
             cover += 1
