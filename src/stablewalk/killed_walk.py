@@ -16,7 +16,12 @@ that leaves the window goes to the escaped ledger, so
 
     in-window + killed + escaped = 1
 
-holds to float accumulation error at every step.
+holds to float accumulation error at every step.  A step records only what
+it alone can read, into arrays allocated once per run: the alive mass
+before it, the stepper's below and above masses, and the mass on the killed
+live sites.  The kill and escaped ledgers are formed from these once, after
+the last step, with whole-array arithmetic in the per-step order of
+operations, so they are bit for bit the ledgers formed step by step.
 
 A run records its Green sums, the states of steps 0..n summed before each
 kill, at the steps keep_green names, and its values at the steps keep names,
@@ -196,19 +201,19 @@ def _fft_stepper(law, W: int):
     zeros = np.zeros(p.shape[:-1] + (W + 1,))
     w_below = np.concatenate([np.cumsum(p[..., :W], axis=-1)[..., ::-1], zeros], axis=-1)
     w_above = np.concatenate([zeros, np.cumsum(p[..., ::-1][..., :W], axis=-1)], axis=-1)
-    spectra = {}  # S -> (FFT length, rfft of p)
+    spectra = {}  # S -> (FFT length, rfft of p, the dot weights on S sites)
     returned = {}  # S -> the view step last returned, whose buffer it may reuse unchecked
 
     def step(states: np.ndarray):
         S = states.shape[1]
         if S not in spectra:
             nfft = _fft_length(S, W)
-            spectra[S] = nfft, sfft.rfft(p, nfft)
-        nfft, pf = spectra[S]
+            spectra[S] = nfft, sfft.rfft(p, nfft), w_below[..., :S], w_above[..., -S:]
+        nfft, pf, wb, wa = spectra[S]
         if states is not returned.get(S):
             states = returned[S] = _padded(states, nfft)
         # one dot per row, as states @ w for one row: no ledger depends on the batch
-        below, above = np.vecdot(states, w_below[..., :S]), np.vecdot(states, w_above[..., -S:])
+        below, above = np.vecdot(states, wb), np.vecdot(states, wa)
         spec = sfft.rfft(states.base, axis=1)
         spec *= pf
         states[:] = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)[:, W : W + S]
@@ -225,9 +230,11 @@ def _is_per_row(arg) -> bool:
 class _Rows:
     """Rows of one run_kernel call stepped together: one killing kind, live sites [lo, W], one stepper.
 
-    It holds its rows' live states, Green sums and ledgers, and writes what
-    it records into the table's preallocated arrays at its own rows, so two
-    lanes never write the same element.
+    It holds its rows' live states and Green sums, and writes what it
+    records into the table's preallocated arrays at its own rows, so two
+    lanes never write the same element.  For the ledgers a step keeps only
+    its raw reads, row n of (n_max + 1, rows) arrays, and ledgers() forms
+    them once after the run.
     """
 
     def __init__(self, rows: list, lo: int, law, killing: list, starts: list, table: KernelTable):
@@ -245,10 +252,15 @@ class _Rows:
                 by_set.setdefault(killing[i][1], []).append(j)
             self.kills = []
             for sites, local in by_set.items():
-                cols = np.array([z - lo for z in sites if abs(z) <= W], dtype=np.int64)
-                if cols.size:
+                cols = [z - lo for z in sites if abs(z) <= W]
+                if cols:
                     local = slice(None) if len(local) == len(rows) else np.array(local)
-                    self.kills.append((local, (local, cols) if isinstance(local, slice) else (local[:, None], cols)))
+                    # adjacent sites as a slice, a view where an index array would copy
+                    if cols[-1] - cols[0] == len(cols) - 1:
+                        index = (local, slice(cols[0], cols[-1] + 1))
+                    else:
+                        index = (local if isinstance(local, slice) else local[:, None], np.array(cols, dtype=np.int64))
+                    self.kills.append((local, index))
         # {n: (local rows kept at n, their places among the table's rows kept there)}
         where = {i: j for j, i in enumerate(rows)}
         places = {}
@@ -261,8 +273,8 @@ class _Rows:
         self.states = np.zeros((len(rows), _fft_length(S, W)))[:, :S]
         self.states[np.arange(len(rows)), np.array([starts[i] for i in rows], dtype=np.int64) - lo] = 1.0
         self.green = self.states.copy() if table.green else None
-        self.step_killed = np.zeros((len(rows), n_max + 1))
-        self.escaped = np.zeros((len(rows), n_max + 1))
+        # step n's raw reads at [n]; step 0 reads nothing, so its ledgers are 0
+        self.alive, self.below, self.above, self.sites = np.zeros((4, n_max + 1, len(rows)))
         self.record(0)
 
     def record(self, n: int) -> None:
@@ -275,26 +287,37 @@ class _Rows:
             self.table.green[n][self.rows, off:] = self.green
 
     def advance(self, n: int) -> None:
-        """Step n: one stepper call, then the kills and the ledgers."""
-        alive = self.states.sum(axis=1)
-        states, below, above = self.step(self.states)
+        """Step n: one stepper call, then the kills; the alive mass, below, above and killed mass go to row n."""
+        self.states.sum(axis=1, out=self.alive[n])
+        states, self.below[n], self.above[n] = self.step(self.states)
         self.states = states
-        jump_up = alive * self.esc_p
-        jump_dn = alive * self.esc_m
         if self.green is not None:
             self.green += states  # before the kill: the killed live sites keep what entered them
-        kill_now = np.zeros(len(self.rows))
+        sites = self.sites[n]
         for local, index in self.kills:
-            kill_now[local] = states[index].sum(axis=1)
+            sites[local] = states[index].sum(axis=1)
             states[index] = 0.0
-        if self.half_le:
-            # mass below the live sites, by overflow or by a jump past the window, lands in B
-            kill_now = kill_now + below + jump_dn
-            self.escaped[:, n] = self.escaped[:, n - 1] + (above + jump_up)
-        else:
-            self.escaped[:, n] = self.escaped[:, n - 1] + (below + above + jump_up + jump_dn)
-        self.step_killed[:, n] = kill_now
         self.record(n)
+
+    def ledgers(self) -> None:
+        """Form the rows' step_killed and escaped from the raw reads of every step, into the table.
+
+        A half-line row also kills the mass pushed below its live sites, by
+        overflow or by a jump past the window, which lands in B; any other
+        mass that leaves the window escapes.  Each sum adds in the order of
+        a per-step update, and the cumulative sum adds escaped[n - 1] +
+        increment in step order, so every ledger is bit for bit the one a
+        step-by-step loop forms.
+        """
+        jump_up, jump_dn = self.alive * self.esc_p, self.alive * self.esc_m
+        if self.half_le:
+            kill = self.sites + self.below + jump_dn
+            gone = self.above + jump_up
+        else:
+            kill = self.sites
+            gone = self.below + self.above + jump_up + jump_dn
+        self.table.step_killed[self.rows] = kill.T
+        self.table.escaped[self.rows] = np.cumsum(gone, axis=0).T
 
 
 def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
@@ -406,8 +429,7 @@ def run_kernel(
     run_lanes([_steps(lane, n_max) for lane in lanes])
     for lane in lanes:
         for rows in lane:
-            table.step_killed[rows.rows] = rows.step_killed
-            table.escaped[rows.rows] = rows.escaped
+            rows.ledgers()
     if escape_budget is not None and table.escaped[:, n_max].max() > escape_budget:
         raise WindowTooSmall(
             f"escaped mass {table.escaped[:, n_max].max():.3e} above budget {escape_budget:.1e} at W={W}"

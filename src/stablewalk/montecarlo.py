@@ -5,14 +5,18 @@ _CORE] and two tail columns holding P[X > _CORE] and P[X < -_CORE], so the
 sampled law equals the WalkLaw (no window truncation at all - this is what
 makes the Monte Carlo estimates an independent check on the windowed DP
 kernels).  An increment costs one uniform u: floor(u m) picks one of the m
-columns and the fractional part of u m is the alias coin.  Only a draw that
-lands on a tail column takes a second uniform, which inverts that power tail
-in closed form.  The estimators keep their live paths in dense arrays and
-compact them, in order, when paths hit.  They share one sampler per law
-hash across calls, since the alias table's build is a Python loop over its
-8195 columns.  An estimate splits its trials over _STREAMS streams, each
-counter-based (Philox) and keyed by (seed, stream index), so it reproduces
-bit-identically from its SimConfig.
+columns and the fractional part of u m is the alias coin, and the draw is
+col + (coin >= prob[col]) * (alias[col] - col).  The table is padded with
+an m-th column whose keep probability is 0 and whose jump lands on the last
+column's alias, so a u m that rounds up to m draws as the last column with
+a coin of 1 does, with no clamp.  Only a draw that lands on a tail column
+takes a second uniform, which inverts that power tail in closed form.  The
+estimators keep their live paths in dense arrays and compact them, in
+order, when paths hit.  They share one sampler per law hash across calls,
+since the alias table's build is a Python loop over its 8195 columns.  An
+estimate splits its trials over _STREAMS streams, each counter-based
+(Philox) and keyed by (seed, stream index), so it reproduces bit-identically
+from its SimConfig.
 
 Each stream draws only from its own generator, so the streams split over
 two lanes (lanes.run_lanes) and draw the same paths: lane k steps streams
@@ -95,14 +99,17 @@ class IncrementSampler:
         # _CORE is past the calibration blocks, so both tails are pure power laws
         masses = np.concatenate([law.pmf(np.arange(-_CORE, _CORE + 1)), law.escaped_split(_CORE)])
         self._prob, self._alias = _vose(masses / masses.sum())
+        # a padded column m, for a u m that rounds up to m: its coin 0 never keeps it,
+        # and its jump lands on the last column's alias, where the coin 1 sends that column
+        m = len(self._prob)
+        self._pad_prob = np.append(self._prob, 0.0)
+        self._jump = np.append(self._alias - np.arange(m), self._alias[-1] - m)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        m = len(self._prob)
-        u = rng.random(n) * m
-        col = u.astype(np.int64)
-        np.minimum(col, m - 1, out=col)  # a u m rounded up to m stays on the last column
-        u -= col  # the coin
-        out = np.where(u < self._prob[col], col, self._alias[col])
+        u = rng.random(n) * len(self._prob)
+        out = u.astype(np.int64)
+        u -= out  # the coin
+        out += (u >= self._pad_prob[out]) * self._jump[out]  # the column, or its alias
         tail = np.flatnonzero(out > 2 * _CORE)
         out -= _CORE
         if len(tail):

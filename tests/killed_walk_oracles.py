@@ -11,7 +11,10 @@ whole window, where the FFT has length next_fast_len(3W + 1): the route
 run_kernel took before it stepped only the live sites.  All three return
 the arrays of a KernelTable kept at every step, with green summed before
 each kill over the whole window: run_kernel's green equals it on the live
-sites and is 0 below them.  two_run_ladder is
+sites and is 0 below them.  stepwise_ledgers steps each row as its own
+single-start run and forms the ledgers step by step, with the formulas
+run_kernel used before it recorded raw per-step reads and formed its
+ledgers once per run.  two_run_ladder is
 ladder_renewals from two single-law half-line runs, the route it took
 before it stepped both rows in one batch; beside its tables it returns
 U_ds and V_as by the classical renewal recursion over the same runs' ladder
@@ -20,7 +23,16 @@ truncation defect compounds with x.
 """
 import numpy as np
 
-from stablewalk.killed_walk import HALF_LE_0, _fft_stepper, _ladder_pmf, _ladder_tables, default_window, run_kernel
+from stablewalk.killed_walk import (
+    HALF_LE_0,
+    _fft_stepper,
+    _is_per_row,
+    _ladder_pmf,
+    _ladder_tables,
+    default_window,
+    normalize_killing,
+    run_kernel,
+)
 
 
 def _start(starts, n_max: int, W: int):
@@ -84,6 +96,50 @@ def full_window_half_line(law, b: int, starts, n_max: int, W: int) -> dict:
         out["step_killed"][:, n] = kill_now
         out["escaped"][:, n] = escaped_cum
         out["values"].append(states.copy())
+    return out
+
+
+def stepwise_ledgers(law, B, starts, n_max: int, W: int, entrance_depth: int = 0, dual_starts=()) -> dict:
+    """step_killed, escaped and the in-window mass of run_kernel's rows, each ledger formed at its step.
+
+    The arguments are run_kernel's.  Each row steps alone, on the live sites
+    of its single-start run, under law or, for dual_starts, law.reversed().
+    After each step its kill is the mass on its killed live sites, plus,
+    on a half-line, the mass pushed below the live sites and the jump mass
+    below the window; every other mass that leaves the window adds to its
+    escaped ledger.  mass[:, n] sums each row's state over [-W, W] as
+    KernelTable.conservation_defect does.
+    """
+    starts = [int(x) for x in starts] + [int(x) for x in dual_starts]
+    ns = len(starts)
+    laws = [law] * (ns - len(dual_starts)) + [law.reversed()] * len(dual_starts)
+    sets = [normalize_killing(b) for b in B] if _is_per_row(B) else [normalize_killing(B)] * ns
+    out = {key: np.zeros((ns, n_max + 1)) for key in ("step_killed", "escaped", "mass")}
+    for i, (row_law, (kind, b), x) in enumerate(zip(laws, sets, starts)):
+        step, esc_p, esc_m = _fft_stepper(row_law, W)
+        half = kind == "le"
+        lo = max(-W, min(b - entrance_depth, x)) if half else -W
+        sites = np.arange(lo, W + 1)
+        killed = sites <= b if half else np.isin(sites, b)
+        states = np.zeros((1, W - lo + 1))
+        states[0, x - lo] = 1.0
+        full = np.zeros((1, 2 * W + 1))
+        full[:, lo + W :] = states
+        out["mass"][i, 0] = full.sum(axis=1)[0]
+        for n in range(1, n_max + 1):
+            alive = states.sum(axis=1)
+            states, below, above = step(states)
+            jump_up, jump_dn = alive * esc_p, alive * esc_m
+            kill_now = states[:, killed].sum(axis=1)
+            states[:, killed] = 0.0
+            if half:
+                kill_now = kill_now + below + jump_dn
+                out["escaped"][i, n] = (out["escaped"][i, n - 1] + (above + jump_up))[0]
+            else:
+                out["escaped"][i, n] = (out["escaped"][i, n - 1] + (below + above + jump_up + jump_dn))[0]
+            out["step_killed"][i, n] = kill_now[0]
+            full[:, lo + W :] = states
+            out["mass"][i, n] = full.sum(axis=1)[0]
     return out
 
 

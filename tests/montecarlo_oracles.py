@@ -5,12 +5,15 @@ estimates_to_csv puts the point estimate in the exact column and the 95%
 half-width in the rhs column, so a test can lay the estimator next to a DP
 report.  masked_first_passage and masked_conditional_escape are the
 estimators' earlier loops, which keep every path and step the live ones by
-index; the estimators must match them bit for bit.
+index; the estimators must match them bit for bit.  where_sample is
+IncrementSampler.sample with its earlier alias pick, np.where(coin <
+prob[col], col, alias[col]) on a column clamped below m; the sampler's
+padded-column pick must give the same draws.
 """
 import numpy as np
 
 from stablewalk import montecarlo
-from stablewalk.montecarlo import _binom_ci, _chunks
+from stablewalk.montecarlo import _CORE, _binom_ci, _chunks
 
 
 def covers(ci, truth: float) -> bool:
@@ -32,6 +35,24 @@ def estimates_to_csv(estimates: dict, x: int) -> str:
             f"1,{n},{x},,{ci.point:.17g},{ci.half_width_95:.17g},,survival,montecarlo"
         )
     return "\n".join(lines) + "\n"
+
+
+def where_sample(sampler, rng, n: int) -> np.ndarray:
+    """n increments from rng, as sampler.sample draws them, picking each column by np.where."""
+    m = len(sampler._prob)
+    u = rng.random(n) * m
+    col = u.astype(np.int64)
+    np.minimum(col, m - 1, out=col)  # a u m rounded up to m stays on the last column
+    u -= col
+    out = np.where(u < sampler._prob[col], col, sampler._alias[col])
+    tail = np.flatnonzero(out > 2 * _CORE)
+    out -= _CORE
+    if len(tail):
+        minus = out[tail] == _CORE + 2
+        r = np.where(minus, sampler.law.rm, sampler.law.rp)
+        y = np.floor((_CORE + 1) * (1.0 - rng.random(len(tail))) ** (-1.0 / r)).astype(np.int64)
+        out[tail] = np.where(minus, -y, y)
+    return out
 
 
 def masked_first_passage(sampler, x: int, n_grid, cfg) -> dict:

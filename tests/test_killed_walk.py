@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import get_ctx
+from killed_walk_oracles import stepwise_ledgers
 from stablewalk import stable_params_of
 from stablewalk.errors import WindowTooSmall
 from stablewalk.killed_walk import (
@@ -258,6 +259,52 @@ def test_two_lanes_give_the_one_lane_table(name, monkeypatch):
         assert np.array_equal(one.green[m], two.green[m]), m
     for key in _TABLE_ARRAYS:
         assert np.array_equal(getattr(one, key), getattr(two, key)), key
+
+
+@pytest.mark.parametrize(
+    "name, B, starts, duals, depth, W, n",
+    [
+        ("asym15", [0], [3, -2, 0], [5], 0, 24, 200),
+        ("sp15", (-1, 0, 2), [5, -7, 1], [2], 0, 24, 200),
+        ("asym15", None, [0, 4], [-3], 0, 24, 200),
+        ("sp15", HALF_LE_0, [4, 1, 20], [0], 16, 24, 200),
+        ("asym15", [("le", 2), [0], (-1, 0, 2), (1, 2), None], [5, 3, -7, 4], [1], 0, 24, 200),
+        ("sp15", None, None, None, 0, 1024, 96),
+    ],
+    ids=["zero", "A", "empty", "half_line", "per_row_sets", "two_lanes"],
+)
+def test_ledgers_match_the_stepwise_formulas(name, B, starts, duals, depth, W, n, monkeypatch):
+    """step_killed, escaped, killed and conservation_defect are bit for bit the ledgers formed step by step.
+
+    The rows are {0}-, A- and free rows, half-line rows with an entrance
+    strip, per-row killing sets (adjacent sites among them) and dual rows,
+    all with Green sums kept; the W = 1024
+    batch (_lane_batch) steps on one lane and on two.  escape_budget still
+    raises WindowTooSmall above the escaped mass.
+    """
+    from stablewalk import killed_walk, lanes
+
+    lanes_used, run_lanes = [], killed_walk.run_lanes
+    monkeypatch.setattr(killed_walk, "run_lanes", lambda parts: lanes_used.append(len(parts)) or run_lanes(parts))
+    law = get_ctx(name).law
+    batch = _lane_batch(law) if starts is None else dict(B=B, starts=starts, dual_starts=duals)
+    want = stepwise_ledgers(law, n_max=n, W=W, entrance_depth=depth, **batch)
+    killed = np.cumsum(want["step_killed"], axis=1)
+    assert want["escaped"][:, n].min() > 0.0
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "_cpus", lambda cpus=cpus: cpus)
+        tab = run_kernel(law, n_max=n, window=W, entrance_depth=depth, keep_green=[n // 2, n], **batch)
+        for key in ("step_killed", "escaped"):
+            assert np.array_equal(getattr(tab, key), want[key]), (cpus, key)
+        assert np.array_equal(tab.killed, killed), cpus
+        for m in range(n + 1):
+            defect = np.abs(want["mass"][:, m] + killed[:, m] + want["escaped"][:, m] - 1.0)
+            assert np.array_equal(tab.conservation_defect(m), defect), (cpus, m)
+    assert lanes_used == ([1, 2] if W == 1024 else [1, 1])
+    budget = want["escaped"][:, n].max()
+    with pytest.raises(WindowTooSmall, match="escaped mass"):
+        run_kernel(law, n_max=n, window=W, entrance_depth=depth, keep=[n], escape_budget=0.5 * budget, **batch)
+    run_kernel(law, n_max=n, window=W, entrance_depth=depth, keep=[n], escape_budget=budget, **batch)
 
 
 def test_a_failing_lane_is_raised_after_both_stop(sym15, monkeypatch):

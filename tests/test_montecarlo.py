@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from montecarlo_oracles import covers, masked_conditional_escape, masked_first_passage
+from montecarlo_oracles import covers, masked_conditional_escape, masked_first_passage, where_sample
 from stablewalk import montecarlo
 from stablewalk.errors import ConditioningTooRare
 from stablewalk.killed_walk import first_passage
@@ -67,6 +67,15 @@ def test_top_edge_uniform_stays_in_the_table(sym15):
     assert sampler._prob[last] < 1.0 and sampler._alias[last] <= 2 * _CORE
     out = sampler.sample(TopEdge(), 3)
     assert (out == sampler._alias[last] - _CORE).all()
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
+def test_padded_column_pick_is_the_where_pick(name, request):
+    """10^6 seeded draws pick the columns, and so the increments and the tail draws, of the np.where formula."""
+    sampler = IncrementSampler(request.getfixturevalue(name))
+    for stream in (0, 5):
+        got, want = sampler.sample(stream_rng(29, stream), 500_000), where_sample(sampler, stream_rng(29, stream), 500_000)
+        assert got.dtype == want.dtype and np.array_equal(got, want), stream
 
 
 @pytest.mark.parametrize("name", ["sym15", "sp15", "bp15"])
