@@ -2,8 +2,10 @@
 
 Exit codes: 0 pass, 1 trend-criterion failure, 2 configuration error,
 3 numerical-budget error (verify records it per id and runs the rest).
-Every run writes a manifest listing its outputs with content hashes; reruns
-with an identical configuration are byte-identical.
+Every run writes a manifest listing its outputs with content hashes.  A
+rerun with an identical configuration writes every listed output
+byte-identical, from a cold or a warm artifact cache, and a manifest.json
+that differs only in wall_clock_s, the run's wall time.
 """
 from __future__ import annotations
 

@@ -8,7 +8,12 @@ from x killed on (-inf, b], whose state is zero on (-inf, b] after every
 kill.  One step convolves the live state with the windowed increment pmf by
 a circular FFT of length next_fast_len(S + W), whose wrap-around misses the
 live sites; the mass pushed below the live sites or above the window is a
-dot product with weights built once from the pmf's cumulative sums.  Then
+dot product with weights built once from the pmf's cumulative sums.  The
+step calls pocketfft's real transforms r2c and c2r directly, the binding
+scipy.fft's rfft and irfft end in: the same kernel, normalisation and one
+thread, so the same bits, without the public pair's per-call dispatch (see
+_fft_stepper).  The public pair stays for the one-off spectra of p and as
+the direct pair's test oracle.  Then
 the run kills alike for every set: it zeroes its killed live sites and
 counts their mass as the step's kill, and a half-line row also kills the
 mass pushed below its live sites, which lands in (-inf, b].  Any other mass
@@ -65,6 +70,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as sfft
+# the pocketfft binding scipy.fft's rfft and irfft end in, for the per-step pair
+from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
 from .lanes import run_lanes, two_lanes
@@ -182,6 +189,16 @@ def _fft_stepper(law, W: int):
     new buffer, which is the padding rfft would do, so the bits are the same
     either way.
 
+    The per-step rfft and irfft are pocketfft's r2c and c2r, the calls that
+    sfft.rfft(buf, axis=1) and sfft.irfft(spec, L, axis=1) end in, made
+    directly: each step skips the public pair's dispatch (uarray, dtype and
+    shape checks), about 3-4 us a call.  For one row at L = 1600, rfft takes
+    8.0 us through scipy.fft and 5.2 us direct, irfft 9.1 and 5.4 us; a lone
+    {0}-killed sp15 row's step takes 14.0 us at W = 512 and 22.6 us at
+    W = 812, where it took 20.9 and 29.9 us (best of 7, 2-vCPU VM).
+    tests/test_killed_walk.py::test_direct_transforms_match_scipy_fft pins
+    the pair to the public one, bit for bit.
+
     law is one WalkLaw, whose kernel spectrum and dot weights every row
     shares and whose escape masses are floats, or a sequence of one WalkLaw
     per row: then the rows still take one rfft and one irfft, each times its
@@ -214,9 +231,11 @@ def _fft_stepper(law, W: int):
             states = returned[S] = _padded(states, nfft)
         # one dot per row, as states @ w for one row: no ledger depends on the batch
         below, above = np.vecdot(states, wb), np.vecdot(states, wa)
-        spec = sfft.rfft(states.base, axis=1)
+        # sfft.rfft(buf, axis=1) and sfft.irfft(spec, nfft, axis=1): forward
+        # unscaled, inverse scaled by 1/nfft (inorm 2), one thread
+        spec = r2c(states.base, (1,), True, 0, None, 1)
         spec *= pf
-        states[:] = sfft.irfft(spec, nfft, axis=1, overwrite_x=True)[:, W : W + S]
+        states[:] = c2r(spec, (1,), nfft, False, 2, None, 1)[:, W : W + S]
         return states, below, above
 
     return step, esc_p, esc_m

@@ -217,6 +217,34 @@ def test_verify_quick_pass_and_report(built_law, tmp_path):
     assert (rep_out / "report.csv").exists()
 
 
+def test_verify_rerun_is_byte_identical(built_law, tmp_path, monkeypatch):
+    """`verify thm1 --quick` twice, into two directories at one relative path: every file is equal.
+
+    The first run steps its rows into a fresh artifact cache and the second
+    loads them, so a cache hit writes the same bytes.  The manifests are
+    equal once wall_clock_s, the one timing they hold, is dropped.
+    """
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path / "cache"))
+    stepped, real_run = [], asymptotics.run_kernel
+    monkeypatch.setattr(asymptotics, "run_kernel", lambda *a, **kw: stepped.append(a) or real_run(*a, **kw))
+    runs = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        before = len(stepped)
+        assert main(["verify", "thm1", "--law", str(built_law), "--out", "v", "--quick"]) == 0
+        runs.append(({f.name: f.read_bytes() for f in Path("v").iterdir()}, len(stepped) - before))
+    (first, first_steps), (second, second_steps) = runs
+    assert first_steps > 0 and second_steps == 0
+    assert first.keys() == second.keys() and "summary.json" in first
+    manifests = [json.loads(files.pop("manifest.json")) for files in (first, second)]
+    assert first == second
+    for manifest in manifests:
+        assert manifest.pop("wall_clock_s") >= 0.0
+    assert manifests[0] == manifests[1]
+    assert set(manifests[0]["outputs"]) == {str(Path("v") / name) for name in first}
+
+
 def test_report_csv_bytes(tmp_path):
     """report.csv keeps final_dev as the number text summary.json holds, and a skip as blank."""
     summary = [

@@ -4,13 +4,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
-from conftest import get_ctx
+from conftest import get_ctx, get_law
 from killed_walk_oracles import stepwise_ledgers
 from stablewalk import stable_params_of
 from stablewalk.errors import WindowTooSmall
 from stablewalk.killed_walk import (
     HALF_LE_0,
+    _fft_length,
     _fft_stepper,
     default_window,
     first_passage,
@@ -67,6 +69,51 @@ def test_stepper_on_the_last_sites_matches_linear_convolution(asym15, S_minus_W)
     assert np.abs(inside - full[:, W : W + S]).max() <= 1e-13 * np.abs(full).max()
     assert np.abs(below - full[:, :W].sum(axis=1)).max() <= 1e-14
     assert np.abs(above - full[:, W + S :].sum(axis=1)).max() <= 1e-14
+
+
+_DIRECT_W = (512, 812, 2047, 3250)
+
+
+def _scipy_fft_step(p, states, W: int) -> np.ndarray:
+    """One step's states through scipy.fft's public pair: rfft of the padded buffer, times rfft(p), irfft."""
+    rows, S = states.shape
+    nfft = _fft_length(S, W)
+    buf = np.zeros((rows, nfft))
+    buf[:, :S] = states
+    spec = sfft.rfft(buf, axis=1)
+    spec *= sfft.rfft(p, nfft)
+    return sfft.irfft(spec, nfft, axis=1, overwrite_x=True)[:, W : W + S]
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one_law", "per_row_laws"])
+@pytest.mark.parametrize("W", _DIRECT_W)
+def test_direct_transforms_match_scipy_fft(W, per_row):
+    """step's direct pocketfft pair gives the states of scipy.fft's rfft, *= pf, irfft bit for bit.
+
+    For 1, 2, 3, 4 and 8 rows, on the whole window and on a half-line row's
+    live sites [0, W] (over _DIRECT_W the FFT lengths are even and odd), with
+    one law or a law per row, and with the state given as the first columns
+    of a zero-padded buffer or as a plain array; each is stepped twice, the
+    second time from the view step returned.  A SciPy release that changes
+    the binding's signature or normalisation fails here.
+    """
+    assert {_fft_length(S, w) % 2 for w in _DIRECT_W for S in (2 * w + 1, w + 1)} == {0, 1}
+    names = ("sym15", "sp15", "asym15", "bp15")
+    for rows in (1, 2, 3, 4, 8):
+        laws = [get_law(names[i % len(names)]) for i in range(rows)]
+        law, p = (laws, np.array([row.pmf_window(W) for row in laws])) if per_row else (laws[0], laws[0].pmf_window(W))
+        for S in (2 * W + 1, W + 1):
+            rng = np.random.default_rng([W, rows, S])
+            states = rng.random((rows, S))
+            states /= states.sum(axis=1, keepdims=True)
+            buf = np.zeros((rows, _fft_length(S, W)))
+            buf[:, :S] = states
+            for given in (buf[:, :S], states.copy()):
+                step, want = _fft_stepper(law, W)[0], states
+                for k in range(2):
+                    want = _scipy_fft_step(p, want, W)
+                    given = step(given)[0]
+                    assert np.array_equal(given, want), (rows, S, k)
 
 
 _ORACLE_W, _ORACLE_N = 40, 60
