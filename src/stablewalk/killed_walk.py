@@ -22,11 +22,12 @@ that leaves the window goes to the escaped ledger, so
     in-window + killed + escaped = 1
 
 holds to float accumulation error at every step.  A step records only what
-it alone can read, into arrays allocated once per run: the alive mass
-before it, the stepper's below and above masses, and the mass on the killed
-live sites.  The kill and escaped ledgers are formed from these once, after
-the last step, with whole-array arithmetic in the per-step order of
-operations, so they are bit for bit the ledgers formed step by step.
+it alone can read, into arrays allocated once per unit of rows: the alive
+mass before it, the stepper's below and above masses, and the mass on the
+killed live sites.  The kill and escaped ledgers are formed from these
+once, after the unit's last step, with whole-array arithmetic in the
+per-step order of operations, so they are bit for bit the ledgers formed
+step by step.
 
 A run records its Green sums, the states of steps 0..n summed before each
 kill, at the steps keep_green names, and its values at the steps keep names,
@@ -50,15 +51,24 @@ that differ in law, set and kept steps still share one stepper call per
 group and step.  Every row equals, bit for bit, the single-start run of its
 law and killing set, in any batch.
 
-Rows never interact, so a call may step its groups on two lanes through
-lanes.run_lanes: the calling thread steps one and a helper thread the
-other, joined before the call returns.  For two lanes a group of 4 or more
+Rows never interact, so a call steps its groups in units, block by
+block, on one lane or two through lanes.run_lanes: the calling thread
+steps one and a helper thread the other, joined before the call returns.
+A group of more than _BLOCK_ROWS rows is cut into blocks of _BLOCK_ROWS
+rows, on either lane count.  For two lanes a smaller group of 4 or more
 rows splits into two halves at an even row (pocketfft transforms rows in
-SIMD pairs, so a lone row costs more per row than a pair), and the groups
-and halves go to the lighter lane, largest FFT work (rows x L) first.  Both
-lanes are used only when lanes.two_lanes passes each lane's FFT points per
-step (more than one CPU, and each lane at the floor); otherwise the same
-loop steps one lane.  Every group or half has its own stepper, built on the
+SIMD pairs, so a lone row costs more per row than a pair, and _BLOCK_ROWS
+is even), and the units go to the lighter lane, largest FFT work (rows x
+L) first.  Both lanes are used only when lanes.two_lanes passes each
+lane's summed FFT points per step (more than one CPU, and each lane at the
+floor); otherwise the same loop steps one lane.  A lane steps its units
+one after another, each through all its steps: a unit allocates its
+zero-padded state buffer, Green sums and raw-read arrays when its turn
+starts, and forms its ledgers and drops them, with its stepper, when its
+turn ends.  So a call's working memory is that of at most two blocks, not
+of its whole batch: oracle_bp15's 1025-row batch at W = 512 peaks at
+14.3 MB under tracemalloc, 8.4 MB of it the kept table, where two 512-row
+halves peaked at 48.8 MB.  Every unit has its own stepper, built on the
 calling thread, and the lanes fill the one KernelTable's arrays, each at
 its own rows.  The Fourier oracle splits its tau blocks over the same two
 lanes.
@@ -82,6 +92,7 @@ from .walk_model import WalkLaw
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
 DP_VERSION = 3
 _TAU_ROWS = 512  # tau rows per block of the Fourier oracle's theta integral
+_BLOCK_ROWS = 64  # rows per DP block of a wider row group; even, so pocketfft's SIMD pairs stay whole
 _LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may miss
 
 # ---------------------------------------------------------------------------
@@ -117,8 +128,11 @@ class KernelTable:
     starts holds each row's start: the run's starts, then its dual_starts,
     whose rows step under the reversed law; killing is the run's killing
     set, or the list of its rows' sets.
-    values[n] is an array (rows kept at n, 2W+1) and rows_at[n] those rows'
-    indices, every row where one keep list serves all.  green[n] (n_rows,
+    values[n] is an array (rows kept at n, 2W+1), and rows_at[n] maps each
+    of those rows, in row order, to its place there: every row to itself
+    where one keep list serves all.  Steps that keep the same rows share one
+    map, built once per run, and every per-step reader pairs values[n]'s
+    rows with their rows through it.  green[n] (n_rows,
     2W+1) is the sum of the states of steps 0..n before each kill, at the
     steps keep_green names: on B's live sites the mass that entered there by
     step n, plus 1 at a start there.  A row from x killed on (-inf, b] lives
@@ -145,15 +159,18 @@ class KernelTable:
 
     def kept(self, row: int) -> dict:
         """{n: the row's values at n} over the steps it kept."""
-        return {n: arr[self.rows_at[n].index(row)] for n, arr in self.values.items() if row in self.rows_at[n]}
+        return {n: arr[self.rows_at[n][row]] for n, arr in self.values.items() if row in self.rows_at[n]}
 
     def conservation_defect(self, n: int) -> np.ndarray:
-        total = self.values[n].sum(axis=1) + self.killed[:, n] + self.escaped[:, n]
+        """|in-window + killed + escaped - 1| at step n of each row kept at n, in row order."""
+        rows = list(self.rows_at[n])
+        total = self.values[n].sum(axis=1) + self.killed[rows, n] + self.escaped[rows, n]
         return np.abs(total - 1.0)
 
     def to_csv(self, n: int) -> str:
-        arr = self.values[n]
-        rows = [(n, x, j - self.window, arr[i][j]) for i, x in enumerate(self.starts) for j in np.nonzero(arr[i])[0]]
+        arr, W = self.values[n], self.window
+        rows = [(n, self.starts[i], j - W, arr[k][j])
+                for i, k in self.rows_at[n].items() for j in np.nonzero(arr[k])[0]]
         return csv_text(("n", "x", "y", "value"), rows)
 
 
@@ -184,7 +201,7 @@ def _fft_stepper(law, W: int):
     misses the kept sites; S = 2W + 1 is the whole window.  The states live
     in a zero-padded (n_rows, L) buffer, as the first S columns: rfft reads
     that buffer as it is, with no padded copy per step, and the step writes
-    its result back there and returns that same view; run_kernel's groups
+    its result back there and returns that same view; run_kernel's units
     start in such buffers.  A batch that is not such a view is copied into a
     new buffer, which is the padding rfft would do, so the bits are the same
     either way.
@@ -205,7 +222,8 @@ def _fft_stepper(law, W: int):
     own law's spectrum and dotted with its own weights, and the escape masses
     are per-row arrays.  Either way a row steps bit for bit as in a
     single-law batch, and as in any batch: run_kernel builds one stepper per
-    row group or half of one, and may step them on two threads.
+    unit (a row group, a half or a block of one), and may step them on two
+    threads.
     """
     if isinstance(law, WalkLaw):
         p = law.pmf_window(W)
@@ -249,16 +267,20 @@ def _is_per_row(arg) -> bool:
 class _Rows:
     """Rows of one run_kernel call stepped together: one killing kind, live sites [lo, W], one stepper.
 
-    It holds its rows' live states and Green sums, and writes what it
-    records into the table's preallocated arrays at its own rows, so two
-    lanes never write the same element.  For the ledgers a step keeps only
-    its raw reads, row n of (n_max + 1, rows) arrays, and ledgers() forms
-    them once after the run.
+    It writes what it records into the table's preallocated arrays at its
+    own rows, so two lanes never write the same element.  Its rows step in
+    one turn, steps 0..n_max one after another: advance(0) allocates their
+    zero-padded state buffer, Green sums and raw-read arrays, and ledgers()
+    ends the turn, forms their ledgers into the table and drops all of these
+    and the stepper.  Outside its turn a unit holds only its kill indices,
+    its kept rows' places and, before the turn, its stepper, so a lane holds
+    the working arrays of one unit at a time.
     """
 
     def __init__(self, rows: list, lo: int, law, killing: list, starts: list, table: KernelTable):
-        W, n_max = table.window, table.n_max
+        W = table.window
         self.rows, self.lo, self.table = np.array(rows, dtype=np.int64), lo, table
+        self.starts = np.array([starts[i] for i in rows], dtype=np.int64) - lo  # start columns among the live sites
         self.half_le = killing[rows[0]][0] == "le"
         self.step, self.esc_p, self.esc_m = _fft_stepper(law, W)
         # (local rows, index of their killed live sites) per killing set; no live site
@@ -280,21 +302,15 @@ class _Rows:
                     else:
                         index = (local if isinstance(local, slice) else local[:, None], np.array(cols, dtype=np.int64))
                     self.kills.append((local, index))
-        # {n: (local rows kept at n, their places among the table's rows kept there)}
-        where = {i: j for j, i in enumerate(rows)}
-        places = {}
-        for kept in set(table.rows_at.values()):
-            pairs = [(where[i], k) for k, i in enumerate(kept) if i in where]
-            places[kept] = tuple(np.array(v, dtype=np.int64) for v in zip(*pairs)) if pairs else None
-        self.places = {n: places[kept] for n, kept in table.rows_at.items() if places[kept] is not None}
-        # the first S columns of the zero-padded buffer the stepper transforms whole
-        S = W - lo + 1
-        self.states = np.zeros((len(rows), _fft_length(S, W)))[:, :S]
-        self.states[np.arange(len(rows)), np.array([starts[i] for i in rows], dtype=np.int64) - lo] = 1.0
-        self.green = self.states.copy() if table.green else None
-        # step n's raw reads at [n]; step 0 reads nothing, so its ledgers are 0
-        self.alive, self.below, self.above, self.sites = np.zeros((4, n_max + 1, len(rows)))
-        self.record(0)
+        # {n: (local rows kept at n, their places in values[n])}, read once per place map,
+        # which the steps keeping the same rows share
+        by_map, self.places = {}, {}
+        for n, at in table.rows_at.items():
+            if id(at) not in by_map:
+                pairs = [(j, at[i]) for j, i in enumerate(rows) if i in at]
+                by_map[id(at)] = tuple(np.array(v, dtype=np.int64) for v in zip(*pairs)) if pairs else None
+            if by_map[id(at)] is not None:
+                self.places[n] = by_map[id(at)]
 
     def record(self, n: int) -> None:
         """Write step n's values of the rows kept there, and its Green sums if kept, into the table."""
@@ -306,27 +322,43 @@ class _Rows:
             self.table.green[n][self.rows, off:] = self.green
 
     def advance(self, n: int) -> None:
-        """Step n: one stepper call, then the kills; the alive mass, below, above and killed mass go to row n."""
-        self.states.sum(axis=1, out=self.alive[n])
-        states, self.below[n], self.above[n] = self.step(self.states)
-        self.states = states
-        if self.green is not None:
-            self.green += states  # before the kill: the killed live sites keep what entered them
-        sites = self.sites[n]
-        for local, index in self.kills:
-            sites[local] = states[index].sum(axis=1)
-            states[index] = 0.0
+        """Step n, recorded into the table; the alive mass, below, above and killed mass go to row n.
+
+        Step 0 starts the turn: each row's unit mass at its start, as the
+        first S columns of a new zero-padded buffer that the stepper
+        transforms whole, its Green sums and (n_max + 1, rows) arrays for the
+        raw reads.  Step n >= 1 is one stepper call, then the kills.
+        """
+        if n == 0:
+            W, rows = self.table.window, len(self.rows)
+            S = W - self.lo + 1
+            self.states = np.zeros((rows, _fft_length(S, W)))[:, :S]
+            self.states[np.arange(rows), self.starts] = 1.0
+            self.green = self.states.copy() if self.table.green else None
+            # step m's raw reads at [m]; step 0 reads nothing, so its ledgers are 0
+            self.alive, self.below, self.above, self.sites = np.zeros((4, self.table.n_max + 1, rows))
+        else:
+            self.states.sum(axis=1, out=self.alive[n])
+            states, self.below[n], self.above[n] = self.step(self.states)
+            self.states = states
+            if self.green is not None:
+                self.green += states  # before the kill: the killed live sites keep what entered them
+            sites = self.sites[n]
+            for local, index in self.kills:
+                sites[local] = states[index].sum(axis=1)
+                states[index] = 0.0
         self.record(n)
 
     def ledgers(self) -> None:
-        """Form the rows' step_killed and escaped from the raw reads of every step, into the table.
+        """End the turn: form the rows' step_killed and escaped from the raw reads of every step, into the table.
 
         A half-line row also kills the mass pushed below its live sites, by
         overflow or by a jump past the window, which lands in B; any other
         mass that leaves the window escapes.  Each sum adds in the order of
         a per-step update, and the cumulative sum adds escaped[n - 1] +
         increment in step order, so every ledger is bit for bit the one a
-        step-by-step loop forms.
+        step-by-step loop forms.  Then the state buffer, Green sums, raw
+        reads and stepper (with the buffer it keeps) are dropped.
         """
         jump_up, jump_dn = self.alive * self.esc_p, self.alive * self.esc_m
         if self.half_le:
@@ -337,6 +369,7 @@ class _Rows:
             gone = self.below + self.above + jump_up + jump_dn
         self.table.step_killed[self.rows] = kill.T
         self.table.escaped[self.rows] = np.cumsum(gone, axis=0).T
+        self.states = self.green = self.step = self.alive = self.below = self.above = self.sites = None
 
 
 def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
@@ -356,35 +389,47 @@ def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
 
 
 def _lanes(groups: list, W: int) -> list:
-    """The groups to step, as one lane, or as two when lanes.two_lanes says they pay; a lane is a list of (rows, lo).
+    """The units to step, as one lane, or as two when lanes.two_lanes says they pay; a lane is a list of (rows, lo).
 
-    For two lanes a group of 4 or more rows splits into two halves at an
-    even row (pocketfft steps rows in SIMD pairs), and the groups and halves
-    go to the lighter lane, largest FFT work (rows x L) first.  A lane's load
-    is its FFT points per step.
+    A group of more than _BLOCK_ROWS rows is cut into blocks of
+    _BLOCK_ROWS rows, on one lane or two, so that a unit's working arrays
+    do not grow with the batch.  For two lanes a smaller group of 4 or more
+    rows splits into two halves at an even row (pocketfft steps rows in SIMD
+    pairs), and the units go to the lighter lane, largest FFT work (rows x
+    L) first.  A lane's load is its FFT points per step.
     """
     def work(unit):
         rows, lo = unit
         return len(rows) * _fft_length(W - lo + 1, W)
 
-    units = []
+    one_lane, units = [], []
     for rows, lo in groups:
-        cut = 2 * ((len(rows) + 2) // 4) if len(rows) >= 4 else len(rows)
-        units += [(part, lo) for part in (rows[:cut], rows[cut:]) if part]
+        blocks = [(rows[k : k + _BLOCK_ROWS], lo) for k in range(0, len(rows), _BLOCK_ROWS)]
+        one_lane += blocks
+        if len(blocks) == 1:
+            cut = 2 * ((len(rows) + 2) // 4) if len(rows) >= 4 else len(rows)
+            blocks = [(part, lo) for part in (rows[:cut], rows[cut:]) if part]
+        units += blocks
     lanes, loads = ([], []), [0, 0]
     for unit in sorted(units, key=work, reverse=True):
         k = loads.index(min(loads))
         lanes[k].append(unit)
         loads[k] += work(unit)
-    return list(lanes) if two_lanes(loads) else [groups]
+    return list(lanes) if two_lanes(loads) else [one_lane]
 
 
 def _steps(lane: list, n_max: int):
-    """Step a lane's _Rows through steps 1..n_max, one item per step."""
-    for n in range(1, n_max + 1):
-        for rows in lane:
+    """Step a lane's _Rows one after another, each through steps 0..n_max in its own turn, one item per step.
+
+    Unit-major: a unit allocates its working arrays at step 0 and drops
+    them when ledgers() ends its turn, so a lane's working memory is that
+    of its largest unit, whatever the batch's row count.
+    """
+    for rows in lane:
+        for n in range(n_max + 1):
             rows.advance(n)
-        yield
+            yield
+        rows.ledgers()
 
 
 def run_kernel(
@@ -434,21 +479,20 @@ def run_kernel(
         rows_at = {n: tuple(i for i in range(ns) if n in kept[i]) for n in sorted(set().union(*kept))}
     else:
         rows_at = dict.fromkeys(range(n_max + 1) if keep is None else sorted(keep), tuple(range(ns)))
-    rows_at = {n: rows for n, rows in rows_at.items() if 0 <= n <= n_max}
+    # one row -> place map per set of kept rows, shared by every step that keeps them
+    places = {rows: {i: k for k, i in enumerate(rows)} for rows in set(rows_at.values())}
+    rows_at = {n: places[rows] for n, rows in rows_at.items() if 0 <= n <= n_max}
     table = KernelTable(killing=killing, window=W, n_max=n_max, starts=starts, rows_at=rows_at,
                         values={n: np.zeros((len(rows), 2 * W + 1)) for n, rows in rows_at.items()},
                         green={n: np.zeros((ns, 2 * W + 1)) for n in sorted(keep_green) if 0 <= n <= n_max},
                         step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
 
     laws = [law] * (ns - len(dual_starts)) + ([law.reversed()] * len(dual_starts) if dual_starts else [])
-    # each group or half steps under its rows' one law, or one law per row
+    # each unit steps under its rows' one law, or one law per row
     lanes = [[_Rows(rows, lo, laws[rows[0]] if all(laws[i] is laws[rows[0]] for i in rows) else [laws[i] for i in rows],
                     row_sets, starts, table) for rows, lo in lane]
              for lane in _lanes(_groups(row_sets, starts, W, entrance_depth), W)]
     run_lanes([_steps(lane, n_max) for lane in lanes])
-    for lane in lanes:
-        for rows in lane:
-            rows.ledgers()
     if escape_budget is not None and table.escaped[:, n_max].max() > escape_budget:
         raise WindowTooSmall(
             f"escaped mass {table.escaped[:, n_max].max():.3e} above budget {escape_budget:.1e} at W={W}"

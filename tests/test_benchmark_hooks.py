@@ -251,6 +251,52 @@ def test_traced_split_batch_builds_one_table():
     assert got["unreached"] == [] and got["stepped"] == [1024]
 
 
+_TRACED_BLOCKED_RUN = """
+import hashlib, importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+tracer = tracer_mod.Tracer()
+tracer.install()
+from stablewalk import Family, TailSpec, build_walk_law, killed_walk, lanes
+lanes._cpus = lambda: int(sys.argv[2])
+lanes_used = []
+run_lanes = killed_walk.run_lanes
+killed_walk.run_lanes = lambda parts: lanes_used.append(len(parts)) or run_lanes(parts)
+law = build_walk_law(TailSpec(alpha=1.5, family=Family("bounded_potential"), B=0.25))
+rows = 2 * killed_walk._BLOCK_ROWS + 3
+tracer.reset()
+table = killed_walk.run_kernel(law, ("set", (0,)), range(-(rows // 2), rows - rows // 2), 12, window=256, keep=[12])
+m = tracer.metrics(1.0)
+digest = hashlib.sha256(b"".join(a.tobytes() for a in (table.values[12], table.step_killed, table.escaped)))
+print(json.dumps({"rows": len(table.starts), "lanes": lanes_used, "calls": m["killed_walk.run_kernel.calls"],
+                  "tables": m["killed_walk.kernel_tables_built"], "unreached": tracer.unreached(),
+                  "stepped": m["killed_walk.steps"], "sha256": digest.hexdigest()}))
+"""
+
+
+def test_traced_blocked_batch_builds_one_table():
+    """A batch of more than _BLOCK_ROWS rows, stepped block by block, is one run_kernel call and one KernelTable under the tracer.
+
+    The benchmark's traced run requires run_kernel.calls == kernel_tables_built.
+    Every row's steps pass through the wrapped steppers, and the table has
+    the same bytes on two lanes as on one.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
+    env.pop("STABLEWALK_CACHE", None)
+    got = []
+    for cpus in (1, 2):
+        out = subprocess.run([sys.executable, "-c", _TRACED_BLOCKED_RUN, str(TRACER), str(cpus)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        got.append(json.loads(out.stdout.splitlines()[-1]))
+    for cpus, run in zip((1, 2), got):
+        assert run["rows"] == 131 and run["lanes"] == [cpus]
+        assert run["calls"] == run["tables"] == 1
+        assert run["unreached"] == [] and run["stepped"] == {"256": 131 * 12}
+    assert got[0]["sha256"] == got[1]["sha256"]
+
+
 def test_increment_sampler_takes_the_counted_arguments(sym15, monkeypatch):
     """The tracer wraps IncrementSampler.sample as sample(obj, rng, n) and counts n as path-steps.
 

@@ -11,6 +11,7 @@ from killed_walk_oracles import stepwise_ledgers
 from stablewalk import stable_params_of
 from stablewalk.errors import WindowTooSmall
 from stablewalk.killed_walk import (
+    _BLOCK_ROWS,
     HALF_LE_0,
     _fft_length,
     _fft_stepper,
@@ -265,6 +266,27 @@ def test_mixed_batch_rows_match_single_runs(name):
     assert both.killed[2, n] == 0.0 and both.killed[0, n] > 0.0
 
 
+def test_readers_pair_rows_kept_at_different_steps(sym15):
+    """conservation_defect, to_csv and kept read each row kept at n at its own place in values[n].
+
+    Row 0 keeps step 2 only and row 1 steps 2 and 4, so at step 4 every
+    reader gives row 1's single-start numbers alone, and at step 2 both
+    rows' in row order.
+    """
+    both = run_kernel(sym15, {0}, [3, 5], 4, window=64, keep=[[2], [2, 4]])
+    singles = [run_kernel(sym15, {0}, [x], 4, window=64, keep=[2, 4]) for x in (3, 5)]
+    assert np.array_equal(both.conservation_defect(4), singles[1].conservation_defect(4))
+    assert np.array_equal(both.conservation_defect(2), np.concatenate([s.conservation_defect(2) for s in singles]))
+    assert both.conservation_defect(4).max() < 1e-15
+    assert both.to_csv(4) == singles[1].to_csv(4)
+    assert both.to_csv(2) == singles[0].to_csv(2) + singles[1].to_csv(2).split("\n", 1)[1]
+    assert sorted(both.kept(0)) == [2] and sorted(both.kept(1)) == [2, 4]
+    for row, single in enumerate(singles):
+        for m, values in both.kept(row).items():
+            assert np.array_equal(values, single.values[m][0]), (row, m)
+    assert both.rows_at == {2: {0: 0, 1: 1}, 4: {1: 0}}
+
+
 def _lane_batch(law):
     """A batch whose full-window rows two lanes split: {0}-, A-, free and half-line rows under law and its reversal."""
     A = (-1, 0, 2)
@@ -306,6 +328,80 @@ def test_two_lanes_give_the_one_lane_table(name, monkeypatch):
         assert np.array_equal(one.green[m], two.green[m]), m
     for key in _TABLE_ARRAYS:
         assert np.array_equal(getattr(one, key), getattr(two, key)), key
+
+
+def _blocked_batch(W: int, n: int, half_line: bool) -> list:
+    """2 * _BLOCK_ROWS + 3 rows (reversed law, killing set, start, kept steps), forward rows first.
+
+    Without half_line: {0}-, A-, free and half-line rows over the whole
+    window, the finite-set rows one group of more than _BLOCK_ROWS rows.
+    With it: rows on (-inf, 0] at entrance depth 16, nearly all from starts
+    at or above -16 and so one group of live sites [-16, W], a few below it
+    on their own.  Every third row steps under the reversed law, and each
+    row keeps its own steps.
+    """
+    A = (-1, 0, 2)
+    rows = []
+    for i in range(2 * _BLOCK_ROWS + 3):
+        if half_line:
+            B, x = HALF_LE_0, (-W + i if i % 10 == 9 else (37 * i) % (W + 17) - 16)
+        else:
+            B, x = (("set", (0,)), ("set", A), None, HALF_LE_0)[i % 4], (37 * i) % (2 * W + 1) - W
+        steps = (i % (n + 1),) if i % 7 == 3 else (i % n, n) if i % 2 else (n,)
+        rows.append((i % 3 == 1, B, x, steps))
+    return sorted(rows, key=lambda row: row[0])
+
+
+@pytest.mark.parametrize("half_line", [False, True], ids=["mixed", "half_line_depth"])
+def test_blocked_batch_matches_single_runs(sym15, half_line, monkeypatch):
+    """A batch whose widest group has more than _BLOCK_ROWS rows steps in blocks, each row bit for bit its single-start run.
+
+    Values at each row's kept steps, Green sums, step_killed and escaped
+    equal the single-start runs, on one lane and on two; no stepper call
+    takes more than _BLOCK_ROWS rows, and a full block occurs.  A block may
+    hold rows of both laws, which then step with one law per row.  The
+    two-lane run switches threads every microsecond, so a lane writing
+    another's rows, or its ledgers, would show.
+    """
+    import sys
+
+    from stablewalk import killed_walk, lanes
+
+    law, W, n, depth, green = sym15, 128, 24, 16 if half_line else 0, [0, 9, 24]
+    rows = _blocked_batch(W, n, half_line)
+    fwd, rev = [r for r in rows if not r[0]], [r for r in rows if r[0]]
+    singles = [run_kernel(law.reversed() if dual else law, B, [x], n, window=W, keep=steps, keep_green=green,
+                          entrance_depth=depth) for dual, B, x, steps in rows]
+    lanes_used, run_lanes, stepper = [], killed_walk.run_lanes, killed_walk._fft_stepper
+    monkeypatch.setattr(killed_walk, "run_lanes", lambda parts: lanes_used.append(len(parts)) or run_lanes(parts))
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "_cpus", lambda cpus=cpus: cpus)
+        stepped = []
+
+        def counting(law, W):
+            step, esc_p, esc_m = stepper(law, W)
+            return (lambda states: stepped.append(len(states)) or step(states)), esc_p, esc_m
+
+        monkeypatch.setattr(killed_walk, "_fft_stepper", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6 if cpus == 2 else interval)
+        try:
+            both = run_kernel(law, [r[1] for r in rows], [r[2] for r in fwd], n, window=W, keep=[r[3] for r in rows],
+                              entrance_depth=depth, dual_starts=[r[2] for r in rev], keep_green=green)
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(stepped) == _BLOCK_ROWS, cpus
+        assert both.starts == [r[2] for r in rows]
+        for i, ((_, _, _, steps), single) in enumerate(zip(rows, singles)):
+            kept = both.kept(i)
+            assert sorted(kept) == sorted(set(steps)), (cpus, i)
+            for m in kept:
+                assert np.array_equal(kept[m], single.values[m][0]), (cpus, i, m)
+            for m in green:
+                assert np.array_equal(both.green[m][i], single.green[m][0]), (cpus, i, m)
+            for key in _TABLE_ARRAYS:
+                assert np.array_equal(getattr(both, key)[i], getattr(single, key)[0]), (cpus, i, key)
+    assert lanes_used == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -535,6 +631,32 @@ def test_fourier_oracle_memory_is_blocked(sym15):
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+def test_wide_batch_memory_is_blocked(bp15, monkeypatch):
+    """A whole-window batch steps in blocks of _BLOCK_ROWS rows, so its working memory does not grow with its rows.
+
+    oracle_bp15's batch: 1025 {0}-killed starts at W = 512 to n = 16, kept
+    at n, on two lanes.  The kept table alone is 8.4 MB, and each lane's
+    block holds its state buffer, spectrum and inverse transform, 0.8 MB
+    each: the call peaks near 14.3 MB.  Stepped as two 512-row halves, it
+    peaked at 48.8 MB.
+    """
+    import tracemalloc
+
+    from stablewalk import killed_walk, lanes
+
+    lanes_used, run_lanes = [], killed_walk.run_lanes
+    monkeypatch.setattr(killed_walk, "run_lanes", lambda parts: lanes_used.append(len(parts)) or run_lanes(parts))
+    monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+    tracemalloc.start()
+    try:
+        tab = run_kernel(bp15, {0}, range(-512, 513), 16, window=512, keep=[16])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lanes_used == [2] and tab.values[16].shape == (1025, 1025)
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("name", ["sym15", "sp15", "bp15", "asym15", "lc15"])
