@@ -67,6 +67,7 @@ from .errors import (
     InfiniteCPlus,
     RegimeViolation,
     StableWalkError,
+    WindowTooSmall,
 )
 from .killed_walk import (
     HALF_LE_0,
@@ -162,6 +163,9 @@ class DPSlice(NamedTuple):
     escaped: float
 
     def at(self, y: int) -> float:
+        """p^m_B(x, y); a site outside [-W, W] raises WindowTooSmall, where the index would wrap to the other edge."""
+        if abs(y) > self.window:
+            raise WindowTooSmall(f"site {y} outside window {self.window}")
         return float(self.slice[y + self.window])
 
 

@@ -22,12 +22,11 @@ that leaves the window goes to the escaped ledger, so
     in-window + killed + escaped = 1
 
 holds to float accumulation error at every step.  A step records only what
-it alone can read, into arrays allocated once per unit of rows: the alive
-mass before it, the stepper's below and above masses, and the mass on the
-killed live sites.  The kill and escaped ledgers are formed from these
-once, after the unit's last step, with whole-array arithmetic in the
-per-step order of operations, so they are bit for bit the ledgers formed
-step by step.
+it alone can read, into a unit's local arrays: the alive mass before it,
+the stepper's below and above masses, and the mass on the killed live
+sites.  The kill and escaped ledgers are formed from these once, after the
+unit's last step, with whole-array arithmetic in the per-step order of
+operations, so they are bit for bit the ledgers formed step by step.
 
 A run records its Green sums, the states of steps 0..n summed before each
 kill, at the steps keep_green names, and its values at the steps keep names,
@@ -61,17 +60,17 @@ SIMD pairs, so a lone row costs more per row than a pair, and _BLOCK_ROWS
 is even), and the units go to the lighter lane, largest FFT work (rows x
 L) first.  Both lanes are used only when lanes.two_lanes passes each
 lane's summed FFT points per step (more than one CPU, and each lane at the
-floor); otherwise the same loop steps one lane.  A lane steps its units
-one after another, each through all its steps: a unit allocates its
-zero-padded state buffer, Green sums and raw-read arrays when its turn
-starts, and forms its ledgers and drops them, with its stepper, when its
-turn ends.  So a call's working memory is that of at most two blocks, not
-of its whole batch: oracle_bp15's 1025-row batch at W = 512 peaks at
-14.3 MB under tracemalloc, 8.4 MB of it the kept table, where two 512-row
-halves peaked at 48.8 MB.  Every unit has its own stepper, built on the
-calling thread, and the lanes fill the one KernelTable's arrays, each at
-its own rows.  The Fourier oracle splits its tau blocks over the same two
-lanes.
+floor); otherwise the same loop steps one lane.  Each unit is one _unit
+generator, which yields once per step, and a lane chains its units, each
+through all its steps.  A unit's state buffer (a _state_buffer), Green
+sums and raw-read arrays are locals of its generator, made when its turn
+starts and freed when it ends, so a call's working memory is that of at
+most two blocks, not of its whole batch: oracle_bp15's 1025-row batch at
+W = 512 peaks at 14.3 MB under tracemalloc, 8.4 MB of it the kept table,
+where two 512-row halves peaked at 48.8 MB.  Every unit has its own
+stepper, built on the calling thread, and the lanes fill the one
+KernelTable's arrays, each at its own rows.  The Fourier oracle splits its
+tau blocks over the same two lanes, by lanes.alternate.
 """
 from __future__ import annotations
 
@@ -84,7 +83,7 @@ import scipy.fft as sfft
 from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
-from .lanes import run_lanes, two_lanes
+from .lanes import alternate, run_lanes, two_lanes
 from .output import csv_text
 from .special import gk_panels, omexp
 from .walk_model import WalkLaw
@@ -179,16 +178,9 @@ def _fft_length(S: int, W: int) -> int:
     return sfft.next_fast_len(S + W, real=True)
 
 
-def _padded(states: np.ndarray, nfft: int) -> np.ndarray:
-    """states as the first columns of a zero-padded (rows, nfft) buffer: states itself if it is one, else a copy."""
-    rows, S = states.shape
-    buf = states.base
-    if (isinstance(buf, np.ndarray) and buf.shape == (rows, nfft) and buf.strides == states.strides
-            and buf.ctypes.data == states.ctypes.data):
-        return states
-    buf = np.zeros((rows, nfft))
-    buf[:, :S] = states
-    return buf[:, :S]
+def _state_buffer(rows: int, S: int, W: int) -> np.ndarray:
+    """Zeros as the first S columns of a (rows, _fft_length(S, W)) buffer: the states a step on S sites of [-W, W] takes."""
+    return np.zeros((rows, _fft_length(S, W)))[:, :S]
 
 
 def _fft_stepper(law, W: int):
@@ -198,13 +190,12 @@ def _fft_stepper(law, W: int):
     window, [W - S + 1, W], to (states on those sites one step later, mass
     pushed below them, mass pushed above the window) for jumps |X| <= W.
     Its circular FFT has length L = _fft_length(S, W), whose wrap-around
-    misses the kept sites; S = 2W + 1 is the whole window.  The states live
-    in a zero-padded (n_rows, L) buffer, as the first S columns: rfft reads
-    that buffer as it is, with no padded copy per step, and the step writes
-    its result back there and returns that same view; run_kernel's units
-    start in such buffers.  A batch that is not such a view is copied into a
-    new buffer, which is the padding rfft would do, so the bits are the same
-    either way.
+    misses the kept sites; S = 2W + 1 is the whole window.  The states are
+    the first S columns of a zero-padded (n_rows, L) buffer, as
+    _state_buffer lays them out: rfft reads that buffer as it is, with no
+    padded copy per step, and the step writes its result back there and
+    returns that same view.  Any other states raise ValueError, checked
+    where the spectrum for S is first built, so later steps pay nothing.
 
     The per-step rfft and irfft are pocketfft's r2c and c2r, the calls that
     sfft.rfft(buf, axis=1) and sfft.irfft(spec, L, axis=1) end in, made
@@ -237,16 +228,16 @@ def _fft_stepper(law, W: int):
     w_below = np.concatenate([np.cumsum(p[..., :W], axis=-1)[..., ::-1], zeros], axis=-1)
     w_above = np.concatenate([zeros, np.cumsum(p[..., ::-1][..., :W], axis=-1)], axis=-1)
     spectra = {}  # S -> (FFT length, rfft of p, the dot weights on S sites)
-    returned = {}  # S -> the view step last returned, whose buffer it may reuse unchecked
 
     def step(states: np.ndarray):
-        S = states.shape[1]
+        rows, S = states.shape
         if S not in spectra:
-            nfft = _fft_length(S, W)
+            nfft, buf = _fft_length(S, W), states.base
+            if not (isinstance(buf, np.ndarray) and buf.shape == (rows, nfft) and buf.strides == states.strides
+                    and buf.ctypes.data == states.ctypes.data):
+                raise ValueError(f"states are not the first {S} columns of a ({rows}, {nfft}) buffer: see _state_buffer")
             spectra[S] = nfft, sfft.rfft(p, nfft), w_below[..., :S], w_above[..., -S:]
         nfft, pf, wb, wa = spectra[S]
-        if states is not returned.get(S):
-            states = returned[S] = _padded(states, nfft)
         # one dot per row, as states @ w for one row: no ledger depends on the batch
         below, above = np.vecdot(states, wb), np.vecdot(states, wa)
         # sfft.rfft(buf, axis=1) and sfft.irfft(spec, nfft, axis=1): forward
@@ -264,112 +255,84 @@ def _is_per_row(arg) -> bool:
     return isinstance(arg, list) and any(not isinstance(a, (int, np.integer)) for a in arg)
 
 
-class _Rows:
-    """Rows of one run_kernel call stepped together: one killing kind, live sites [lo, W], one stepper.
+def _unit(rows: list, lo: int, stepper: tuple, killing: list, starts: list, table: KernelTable):
+    """Step rows of one killing kind, live sites [lo, W], through steps 0..n_max in one turn, one item per step.
 
-    It writes what it records into the table's preallocated arrays at its
-    own rows, so two lanes never write the same element.  Its rows step in
-    one turn, steps 0..n_max one after another: advance(0) allocates their
-    zero-padded state buffer, Green sums and raw-read arrays, and ledgers()
-    ends the turn, forms their ledgers into the table and drops all of these
-    and the stepper.  Outside its turn a unit holds only its kill indices,
-    its kept rows' places and, before the turn, its stepper, so a lane holds
-    the working arrays of one unit at a time.
+    stepper is their (step, esc_p, esc_m).  The turn's working arrays are
+    locals, made when it starts and freed when it ends: the _state_buffer,
+    the Green sums and each step's raw reads (the alive mass before it, the
+    below and above masses, the mass on the killed live sites).  Each step
+    writes its kept values and Green sums into the table at these rows only,
+    so two lanes never write the same element.  After the last step the
+    rows' step_killed and escaped are formed from the raw reads: a half-line
+    row also kills the mass pushed below its live sites, by overflow or by a
+    jump past the window, which lands in B; any other mass that leaves the
+    window escapes.  Each sum adds in the order of a per-step update and the
+    cumulative sum in step order, so every ledger is bit for bit the one a
+    step-by-step loop forms.
     """
+    W, n_max = table.window, table.n_max
+    step, esc_p, esc_m = stepper
+    half_le = killing[rows[0]][0] == "le"
+    # (local rows, index of their killed live sites) per killing set; no live site
+    # is killed when b lies below the window, nor by the empty set
+    if half_le:
+        kills = [(slice(None), (slice(None), slice(0, max(killing[rows[0]][1] - lo + 1, 0))))]
+    else:
+        by_set = {}
+        for j, i in enumerate(rows):
+            by_set.setdefault(killing[i][1], []).append(j)
+        kills = []
+        for sites, local in by_set.items():
+            cols = [z - lo for z in sites if abs(z) <= W]
+            if cols:
+                local = slice(None) if len(local) == len(rows) else np.array(local)
+                # adjacent sites as a slice, a view where an index array would copy
+                if cols[-1] - cols[0] == len(cols) - 1:
+                    index = (local, slice(cols[0], cols[-1] + 1))
+                else:
+                    index = (local if isinstance(local, slice) else local[:, None], np.array(cols, dtype=np.int64))
+                kills.append((local, index))
+    # {n: (local rows kept at n, their places in values[n])}, read once per place map,
+    # which the steps keeping the same rows share
+    by_map, places = {}, {}
+    for n, at in table.rows_at.items():
+        if id(at) not in by_map:
+            pairs = [(j, at[i]) for j, i in enumerate(rows) if i in at]
+            by_map[id(at)] = tuple(np.array(v, dtype=np.int64) for v in zip(*pairs)) if pairs else None
+        if by_map[id(at)] is not None:
+            places[n] = by_map[id(at)]
 
-    def __init__(self, rows: list, lo: int, law, killing: list, starts: list, table: KernelTable):
-        W = table.window
-        self.rows, self.lo, self.table = np.array(rows, dtype=np.int64), lo, table
-        self.starts = np.array([starts[i] for i in rows], dtype=np.int64) - lo  # start columns among the live sites
-        self.half_le = killing[rows[0]][0] == "le"
-        self.step, self.esc_p, self.esc_m = _fft_stepper(law, W)
-        # (local rows, index of their killed live sites) per killing set; no live site
-        # is killed when b lies below the window, nor by the empty set
-        if self.half_le:
-            self.kills = [(slice(None), (slice(None), slice(0, max(killing[rows[0]][1] - lo + 1, 0))))]
-        else:
-            by_set = {}
-            for j, i in enumerate(rows):
-                by_set.setdefault(killing[i][1], []).append(j)
-            self.kills = []
-            for sites, local in by_set.items():
-                cols = [z - lo for z in sites if abs(z) <= W]
-                if cols:
-                    local = slice(None) if len(local) == len(rows) else np.array(local)
-                    # adjacent sites as a slice, a view where an index array would copy
-                    if cols[-1] - cols[0] == len(cols) - 1:
-                        index = (local, slice(cols[0], cols[-1] + 1))
-                    else:
-                        index = (local if isinstance(local, slice) else local[:, None], np.array(cols, dtype=np.int64))
-                    self.kills.append((local, index))
-        # {n: (local rows kept at n, their places in values[n])}, read once per place map,
-        # which the steps keeping the same rows share
-        by_map, self.places = {}, {}
-        for n, at in table.rows_at.items():
-            if id(at) not in by_map:
-                pairs = [(j, at[i]) for j, i in enumerate(rows) if i in at]
-                by_map[id(at)] = tuple(np.array(v, dtype=np.int64) for v in zip(*pairs)) if pairs else None
-            if by_map[id(at)] is not None:
-                self.places[n] = by_map[id(at)]
-
-    def record(self, n: int) -> None:
-        """Write step n's values of the rows kept there, and its Green sums if kept, into the table."""
-        off = self.lo + self.table.window
-        if n in self.places:
-            local, dest = self.places[n]
-            self.table.values[n][dest, off:] = self.states[local]
-        if n in self.table.green:
-            self.table.green[n][self.rows, off:] = self.green
-
-    def advance(self, n: int) -> None:
-        """Step n, recorded into the table; the alive mass, below, above and killed mass go to row n.
-
-        Step 0 starts the turn: each row's unit mass at its start, as the
-        first S columns of a new zero-padded buffer that the stepper
-        transforms whole, its Green sums and (n_max + 1, rows) arrays for the
-        raw reads.  Step n >= 1 is one stepper call, then the kills.
-        """
-        if n == 0:
-            W, rows = self.table.window, len(self.rows)
-            S = W - self.lo + 1
-            self.states = np.zeros((rows, _fft_length(S, W)))[:, :S]
-            self.states[np.arange(rows), self.starts] = 1.0
-            self.green = self.states.copy() if self.table.green else None
-            # step m's raw reads at [m]; step 0 reads nothing, so its ledgers are 0
-            self.alive, self.below, self.above, self.sites = np.zeros((4, self.table.n_max + 1, rows))
-        else:
-            self.states.sum(axis=1, out=self.alive[n])
-            states, self.below[n], self.above[n] = self.step(self.states)
-            self.states = states
-            if self.green is not None:
-                self.green += states  # before the kill: the killed live sites keep what entered them
-            sites = self.sites[n]
-            for local, index in self.kills:
-                sites[local] = states[index].sum(axis=1)
+    rows, off = np.array(rows, dtype=np.int64), lo + W
+    states = _state_buffer(len(rows), W - lo + 1, W)
+    states[np.arange(len(rows)), np.array([starts[i] for i in rows], dtype=np.int64) - lo] = 1.0
+    green = states.copy() if table.green else None
+    # step m's raw reads at [m]; step 0 reads nothing, so its ledgers are 0
+    alive, below, above, killed = np.zeros((4, n_max + 1, len(rows)))
+    for n in range(n_max + 1):
+        if n:
+            states.sum(axis=1, out=alive[n])
+            states, below[n], above[n] = step(states)
+            if green is not None:
+                green += states  # before the kill: the killed live sites keep what entered them
+            for local, index in kills:
+                killed[n][local] = states[index].sum(axis=1)
                 states[index] = 0.0
-        self.record(n)
-
-    def ledgers(self) -> None:
-        """End the turn: form the rows' step_killed and escaped from the raw reads of every step, into the table.
-
-        A half-line row also kills the mass pushed below its live sites, by
-        overflow or by a jump past the window, which lands in B; any other
-        mass that leaves the window escapes.  Each sum adds in the order of
-        a per-step update, and the cumulative sum adds escaped[n - 1] +
-        increment in step order, so every ledger is bit for bit the one a
-        step-by-step loop forms.  Then the state buffer, Green sums, raw
-        reads and stepper (with the buffer it keeps) are dropped.
-        """
-        jump_up, jump_dn = self.alive * self.esc_p, self.alive * self.esc_m
-        if self.half_le:
-            kill = self.sites + self.below + jump_dn
-            gone = self.above + jump_up
-        else:
-            kill = self.sites
-            gone = self.below + self.above + jump_up + jump_dn
-        self.table.step_killed[self.rows] = kill.T
-        self.table.escaped[self.rows] = np.cumsum(gone, axis=0).T
-        self.states = self.green = self.step = self.alive = self.below = self.above = self.sites = None
+        if n in places:
+            local, dest = places[n]
+            table.values[n][dest, off:] = states[local]
+        if n in table.green:
+            table.green[n][rows, off:] = green
+        yield
+    jump_up, jump_dn = alive * esc_p, alive * esc_m
+    if half_le:
+        kill = killed + below + jump_dn
+        gone = above + jump_up
+    else:
+        kill = killed
+        gone = below + above + jump_up + jump_dn
+    table.step_killed[rows] = kill.T
+    table.escaped[rows] = np.cumsum(gone, axis=0).T
 
 
 def _groups(killing: list, starts: list, W: int, entrance_depth: int) -> list:
@@ -418,20 +381,6 @@ def _lanes(groups: list, W: int) -> list:
     return list(lanes) if two_lanes(loads) else [one_lane]
 
 
-def _steps(lane: list, n_max: int):
-    """Step a lane's _Rows one after another, each through steps 0..n_max in its own turn, one item per step.
-
-    Unit-major: a unit allocates its working arrays at step 0 and drops
-    them when ledgers() ends its turn, so a lane's working memory is that
-    of its largest unit, whatever the batch's row count.
-    """
-    for rows in lane:
-        for n in range(n_max + 1):
-            rows.advance(n)
-            yield
-        rows.ledgers()
-
-
 def run_kernel(
     law: WalkLaw,
     B,
@@ -475,6 +424,8 @@ def run_kernel(
     if entrance_depth and any(b[0] != "le" for b in row_sets):
         raise ValueError("entrance_depth needs half-line killing")
     if _is_per_row(keep):
+        if len(keep) != ns:
+            raise ValueError("a keep list per row needs one for each of the rows")
         kept = [set(k) for k in keep]
         rows_at = {n: tuple(i for i in range(ns) if n in kept[i]) for n in sorted(set().union(*kept))}
     else:
@@ -488,11 +439,12 @@ def run_kernel(
                         step_killed=np.zeros((ns, n_max + 1)), escaped=np.zeros((ns, n_max + 1)))
 
     laws = [law] * (ns - len(dual_starts)) + ([law.reversed()] * len(dual_starts) if dual_starts else [])
-    # each unit steps under its rows' one law, or one law per row
-    lanes = [[_Rows(rows, lo, laws[rows[0]] if all(laws[i] is laws[rows[0]] for i in rows) else [laws[i] for i in rows],
-                    row_sets, starts, table) for rows, lo in lane]
+    # each unit steps under its rows' one law, or one law per row, with a stepper built on this thread
+    lanes = [[_unit(rows, lo, _fft_stepper(laws[rows[0]] if all(laws[i] is laws[rows[0]] for i in rows)
+                                           else [laws[i] for i in rows], W), row_sets, starts, table)
+              for rows, lo in lane]
              for lane in _lanes(_groups(row_sets, starts, W, entrance_depth), W)]
-    run_lanes([_steps(lane, n_max) for lane in lanes])
+    run_lanes([(item for unit in lane for item in unit) for lane in lanes])
     if escape_budget is not None and table.escaped[:, n_max].max() > escape_budget:
         raise WindowTooSmall(
             f"escaped mass {table.escaped[:, n_max].max():.3e} above budget {escape_budget:.1e} at W={W}"
@@ -542,8 +494,8 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     each block's 1/D in place in its one (_TAU_ROWS, theta nodes) buffer.
     Each block writes its own rows of pi_y, so the blocks run on two lanes,
     lane k taking blocks k, k + 2, ..., when lanes.two_lanes passes each
-    lane's smallest block (its tau x theta cells).  Every value is bit for
-    bit that of one lane.
+    lane's smallest block (its tau x theta cells; lanes.alternate).  Every
+    value is bit for bit that of one lane.
     """
     xs = [int(x) for x in xs]
     if n < 1:
@@ -582,10 +534,7 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
             pi[rows] = (terms[0] + terms[1]) / (2.0 * math.pi)
             yield
 
-    # lane k takes blocks k, k + 2, ...; a lane's load is its smallest block's tau x theta cells
-    split = [blocks[k::2] for k in range(2)]
-    cells = [min((b.stop - b.start for b in part), default=0) * len(th) for part in split]
-    run_lanes([lane(part) for part in split] if two_lanes(cells) else [lane(blocks)])
+    run_lanes([lane(part) for part in alternate(blocks, lambda b: (b.stop - b.start) * len(th))])
 
     pi0 = pi[:, 0]
     cos_n = np.cos(n * tau)

@@ -8,7 +8,8 @@ GIL, so two lanes overlap on two CPUs.  A caller asks two_lanes first, with
 the elements each lane would carry per step, and otherwise runs all its work
 as one part, in the same loop.  run_kernel steps its row groups this way,
 the Monte Carlo estimators their streams, and the Fourier oracle its tau
-blocks; each keeps every number bit for bit as on one lane.
+blocks, the last two dealt round-robin by alternate; each keeps every number
+bit for bit as on one lane.
 """
 from __future__ import annotations
 
@@ -30,6 +31,12 @@ def two_lanes(loads) -> bool:
     _LANE_FLOOR: below it the threads lose more to the GIL than they gain.
     """
     return _cpus() > 1 and min(loads) >= _LANE_FLOOR
+
+
+def alternate(parts, load) -> list:
+    """Parts k, k + 2, ... as lane k when two_lanes passes each lane's smallest part by load(part), else all parts as one lane."""
+    split = [parts[k::2] for k in range(2)]
+    return split if two_lanes([min(map(load, lane), default=0) for lane in split]) else [parts]
 
 
 def run_lanes(lanes: list) -> None:

@@ -20,9 +20,10 @@ from its SimConfig.
 
 Each stream draws only from its own generator, so the streams split over
 two lanes (lanes.run_lanes) and draw the same paths: lane k steps streams
-k, k + 2, ..., when lanes.two_lanes passes each lane's smallest stream, and
-otherwise one lane steps them all in order.  Each lane counts its own paths
-and the estimator adds the counts, which is exact, so every estimate is bit
+k, k + 2, ..., when lanes.two_lanes passes each lane's smallest stream (its
+trials, the live paths at its first step), and otherwise one lane steps them
+all in order (lanes.alternate).  Each lane counts its own paths and the
+estimator adds the counts, which is exact, so every estimate is bit
 for bit that of one lane.  The estimators accept only steps in
 1..SimConfig.n_horizon.
 """
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningTooRare
-from .lanes import run_lanes, two_lanes
+from .lanes import alternate, run_lanes
 from .walk_model import WalkLaw
 
 _CORE = 4096  # the alias table covers [-_CORE, _CORE]; beyond it the tails are inverted
@@ -155,18 +156,6 @@ def _chunks(cfg: SimConfig, streams):
             yield rng, min(_CHUNK, trials - done)
 
 
-def _stream_lanes(cfg: SimConfig) -> list:
-    """The streams of each lane: streams k, k + 2, ... on lane k when two lanes pay, else every stream on one.
-
-    A lane's load is the live paths at the first step of its smallest
-    stream, the fewest it steps at once before any path hits.
-    """
-    split = [range(k, _STREAMS, 2) for k in range(2)]
-    if two_lanes([min((_stream_trials(cfg, s) for s in part), default=0) for part in split]):
-        return split
-    return [range(_STREAMS)]
-
-
 def _horizon_steps(steps, cfg: SimConfig) -> list:
     """The steps, sorted, each checked to lie in 1..cfg.n_horizon."""
     steps = sorted(int(n) for n in steps)
@@ -186,7 +175,7 @@ def estimate_first_passage(law: WalkLaw, x: int, n_grid, cfg: SimConfig) -> dict
     n_grid = _horizon_steps(n_grid, cfg)
     horizon = max(n_grid)
     sampler = _sampler(law)
-    parts = _stream_lanes(cfg)
+    parts = alternate(range(_STREAMS), lambda stream: _stream_trials(cfg, stream))
     counts = np.zeros((len(parts), 2, horizon + 1))  # per lane: paths hit at step n, alive after it
 
     def lane(streams, hit_at, alive_at):
@@ -220,7 +209,7 @@ def estimate_conditional_escape(law: WalkLaw, x: int, y: int, n: int, R: float, 
         raise ValueError("need x > 0 > y")
     n = _horizon_steps([n], cfg)[0]
     sampler = _sampler(law)
-    parts = _stream_lanes(cfg)
+    parts = alternate(range(_STREAMS), lambda stream: _stream_trials(cfg, stream))
     counts = np.zeros((len(parts), 2), dtype=np.int64)  # per lane: accepted paths, deep ones
 
     def lane(streams, tally):

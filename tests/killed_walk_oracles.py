@@ -29,6 +29,7 @@ from stablewalk.killed_walk import (
     _is_per_row,
     _ladder_pmf,
     _ladder_tables,
+    _state_buffer,
     default_window,
     normalize_killing,
     run_kernel,
@@ -36,9 +37,9 @@ from stablewalk.killed_walk import (
 
 
 def _start(starts, n_max: int, W: int):
-    """Unit states at the starts on [-W, W], and the arrays of a run kept at every step."""
+    """Unit states at the starts on [-W, W], in a _state_buffer, and the arrays of a run kept at every step."""
     ns = len(starts)
-    state = np.zeros((ns, 2 * W + 1))
+    state = _state_buffer(ns, 2 * W + 1, W)
     state[np.arange(ns), np.array(starts) + W] = 1.0
     return state, {"values": [state.copy()], "green": [state.copy()], "step_killed": np.zeros((ns, n_max + 1)),
                    "escaped": np.zeros((ns, n_max + 1))}
@@ -121,7 +122,7 @@ def stepwise_ledgers(law, B, starts, n_max: int, W: int, entrance_depth: int = 0
         lo = max(-W, min(b - entrance_depth, x)) if half else -W
         sites = np.arange(lo, W + 1)
         killed = sites <= b if half else np.isin(sites, b)
-        states = np.zeros((1, W - lo + 1))
+        states = _state_buffer(1, W - lo + 1, W)
         states[0, x - lo] = 1.0
         full = np.zeros((1, 2 * W + 1))
         full[:, lo + W :] = states

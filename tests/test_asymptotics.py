@@ -283,6 +283,18 @@ def test_dp_slice_recomputes_malformed_artifact(sym15, monkeypatch, tmp_path, fl
     assert np.array_equal(again.f, got.f)
 
 
+def test_dp_slice_reads_only_its_window():
+    """DPSlice.at(y) reads site y for |y| <= W and raises WindowTooSmall beyond, where the index would wrap."""
+    from stablewalk.asymptotics import DPSlice
+    from stablewalk.errors import WindowTooSmall
+
+    dp = DPSlice(np.arange(5.0), 2, np.zeros(1), 0.0)
+    assert [dp.at(y) for y in range(-2, 3)] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    for y in (-3, 3, -7):
+        with pytest.raises(WindowTooSmall, match=f"site {y} outside window 2"):
+            dp.at(y)
+
+
 @pytest.mark.parametrize("name", ["asym15", "sp15", "bp15"])
 def test_dual_slice_is_the_forward_kill_ledger(name):
     """f^x_W(n) at site x of the reversed law's run from 0 is the forward {0}-killed ledger from x."""

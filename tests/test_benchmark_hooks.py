@@ -159,7 +159,7 @@ def test_fft_stepper_keeps_the_call_shape_the_tracer_wraps(sym15):
     The live sites are read from states.shape[1], so one argument serves the
     whole window and the half window of a half-line run.
     """
-    from stablewalk.killed_walk import _fft_stepper
+    from stablewalk.killed_walk import _fft_stepper, _state_buffer
 
     W = 64
     inspect.signature(_fft_stepper).bind(sym15, W)
@@ -167,7 +167,7 @@ def test_fft_stepper_keeps_the_call_shape_the_tracer_wraps(sym15):
     assert isinstance(esc_p, float) and isinstance(esc_m, float)
     assert len(inspect.signature(step).parameters) == 1
     for S in (2 * W + 1, W + 1):
-        states = np.zeros((2, S))
+        states = _state_buffer(2, S, W)
         states[:, -1] = 1.0
         inside, below, above = step(states)
         assert inside.shape == (2, S) and below.shape == (2,) and above.shape == (2,)

@@ -15,6 +15,7 @@ from stablewalk.killed_walk import (
     HALF_LE_0,
     _fft_length,
     _fft_stepper,
+    _state_buffer,
     default_window,
     first_passage,
     fourier_first_passage_batch,
@@ -46,10 +47,11 @@ def test_stepper_matches_linear_convolution(asym15, W):
     step, _, _ = _fft_stepper(asym15, W)
     p = asym15.pmf_window(W)
     rng = np.random.default_rng(W)
-    states = rng.random((4, 2 * W + 1))
+    states = _state_buffer(4, 2 * W + 1, W)
+    states[:] = rng.random((4, 2 * W + 1))
     states /= states.sum(axis=1, keepdims=True)
-    inside, below, above = step(states)
     full = np.array([np.convolve(s, p) for s in states])
+    inside, below, above = step(states)
     assert np.abs(inside - full[:, W : 3 * W + 1]).max() <= 1e-13 * np.abs(full).max()
     assert np.abs(below - full[:, :W].sum(axis=1)).max() <= 1e-14
     assert np.abs(above - full[:, 3 * W + 1 :].sum(axis=1)).max() <= 1e-14
@@ -62,10 +64,11 @@ def test_stepper_on_the_last_sites_matches_linear_convolution(asym15, S_minus_W)
     step, _, _ = _fft_stepper(asym15, W)
     p = asym15.pmf_window(W)
     rng = np.random.default_rng(S)
-    states = rng.random((3, S))
+    states = _state_buffer(3, S, W)
+    states[:] = rng.random((3, S))
     states /= states.sum(axis=1, keepdims=True)
-    inside, below, above = step(states)
     full = np.array([np.convolve(s, p) for s in states])  # index k <-> site k + 1 - S
+    inside, below, above = step(states)
     assert inside.shape == states.shape
     assert np.abs(inside - full[:, W : W + S]).max() <= 1e-13 * np.abs(full).max()
     assert np.abs(below - full[:, :W].sum(axis=1)).max() <= 1e-14
@@ -93,10 +96,10 @@ def test_direct_transforms_match_scipy_fft(W, per_row):
 
     For 1, 2, 3, 4 and 8 rows, on the whole window and on a half-line row's
     live sites [0, W] (over _DIRECT_W the FFT lengths are even and odd), with
-    one law or a law per row, and with the state given as the first columns
-    of a zero-padded buffer or as a plain array; each is stepped twice, the
-    second time from the view step returned.  A SciPy release that changes
-    the binding's signature or normalisation fails here.
+    one law or a law per row, the state given as the first columns of a
+    _state_buffer; each is stepped twice, the second time from the view step
+    returned.  A SciPy release that changes the binding's signature or
+    normalisation fails here.
     """
     assert {_fft_length(S, w) % 2 for w in _DIRECT_W for S in (2 * w + 1, w + 1)} == {0, 1}
     names = ("sym15", "sp15", "asym15", "bp15")
@@ -107,14 +110,34 @@ def test_direct_transforms_match_scipy_fft(W, per_row):
             rng = np.random.default_rng([W, rows, S])
             states = rng.random((rows, S))
             states /= states.sum(axis=1, keepdims=True)
-            buf = np.zeros((rows, _fft_length(S, W)))
-            buf[:, :S] = states
-            for given in (buf[:, :S], states.copy()):
-                step, want = _fft_stepper(law, W)[0], states
-                for k in range(2):
-                    want = _scipy_fft_step(p, want, W)
-                    given = step(given)[0]
-                    assert np.array_equal(given, want), (rows, S, k)
+            given = _state_buffer(rows, S, W)
+            given[:] = states
+            step, want = _fft_stepper(law, W)[0], states
+            for k in range(2):
+                want = _scipy_fft_step(p, want, W)
+                given = step(given)[0]
+                assert np.array_equal(given, want), (rows, S, k)
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["one_law", "per_row_laws"])
+def test_step_refuses_states_outside_a_state_buffer(sym15, sp15, per_row):
+    """step takes its states as the first S columns of a (rows, L) buffer, as _state_buffer lays them out.
+
+    A plain array, a buffer of another length or a view that does not
+    start at the buffer's first column raises ValueError where the spectrum
+    for S is built, and a state buffer steps.
+    """
+    W, rows = 64, 2
+    law = [sym15, sp15] if per_row else sym15
+    for S in (2 * W + 1, W + 1):
+        L = _fft_length(S, W)
+        offset = np.zeros((rows, L))[:, 1 : S + 1]
+        for states in (np.zeros((rows, S)), np.zeros((rows, L + 1))[:, :S], offset, _state_buffer(rows + 1, S, W)[1:]):
+            with pytest.raises(ValueError, match="_state_buffer"):
+                _fft_stepper(law, W)[0](states)
+        states = _state_buffer(rows, S, W)
+        states[:, -1] = 1.0
+        assert _fft_stepper(law, W)[0](states)[0] is states
 
 
 _ORACLE_W, _ORACLE_N = 40, 60
@@ -264,6 +287,17 @@ def test_mixed_batch_rows_match_single_runs(name):
         for key in _TABLE_ARRAYS:
             assert np.array_equal(getattr(both, key)[i], getattr(single, key)[0]), (i, key)
     assert both.killed[2, n] == 0.0 and both.killed[0, n] > 0.0
+
+
+@pytest.mark.parametrize("keep", [[[4]], [[4], [4], [2]]], ids=["short", "long"])
+def test_a_keep_list_per_row_needs_one_for_each_row(sym15, keep):
+    """A per-row keep of the wrong length raises as a per-row B of the wrong length does, not IndexError or a silent drop."""
+    with pytest.raises(ValueError, match="a killing set per row needs one for each of the rows"):
+        run_kernel(sym15, [[0]] * len(keep), [1, 2], 4, window=64)
+    with pytest.raises(ValueError, match="a keep list per row needs one for each of the rows"):
+        run_kernel(sym15, [0], [1, 2], 4, window=64, keep=keep)
+    tab = run_kernel(sym15, [0], [1, 2], 4, window=64, keep=[[4], [2, 4]])
+    assert sorted(tab.values) == [2, 4] and list(tab.rows_at[2]) == [1]
 
 
 def test_readers_pair_rows_kept_at_different_steps(sym15):
