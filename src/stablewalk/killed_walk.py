@@ -85,7 +85,7 @@ from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 from .errors import ResolutionTooCoarse, TruncationTooCoarse, WindowTooSmall
 from .lanes import alternate, run_lanes, two_lanes
 from .output import csv_text
-from .special import gk_panels, omexp
+from .special import gk_panels, omexp, panel_breaks
 from .walk_model import WalkLaw
 
 # Part of every artifact-cache key: bump it whenever the DP's round-off moves.
@@ -475,15 +475,6 @@ def first_passage(
 # ---------------------------------------------------------------------------
 
 
-def _theta_nodes_for_pi(law: WalkLaw, tau_min: float):
-    """Geometric panels on (0, pi] resolving the 1/(|tau| + theta^alpha) peak."""
-    t0 = max(min(tau_min ** (1.0 / law.spec.alpha) / 8.0, 0.05), 1e-7)
-    n_up = int(math.ceil(math.log2(math.pi / t0))) + 1
-    brk = np.unique(np.concatenate([[0.0], t0 * 2.0 ** np.arange(0, n_up), [math.pi]]))
-    nodes, w, _, _ = gk_panels(brk[brk <= math.pi])
-    return nodes, w
-
-
 def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
     """f^x(n) for several x at one n.
 
@@ -502,11 +493,12 @@ def fourier_first_passage_batch(law: WalkLaw, xs, n: int) -> np.ndarray:
         raise ValueError("n >= 1")
     # outer tau panels: pi/n length, with geometric refinement against the
     # |tau|^{1-1/alpha} cusp of 1/pi_0 at the origin
-    cusp = math.pi / max(n, 1) * 2.0 ** -np.arange(1, 34, dtype=float)
-    brk = np.unique(np.concatenate([np.linspace(0.0, math.pi, max(2, n + 1)), cusp]))
-    tau, wtau, _, _ = gk_panels(brk)
-
-    th, wth = _theta_nodes_for_pi(law, tau.min())
+    tau, wtau, _, _ = gk_panels(panel_breaks(math.pi, n + 1, 33, math.pi / n))
+    # inner theta panels: t0, 2 t0, ... up to pi, resolving the 1/(|tau| + theta^alpha) peak;
+    # m counts the breaks t0 2^k <= pi exactly (t0 >= 1e-7 ends the count by k = 25)
+    t0 = max(min(tau.min() ** (1.0 / law.spec.alpha) / 8.0, 0.05), 1e-7)
+    m = next(k for k in range(64) if t0 * 2.0 ** k > math.pi)
+    th, wth, _, _ = gk_panels(panel_breaks(math.pi, 2, m, t0 * 2.0 ** m))
     omc = law.one_minus_char(th)           # 1 - phi(theta), theta > 0
     omc_m = np.conj(omc)                   # 1 - phi(-theta)
 

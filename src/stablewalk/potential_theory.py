@@ -36,18 +36,11 @@ import numpy as np
 
 from .errors import ExtrapolationUnstable, SingularSystem
 from .output import csv_text
-from .special import chirp_z, gk_panels
+from .special import chirp_z, gk_panels, panel_breaks
 from .walk_model import WalkLaw
 
 _CUSP_ROWS = 128  # x rows per block of the cusp segment's matrix product
 _C_PLUS_K_HI = 12  # c_plus extrapolates a(2^k) for k = 5 .. _C_PLUS_K_HI
-
-
-def _a_breaks_sub(alpha: float, split: float) -> np.ndarray:
-    """Panels in the substituted variable u = theta^{2-alpha} on [0, split]."""
-    u_hi = split ** (2.0 - alpha)
-    geo = u_hi * 2.0 ** (-np.arange(1, 44, dtype=float))
-    return np.unique(np.concatenate([[0.0], geo, np.linspace(0.0, u_hi, 65)]))
 
 
 def _a_segments(law: WalkLaw, X: int):
@@ -58,8 +51,9 @@ def _a_segments(law: WalkLaw, X: int):
     """
     alpha = law.spec.alpha
     split = min(0.5, 25.0 / max(X, 1))
-    u, wk, _, _ = gk_panels(_a_breaks_sub(alpha, split))
     p = 2.0 - alpha
+    u_hi = split ** p  # the substituted variable u = theta^p runs over [0, u_hi]
+    u, wk, _, _ = gk_panels(panel_breaks(u_hi, 65, 43, u_hi))
     theta1 = u ** (1.0 / p)
     g1 = wk * u ** (1.0 / p - 1.0) / p / law.one_minus_char(theta1)
     n_osc = max(48, int(2 * X * (math.pi - split) / math.pi) + 1)

@@ -4,6 +4,10 @@ Everything numeric in the library funnels through this module so that the
 gamma / zeta / polylog values used in closed-form constants and the ones used
 inside quadratures come from a single source.  Gamma and zeta are
 scipy.special's, which `import scipy.fft` loads anyway.
+
+Every GK15 quadrature takes its breaks from one panel rule, panel_breaks:
+uniform panels on [0, hi] against oscillation, plus one break per octave
+below `top` toward the origin against a cusp there.
 """
 from __future__ import annotations
 
@@ -199,8 +203,7 @@ def integrate_panels(f, breaks):
     return per_k.sum(), float(np.abs(per_k - per_g).sum())
 
 
-def geometric_breaks(lo: float, hi: float) -> np.ndarray:
-    """Breakpoints hi / 2^k, one per octave, from hi down to ~lo (plus the origin)."""
-    n = max(int(math.ceil(math.log2(hi / lo))), 4)
-    pts = hi * 2.0 ** -np.arange(1, n + 1, dtype=float)
-    return np.unique(np.concatenate([[0.0, hi], pts[pts > lo / 2]]))
+def panel_breaks(hi: float, points: int, octaves: int, top: float) -> np.ndarray:
+    """Sorted unique union of `points` uniform breaks on [0, hi] and top / 2^k, k = 1 ... octaves."""
+    octave_breaks = top * 2.0 ** -np.arange(1, octaves + 1, dtype=float)
+    return np.unique(np.concatenate([np.linspace(0.0, hi, points), octave_breaks]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import QuadratureNonConvergence
-from .special import gamma_fn, gk_panels
+from .special import gamma_fn, gk_panels, panel_breaks
 from .walk_model import StableParams
 
 _CUT = 44.0  # exp(-44) ~ 8e-20: below double noise for O(1) integrands
@@ -37,10 +37,7 @@ def _theta_breaks(t: float, params: StableParams, x_max: float) -> np.ndarray:
     cr = math.cos(math.pi * params.gamma / 2.0)
     theta_star = (_CUT / (t * cr)) ** (1.0 / params.alpha)
     n_osc = int(abs(x_max) * theta_star / math.pi) + 1
-    n_base = max(33, min(n_osc + 1, 250_000))
-    uni = np.linspace(0.0, theta_star, n_base)
-    geo = theta_star * 2.0 ** (-np.arange(1, 48, dtype=float))
-    return np.unique(np.concatenate([[0.0], geo, uni]))
+    return panel_breaks(theta_star, max(33, min(n_osc + 1, 250_000)), 47, theta_star)
 
 
 def _quadrature(t: float, xs: np.ndarray, params: StableParams, deriv: int) -> tuple[np.ndarray, np.ndarray]:

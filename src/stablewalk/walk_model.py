@@ -12,7 +12,8 @@ Each part has one place in `WalkLaw`: `_side` gives a side's scale, exponent
 and repair atom, `_blocks` the calibration blocks, and `_tail` the exact side
 tail behind `cumulative_*` and `escaped_split`, which is therefore exact for
 every window W, inside the blocks too.  law.json is written and read field by
-field with one codec per field annotation.
+field with one codec per field annotation, and parse_law_config converts each
+config value by the same annotation.
 
 The builder closes the mean to exactly zero and solves l2 so that the theta^2
 coefficient of 1 - phi(theta) vanishes.  It then scans l1 and a short-range
@@ -56,9 +57,9 @@ from .output import csv_text
 from .special import (
     chirp_z,
     gamma_fn,
-    geometric_breaks,
     gk_panels,
     integrate_panels,
+    panel_breaks,
     polylog_analytic,
     polylog_sing,
     x_minus_sin,
@@ -69,7 +70,7 @@ BLOCK1 = (1, 4)
 BLOCK2 = (5, 64)
 CALIBRATED_BEYOND = BLOCK2[1]  # pure telescoped tail from here on
 _ATOM_ROWS = 2048  # theta rows per block of the atom sum in _excess
-_OFFSET_BREAKS = geometric_breaks(1e-13, math.pi)  # panels of the lattice-offset integral
+_OFFSET_BREAKS = panel_breaks(math.pi, 2, 45, math.pi)  # panels of the lattice-offset integral
 
 
 class Family(str, Enum):
@@ -95,6 +96,10 @@ class TailSpec:
     def __post_init__(self):
         if not (1.0 < self.alpha < 2.0):
             raise AlphaOutOfRange(f"alpha={self.alpha} outside (1, 2)")
+        for name in ("B", "q_plus", "q_minus", "beta_neg"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name}={value} is not finite")
         if self.B <= 0:
             raise ConfigError("B must be positive")
         fam = Family(self.family)
@@ -722,8 +727,6 @@ def validate_tails(law: WalkLaw) -> TailReport:
 # config parsing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {f.name for f in fields(TailSpec)}
-
 
 def _switch(text: str) -> bool:
     """A config switch: 1/true/yes or 0/false/no in any case; anything else is a ValueError."""
@@ -733,9 +736,14 @@ def _switch(text: str) -> bool:
     return word in ("1", "true", "yes")
 
 
+# config value converter per TailSpec field annotation; any other field is a float
+_CONVERTERS = {"Family": Family, "int": int, "bool": _switch}
+
+
 def parse_law_config(text: str) -> TailSpec:
-    """Parse the flat `key = value` law config format."""
-    values: dict[str, str] = {}
+    """Parse the flat `key = value` law config format; each key may appear once."""
+    types = {f.name: f.type for f in fields(TailSpec)}
+    kwargs, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -743,31 +751,15 @@ def parse_law_config(text: str) -> TailSpec:
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in types:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
-        values[key] = val
-    if "family" not in values or "alpha" not in values:
+        if key in lines:
+            raise ConfigError(f"line {ln}: key {key!r} already set on line {lines[key]}")
+        lines[key] = ln
+        try:
+            kwargs[key] = _CONVERTERS.get(types[key], float)(val)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {val!r}") from exc
+    if "family" not in kwargs or "alpha" not in kwargs:
         raise ConfigError("config must set at least 'family' and 'alpha'")
-    try:
-        alpha = float(values["alpha"])
-    except ValueError as exc:
-        raise ConfigError(f"bad alpha: {values['alpha']!r}") from exc
-    kwargs = {}
-    for key, conv in (
-        ("B", float),
-        ("q_plus", float),
-        ("q_minus", float),
-        ("beta_neg", float),
-        ("support_radius", int),
-        ("calibrate", _switch),
-    ):
-        if key in values:
-            try:
-                kwargs[key] = conv(values[key])
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {values[key]!r}") from exc
-    try:
-        fam = Family(values["family"])
-    except ValueError as exc:
-        raise ConfigError(f"unknown family {values['family']!r}") from exc
-    return TailSpec(alpha=alpha, family=fam, **kwargs)
+    return TailSpec(**kwargs)

@@ -73,6 +73,22 @@ def test_malformed_config_exit_code(tmp_path):
     assert main(["law", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("family = two_sided_pareto\nalpha = 1.5\nalpha = 1.7\n",
+                 "line 3: key 'alpha' already set on line 2", id="key_twice"),
+    pytest.param("family = two_sided_pareto\nalpha = 1.5\nq_plus = nan\nq_minus = 0.5\n",
+                 "q_plus=nan is not finite", id="q_plus_nan"),
+    pytest.param("family = two_sided_pareto\nalpha = 1.5\nB = inf\n", "B=inf is not finite", id="B_inf"),
+])
+def test_config_error_exit_code(text, message, tmp_path, capsys):
+    """A key set twice or a non-finite number exits 2 naming it, and writes no law."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["law", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (tmp_path / "law.json").exists()
+
+
 def test_killed_table_zero_column(built_law, tmp_path):
     assert (
         main(
@@ -204,6 +220,44 @@ def test_verify_all_goes_on_after_a_budget_error(built_law, tmp_path, monkeypatc
     assert {"llt", "prop23"} <= set(summary)  # the ids after finite ran
     manifest = json.loads((out / "manifest.json").read_text())
     assert str(out / "summary.json") in manifest["outputs"]
+
+
+def test_verify_all_skips_an_id_whose_precondition_fails(built_law, tmp_path, monkeypatch, capsys):
+    """A failed precondition in `verify all` skips its own id only: it is listed as skipped, and the exit is 0."""
+    from stablewalk.errors import WrongSkew
+
+    def needs_skew(ctx, quick):
+        raise WrongSkew("finite needs gamma = 2 - alpha")
+
+    monkeypatch.setattr(asymptotics, "verify_finite_set", needs_skew)
+    out = tmp_path / "vall"
+    assert main(["verify", "all", "--quick", "--law", str(built_law), "--out", str(out)]) == 0
+    assert "finite: skipped (finite needs gamma = 2 - alpha)\n" in capsys.readouterr().out
+    summary = {s["theorem_id"]: s for s in json.loads((out / "summary.json").read_text())}
+    assert summary["finite"] == {"theorem_id": "finite", "passed": None, "skipped": "finite needs gamma = 2 - alpha"}
+    assert {"llt", "prop23"} <= set(summary)
+
+
+@pytest.mark.parametrize("args", [["verify", "thm1", "--quick"], ["table", "--kind", "constants"]],
+                         ids=["verify", "table"])
+def test_config_runs_like_its_law_json(args, law_cfg, built_law, tmp_path):
+    """--config builds the law in the run: the outputs equal those of --law on the law it builds."""
+    runs = {}
+    for flag, path in (("--law", built_law), ("--config", law_cfg)):
+        out = tmp_path / flag.strip("-")
+        assert main([*args, flag, str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs[flag] = manifest["law_hash"], {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+    assert runs["--config"] == runs["--law"]
+    assert runs["--law"][0] == json.loads((built_law.parent / "manifest.json").read_text())["law_hash"]
+
+
+def test_table_budget_error_exit_code(built_law, tmp_path, capsys):
+    """A table whose start lies outside its window is a numerical budget error: exit 3."""
+    args = ["table", "--kind", "kernel", "--law", str(built_law), "--x", "100", "--window", "50"]
+    assert main([*args, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical budget error: start 100 outside window 50\n"
+    assert not (tmp_path / "kernel_n64.csv").exists()
 
 
 def test_verify_quick_pass_and_report(built_law, tmp_path):

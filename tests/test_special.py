@@ -10,6 +10,7 @@ from stablewalk.special import (
     gamma_fn,
     integrate_panels,
     omexp,
+    panel_breaks,
     x_minus_sin,
     zeta_fn,
 )
@@ -81,3 +82,49 @@ def test_panel_integration_exact_polynomial():
 def test_adaptive_integration_oscillatory():
     val, err = integrate_adaptive(lambda t: np.cos(40.0 * t) + 0j, 0.0, 1.0, abs_tol=1e-12)
     assert val.real == pytest.approx(math.sin(40.0) / 40.0, abs=1e-12)
+
+
+def _union(*parts):
+    return np.unique(np.concatenate(parts))
+
+
+def test_panel_breaks_is_each_quadratures_former_rule():
+    """panel_breaks gives, bit for bit, each of the five break arrays its callers built before it.
+
+    The oracles write out those five rules over their callers' parameter
+    ranges: the lattice-offset panels (one octave per halving of pi, cut
+    below 1e-13 / 2), the stable densities' theta panels, the a(x) cusp
+    panels in u = theta^{2 - alpha}, and the Fourier oracle's tau panels and
+    its theta panels t0 2^k <= pi, also for t0 an ulp either side of pi / 2^k.
+    """
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    n = max(math.ceil(math.log2(math.pi / 1e-13)), 4)
+    pts = math.pi * 2.0 ** -np.arange(1, n + 1, dtype=float)
+    assert same(panel_breaks(math.pi, 2, 45, math.pi), _union([0.0, math.pi], pts[pts > 1e-13 / 2]))
+
+    for theta_star in np.geomspace(0.05, 1e5, 97):
+        for points in (33, 34, 1001, 250_000):
+            oracle = _union([0.0], theta_star * 2.0 ** (-np.arange(1, 48, dtype=float)),
+                            np.linspace(0.0, theta_star, points))
+            assert same(panel_breaks(theta_star, points, 47, theta_star), oracle)
+
+    for alpha in (1.01, 1.2, 1.5, 1.8, 1.99):
+        for X in (1, 2, 49, 50, 51, 64, 1000, 4096, 2 ** 20):
+            u_hi = min(0.5, 25.0 / X) ** (2.0 - alpha)
+            oracle = _union([0.0], u_hi * 2.0 ** (-np.arange(1, 44, dtype=float)), np.linspace(0.0, u_hi, 65))
+            assert same(panel_breaks(u_hi, 65, 43, u_hi), oracle)
+
+    for n in [*range(1, 70), 255, 256, 1024, 4095, 4096]:
+        cusp = math.pi / max(n, 1) * 2.0 ** -np.arange(1, 34, dtype=float)
+        oracle = _union(np.linspace(0.0, math.pi, max(2, n + 1)), cusp)
+        assert same(panel_breaks(math.pi, n + 1, 33, math.pi / n), oracle)
+
+    edges = [math.pi / 2 ** k for k in range(6, 25)]
+    t0s = [1e-7, 0.05, *np.geomspace(1e-7, 0.05, 499), *edges, *np.nextafter(edges, 0.0), *np.nextafter(edges, 1.0)]
+    for t0 in map(float, t0s):
+        n_up = int(math.ceil(math.log2(math.pi / t0))) + 1
+        oracle = _union([0.0], t0 * 2.0 ** np.arange(0, n_up), [math.pi])
+        m = next(k for k in range(64) if t0 * 2.0 ** k > math.pi)
+        assert same(panel_breaks(math.pi, 2, m, t0 * 2.0 ** m), oracle[oracle <= math.pi])

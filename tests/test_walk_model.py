@@ -1,5 +1,6 @@
 """Law construction: mass/mean bookkeeping, tails, CF dictionary, round trips."""
 import ast
+import json
 import math
 import os
 import subprocess
@@ -301,6 +302,67 @@ def test_one_sided_rejects_explicit_other_q(fam):
 def test_beta_neg_constraint():
     with pytest.raises(ConfigError):
         TailSpec(alpha=1.5, family=Family.BOUNDED_POTENTIAL, beta_neg=1.9)
+
+
+@pytest.mark.parametrize("given, message", [
+    pytest.param({"B": 0.0}, "B must be positive", id="B_zero"),
+    pytest.param({"B": -0.5}, "B must be positive", id="B_negative"),
+    pytest.param({"q_plus": 0.0, "q_minus": 1.0}, "q_plus, q_minus > 0", id="q_plus_zero"),
+    pytest.param({"q_plus": 1.25, "q_minus": -0.25}, "q_plus, q_minus > 0", id="q_minus_negative"),
+    pytest.param({"family": "bounded_potential", "alpha": 1.2, "beta_neg": 2.0}, "zeta pole", id="beta_neg_two"),
+    pytest.param({"beta_neg": 2.5}, "beta_neg only applies", id="beta_neg_two_sided"),
+    pytest.param({"family": "spectrally_positive", "support_radius": 100}, "support_radius too small",
+                 id="support_radius_small"),
+    pytest.param({"B": math.nan}, "B=nan is not finite", id="B_nan"),
+    pytest.param({"B": math.inf}, "B=inf is not finite", id="B_inf"),
+    pytest.param({"q_plus": math.nan}, "q_plus=nan is not finite", id="q_plus_nan"),
+    pytest.param({"q_minus": math.inf}, "q_minus=inf is not finite", id="q_minus_inf"),
+    pytest.param({"family": "spectrally_positive", "beta_neg": math.nan}, "beta_neg=nan is not finite",
+                 id="beta_neg_nan"),
+    pytest.param({"family": "bounded_potential", "beta_neg": -math.inf}, "beta_neg=-inf is not finite",
+                 id="beta_neg_minus_inf"),
+])
+def test_tail_spec_rejects_a_bad_field(given, message):
+    """Each field TailSpec checks fails with a ConfigError naming it; a non-finite float fails before any build."""
+    with pytest.raises(ConfigError, match=message):
+        TailSpec(**{"alpha": 1.5, "family": "two_sided_pareto", **given})
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("alpha = 1.5\n", "must set at least 'family' and 'alpha'", id="no_family"),
+    pytest.param("family = two_sided_pareto\n", "must set at least 'family' and 'alpha'", id="no_alpha"),
+    pytest.param("family = two_sided_pareto\nalpha = one\n", "^bad value for alpha: 'one'$", id="bad_alpha"),
+    pytest.param("family = gaussian\nalpha = 1.5\n", "^bad value for family: 'gaussian'$", id="bad_family"),
+    pytest.param("family = two_sided_pareto\nalpha = 1.5\nsupport_radius = 1e6\n",
+                 "^bad value for support_radius: '1e6'$", id="bad_int"),
+    pytest.param("family = two_sided_pareto\nalpha = 1.5\nalpha = 1.7\n",
+                 "^line 3: key 'alpha' already set on line 2$", id="alpha_twice"),
+    pytest.param("# law\nB = 0.4\nfamily = two_sided_pareto\n\nalpha = 1.5\nB = 0.4  # again\n",
+                 "^line 6: key 'B' already set on line 2$", id="B_twice_same_value"),
+    pytest.param("family = two_sided_pareto\nalpha = 1.5\nB = nan\n", "^B=nan is not finite$", id="B_nan"),
+])
+def test_config_errors_name_the_key(text, message):
+    """A missing key, a value its field cannot take, and a key set twice are ConfigErrors that name the key."""
+    with pytest.raises(ConfigError, match=message):
+        parse_law_config(text)
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "lc15", "bp15"])
+def test_uncalibrated_build_keeps_the_bare_blocks(name):
+    """calibrate = no skips the C0 scan: the blocks keep factor 1, no c0 is recorded, and the law validates."""
+    fam, alpha, B, _ = _LAW_DEFS[name]
+    spec = parse_law_config(f"family = {fam}\nalpha = {alpha}\nB = {B}\ncalibrate = no\n")
+    law = build_walk_law(spec)
+    assert law.spec == spec and not spec.calibrate
+    assert (law.l1, law.l2) == (0.0, 0.0) and math.isnan(law.c0)
+    assert abs(law.mean()) <= 1e-10 and law.p0 > 0.0 and law.pmf_window(300).min() >= 0.0
+
+
+def test_law_json_rejects_an_unknown_schema(sym15):
+    payload = json.loads(sym15.to_json())
+    payload["schema_version"] = 2
+    with pytest.raises(ConfigError, match="unknown law schema version"):
+        WalkLaw.from_json(json.dumps(payload))
 
 
 def test_builder_determinism(sp15):

@@ -8,7 +8,7 @@ instead of read from one table per build.
 import math
 
 from stablewalk import stable_params_of
-from stablewalk.special import geometric_breaks, integrate_panels
+from stablewalk.special import integrate_panels, panel_breaks
 from stablewalk.walk_model import _Nodes
 
 
@@ -22,7 +22,7 @@ def lattice_offset_pointwise(law) -> float:
         cp = law._main(nodes)
         return (-ex / ((ex + cp) * cp)).real + 0j
 
-    val, _ = integrate_panels(g, geometric_breaks(1e-13, math.pi))
+    val, _ = integrate_panels(g, panel_breaks(math.pi, 2, 45, math.pi))
     tail = (
         2.0
         * math.cos(math.pi * params.gamma / 2.0)
