@@ -1,12 +1,14 @@
 """Hash-addressed on-disk cache for kernel artifacts.
 
-Keys are content hashes of (DP numerics version, law hash, operation,
-parameters); values are npz archives.  Reruns with equal keys return
-byte-identical arrays, which is what makes report regeneration reproducible,
-and bumping `killed_walk.DP_VERSION` retires every artifact of older numerics.
+Keys are content hashes of (code digest, law hash, operation, parameters);
+values are npz archives.  Reruns with equal keys return byte-identical arrays,
+which is what makes report regeneration reproducible.  The code digest covers
+the package's own source files and the numpy and scipy versions, so an edit to
+any module or a library upgrade retires every artifact the old code stored.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -15,8 +17,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-from . import killed_walk
+import scipy
 
 _ENV = "STABLEWALK_CACHE"
 
@@ -30,9 +31,18 @@ def cache_dir() -> Path | None:
     return path
 
 
+@functools.cache
+def _code_digest() -> str:
+    """SHA-256 of the package's *.py files (name and bytes) and the numpy and scipy versions."""
+    h = hashlib.sha256(f"numpy {np.__version__} scipy {scipy.__version__}".encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
 def content_key(law_hash: str, op: str, **params) -> str:
     payload = json.dumps(
-        {"dp_version": killed_walk.DP_VERSION, "law": law_hash, "op": op, "params": params},
+        {"code": _code_digest(), "law": law_hash, "op": op, "params": params},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:24]

@@ -1,7 +1,14 @@
 """Batch front door: build laws, materialise tables, run verification suites.
 
-Exit codes: 0 pass, 1 trend-criterion failure, 2 configuration error,
-3 numerical-budget error (verify records it per id and runs the rest).
+Exit codes and the stderr line of each error family (stablewalk.errors):
+
+  0  pass
+  1  trend-criterion failure; StableWalkError   "error: ..."
+  2  ConfigError                                "configuration error: ..."
+  3  BudgetError                                "numerical budget error: ..."
+
+An error exits by the first family in its class's ancestry; `verify` records
+a BudgetError per id and runs the rest.
 Every run writes a manifest listing its outputs with content hashes.  A
 rerun with an identical configuration writes every listed output
 byte-identical, from a cold or a warm artifact cache, and a manifest.json
@@ -13,20 +20,13 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
 
 from . import asymptotics as asy
-from .errors import (
-    AlphaOutOfRange,
-    ConfigError,
-    InfeasibleMeanAdjustment,
-    QuadratureNonConvergence,
-    StableWalkError,
-    TruncationTooCoarse,
-    WindowTooSmall,
-)
+from .errors import BudgetError, ConfigError, StableWalkError
 from .killed_walk import first_passage, ladder_renewals, run_kernel
 from .output import csv_text, json_text
 from .potential_theory import PotentialTable
@@ -37,8 +37,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-_BUDGET_ERRORS = (WindowTooSmall, QuadratureNonConvergence, TruncationTooCoarse)
 
 
 class RunManifest:
@@ -91,8 +89,7 @@ def _out_dir(args) -> Path:
 def cmd_law(args) -> int:
     manifest = RunManifest("law", args)
     out = _out_dir(args)
-    spec = parse_law_config(Path(args.config).read_text())
-    law = build_walk_law(spec)
+    law = _load_law(args)
     manifest.data["law_hash"] = law.law_hash()
     manifest.write_output(out / "law.json", law.to_json() + "\n")
     manifest.write_output(out / "tails.csv", validate_tails(law).to_csv())
@@ -219,7 +216,7 @@ def cmd_verify(args) -> int:
     for name in names:
         try:
             reports = reg[name]()
-        except _BUDGET_ERRORS as exc:
+        except BudgetError as exc:
             print(f"{name}: numerical budget error ({exc})", file=sys.stderr)
             summaries.append({"theorem_id": name, "passed": None, "budget_error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -284,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--x", type=int, default=0)
     p.add_argument("--set", default="0")
+    # a word that starts "-" and a digit or "." is a value, so `--set -3,0,1,40` reads a negative site
+    p._negative_number_matcher = re.compile(r"^-[\d.]")
     p.add_argument("--window", type=int, default=None)
     p.add_argument("--x-max", type=int, default=64, dest="x_max")
     p.add_argument("--t", type=float, default=1.0)
@@ -309,10 +308,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AlphaOutOfRange, InfeasibleMeanAdjustment) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _BUDGET_ERRORS as exc:
+    except BudgetError as exc:
         print(f"numerical budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except StableWalkError as exc:

@@ -1,15 +1,29 @@
-"""Exception hierarchy for stablewalk."""
+"""Exception hierarchy for stablewalk.
+
+Every error derives from StableWalkError, and the command line maps an error
+to its exit code by family alone: a ConfigError exits 2, a BudgetError exits
+3 (`verify` records it per id and runs the rest), and any other error exits
+1.  A new error joins a family by subclassing it.
+"""
 
 
 class StableWalkError(Exception):
     """Base class for all library errors."""
 
 
-class AlphaOutOfRange(StableWalkError):
+class ConfigError(StableWalkError):
+    """Malformed or infeasible configuration input."""
+
+
+class BudgetError(StableWalkError):
+    """A numerical budget (escaped mass, quadrature error, truncation tail) was not met."""
+
+
+class AlphaOutOfRange(ConfigError):
     """Stable index must lie strictly inside (1, 2)."""
 
 
-class InfeasibleMeanAdjustment(StableWalkError):
+class InfeasibleMeanAdjustment(ConfigError):
     """Zero-mean correction would require a negative atom or p(0) <= 0."""
 
 
@@ -17,12 +31,8 @@ class AperiodicityFailure(StableWalkError):
     """Support of the increment law does not generate the full lattice."""
 
 
-class QuadratureNonConvergence(StableWalkError):
+class QuadratureNonConvergence(BudgetError):
     """Error estimate above tolerance after maximal refinement."""
-
-
-class WrongSkew(StableWalkError):
-    """Operation requires the spectrally positive case gamma = 2 - alpha."""
 
 
 class SingularSystem(StableWalkError):
@@ -33,15 +43,11 @@ class ExtrapolationUnstable(StableWalkError):
     """Tail extrapolation did not stabilise across depths."""
 
 
-class DegenerateDenominator(StableWalkError):
-    """a(y) + a(-y) vanished; two-point hitting formula undefined."""
+class WindowTooSmall(BudgetError):
+    """The DP window cannot hold the run: below 1, a start or site outside it, or escaped mass above budget."""
 
 
-class WindowTooSmall(StableWalkError):
-    """Escaped mass exceeded the configured budget for this window."""
-
-
-class TruncationTooCoarse(StableWalkError):
+class TruncationTooCoarse(BudgetError):
     """Ladder pmf truncation tail above budget."""
 
 
@@ -63,7 +69,3 @@ class ConditioningMassZero(StableWalkError):
 
 class ConditioningTooRare(StableWalkError):
     """Too few effective Monte Carlo trials on the conditioning event."""
-
-
-class ConfigError(StableWalkError):
-    """Malformed configuration input."""

@@ -88,8 +88,6 @@ from .output import csv_text
 from .special import gk_panels, omexp, panel_breaks
 from .walk_model import WalkLaw
 
-# Part of every artifact-cache key: bump it whenever the DP's round-off moves.
-DP_VERSION = 3
 _TAU_ROWS = 512  # tau rows per block of the Fourier oracle's theta integral
 _BLOCK_ROWS = 64  # rows per DP block of a wider row group; even, so pocketfft's SIMD pairs stay whole
 _LADDER_TAIL_BUDGET = 0.2  # largest ladder-pmf mass the step truncation may miss

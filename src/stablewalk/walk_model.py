@@ -11,9 +11,10 @@ A law is assembled from
 Each part has one place in `WalkLaw`: `_side` gives a side's scale, exponent
 and repair atom, `_blocks` the calibration blocks, and `_tail` the exact side
 tail behind `cumulative_*` and `escaped_split`, which is therefore exact for
-every window W, inside the blocks too.  law.json is written and read field by
-field with one codec per field annotation, and parse_law_config converts each
-config value by the same annotation.
+every window W, inside the blocks too.  law.json is written field by field
+with one encoder per field annotation.  law.json values and config values are
+read by one decoder per annotation, and `WalkLaw.from_json` checks the law it
+reads as `build_walk_law` checks the laws it builds.
 
 The builder closes the mean to exactly zero and solves l2 so that the theta^2
 coefficient of 1 - phi(theta) vanishes.  It then scans l1 and a short-range
@@ -228,31 +229,51 @@ class _Nodes:
         return self._term(("atoms", pts.tobytes()), lambda: list(blocks))
 
 
-# law.json codec per field annotation: (encode, decode); any other field is a
-# float written as its repr, or None (beta_neg)
-_CODECS = {
-    "Family": (lambda v: v.value, Family),
-    "int": (int, int),
-    "bool": (bool, bool),
-}
-_FLOAT = (
-    lambda v: None if v is None else repr(float(v)),
-    lambda v: None if v is None else float(v),
-)
+def _switch(value) -> bool:
+    """A switch: 1/true/yes or 0/false/no in any case, JSON true/false too; anything else is a ValueError."""
+    word = str(value).lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(value)
+    return word in ("1", "true", "yes")
+
+
+# law.json encoder per field annotation; any other field is a float written as
+# its repr, or None (beta_neg)
+_ENCODERS = {"Family": lambda v: v.value, "int": int, "bool": bool}
+# decoder per field annotation of law.json and config values alike; any other field is a float
+_DECODERS = {"Family": Family, "int": int, "bool": _switch}
+
+
+def _float_text(v) -> str | None:
+    return None if v is None else repr(float(v))
 
 
 def _encode(obj) -> dict:
     """The dataclass fields of obj as law.json values (a nested spec is written apart)."""
     return {
-        f.name: _CODECS.get(f.type, _FLOAT)[0](getattr(obj, f.name))
+        f.name: _ENCODERS.get(f.type, _float_text)(getattr(obj, f.name))
         for f in fields(obj)
         if f.name != "spec"
     }
 
 
-def _decode(cls, d: dict) -> dict:
-    """Constructor keywords of cls from its law.json values."""
-    return {f.name: _CODECS.get(f.type, _FLOAT)[1](d[f.name]) for f in fields(cls) if f.name != "spec"}
+def _field_value(f, value):
+    """Field f's value from its law.json value or config text; None stays None where f allows it."""
+    if value is None and "None" in f.type:
+        return None
+    try:
+        return _DECODERS.get(f.type, float)(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {f.name}: {value!r}") from exc
+
+
+def _decode(cls, d) -> dict:
+    """Constructor keywords of cls from its law.json section d."""
+    wanted = [f for f in fields(cls) if f.name != "spec"]
+    missing = [f.name for f in wanted if not isinstance(d, dict) or f.name not in d]
+    if missing:
+        raise ConfigError(f"law.json {cls.__name__} lacks {', '.join(missing)}")
+    return {f.name: _field_value(f, d[f.name]) for f in wanted}
 
 
 @dataclass(frozen=True)
@@ -475,10 +496,16 @@ class WalkLaw:
 
     @staticmethod
     def from_json(text: str) -> "WalkLaw":
-        d = json.loads(text)
-        if d.get("schema_version") != 1:
+        """The law a law.json text describes, checked as the builder checks the laws it builds."""
+        try:
+            d = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"law.json is not JSON: {exc}") from None
+        if not isinstance(d, dict) or d.get("schema_version") != 1:
             raise ConfigError("unknown law schema version")
-        return WalkLaw(spec=TailSpec(**_decode(TailSpec, d["spec"])), **_decode(WalkLaw, d["law"]))
+        law = WalkLaw(spec=TailSpec(**_decode(TailSpec, d.get("spec"))), **_decode(WalkLaw, d.get("law")))
+        _validate(law)
+        return law
 
     def law_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -664,7 +691,7 @@ def build_walk_law(spec: TailSpec) -> WalkLaw:
 
 def _validate(law: WalkLaw) -> None:
     mp, mm = law.side_mass()
-    if law.p0 <= 0.0:
+    if not law.p0 > 0.0:  # a nan origin mass fails too
         raise InfeasibleMeanAdjustment(
             f"origin mass {law.p0:.4f} <= 0 (side masses {mp:.4f}, {mm:.4f})"
         )
@@ -673,7 +700,7 @@ def _validate(law: WalkLaw) -> None:
     win = law.pmf_window(80)
     if win.min() < -1e-15:
         raise InfeasibleMeanAdjustment("negative atom inside the calibration window")
-    if abs(law.mean()) > 1e-10:
+    if not abs(law.mean()) <= 1e-10:
         raise InfeasibleMeanAdjustment(f"mean {law.mean():.2e} not zero")
     support = np.nonzero(win > 0)[0] - 80
     if len(support) < 2:
@@ -728,21 +755,9 @@ def validate_tails(law: WalkLaw) -> TailReport:
 # ---------------------------------------------------------------------------
 
 
-def _switch(text: str) -> bool:
-    """A config switch: 1/true/yes or 0/false/no in any case; anything else is a ValueError."""
-    word = text.lower()
-    if word not in ("1", "true", "yes", "0", "false", "no"):
-        raise ValueError(text)
-    return word in ("1", "true", "yes")
-
-
-# config value converter per TailSpec field annotation; any other field is a float
-_CONVERTERS = {"Family": Family, "int": int, "bool": _switch}
-
-
 def parse_law_config(text: str) -> TailSpec:
     """Parse the flat `key = value` law config format; each key may appear once."""
-    types = {f.name: f.type for f in fields(TailSpec)}
+    specs = {f.name: f for f in fields(TailSpec)}
     kwargs, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -751,15 +766,12 @@ def parse_law_config(text: str) -> TailSpec:
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in types:
+        if key not in specs:
             raise ConfigError(f"line {ln}: unknown key {key!r}")
         if key in lines:
             raise ConfigError(f"line {ln}: key {key!r} already set on line {lines[key]}")
         lines[key] = ln
-        try:
-            kwargs[key] = _CONVERTERS.get(types[key], float)(val)
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {val!r}") from exc
+        kwargs[key] = _field_value(specs[key], val)
     if "family" not in kwargs or "alpha" not in kwargs:
         raise ConfigError("config must set at least 'family' and 'alpha'")
     return TailSpec(**kwargs)

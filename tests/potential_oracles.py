@@ -9,9 +9,13 @@ import math
 
 import numpy as np
 
-from stablewalk.errors import DegenerateDenominator
+from stablewalk.errors import StableWalkError
 from stablewalk.potential_theory import _a_segments
 from stablewalk.special import omexp
+
+
+class DegenerateDenominator(StableWalkError):
+    """a(y) + a(-y) vanished; two-point hitting formula undefined."""
 
 
 def a_per_point(law, X: int, xs) -> np.ndarray:

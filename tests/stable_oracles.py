@@ -10,10 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from stablewalk.errors import QuadratureNonConvergence, WrongSkew
+from stablewalk.errors import QuadratureNonConvergence, StableWalkError
 from stablewalk.special import gamma_fn, gk_panels
 from stablewalk.stable_numerics import _far_series, _quadrature, density_at_zero, density_grid
 from stablewalk.walk_model import StableParams
+
+
+class WrongSkew(StableWalkError):
+    """Operation requires the spectrally positive case gamma = 2 - alpha."""
 
 
 @dataclass(frozen=True)

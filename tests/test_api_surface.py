@@ -19,8 +19,6 @@ PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # public names with no caller in src/ or perfbench/, each kept for a reason
 ALLOWED = {
-    ("errors", "DegenerateDenominator"): "raised by the two-point hitting oracle in tests/",
-    ("errors", "WrongSkew"): "raised by the meander oracle in tests/",
     ("montecarlo", "estimate_conditional_escape"): "the Monte Carlo leg of the three-oracle rule",
 }
 

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, manifests, reproducibility."""
 import hashlib
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import get_ctx, get_law
-from stablewalk import asymptotics, cli, killed_walk
+from stablewalk import asymptotics, cli, errors, killed_walk
 from stablewalk.cli import _registry, main
 from stablewalk.errors import StableWalkError
 from stablewalk.stable_numerics import ConstantsTable
@@ -87,6 +88,67 @@ def test_config_error_exit_code(text, message, tmp_path, capsys):
     assert main(["law", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "law.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda d: d["law"].__delitem__("l1"), "law.json WalkLaw lacks l1", id="missing_field"),
+    pytest.param(lambda d: d["spec"].update(family="bogus"), "bad value for family: 'bogus'", id="bad_family"),
+    pytest.param(lambda d: "{not json", "law.json is not JSON: ", id="not_json"),
+    pytest.param(lambda d: d["law"].update(sp="abc"), "bad value for sp: 'abc'", id="sp_not_a_number"),
+    pytest.param(lambda d: d["spec"].update(calibrate="maybe"), "bad value for calibrate: 'maybe'", id="bad_switch"),
+    # laws the builder would reject
+    pytest.param(lambda d: d["law"].update(u_plus="-0.5"), "negative repair atom", id="negative_atom"),
+    pytest.param(lambda d: d["law"].update(sp="5.0"), "origin mass -", id="origin_mass"),
+])
+def test_bad_law_json_exit_code(edit, message, built_law, tmp_path, capsys):
+    """A law.json the decoder cannot read, or whose law fails the builder's checks, exits 2 before any output.
+
+    edit changes the parsed payload in place, or returns the file's whole text.
+    """
+    payload = json.loads(built_law.read_text())
+    text = edit(payload)
+    law = tmp_path / "edited.json"
+    law.write_text(json.dumps(payload) if text is None else text)
+    out = tmp_path / "v"
+    assert main(["verify", "thm1", "--quick", "--law", str(law), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_table_set_may_start_with_a_negative_site(built_law, tmp_path):
+    """`--set -3,0,1,40` reads the list, as `--set=-3,0,1,40` does."""
+    texts = []
+    for words in (["--set", "-3,0,1,40"], ["--set=-3,0,1,40"]):
+        out = tmp_path / str(len(texts))
+        assert main(["table", "--kind", "density", "--law", str(built_law), *words, "--out", str(out)]) == 0
+        texts.append((out / "density.csv").read_text())
+    assert texts[0] == texts[1]
+    assert [row.split(",")[2] for row in texts[0].splitlines()[1:]] == ["-3", "0", "1", "40"]
+
+
+def _exit_table() -> dict:
+    """Error family -> (exit code, stderr prefix), as the table in the cli docstring gives them."""
+    rows = re.findall(r'^ +(\d) +(?:.*; )?(\w+) +"(.*)\.\.\."$', cli.__doc__, re.M)
+    return {family: (int(code), prefix) for code, family, prefix in rows}
+
+
+_ERRORS = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.StableWalkError)]
+
+
+@pytest.mark.parametrize("exc", _ERRORS, ids=lambda c: c.__name__)
+def test_every_error_exits_by_its_family(exc, tmp_path, monkeypatch, capsys):
+    """Each library error leaves cli.main with the exit code and stderr prefix of its nearest family."""
+    table = _exit_table()
+    assert set(table) == {"StableWalkError", "ConfigError", "BudgetError"}
+    code, prefix = table[next(c.__name__ for c in exc.__mro__ if c.__name__ in table)]
+
+    def raises(args):
+        raise exc("stubbed")
+
+    monkeypatch.setattr(cli, "cmd_report", raises)
+    assert main(["report", "--dir", str(tmp_path), "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}stubbed\n"
 
 
 def test_killed_table_zero_column(built_law, tmp_path):
@@ -224,17 +286,17 @@ def test_verify_all_goes_on_after_a_budget_error(built_law, tmp_path, monkeypatc
 
 def test_verify_all_skips_an_id_whose_precondition_fails(built_law, tmp_path, monkeypatch, capsys):
     """A failed precondition in `verify all` skips its own id only: it is listed as skipped, and the exit is 0."""
-    from stablewalk.errors import WrongSkew
+    from stablewalk.errors import InfiniteCPlus
 
-    def needs_skew(ctx, quick):
-        raise WrongSkew("finite needs gamma = 2 - alpha")
+    def needs_c_plus(ctx, quick):
+        raise InfiniteCPlus("finite needs a bounded C+")
 
-    monkeypatch.setattr(asymptotics, "verify_finite_set", needs_skew)
+    monkeypatch.setattr(asymptotics, "verify_finite_set", needs_c_plus)
     out = tmp_path / "vall"
     assert main(["verify", "all", "--quick", "--law", str(built_law), "--out", str(out)]) == 0
-    assert "finite: skipped (finite needs gamma = 2 - alpha)\n" in capsys.readouterr().out
+    assert "finite: skipped (finite needs a bounded C+)\n" in capsys.readouterr().out
     summary = {s["theorem_id"]: s for s in json.loads((out / "summary.json").read_text())}
-    assert summary["finite"] == {"theorem_id": "finite", "passed": None, "skipped": "finite needs gamma = 2 - alpha"}
+    assert summary["finite"] == {"theorem_id": "finite", "passed": None, "skipped": "finite needs a bounded C+"}
     assert {"llt", "prop23"} <= set(summary)
 
 

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import get_law
-from potential_oracles import a_per_point, green, green_origin, hit_before, hit_dist, u_via_anchor
+from potential_oracles import (
+    DegenerateDenominator,
+    a_per_point,
+    green,
+    green_origin,
+    hit_before,
+    hit_dist,
+    u_via_anchor,
+)
 from stablewalk import potential_theory, stable_params_of
-from stablewalk.errors import DegenerateDenominator
 from stablewalk.killed_walk import run_kernel
 from stablewalk.potential_theory import FiniteSetPotential, PotentialTable, _aitken_limit, c_plus, potential_a_grid
 from stablewalk.special import gamma_fn

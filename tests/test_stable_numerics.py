@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stable_oracles import (
+    WrongSkew,
     abs_moment,
     kappa_hit_p1,
     meander_density,
@@ -12,7 +13,6 @@ from stable_oracles import (
     normalization_check,
     stable_density,
 )
-from stablewalk.errors import WrongSkew
 from stablewalk.special import gamma_fn
 from stablewalk.stable_numerics import (
     _f1_integral,

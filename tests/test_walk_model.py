@@ -13,7 +13,7 @@ import pytest
 from stablewalk import Family, TailSpec, WalkLaw, build_walk_law, stable_params_of
 from stablewalk.errors import AlphaOutOfRange, ConfigError
 from stablewalk.potential_theory import has_bounded_potential
-from stablewalk.special import gamma_fn
+from stablewalk.special import gamma_fn, gk_panels, panel_breaks
 from stablewalk.walk_model import CALIBRATED_BEYOND, parse_law_config, validate_tails
 from conftest import get_law, _LAW_DEFS
 
@@ -93,6 +93,29 @@ def test_char_fn_brute_force_window(sym15):
         brute += (sym15.pmf(-xs) * (1.0 - np.exp(-1j * th * xs))).sum()
         got = sym15.one_minus_char(np.array([th]))[0]
         assert abs(got - brute) < 4.0 * sym15.sp * (Y + 1.0) ** -sym15.rp
+
+
+def test_one_minus_char_is_the_pmf_transform():
+    """1 - phi(theta) equals 1 - sum_{|x| <= W} p(x) e^{i theta x} up to the mass past W, on every family.
+
+    The part past W on each side is at most P[+-X > W] and, since p decreases
+    there, at most 2 p(+-(W + 1)) / |1 - e^{i theta}| by Abel summation; as
+    theta -> 0 the deviation tends to the escaped mass itself, hence the 1% slack.
+    """
+    W = 2 ** 13
+    laws = [lw for name in ("sym15", "asym15", "sp15", "bp15", "lc15", "sym12", "sp18")
+            for lw in (get_law(name), get_law(name).reversed())]
+    nodes = gk_panels(panel_breaks(math.pi, 5, 16, math.pi))[0]
+    theta = np.concatenate([nodes, -nodes[::4]])
+    xs = np.arange(-W, W + 1)
+    pmfs = np.stack([lw.pmf_window(W) for lw in laws], axis=1)
+    windowed = 1.0 - np.concatenate([np.exp(1j * np.outer(th, xs)) @ pmfs for th in np.array_split(theta, 16)])
+    edge = np.abs(1.0 - np.exp(1j * theta))
+    for k, lw in enumerate(laws):
+        p_plus, p_minus = lw.pmf(np.array([W + 1, -W - 1]))
+        bound = (np.minimum(lw.cumulative_plus(W + 1), 2.0 * p_plus / edge)
+                 + np.minimum(lw.cumulative_minus(W + 1), 2.0 * p_minus / edge))
+        assert np.all(np.abs(lw.one_minus_char(theta) - windowed[:, k]) <= 1.01 * bound), (k, lw.spec)
 
 
 def test_stable_params_symmetric(sym15):
