@@ -293,8 +293,8 @@ class LawContext:
         """Step one batch of (key, row, steps) in one run_kernel call, memoise each row and cache those kept at their artifact's steps.
 
         The law's rows come first, then the reversed law's (none on a
-        self-dual law); a killing set and kept steps shared by every row
-        pass as one, else one per row.
+        self-dual law); each row passes its killing set and its kept steps,
+        a sorted tuple.
         """
         flipped = self._hashes[0] != self._hashes[1]
         batch = sorted(batch, key=lambda item: flipped and item[1].dual)
@@ -302,11 +302,9 @@ class LawContext:
         law, starts = self.law, [r.x for _, r, _ in batch][: len(batch) - len(dual)]
         if not starts:
             law, starts, dual = self._reversed, dual, []
-        Bs = [r.B for _, r, _ in batch]
-        keeps = [tuple(sorted(steps)) for _, _, steps in batch]
         _, r0, _ = batch[0]
-        table = run_kernel(law, Bs[0] if len(set(Bs)) == 1 else Bs, starts, r0.n, window=r0.W,
-                           keep=list(keeps[0]) if len(set(keeps)) == 1 else keeps, dual_starts=dual)
+        table = run_kernel(law, [r.B for _, r, _ in batch], starts, r0.n, window=r0.W,
+                           keep=[tuple(sorted(steps)) for _, _, steps in batch], dual_starts=dual)
         for i, (key, r, steps) in enumerate(batch):
             self._keep(key, r.W, table.step_killed[i], {m: (sl, table.escaped[i, m]) for m, sl in table.kept(i).items()})
             stored = self._artifact_steps(r)

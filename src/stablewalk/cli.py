@@ -66,11 +66,19 @@ class RunManifest:
         (out_dir / "manifest.json").write_text(json_text(self.data))
 
 
+def _read(path: str) -> str:
+    """The text of path; a file that cannot be read or decoded is a ConfigError."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
 def _load_law(args) -> WalkLaw:
     if getattr(args, "law", None):
-        return WalkLaw.from_json(Path(args.law).read_text())
+        return WalkLaw.from_json(_read(args.law))
     if getattr(args, "config", None):
-        spec = parse_law_config(Path(args.config).read_text())
+        spec = parse_law_config(_read(args.config))
         return build_walk_law(spec)
     raise ConfigError("provide --law LAW.json or --config LAW.cfg")
 
@@ -81,16 +89,21 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _open_run(subcommand: str, args) -> tuple:
+    """(manifest, law, --out) of a run on one law: the law is read and checked before --out is made."""
+    manifest = RunManifest(subcommand, args)
+    law = _load_law(args)
+    manifest.data["law_hash"] = law.law_hash()
+    return manifest, law, _out_dir(args)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_law(args) -> int:
-    manifest = RunManifest("law", args)
-    out = _out_dir(args)
-    law = _load_law(args)
-    manifest.data["law_hash"] = law.law_hash()
+    manifest, law, out = _open_run("law", args)
     manifest.write_output(out / "law.json", law.to_json() + "\n")
     manifest.write_output(out / "tails.csv", validate_tails(law).to_csv())
     manifest.write(out)
@@ -111,17 +124,12 @@ def _table_sites(args) -> list:
 
 def cmd_table(args) -> int:
     sites = _table_sites(args)
-    manifest = RunManifest("table", args)
-    out = _out_dir(args)
-    law = _load_law(args)
-    manifest.data["law_hash"] = law.law_hash()
+    manifest, law, out = _open_run("table", args)
     kind = args.kind
-    if kind == "kernel":
-        table = run_kernel(law, None, [args.x], args.n, window=args.window, keep=[args.n])
-        name, text = f"kernel_n{args.n}.csv", table.to_csv(args.n)
-    elif kind == "killed":
-        table = run_kernel(law, ("set", tuple(sites)), [args.x], args.n, window=args.window, keep=[args.n])
-        name, text = f"killed_n{args.n}.csv", table.to_csv(args.n)
+    if kind in ("kernel", "killed"):
+        B = None if kind == "kernel" else ("set", tuple(sites))
+        table = run_kernel(law, B, [args.x], args.n, window=args.window, keep=[args.n])
+        name, text = f"{kind}_n{args.n}.csv", table.to_csv(args.n)
     elif kind == "potential":
         name, text = "potential.csv", PotentialTable(law).to_csv(args.x_max)
     elif kind == "fp":
@@ -143,8 +151,6 @@ def cmd_table(args) -> int:
         lt = ladder_renewals(law, x_max=args.x_max)
         name = "ladder.csv"
         text = csv_text(("x", "U_ds", "V_as"), [(x, lt.U_ds[x], lt.V_as[x]) for x in range(args.x_max + 1)])
-    else:
-        raise ConfigError(f"unknown table kind {kind!r}")
     path = manifest.write_output(out / name, text)
     manifest.write(out)
     print(f"wrote {path}")
@@ -195,20 +201,17 @@ _QUICK_ALL = ("thm1", "thm2", "thm4", "finite", "llt", "prop23")
 
 
 def cmd_verify(args) -> int:
-    manifest = RunManifest("verify", args)
-    out = _out_dir(args)
-    law = _load_law(args)
-    manifest.data["law_hash"] = law.law_hash()
+    drivers = _drivers()
+    if args.theorem != "all" and args.theorem not in drivers:
+        raise ConfigError(f"unknown theorem id {args.theorem!r}; choose from {sorted(drivers)} or 'all'")
+    manifest, law, out = _open_run("verify", args)
     ctx = asy.LawContext.build(law)
     reg = _registry(ctx, args.quick)
     if args.theorem == "all":
         names = _QUICK_ALL if args.quick else tuple(reg)
     else:
-        if args.theorem not in reg:
-            raise ConfigError(f"unknown theorem id {args.theorem!r}; choose from {sorted(reg)} or 'all'")
         names = (args.theorem,)
     # every DP row the ids will read steps now, one run_kernel call per batch
-    drivers = _drivers()
     ctx.plan(asy.declared_rows(ctx, [fn for name in names for fn in drivers[name]], args.quick))
     all_pass = True
     summaries = []

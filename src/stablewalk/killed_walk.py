@@ -123,8 +123,8 @@ class KernelTable:
     """Killed/free n-step kernel slices with a conservation ledger.
 
     starts holds each row's start: the run's starts, then its dual_starts,
-    whose rows step under the reversed law; killing is the run's killing
-    set, or the list of its rows' sets.
+    whose rows step under the reversed law; killing holds each row's
+    normalised killing set, one per row whichever form run_kernel was given.
     values[n] is an array (rows kept at n, 2W+1), and rows_at[n] maps each
     of those rows, in row order, to its place there: every row to itself
     where one keep list serves all.  Steps that keep the same rows share one
@@ -140,7 +140,7 @@ class KernelTable:
     by step.
     """
 
-    killing: object
+    killing: list
     window: int
     n_max: int
     starts: list
@@ -253,13 +253,14 @@ def _is_per_row(arg) -> bool:
     return isinstance(arg, list) and any(not isinstance(a, (int, np.integer)) for a in arg)
 
 
-def _unit(rows: list, lo: int, stepper: tuple, killing: list, starts: list, table: KernelTable):
+def _unit(rows: list, lo: int, stepper: tuple, table: KernelTable):
     """Step rows of one killing kind, live sites [lo, W], through steps 0..n_max in one turn, one item per step.
 
-    stepper is their (step, esc_p, esc_m).  The turn's working arrays are
-    locals, made when it starts and freed when it ends: the _state_buffer,
-    the Green sums and each step's raw reads (the alive mass before it, the
-    below and above masses, the mass on the killed live sites).  Each step
+    stepper is their (step, esc_p, esc_m); their killing sets and starts
+    are the table's.  The turn's working arrays are locals, made when it
+    starts and freed when it ends: the _state_buffer, the Green sums and
+    each step's raw reads (the alive mass before it, the below and above
+    masses, the mass on the killed live sites).  Each step
     writes its kept values and Green sums into the table at these rows only,
     so two lanes never write the same element.  After the last step the
     rows' step_killed and escaped are formed from the raw reads: a half-line
@@ -269,7 +270,7 @@ def _unit(rows: list, lo: int, stepper: tuple, killing: list, starts: list, tabl
     cumulative sum in step order, so every ledger is bit for bit the one a
     step-by-step loop forms.
     """
-    W, n_max = table.window, table.n_max
+    W, n_max, killing = table.window, table.n_max, table.killing
     step, esc_p, esc_m = stepper
     half_le = killing[rows[0]][0] == "le"
     # (local rows, index of their killed live sites) per killing set; no live site
@@ -303,7 +304,7 @@ def _unit(rows: list, lo: int, stepper: tuple, killing: list, starts: list, tabl
 
     rows, off = np.array(rows, dtype=np.int64), lo + W
     states = _state_buffer(len(rows), W - lo + 1, W)
-    states[np.arange(len(rows)), np.array([starts[i] for i in rows], dtype=np.int64) - lo] = 1.0
+    states[np.arange(len(rows)), np.array([table.starts[i] for i in rows], dtype=np.int64) - lo] = 1.0
     green = states.copy() if table.green else None
     # step m's raw reads at [m]; step 0 reads nothing, so its ledgers are 0
     alive, below, above, killed = np.zeros((4, n_max + 1, len(rows)))
@@ -414,20 +415,16 @@ def run_kernel(
         raise WindowTooSmall(f"window {W} below 1")
     if any(abs(x) > W for x in starts):
         raise WindowTooSmall(f"start {max(starts, key=abs)} outside window {W}")
-    per_row = _is_per_row(B)
-    killing = [normalize_killing(b) for b in B] if per_row else normalize_killing(B)
-    row_sets = killing if per_row else [killing] * ns
-    if len(row_sets) != ns:
+    # one killing set and one set of kept steps per row, from either argument form
+    killing = [normalize_killing(b) for b in B] if _is_per_row(B) else [normalize_killing(B)] * ns
+    if len(killing) != ns:
         raise ValueError("a killing set per row needs one for each of the rows")
-    if entrance_depth and any(b[0] != "le" for b in row_sets):
+    if entrance_depth and any(b[0] != "le" for b in killing):
         raise ValueError("entrance_depth needs half-line killing")
-    if _is_per_row(keep):
-        if len(keep) != ns:
-            raise ValueError("a keep list per row needs one for each of the rows")
-        kept = [set(k) for k in keep]
-        rows_at = {n: tuple(i for i in range(ns) if n in kept[i]) for n in sorted(set().union(*kept))}
-    else:
-        rows_at = dict.fromkeys(range(n_max + 1) if keep is None else sorted(keep), tuple(range(ns)))
+    kept = [set(k) for k in keep] if _is_per_row(keep) else [set(range(n_max + 1) if keep is None else keep)] * ns
+    if len(kept) != ns:
+        raise ValueError("a keep list per row needs one for each of the rows")
+    rows_at = {n: tuple(i for i in range(ns) if n in kept[i]) for n in sorted(set().union(*kept))}
     # one row -> place map per set of kept rows, shared by every step that keeps them
     places = {rows: {i: k for k, i in enumerate(rows)} for rows in set(rows_at.values())}
     rows_at = {n: places[rows] for n, rows in rows_at.items() if 0 <= n <= n_max}
@@ -439,9 +436,9 @@ def run_kernel(
     laws = [law] * (ns - len(dual_starts)) + ([law.reversed()] * len(dual_starts) if dual_starts else [])
     # each unit steps under its rows' one law, or one law per row, with a stepper built on this thread
     lanes = [[_unit(rows, lo, _fft_stepper(laws[rows[0]] if all(laws[i] is laws[rows[0]] for i in rows)
-                                           else [laws[i] for i in rows], W), row_sets, starts, table)
+                                           else [laws[i] for i in rows], W), table)
               for rows, lo in lane]
-             for lane in _lanes(_groups(row_sets, starts, W, entrance_depth), W)]
+             for lane in _lanes(_groups(killing, starts, W, entrance_depth), W)]
     run_lanes([(item for unit in lane for item in unit) for lane in lanes])
     if escape_budget is not None and table.escaped[:, n_max].max() > escape_budget:
         raise WindowTooSmall(

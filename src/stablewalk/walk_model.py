@@ -237,11 +237,18 @@ def _switch(value) -> bool:
     return word in ("1", "true", "yes")
 
 
+def _integer(value) -> int:
+    """An int from a JSON integer or from integer text; anything else, a float or a bool among them, is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(value)
+    return int(value)
+
+
 # law.json encoder per field annotation; any other field is a float written as
 # its repr, or None (beta_neg)
 _ENCODERS = {"Family": lambda v: v.value, "int": int, "bool": bool}
 # decoder per field annotation of law.json and config values alike; any other field is a float
-_DECODERS = {"Family": Family, "int": int, "bool": _switch}
+_DECODERS = {"Family": Family, "int": _integer, "bool": _switch}
 
 
 def _float_text(v) -> str | None:

@@ -29,7 +29,7 @@ from stablewalk.asymptotics import (
     verify_thm4_y_small,
     verify_thm5_x_small,
 )
-from stablewalk.errors import InfiniteCPlus, RegimeViolation
+from stablewalk.errors import InfiniteCPlus, RegimeViolation, WindowTooSmall
 from stablewalk.killed_walk import HALF_LE_0, first_passage, normalize_killing, run_kernel
 from stablewalk.potential_theory import FiniteSetPotential, c_plus
 from stablewalk.special import gamma_fn
@@ -370,6 +370,27 @@ def test_plan_steps_half_line_rows_with_their_window(sp15, monkeypatch):
     assert len(calls) == 1
 
 
+def test_plan_leaves_a_failing_batch_to_its_readers(sp15, monkeypatch, tmp_path):
+    """A batch that raises in plan is dropped without a word; its rows' own reads rerun it and meet the error.
+
+    The start 10 000 lies outside the window 512 of its n = 64 batch, which
+    also holds a good row; the n = 256 batch is stepped and memoised.
+    """
+    monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
+    _, calls = _count_run_kernel(monkeypatch)
+    ctx = LawContext.build(sp15)
+    good, bad, other = (ctx.row(("set", (0,)), x, n) for x, n in ((3, 64), (10_000, 64), (5, 256)))
+    assert (good.W, bad.W) == (512, 512)
+    ctx.plan([good, bad, other])
+    assert len(calls) == 2
+    ctx.read([other])
+    assert len(calls) == 2
+    ctx.read([good])
+    assert len(calls) == 3
+    with pytest.raises(WindowTooSmall, match="start 10000 outside window 512"):
+        ctx.read([bad])
+
+
 def test_thm1_and_crossover_share_one_run(sp15, monkeypatch, tmp_path):
     """On the full grid both read the reversed run from 0 to n = 4096: one DP, not one per reader."""
     monkeypatch.setenv("STABLEWALK_CACHE", str(tmp_path))
@@ -403,7 +424,7 @@ def test_cor3_and_finite_share_one_set_run(sp15, monkeypatch, tmp_path):
     ctx = LawContext.build(sp15)
     verify_cor3(ctx, True)
     verify_finite_set(ctx, True)
-    assert len([c for c in calls if c[1] == ("set", (-1, 0, 2))]) == 1
+    assert len([c for c in calls if all(b == ("set", (-1, 0, 2)) for b in c[1])]) == 1
 
 
 def test_thm4_loads_the_f_run_thm1_stored(sp15, monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ module is loaded, and installed only in a subprocess, whose patched modules
 die with it; the workload module is only parsed.
 """
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -211,7 +212,7 @@ def test_tracer_counts_a_dual_row_run():
 
 
 _TRACED_SPLIT_RUN = """
-import importlib.util, json, sys
+import ast, hashlib, importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
 tracer_mod = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracer_mod)
@@ -223,14 +224,22 @@ lanes_used = []
 run_lanes = killed_walk.run_lanes
 killed_walk.run_lanes = lambda parts: lanes_used.append(len(parts)) or run_lanes(parts)
 law = build_walk_law(TailSpec(alpha=1.5, family=Family("two_sided_pareto"), B=0.5))
+B, starts, kwargs = ast.literal_eval(sys.argv[2])
 tracer.reset()
-table = killed_walk.run_kernel(law, [("set", (0,))] * 7 + [killed_walk.HALF_LE_0], [3, -2, 5], 8, window=1024,
-                               keep=[8], dual_starts=[0, 1, -1, 4, 2])
+table = killed_walk.run_kernel(law, B, starts, 8, **kwargs)
 m = tracer.metrics(1.0)
+parts = [table.values[n] for n in sorted(table.values)] + [table.step_killed, table.escaped]
 print(json.dumps({"rows": len(table.starts), "lanes": lanes_used, "calls": m["killed_walk.run_kernel.calls"],
                   "tables": m["killed_walk.kernel_tables_built"], "unreached": tracer.unreached(),
-                  "stepped": list(m["killed_walk.steps"])}))
+                  "stepped": list(m["killed_walk.steps"]),
+                  "sha256": hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()}))
 """
+
+# (B, starts, keywords) of a batch in the form LawContext._run passes it: one
+# killing set and one sorted tuple of kept steps per row
+_SPLIT_BATCH = ([("set", (0,)), ("set", (-1, 0, 2))] * 3 + [("set", (0,)), ("le", 0)], [3, -2, 5],
+                {"window": 1024, "keep": [(8,), (4, 8), (8,), (2, 8), (8,), (1, 2, 4, 8), (8,), (4, 8)],
+                 "dual_starts": [0, 1, -1, 4, 2]})
 
 
 def test_traced_split_batch_builds_one_table():
@@ -238,17 +247,27 @@ def test_traced_split_batch_builds_one_table():
 
     The benchmark's traced run requires run_kernel.calls == kernel_tables_built,
     so the lanes fill the one table's arrays; their steppers are built on the
-    calling thread through the wrapped _fft_stepper.
+    calling thread through the wrapped _fft_stepper.  The batch passes a
+    killing set and a tuple of kept steps per row, as LawContext._run does;
+    the tracer binds and hashes them, and the table has the bytes of the
+    untraced call.
     """
     env = {**os.environ, "PYTHONPATH": str(PERFBENCH.parent / "src")}
     env.pop("STABLEWALK_CACHE", None)
-    out = subprocess.run([sys.executable, "-c", _TRACED_SPLIT_RUN, str(TRACER)], env=env,
+    out = subprocess.run([sys.executable, "-c", _TRACED_SPLIT_RUN, str(TRACER), repr(_SPLIT_BATCH)], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["rows"] == 8 and got["lanes"] == [2]
     assert got["calls"] == got["tables"] == 1
     assert got["unreached"] == [] and got["stepped"] == [1024]
+    from stablewalk import Family, TailSpec, build_walk_law, killed_walk
+
+    B, starts, kwargs = _SPLIT_BATCH
+    law = build_walk_law(TailSpec(alpha=1.5, family=Family("two_sided_pareto"), B=0.5))
+    table = killed_walk.run_kernel(law, B, starts, 8, **kwargs)
+    parts = [table.values[n] for n in sorted(table.values)] + [table.step_killed, table.escaped]
+    assert got["sha256"] == hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()
 
 
 _TRACED_BLOCKED_RUN = """

@@ -99,6 +99,13 @@ def test_config_error_exit_code(text, message, tmp_path, capsys):
     # laws the builder would reject
     pytest.param(lambda d: d["law"].update(u_plus="-0.5"), "negative repair atom", id="negative_atom"),
     pytest.param(lambda d: d["law"].update(sp="5.0"), "origin mass -", id="origin_mass"),
+    # an integer field takes an integer or integer text, never a float or a bool
+    pytest.param(lambda d: d["spec"].update(support_radius=1048576.9), "bad value for support_radius: 1048576.9",
+                 id="int_from_float"),
+    pytest.param(lambda d: d["spec"].update(support_radius=1048576.0), "bad value for support_radius: 1048576.0",
+                 id="int_from_whole_float"),
+    pytest.param(lambda d: d["spec"].update(support_radius=True), "bad value for support_radius: True",
+                 id="int_from_bool"),
 ])
 def test_bad_law_json_exit_code(edit, message, built_law, tmp_path, capsys):
     """A law.json the decoder cannot read, or whose law fails the builder's checks, exits 2 before any output.
@@ -113,7 +120,27 @@ def test_bad_law_json_exit_code(edit, message, built_law, tmp_path, capsys):
     assert main(["verify", "thm1", "--quick", "--law", str(law), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("words", [
+    pytest.param(["verify", "thm1", "--quick", "--law", "{tmp}/missing.json"], id="missing_law"),
+    pytest.param(["verify", "thm1", "--quick", "--law", "{tmp}"], id="law_is_a_directory"),
+    pytest.param(["verify", "thm1", "--quick", "--law", "{tmp}/binary.json"], id="binary_law"),
+    pytest.param(["law", "--config", "{tmp}/missing.cfg"], id="missing_config"),
+    pytest.param(["table", "--kind", "constants", "--law", "{tmp}/missing.json"], id="table_missing_law"),
+    pytest.param(["verify", "thm1", "--quick"], id="no_law"),
+    pytest.param(["verify", "bogus", "--law", "{law}"], id="unknown_id"),
+])
+def test_unreadable_input_writes_nothing(words, built_law, tmp_path, capsys):
+    """A law that cannot be read or an unknown theorem id exits 2 with one stderr line, before --out is made."""
+    (tmp_path / "binary.json").write_bytes(bytes(range(128, 256)))
+    out = tmp_path / "out"
+    args = [w.format(tmp=tmp_path, law=built_law) for w in words]
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_table_set_may_start_with_a_negative_site(built_law, tmp_path):

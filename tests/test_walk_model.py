@@ -14,7 +14,7 @@ from stablewalk import Family, TailSpec, WalkLaw, build_walk_law, stable_params_
 from stablewalk.errors import AlphaOutOfRange, ConfigError
 from stablewalk.potential_theory import has_bounded_potential
 from stablewalk.special import gamma_fn, gk_panels, panel_breaks
-from stablewalk.walk_model import CALIBRATED_BEYOND, parse_law_config, validate_tails
+from stablewalk.walk_model import CALIBRATED_BEYOND, _validate, parse_law_config, validate_tails
 from conftest import get_law, _LAW_DEFS
 
 
@@ -135,14 +135,24 @@ def test_stable_params_spectrally_positive(sp15):
 
 
 def test_stable_params_skewness_dictionary(asym15):
-    p = stable_params_of(asym15)
-    lhs = math.tan(p.gamma * math.pi / 2.0)
-    rhs = (asym15.spec.q_plus - asym15.spec.q_minus) * (-math.tan(1.5 * math.pi / 2.0))
-    assert abs(lhs - rhs) < 1e-10
-    assert math.copysign(1.0, p.gamma) == math.copysign(
-        1.0, asym15.spec.q_plus - asym15.spec.q_minus
-    )
-    assert abs(p.gamma) < 2.0 - 1.5
+    """gamma follows q_plus - q_minus on asym15 and on its mirror spec.
+
+    The mirror's heavier left tail is closed to mean zero through the +1
+    repair atom u_plus, the builder branch no canonical law takes.
+    """
+    mirror = build_walk_law(TailSpec(alpha=1.5, family=Family.TWO_SIDED_PARETO, B=0.4, q_plus=0.3, q_minus=0.7))
+    assert mirror.u_plus > 0.0 == mirror.u_minus
+    assert abs(mirror.mean()) <= 1e-10
+    _validate(mirror)
+    for law in (asym15, mirror):
+        p = stable_params_of(law)
+        lhs = math.tan(p.gamma * math.pi / 2.0)
+        rhs = (law.spec.q_plus - law.spec.q_minus) * (-math.tan(1.5 * math.pi / 2.0))
+        assert abs(lhs - rhs) < 1e-10
+        assert math.copysign(1.0, p.gamma) == math.copysign(
+            1.0, law.spec.q_plus - law.spec.q_minus
+        )
+        assert abs(p.gamma) < 2.0 - 1.5
 
 
 def test_validate_tails_exact_beyond_window(sym15):
