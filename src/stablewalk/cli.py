@@ -111,13 +111,21 @@ def cmd_law(args) -> int:
     return EXIT_PASS
 
 
+def _finite(text: str) -> float:
+    """float(text) if it is finite; nan or inf is a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def _table_sites(args) -> list:
-    """The --set values (floats for --kind density, else sites), once --n, --x-max, --window and --t are in range."""
-    if min(args.n, args.x_max) < 0 or (args.window is not None and args.window < 1) or not args.t > 0:
+    """The --set values (finite floats for --kind density, else sites), once --n, --x-max, --window and --t are in range."""
+    if min(args.n, args.x_max) < 0 or (args.window is not None and args.window < 1) or not 0 < args.t < math.inf:
         raise ConfigError(f"--n {args.n}, --x-max {args.x_max}, --window {args.window}, --t {args.t}: "
-                          "need n >= 0, x-max >= 0, window >= 1, t > 0")
+                          "need n >= 0, x-max >= 0, window >= 1, finite t > 0")
     try:
-        return [(float if args.kind == "density" else int)(v) for v in args.set.split(",")]
+        return [(_finite if args.kind == "density" else int)(v) for v in args.set.split(",")]
     except ValueError as exc:
         raise ConfigError(f"--set {args.set!r}: {exc}") from None
 
@@ -244,13 +252,23 @@ def cmd_verify(args) -> int:
     return EXIT_PASS if all_pass else EXIT_FAIL
 
 
+def _summary_rows(path: Path) -> list:
+    """The entries of one summary.json: a list of objects; anything else is a ConfigError naming path."""
+    try:
+        # final_dev stays the number text summary.json holds, not a reformatted float
+        rows = json.loads(_read(path), parse_float=str)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise ConfigError(f"{path}: not a list of objects")
+    return rows
+
+
 def cmd_report(args) -> int:
     manifest = RunManifest("report", args)
+    # every summary is read and checked before --out is made
+    rows = [r for path in sorted(Path(args.dir or ".").glob("**/summary.json")) for r in _summary_rows(path)]
     out = _out_dir(args)
-    rows = []
-    for path in sorted(Path(args.dir or ".").glob("**/summary.json")):
-        # final_dev stays the number text summary.json holds, not a reformatted float
-        rows.extend(json.loads(path.read_text(), parse_float=str))
     text = csv_text(
         ("theorem_id", "passed", "final_dev"),
         [(r.get("theorem_id"), r.get("passed"), r.get("final_dev", "")) for r in rows],

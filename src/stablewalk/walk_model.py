@@ -186,9 +186,9 @@ class _Nodes:
 
     These are rho_m, sin(theta), the polylog terms per exponent and, per atom
     set, the matrices 2 sin^2(theta y / 2) and x_minus_sin(theta y) of the
-    atom sum in blocks of _ATOM_ROWS rows.  one_minus_char makes one per sign
-    of theta and one_minus_char_panels one per call; build_walk_law makes one
-    on the lattice-offset nodes and shares it with every law it calibrates.
+    atom sum in blocks of _ATOM_ROWS rows.  one_minus_char makes one per call,
+    on |theta|, and so does one_minus_char_panels; build_walk_law makes one on
+    the lattice-offset nodes and shares it with every law it calibrates.
     """
 
     def __init__(self, theta: np.ndarray):
@@ -418,8 +418,14 @@ class WalkLaw:
             main = main - self.sm * (-1j * nodes.theta) * np.conj(sing_p)
         return main
 
-    def _excess_continuum(self, nodes: _Nodes) -> np.ndarray:
-        """_excess without its atom sum and mean residual, theta > 0."""
+    def _excess(self, nodes: _Nodes, atoms=None) -> np.ndarray:
+        """(1 - phi) - _main, cancellation-free, theta > 0: the one assembly of 1 - phi.
+
+        It adds the continuum terms, then the atom sum
+        sum_m p_m (1 - e^{i theta y_m}) + i theta y_m, then the mean residual.
+        The atom sum goes atom by atom over nodes.atom_blocks, or atoms gives it
+        as its (real, imaginary) pair on every node (one_minus_char_panels).
+        """
         theta = nodes.theta
         rho_m = nodes.rho_m()      # (1-e^{-i t}) - i t
         rho_p = np.conj(rho_m)     # (1-e^{+i t}) + i t
@@ -435,17 +441,13 @@ class WalkLaw:
         if self.rm != self.rp:
             # light-side singular main stays in the excess (theta^beta term)
             v = v - self.sm * (-1j * theta) * np.conj(Sm)
-        return v
-
-    def _excess(self, nodes: _Nodes) -> np.ndarray:
-        """(1 - phi) - _main, cancellation-free, theta > 0."""
-        v = self._excess_continuum(nodes)
-        pts, ms = self._atoms_for_fourier()
-        if len(pts):
+        if atoms is not None:
+            v = v + atoms[0] + 1j * atoms[1]
+        else:
+            pts, ms = self._atoms_for_fourier()
             # in blocks of theta rows, to bound the (rows, atoms) temporaries
-            for rows, s2, xs in nodes.atom_blocks(pts):
-                v[rows] = v[rows] + (ms[None, :] * s2).sum(axis=1)
-                v[rows] = v[rows] + 1j * (ms[None, :] * xs).sum(axis=1)
+            for rows, s2, xs in nodes.atom_blocks(pts) if len(pts) else ():
+                v[rows] = v[rows] + (ms[None, :] * s2).sum(axis=1) + 1j * (ms[None, :] * xs).sum(axis=1)
         # float-residual of the exact-zero mean, restored on its sin carrier
         return v - 1j * nodes.sin() * self.mean()
 
@@ -455,7 +457,7 @@ class WalkLaw:
         The atom sum sum_m p_m (1 - e^{i theta y_m}) + i theta y_m is
         sum p - Re F + i (theta sum p y - Im F) with F = sum_m p_m e^{i theta y_m},
         and on integer atoms F is one chirp-z over j per node position k.  It
-        agrees with the pointwise sum of _excess to about 1e-12 |1 - phi|.
+        agrees with the atom-by-atom sum of one_minus_char to about 1e-12 |1 - phi|.
         """
         pts, ms = self._atoms_for_fourier()
         ys = np.rint(pts).astype(np.int64)
@@ -465,22 +467,19 @@ class WalkLaw:
         F = chirp_z(c[:, None] * np.exp(1j * np.outer(np.arange(-Y, Y + 1), theta[0])),
                     -Y, 0, len(theta), theta[1, 0] - theta[0, 0])
         nodes = _Nodes(theta)
-        v = self._excess_continuum(nodes) + (ms.sum() - F.real) + 1j * (theta * (ms @ pts) - F.imag)
-        return v - 1j * nodes.sin() * self.mean() + self._main(nodes)
+        return self._excess(nodes, (ms.sum() - F.real, theta * (ms @ pts) - F.imag)) + self._main(nodes)
 
     def one_minus_char(self, theta) -> np.ndarray:
-        """1 - phi(theta), exact, for theta in [-pi, pi] (vectorised)."""
+        """1 - phi(theta), exact, for theta in [-pi, pi] (vectorised).
+
+        One _Nodes table holds |theta|; 1 - phi(-theta) is the conjugate of 1 - phi(theta).
+        """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = np.empty(theta.shape, dtype=complex)
-        pos = theta > 0
-        neg = theta < 0
-        if pos.any():
-            nodes = _Nodes(theta[pos])
-            out[pos] = self._excess(nodes) + self._main(nodes)
-        if neg.any():
-            nodes = _Nodes(-theta[neg])
-            out[neg] = np.conj(self._excess(nodes) + self._main(nodes))
-        out[theta == 0] = 0.0
+        out = np.zeros(theta.shape, dtype=complex)
+        on, neg = theta != 0, theta < 0
+        nodes = _Nodes(np.abs(theta[on]))
+        out[on] = self._excess(nodes) + self._main(nodes)
+        out[neg] = np.conj(out[neg])
         return out
 
     # -- misc ------------------------------------------------------------------

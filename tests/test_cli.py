@@ -284,9 +284,12 @@ def test_kernel_table_steps_from_x(built_law, tmp_path):
     ("density", ["--t", "0"]),
     ("kernel", ["--window", "0"]),
     ("kernel", ["--window", "-5"]),
+    ("density", ["--set", "nan"]),
+    ("density", ["--set", "0,inf"]),
+    ("density", ["--t", "inf"]),
 ])
 def test_table_rejects_malformed_options(kind, extra, built_law, tmp_path, capsys):
-    """A malformed --set, --n or --x-max < 0, --window < 1 or --t <= 0 is a configuration error, before any output."""
+    """A malformed or non-finite --set, --n or --x-max < 0, --window < 1 or a --t not in (0, inf) is a configuration error, before any output."""
     assert main(["table", "--kind", kind, "--law", str(built_law), *extra, "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: --")
     assert not (tmp_path / "t").exists()
@@ -401,6 +404,26 @@ def test_report_csv_bytes(tmp_path):
     assert (tmp_path / "agg" / "report.csv").read_bytes() == (
         b"schema_version,theorem_id,passed,final_dev\n1,cor1,False,0.0671\n1,thm5,None,\n"
     )
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[{\"theorem_id\": \"thm1\",", id="not_json"),
+    pytest.param("{\"theorem_id\": \"thm1\", \"passed\": true}\n", id="object"),
+    pytest.param("[{\"theorem_id\": \"thm1\", \"passed\": true}, 3]\n", id="list_with_a_number"),
+])
+def test_report_rejects_a_malformed_summary(text, tmp_path, capsys):
+    """A summary.json that is not a JSON list of objects exits 2 with one stderr line naming it, before --out is made."""
+    good = [{"final_dev": 0.1, "passed": True, "theorem_id": "thm2"}]
+    (tmp_path / "v" / "a").mkdir(parents=True)
+    (tmp_path / "v" / "a" / "summary.json").write_text(json.dumps(good))
+    (tmp_path / "v" / "b").mkdir()
+    bad = tmp_path / "v" / "b" / "summary.json"
+    bad.write_text(text)
+    out = tmp_path / "agg"
+    assert main(["report", "--dir", str(tmp_path / "v"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_unknown_theorem(built_law, tmp_path):

@@ -59,14 +59,22 @@ def test_alpha_out_of_range():
         TailSpec(alpha=2.1, family=Family.TWO_SIDED_PARETO)
 
 
-def test_char_fn_basics(sym15):
-    def char_fn(theta):
-        return 1.0 - sym15.one_minus_char(theta)
+def test_char_fn_basics():
+    """phi(0) = 1, |phi| < 1 off the origin, and 1 - phi(-theta) is conj(1 - phi(theta)) exactly.
 
-    assert char_fn(0.0)[0] == pytest.approx(1.0, abs=1e-15)
-    th = np.array([0.3, 1.1, 2.9])
-    assert np.abs(char_fn(-th) - np.conj(char_fn(th))).max() < 1e-14
-    assert np.all(np.abs(char_fn(th)) < 1.0)
+    The conjugate holds bit for bit within one mixed-sign array and between
+    calls, on every canonical law and its reversal.
+    """
+    th = np.array([1e-9, 0.3, 1.1, 2.9, math.pi])
+    mixed = np.array([0.3, -1e-9, 0.0, -2.9, 1.1, -math.pi, 2.9, -0.3, 1e-9, math.pi, -1.1, 0.0])
+    for law in (lw for name in sorted(_LAW_DEFS) for lw in (get_law(name), get_law(name).reversed())):
+        omc = law.one_minus_char(th)
+        assert np.array_equal(law.one_minus_char(-th), np.conj(omc))
+        got = law.one_minus_char(mixed)
+        assert np.array_equal(got[mixed == 0.0], [0.0, 0.0])
+        for t, value in zip(th, omc):
+            assert got[mixed == t] == value and got[mixed == -t] == np.conj(value)
+        assert np.all(np.abs(1.0 - omc[1:]) < 1.0)
 
 
 @pytest.mark.parametrize("name", ["sym15", "sp15", "asym15", "lc15"])
