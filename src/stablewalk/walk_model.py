@@ -446,8 +446,10 @@ class WalkLaw:
         else:
             pts, ms = self._atoms_for_fourier()
             # in blocks of theta rows, to bound the (rows, atoms) temporaries
-            for rows, s2, xs in nodes.atom_blocks(pts) if len(pts) else ():
-                v[rows] = v[rows] + (ms[None, :] * s2).sum(axis=1) + 1j * (ms[None, :] * xs).sum(axis=1)
+            if len(pts):
+                for rows, s2, xs in nodes.atom_blocks(pts):
+                    v[rows] = v[rows] + (ms[None, :] * s2).sum(axis=1)
+                    v[rows] = v[rows] + 1j * (ms[None, :] * xs).sum(axis=1)
         # float-residual of the exact-zero mean, restored on its sin carrier
         return v - 1j * nodes.sin() * self.mean()
 

@@ -68,6 +68,8 @@ def test_char_fn_basics():
     th = np.array([1e-9, 0.3, 1.1, 2.9, math.pi])
     mixed = np.array([0.3, -1e-9, 0.0, -2.9, 1.1, -math.pi, 2.9, -0.3, 1e-9, math.pi, -1.1, 0.0])
     for law in (lw for name in sorted(_LAW_DEFS) for lw in (get_law(name), get_law(name).reversed())):
+        assert np.array_equal(law.one_minus_char(0.0), [0.0])
+        assert np.array_equal(law.one_minus_char(np.zeros(3)), np.zeros(3))
         omc = law.one_minus_char(th)
         assert np.array_equal(law.one_minus_char(-th), np.conj(omc))
         got = law.one_minus_char(mixed)
