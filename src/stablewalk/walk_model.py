@@ -418,13 +418,14 @@ class WalkLaw:
             main = main - self.sm * (-1j * nodes.theta) * np.conj(sing_p)
         return main
 
-    def _excess(self, nodes: _Nodes, atoms=None) -> np.ndarray:
+    def _excess(self, nodes: _Nodes, F=None) -> np.ndarray:
         """(1 - phi) - _main, cancellation-free, theta > 0: the one assembly of 1 - phi.
 
         It adds the continuum terms, then the atom sum
         sum_m p_m (1 - e^{i theta y_m}) + i theta y_m, then the mean residual.
-        The atom sum goes atom by atom over nodes.atom_blocks, or atoms gives it
-        as its (real, imaginary) pair on every node (one_minus_char_panels).
+        The atom sum goes atom by atom over nodes.atom_blocks, or, given
+        F = sum_m p_m e^{i theta y_m} on every node (one_minus_char_panels'
+        chirp-z), it is sum p - Re F + i (theta sum p y - Im F).
         """
         theta = nodes.theta
         rho_m = nodes.rho_m()      # (1-e^{-i t}) - i t
@@ -441,10 +442,10 @@ class WalkLaw:
         if self.rm != self.rp:
             # light-side singular main stays in the excess (theta^beta term)
             v = v - self.sm * (-1j * theta) * np.conj(Sm)
-        if atoms is not None:
-            v = v + atoms[0] + 1j * atoms[1]
+        pts, ms = self._atoms_for_fourier()
+        if F is not None:
+            v = v + (ms.sum() - F.real) + 1j * (theta * (ms @ pts) - F.imag)
         else:
-            pts, ms = self._atoms_for_fourier()
             # in blocks of theta rows, to bound the (rows, atoms) temporaries
             if len(pts):
                 for rows, s2, xs in nodes.atom_blocks(pts):
@@ -456,9 +457,8 @@ class WalkLaw:
     def one_minus_char_panels(self, theta: np.ndarray) -> np.ndarray:
         """one_minus_char on uniform panels theta[j, k] = theta[0, k] + j h, theta > 0.
 
-        The atom sum sum_m p_m (1 - e^{i theta y_m}) + i theta y_m is
-        sum p - Re F + i (theta sum p y - Im F) with F = sum_m p_m e^{i theta y_m},
-        and on integer atoms F is one chirp-z over j per node position k.  It
+        On integer atoms F = sum_m p_m e^{i theta y_m} is one chirp-z over j per
+        node position k, and _excess builds the atom sum from it.  It
         agrees with the atom-by-atom sum of one_minus_char to about 1e-12 |1 - phi|.
         """
         pts, ms = self._atoms_for_fourier()
@@ -469,7 +469,7 @@ class WalkLaw:
         F = chirp_z(c[:, None] * np.exp(1j * np.outer(np.arange(-Y, Y + 1), theta[0])),
                     -Y, 0, len(theta), theta[1, 0] - theta[0, 0])
         nodes = _Nodes(theta)
-        return self._excess(nodes, (ms.sum() - F.real, theta * (ms @ pts) - F.imag)) + self._main(nodes)
+        return self._excess(nodes, F) + self._main(nodes)
 
     def one_minus_char(self, theta) -> np.ndarray:
         """1 - phi(theta), exact, for theta in [-pi, pi] (vectorised).
