@@ -478,7 +478,8 @@ class WalkLaw:
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         out = np.zeros(theta.shape, dtype=complex)
-        on, neg = theta != 0, theta < 0
+        on = theta != 0
+        neg = theta < 0
         nodes = _Nodes(np.abs(theta[on]))
         out[on] = self._excess(nodes) + self._main(nodes)
         out[neg] = np.conj(out[neg])
