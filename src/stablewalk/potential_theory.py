@@ -14,6 +14,16 @@ weights are those of the per-point sum; only the order of summation differs.
 1 - phi on those panels comes from WalkLaw.one_minus_char_panels, whose
 atom sum is a chirp-z of the same kind.
 
+The working set stays near the size of the (panels, 15) node arrays and the
+(2X + 1, 15) transform: chirp_z runs one column at a time, one_minus_char_panels
+assembles 1 - phi over blocks of panels, and one_minus_char streams the atom
+sum of the cusp segment in small row blocks.  On sp15 the tracemalloc peak is
+2.4 MB at X = 64, 12.8 MB at 4096, 19.7 MB at 8192 and 36 MB at 16384, for an
+output of 16 bytes per site.  numpy reuses a temporary of at least 256 KiB as
+the output of an in-place operation, and its in-place complex multiply rounds
+differently, so each block of 1 - phi holds at least 16 384 nodes whenever the
+whole array does, and every value keeps the bits of a whole-array pass.
+
 A PotentialTable holds a(x) on one window and, asked for |x| > X, recomputes
 it at the next power of two >= max(|x|, 64), so a window a few sites past
 the last one (u_A needs a(x - z) for z in A) does not cost a second pass.

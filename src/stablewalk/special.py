@@ -100,15 +100,21 @@ def chirp_z(c: np.ndarray, a0: int, b0: int, nb: int, h: float) -> np.ndarray:
     Row i of c belongs to the integer a = a0 + i.  a b = (a^2 + b^2 - (b - a)^2) / 2
     turns the sum into one convolution with the chirp e^{-i h d^2 / 2} per
     column (Bluestein's chirp-z transform; Rabiner, Schafer & Rader, 1969),
-    done by FFT along axis 0.
+    done by FFT one column at a time.  Besides c and the (nb, columns)
+    output, the working set is a few arrays of one padded column, and
+    pocketfft gives each column the bits of the batched transform along axis 0.
     """
     na = len(c)
     a, b = np.arange(a0, a0 + na), np.arange(b0, b0 + nb)
     d = np.arange(b0 - a0 - na + 1, b0 + nb - a0)  # every b - a
     n = sfft.next_fast_len(len(d) + na - 1)
-    conv = sfft.ifft(sfft.fft(c * np.exp(0.5j * h * (a * a))[:, None], n, axis=0)
-                     * sfft.fft(np.exp(-0.5j * h * (d * d)), n)[:, None], axis=0)
-    return np.exp(0.5j * h * (b * b))[:, None] * conv[na - 1 : na - 1 + nb]
+    chirp_a, chirp_b = np.exp(0.5j * h * (a * a)), np.exp(0.5j * h * (b * b))
+    kernel = sfft.fft(np.exp(-0.5j * h * (d * d)), n)
+    out = np.empty((nb, c.shape[1]), dtype=complex)
+    for k in range(c.shape[1]):
+        conv = sfft.ifft(sfft.fft(c[:, k] * chirp_a, n) * kernel)
+        out[:, k] = chirp_b * conv[na - 1 : na - 1 + nb]
+    return out
 
 
 # Gauss-Kronrod 15 point rule on [-1, 1] with the embedded 7 point Gauss rule.

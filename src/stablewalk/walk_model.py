@@ -26,7 +26,7 @@ recorded in `WalkLaw.c0`.
 
 A build evaluates C0 for some 40 laws on the same 690 GK15 nodes, and those
 laws share alpha, the light-side exponent and the atom positions.  So the
-builder makes one `_Nodes` table for the build: rho_m, sin(theta), the
+builder makes one shared `_Nodes` table for the build: rho_m, sin(theta), the
 polylog terms per exponent and the (nodes, atoms) matrices of the atom sum
 are computed once, and each law applies only its own scales and masses,
 through the same `_excess` combination and the same reductions, so every
@@ -70,7 +70,8 @@ from .special import (
 BLOCK1 = (1, 4)
 BLOCK2 = (5, 64)
 CALIBRATED_BEYOND = BLOCK2[1]  # pure telescoped tail from here on
-_ATOM_ROWS = 2048  # theta rows per block of the atom sum in _excess
+_ATOM_ROWS = 128  # theta rows per block of a streamed atom sum in _excess
+_ELIDE_NODES = 256 * 1024 // 16  # complex values in numpy's 256 KiB temporary-elision size
 _OFFSET_BREAKS = panel_breaks(math.pi, 2, 45, math.pi)  # panels of the lattice-offset integral
 
 
@@ -186,13 +187,15 @@ class _Nodes:
 
     These are rho_m, sin(theta), the polylog terms per exponent and, per atom
     set, the matrices 2 sin^2(theta y / 2) and x_minus_sin(theta y) of the
-    atom sum in blocks of _ATOM_ROWS rows.  one_minus_char makes one per call,
-    on |theta|, and so does one_minus_char_panels; build_walk_law makes one on
-    the lattice-offset nodes and shares it with every law it calibrates.
+    atom sum (atom_blocks).  one_minus_char makes one per call, on |theta|,
+    and one_minus_char_panels one per block of panels; build_walk_law makes a
+    shared one on the lattice-offset nodes and hands it to every law it
+    calibrates.
     """
 
-    def __init__(self, theta: np.ndarray):
+    def __init__(self, theta: np.ndarray, shared: bool = False):
         self.theta = theta
+        self.shared = shared
         self._terms = {}
 
     def _term(self, key, make):
@@ -216,17 +219,22 @@ class _Nodes:
     def atom_blocks(self, pts: np.ndarray):
         """(rows, 2 sin^2(theta y / 2), x_minus_sin(theta y)) per block of theta rows, y = pts.
 
-        A node set of one block keeps its matrices per atom set; a longer one
-        streams them, so no (nodes, atoms) matrix outlives its block.
+        A shared table keeps its matrices per atom set, as one block, for the
+        next law to read.  Any other table is read once, so it streams blocks
+        of _ATOM_ROWS rows: its working set is two (_ATOM_ROWS, atoms)
+        matrices, about 0.26 MB for the 129 atoms of a calibrated law, whatever
+        the node count.  Each row's sum runs over its own atoms, and the sums
+        enter 1 - phi by additions, which round alike in place or not, so a
+        value does not depend on the block it is in: the 256 KiB rule of
+        one_minus_char_panels does not bind here.
         """
         def block(rows):
             arg = np.outer(self.theta[rows], pts)
             return rows, 2.0 * np.sin(arg / 2.0) ** 2, x_minus_sin(arg)
 
-        blocks = (block(slice(lo, lo + _ATOM_ROWS)) for lo in range(0, len(self.theta), _ATOM_ROWS))
-        if len(self.theta) > _ATOM_ROWS:
-            return blocks
-        return self._term(("atoms", pts.tobytes()), lambda: list(blocks))
+        if self.shared:
+            return self._term(("atoms", pts.tobytes()), lambda: [block(slice(None))])
+        return (block(slice(lo, lo + _ATOM_ROWS)) for lo in range(0, len(self.theta), _ATOM_ROWS))
 
 
 def _switch(value) -> bool:
@@ -460,16 +468,31 @@ class WalkLaw:
         On integer atoms F = sum_m p_m e^{i theta y_m} is one chirp-z over j per
         node position k, and _excess builds the atom sum from it.  It
         agrees with the atom-by-atom sum of one_minus_char to about 1e-12 |1 - phi|.
+        _excess and _main then run over ceil(P / 2r) near-equal blocks of the P
+        panel rows, where r rows hold _ELIDE_NODES nodes, so besides theta, F
+        and the output the working set is a few arrays of one block.  numpy
+        reuses a temporary of at least 256 KiB as the output of an in-place
+        operation, and its in-place complex multiply rounds differently; so
+        every block of an array of at least _ELIDE_NODES nodes holds at least
+        r rows, and every value keeps the bits of one whole-array pass.
         """
         pts, ms = self._atoms_for_fourier()
         ys = np.rint(pts).astype(np.int64)
         Y = int(np.abs(ys).max(initial=0))
         c = np.zeros(2 * Y + 1)
         np.add.at(c, ys + Y, ms)
+        # one panel row has the one transform at b = 0, which does not depend on h
+        h = theta[1, 0] - theta[0, 0] if len(theta) > 1 else 0.0
         F = chirp_z(c[:, None] * np.exp(1j * np.outer(np.arange(-Y, Y + 1), theta[0])),
-                    -Y, 0, len(theta), theta[1, 0] - theta[0, 0])
-        nodes = _Nodes(theta)
-        return self._excess(nodes, F) + self._main(nodes)
+                    -Y, 0, len(theta), h)
+        out = np.empty(theta.shape, dtype=complex)
+        per_block = 2 * -(-_ELIDE_NODES // theta.shape[1])
+        n_blocks = -(-len(theta) // per_block)
+        for i in range(n_blocks):
+            rows = slice(i * len(theta) // n_blocks, (i + 1) * len(theta) // n_blocks)
+            nodes = _Nodes(theta[rows])
+            out[rows] = self._excess(nodes, F[rows]) + self._main(nodes)
+        return out
 
     def one_minus_char(self, theta) -> np.ndarray:
         """1 - phi(theta), exact, for theta in [-pi, pi] (vectorised).
@@ -660,7 +683,7 @@ def build_walk_law(spec: TailSpec) -> WalkLaw:
     else:
         u_grid = [0.0, 0.15, 0.3, 0.45, 0.6]
 
-    nodes = _Nodes(gk_panels(_OFFSET_BREAKS)[0])  # shared by every C0 of this build
+    nodes = _Nodes(gk_panels(_OFFSET_BREAKS)[0], shared=True)  # shared by every C0 of this build
     chosen = None
     best, best_c0 = None, math.inf  # the feasible grid point of smallest |C0| so far
     for u in u_grid:

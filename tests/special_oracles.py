@@ -5,11 +5,13 @@ Bernoulli numbers, a route to zeta independent of zeta_fn (scipy.special's),
 polylog_exp adds the singular term back to the analytic part of
 Li_s(e^{i theta}), and integrate_adaptive splits GK15 panels until the
 embedded error estimate is met; each is checked against mpmath or a direct
-sum.
+sum.  chirp_z_batched is the chirp-z transform of every column in one FFT
+along axis 0, the bits special.chirp_z keeps column by column.
 """
 import math
 
 import numpy as np
+import scipy.fft as sfft
 
 from stablewalk.errors import QuadratureNonConvergence
 from stablewalk.special import _panel_sums, polylog_analytic, polylog_sing, zeta_fn
@@ -62,3 +64,14 @@ def integrate_adaptive(f, a, b, abs_tol=1e-12, max_splits=14, initial=33):
     raise QuadratureNonConvergence(
         f"adaptive GK15 on [{a}, {b}]: error {err.sum():.3e} > {abs_tol:.1e}"
     )
+
+
+def chirp_z_batched(c: np.ndarray, a0: int, b0: int, nb: int, h: float) -> np.ndarray:
+    """special.chirp_z with every column of c in one batched FFT along axis 0."""
+    na = len(c)
+    a, b = np.arange(a0, a0 + na), np.arange(b0, b0 + nb)
+    d = np.arange(b0 - a0 - na + 1, b0 + nb - a0)  # every b - a
+    n = sfft.next_fast_len(len(d) + na - 1)
+    conv = sfft.ifft(sfft.fft(c * np.exp(0.5j * h * (a * a))[:, None], n, axis=0)
+                     * sfft.fft(np.exp(-0.5j * h * (d * d)), n)[:, None], axis=0)
+    return np.exp(0.5j * h * (b * b))[:, None] * conv[na - 1 : na - 1 + nb]

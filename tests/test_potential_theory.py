@@ -17,7 +17,7 @@ from potential_oracles import (
 from stablewalk import potential_theory, stable_params_of
 from stablewalk.killed_walk import run_kernel
 from stablewalk.potential_theory import FiniteSetPotential, PotentialTable, _aitken_limit, c_plus, potential_a_grid
-from stablewalk.special import gamma_fn
+from stablewalk.special import gamma_fn, gk_panels
 from stablewalk.stable_numerics import constants
 
 
@@ -48,6 +48,38 @@ def test_panel_atom_sum_matches_pointwise(name, X):
     theta = potential_theory._a_segments(law, X)[2]
     pointwise = law.one_minus_char(theta.ravel()).reshape(theta.shape)
     assert np.all(np.abs(law.one_minus_char_panels(theta) - pointwise) <= 1e-11 * np.abs(pointwise))
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15", "asym15", "lc15"])
+def test_one_and_two_panel_rows_match_pointwise(name):
+    """One panel row has the one transform at b = 0, which needs no panel step; one and two rows agree with one_minus_char within 1e-12 |1 - phi|.
+
+    The panels start at 0.01, a(x)'s split at X = 2500: near theta = 1e-3 the
+    atom sum's cancellation against 1 - phi ~ 1e-5 leaves up to 1.2e-11.
+    """
+    law = get_law(name)
+    for lo, hi in ((0.01, 0.02), (0.3, 0.35), (3.0, math.pi)):
+        for rows in (1, 2):
+            theta = gk_panels(np.linspace(lo, hi, rows + 1))[0].reshape(-1, 15)
+            pointwise = law.one_minus_char(theta.ravel()).reshape(theta.shape)
+            assert np.all(np.abs(law.one_minus_char_panels(theta) - pointwise) <= 1e-12 * np.abs(pointwise))
+
+
+@pytest.mark.parametrize("X, limit", [(64, 4e6), (4096, 16e6), (8192, 24e6)])
+def test_a_grid_memory_is_bounded(sp15, X, limit):
+    """a(x)'s working set stays near its node arrays: chirp-z per column, 1 - phi over blocks of panels, the atom sum streamed.
+
+    Whole-array passes peaked at 9.5, 28.5 and 57.0 MB; now 2.4, 12.8 and 19.7 MB.
+    """
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        potential_a_grid(sp15, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 def test_a_positive_two_sided(pot15):

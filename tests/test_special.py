@@ -5,8 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from special_oracles import integrate_adaptive, polylog_exp, zeta_tail
+from special_oracles import chirp_z_batched, integrate_adaptive, polylog_exp, zeta_tail
 from stablewalk.special import (
+    chirp_z,
     gamma_fn,
     integrate_panels,
     omexp,
@@ -128,3 +129,14 @@ def test_panel_breaks_is_each_quadratures_former_rule():
         oracle = _union([0.0], t0 * 2.0 ** np.arange(0, n_up), [math.pi])
         m = next(k for k in range(64) if t0 * 2.0 ** k > math.pi)
         assert same(panel_breaks(math.pi, 2, m, t0 * 2.0 ** m), oracle[oracle <= math.pi])
+
+
+@pytest.mark.parametrize("na, cols, b0, nb", [(129, 15, 0, 8176), (8176, 15, -4096, 8193), (7, 3, 2, 1), (1, 1, -5, 11)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_chirp_z_columns_are_the_batched_transform(na, cols, b0, nb, dtype):
+    """chirp_z, one column at a time, has the bits of one batched FFT along axis 0."""
+    rng = np.random.default_rng(na)
+    c = rng.standard_normal((na, cols)).astype(dtype)
+    if dtype is complex:
+        c += 1j * rng.standard_normal((na, cols))
+    assert np.array_equal(chirp_z(c, -3, b0, nb, 0.0123), chirp_z_batched(c, -3, b0, nb, 0.0123))

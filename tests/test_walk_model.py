@@ -243,9 +243,43 @@ def test_lattice_offset_from_the_build_table_is_the_pointwise_integral(name):
     laws = [_solve_d2(spec, l1, u) for u in us for l1 in (-0.3, 0.3, 1.2)]
     laws = [lw for lw in laws if _feasible(lw)]
     assert len(laws) >= 2
-    nodes = _Nodes(gk_panels(_OFFSET_BREAKS)[0])
+    nodes = _Nodes(gk_panels(_OFFSET_BREAKS)[0], shared=True)
     for law in laws + laws[:1]:
         assert _lattice_offset(law, nodes) == lattice_offset_pointwise(law)
+
+
+@pytest.mark.parametrize("name", sorted(_LAW_DEFS))
+def test_streamed_atom_blocks_are_the_cached_ones(name):
+    """A node table read once streams its atom sum in blocks of _ATOM_ROWS rows, with the bits of a shared table's one cached block.
+
+    The builder's c0, computed on its shared table, is C0 on a streamed table
+    of the same nodes.
+    """
+    from stablewalk.walk_model import _ATOM_ROWS, _OFFSET_BREAKS, _Nodes, _lattice_offset
+
+    law = get_law(name)
+    theta = np.linspace(1e-6, math.pi, 5 * _ATOM_ROWS + 17)
+    for lw in (law, law.reversed()):
+        assert np.array_equal(lw._excess(_Nodes(theta)), lw._excess(_Nodes(theta, shared=True)))
+    assert _lattice_offset(law, _Nodes(gk_panels(_OFFSET_BREAKS)[0])) == law.c0
+
+
+@pytest.mark.parametrize("name", ["sym15", "sp15", "bp15", "asym15", "lc15"])
+def test_panel_blocks_keep_the_whole_array_bits(name):
+    """1 - phi over blocks of panels is, bit for bit, one pass over the whole array.
+
+    Every block of an array of 16 384 complex nodes (numpy's 256 KiB elision
+    size) or more holds 16 384 too.  2186 panels of 15 nodes are one block,
+    2187 are two of 1093 and 1094, and 2686 are two of 1343, where blocks of
+    2186 panels would leave a last block of 500 panels (7500 nodes).
+    """
+    from walk_model_oracles import one_minus_char_panels_whole
+
+    law = get_law(name)
+    for lw in (law, law.reversed()):
+        for panels in (2186, 2187, 2686):
+            theta = gk_panels(np.linspace(0.01, math.pi, panels + 1))[0].reshape(-1, 15)
+            assert np.array_equal(lw.one_minus_char_panels(theta), one_minus_char_panels_whole(lw, theta))
 
 
 def test_import_and_build_leave_scipy_optimize_unloaded():
